@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .cyclo import CycloNum, ONE, Q, Q_INV, ZETA, ZETA_INV
+from .cyclo import CycloNum, ONE, Q, Q_INV, ZETA, ZETA_INV, as_cyclo
 from .report import CheckReport
 from .schur import schur_eval, y_partition, z_partition_function
 
@@ -45,24 +45,6 @@ class ASMatrix:
                 raise ValueError("line does not sum to 1 over {-1,0,1}")
             if any(a == b for a, b in zip(nz, nz[1:])) or (nz and nz[0] != 1):
                 raise ValueError("nonzero entries do not alternate from +1")
-
-    def row_partials(self) -> list[list[int]]:
-        out = []
-        for row in self.entries:
-            acc, line = 0, []
-            for x in row:
-                acc += x
-                line.append(acc)
-            out.append(line)
-        return out
-
-    def col_partials(self) -> list[list[int]]:
-        out = []
-        acc = [0] * self.n
-        for row in self.entries:
-            acc = [a + x for a, x in zip(acc, row)]
-            out.append(list(acc))
-        return out
 
 
 def enumerate_asm(n: int) -> list[ASMatrix]:
@@ -207,7 +189,7 @@ def dwbc_bruteforce(n: int, xs: Sequence) -> CycloNum:
         raise SizeCapError("six-vertex enumeration capped at n = 4")
     if len(xs) != 2 * n:
         raise ValueError(f"expected {2 * n} parameters")
-    x = [v if isinstance(v, CycloNum) else CycloNum(Fraction(v), 0) for v in xs]
+    x = [as_cyclo(v) for v in xs]
     total = CycloNum(0, 0)
     for a in enumerate_asm(n):
         cfg = SixVertexConfig.from_asm(a)
@@ -229,10 +211,7 @@ def check_dwbc_oracle(n: int, xs: Sequence) -> CheckReport:
     """dwbc_bruteforce(x) must equal the Schur value at x^2, exactly."""
     report = CheckReport(f"dwbc-oracle(n={n})")
     lhs = dwbc_bruteforce(n, xs)
-    x2 = [
-        (v if isinstance(v, CycloNum) else CycloNum(Fraction(v), 0)) ** 2
-        for v in xs
-    ]
+    x2 = [as_cyclo(v) ** 2 for v in xs]
     rhs = schur_eval(y_partition(n), x2)
     report.add(lhs == rhs, point=[str(v) for v in xs], lhs=str(lhs), rhs=str(rhs))
     return report

@@ -39,12 +39,6 @@ class CycloNum:
     def __reduce__(self):
         return (CycloNum, (self.a, self.b))
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def from_rational(cls, x: RationalLike) -> "CycloNum":
-        return cls(_frac(x), Fraction(0))
-
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -53,16 +47,12 @@ class CycloNum:
     def is_rational(self) -> bool:
         return not self.b
 
-    def to_fraction(self) -> Fraction:
-        if self.b:
-            raise ValueError(f"{self} is not rational")
-        return self.a
-
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other) -> "CycloNum":
-        other = _coerce(other)
-        if other is NotImplemented:
+        try:
+            other = as_cyclo(other)
+        except TypeError:
             return NotImplemented
         return CycloNum(self.a + other.a, self.b + other.b)
 
@@ -72,8 +62,9 @@ class CycloNum:
         return CycloNum(-self.a, -self.b)
 
     def __sub__(self, other) -> "CycloNum":
-        other = _coerce(other)
-        if other is NotImplemented:
+        try:
+            other = as_cyclo(other)
+        except TypeError:
             return NotImplemented
         return CycloNum(self.a - other.a, self.b - other.b)
 
@@ -81,8 +72,9 @@ class CycloNum:
         return (-self) + other
 
     def __mul__(self, other) -> "CycloNum":
-        other = _coerce(other)
-        if other is NotImplemented:
+        try:
+            other = as_cyclo(other)
+        except TypeError:
             return NotImplemented
         # (a + b w)(c + d w) with w^2 = -1 - w
         a, b, c, d = self.a, self.b, other.a, other.b
@@ -108,13 +100,14 @@ class CycloNum:
         return CycloNum((self.a - self.b) / n, -self.b / n)
 
     def __truediv__(self, other) -> "CycloNum":
-        other = _coerce(other)
-        if other is NotImplemented:
+        try:
+            other = as_cyclo(other)
+        except TypeError:
             return NotImplemented
         return self * other.inverse()
 
     def __rtruediv__(self, other) -> "CycloNum":
-        return _coerce(other) * self.inverse()
+        return as_cyclo(other) * self.inverse()
 
     def __pow__(self, k: int) -> "CycloNum":
         if not isinstance(k, int):
@@ -133,8 +126,9 @@ class CycloNum:
     # -- comparisons / hashing ----------------------------------------
 
     def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
+        try:
+            other = as_cyclo(other)
+        except TypeError:
             return NotImplemented
         return self.a == other.a and self.b == other.b
 
@@ -170,12 +164,14 @@ class CycloNum:
         return f"{self.a} + {self.b}*w"
 
 
-def _coerce(x) -> "CycloNum":
+def as_cyclo(x) -> CycloNum:
+    """x as an element of Q(w): ints and Fractions embed, CycloNum passes
+    through, anything else (floats included) is a TypeError."""
     if isinstance(x, CycloNum):
         return x
     if isinstance(x, (int, Fraction)):
         return CycloNum(x, 0)
-    return NotImplemented
+    raise TypeError(f"cannot use {type(x).__name__} as an element of Q(w)")
 
 
 ZERO = CycloNum(0, 0)

@@ -11,22 +11,13 @@ from functools import lru_cache
 
 from .cyclo import Q
 from .groundstate import Groundstate
-from .linkpat import LinkPattern, enumerate_patterns
+from .linkpat import enumerate_patterns
 from .mpoly import MPoly
 
 
 def _z(m: int, i: int) -> MPoly:
     """1-indexed variable z_i in m variables."""
     return MPoly.variable(m, i - 1)
-
-
-def _chords_to_pattern(chords) -> LinkPattern:
-    m = 2 * len(chords)
-    pairing = [0] * m
-    for a, b in chords:
-        pairing[a - 1] = b
-        pairing[b - 1] = a
-    return LinkPattern(pairing)
 
 
 @lru_cache(maxsize=None)

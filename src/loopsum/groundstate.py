@@ -24,15 +24,13 @@ property, and t-independence.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from typing import Optional, Sequence
 
-from .cyclo import CycloNum, ONE, Q, Q_INV, ZERO
+from .cyclo import CycloNum, ONE, Q, Q_INV, ZERO, _frac, as_cyclo
 from .linkpat import (
     LinkPattern,
     arch_remove,
@@ -50,7 +48,7 @@ from .modular import (
     nullspace_mod_np,
     rational_reconstruct,
 )
-from .mpoly import MPoly, interpolate_grid, product
+from .mpoly import HomogenizationMismatchError, MPoly, product, reconstruct_homogeneous
 from .report import CheckReport
 from .solver import ExactMatrix, nullspace
 from .tmatrix import (
@@ -68,10 +66,6 @@ QSQ = Q_INV
 
 class DegenerateKernelError(RuntimeError):
     """The kernel of T - Lambda is not one-dimensional at this (z, t)."""
-
-
-class HomogenizationMismatchError(RuntimeError):
-    """An interpolated component violates the stated degree bounds."""
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +94,7 @@ def base_component(n: int) -> MPoly:
 def base_component_value(n: int, zs: Sequence) -> CycloNum:
     acc = ONE
     m = 2 * n
-    z = [x if isinstance(x, CycloNum) else CycloNum(x, 0) for x in zs]
+    z = [as_cyclo(x) for x in zs]
     for i in range(n):
         for j in range(i + 1, n):
             acc = acc * (Q * z[i] - Q_INV * z[j])
@@ -123,14 +117,6 @@ class PointVector:
     z: tuple
     t: Fraction
     values: tuple
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"spectral parameters must be rational, got {type(x).__name__}")
 
 
 def _kernel_exact(n: int, zs, t) -> list[CycloNum]:
@@ -201,7 +187,8 @@ def _kernel_modular(n: int, zs_int, t_int, base_val: CycloNum, pi0: int,
     prime, splits the (a, b) coordinates, and lifts by rational
     reconstruction.  The lift is only accepted after the exact residual
     check, so unlucky primes or a short modulus cost retries, never
-    correctness.
+    correctness.  At most max_primes primes are combined and at most
+    2 * max_primes are tried, skipped ones included.
     """
     import numpy as np
 
@@ -223,12 +210,12 @@ def _kernel_modular(n: int, zs_int, t_int, base_val: CycloNum, pi0: int,
     used = 0
     taken = 0
     degenerate_strikes = 0
-    while used < max_primes:
+    while used < max_primes and taken < 2 * max_primes:
         taken += 1
         p, g = cached_primes(taken, _PRIME_START)[-1]
         try:
-            base_p = cyclo_pair_mod(base_val.a, base_val.b, p)
-            lam_p = cyclo_pair_mod(lam.a, lam.b, p)
+            base_p = (fraction_mod(base_val.a, p), fraction_mod(base_val.b, p))
+            lam_p = (fraction_mod(lam.a, p), fraction_mod(lam.b, p))
         except ZeroDivisionError:
             continue
         amat = np.array([[x % p for x in row] for row in flat_a], dtype=np.int64)
@@ -290,10 +277,6 @@ def _kernel_modular(n: int, zs_int, t_int, base_val: CycloNum, pi0: int,
     )
 
 
-def cyclo_pair_mod(a: Fraction, b: Fraction, p: int) -> tuple[int, int]:
-    return fraction_mod(a, p), fraction_mod(b, p)
-
-
 def psi_point(
     n: int,
     zs: Sequence,
@@ -309,12 +292,12 @@ def psi_point(
     spin_certificate=True the result is additionally certified against the
     spin-representation transfer matrix.
     """
-    z = tuple(_as_fraction(x) for x in zs)
+    z = tuple(_frac(x) for x in zs)
     if len(z) != 2 * n:
         raise ValueError(f"expected {2 * n} parameters, got {len(z)}")
     if any(x <= 0 for x in z):
         raise ValueError("spectral parameters must be positive rationals")
-    schedule = [_as_fraction(t)] if t is not None else [Fraction(k) for k in range(1, 13)]
+    schedule = [_frac(t)] if t is not None else [Fraction(k) for k in range(1, 13)]
     if method == "auto":
         method = "exact" if n <= 3 else "modular"
     last: Optional[Exception] = None
@@ -398,88 +381,34 @@ class Groundstate:
         return cls(n, pats, tuple(MPoly.from_json(c) for c in data["components"]))
 
 
-def _grid_task(args) -> tuple[tuple, list]:
-    n, point, method = args
-    pv = psi_point(n, point, method=method)
-    return point, list(pv.values)
-
-
-def _interp_task(args) -> MPoly:
-    values, bounds, nodes = args
-    return interpolate_grid(values, bounds, nodes)
-
-
 _SYMBOLIC_CACHE: dict[int, Groundstate] = {}
 
 
-def psi_symbolic(n: int, threads: Optional[int] = None, cache: bool = True) -> Groundstate:
+def _psi_grid_values(n: int, point: tuple) -> list[CycloNum]:
+    return list(psi_point(n, point + (Fraction(1),)).values)
+
+
+def psi_symbolic(n: int, threads: Optional[int] = None) -> Groundstate:
     """Reconstruct all components of Psi_n as exact polynomials.
 
     Samples the groundstate on the tensor grid {1..n}^(2n-1) x {1} (the
     last variable is pinned by homogeneity), interpolates with per-variable
-    degree bound n-1, and re-homogenizes to total degree n(n-1).  The
-    result is validated against the closed-form nested component and spot
-    residuals; default size cap is n <= 4, n = 5 is possible but long.
+    degree bound n-1, and re-homogenizes to total degree n(n-1); see
+    reconstruct_homogeneous, which also runs the grid on ``threads``
+    workers.  The result is validated against the closed-form nested
+    component and spot residuals, and memoized per n; default size cap is
+    n <= 4, n = 5 is possible but long.
     """
-    if cache and n in _SYMBOLIC_CACHE:
-        return _SYMBOLIC_CACHE[n]
-    m = 2 * n
-    patterns = enumerate_patterns(n)
-    cn = len(patterns)
-    if n == 1:
-        g = Groundstate(1, patterns, (MPoly.constant(2, 1),))
-        if cache:
-            _SYMBOLIC_CACHE[1] = g
-        return g
-
-    nodes = [[Fraction(k) for k in range(1, n + 1)] for _ in range(m - 1)]
-    method = "exact" if n <= 3 else "modular"
-    tasks = [
-        (n, pts + (Fraction(1),), method)
-        for pts in itertools.product(*nodes)
-    ]
-    workers = threads if threads is not None else (os.cpu_count() or 1)
-    samples: dict[tuple, list] = {}
-    if workers > 1 and len(tasks) >= 512:
-        transfer_link_pairs(n, [1] * m, 1)  # warm the tile cache before forking
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for point, vals in pool.map(_grid_task, tasks, chunksize=64):
-                samples[point] = vals
-    else:
-        for task in tasks:
-            point, vals = _grid_task(task)
-            samples[point] = vals
-
-    total_deg = n * (n - 1)
-    bounds = [n - 1] * (m - 1)
-    value_maps = [
-        {pt[:-1]: vals[k] for pt, vals in samples.items()} for k in range(cn)
-    ]
-    if workers > 1 and n >= 4:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            dehoms = list(
-                pool.map(_interp_task, [(vm, bounds, nodes) for vm in value_maps])
-            )
-    else:
-        dehoms = [interpolate_grid(vm, bounds, nodes) for vm in value_maps]
-    components = []
-    for k, dehom in enumerate(dehoms):
-        if any(sum(e) > total_deg for e in dehom.terms):
-            raise HomogenizationMismatchError(
-                f"component {k}: interpolant exceeds total degree {total_deg}"
-            )
-        comp = dehom.homogenize(m - 1, total_deg)
-        if comp.degree_in(m - 1) > n - 1:
-            raise HomogenizationMismatchError(
-                f"component {k}: re-homogenized degree exceeds bound {n - 1}"
-            )
-        components.append(comp)
-
-    g = Groundstate(n, patterns, tuple(components))
-    _validate_symbolic(g)
-    if cache:
+    if n not in _SYMBOLIC_CACHE:
+        patterns = enumerate_patterns(n)
+        if n == 1:
+            g = Groundstate(1, patterns, (MPoly.constant(2, 1),))
+        else:
+            comps = reconstruct_homogeneous(_psi_grid_values, n, threads)
+            g = Groundstate(n, patterns, tuple(comps))
+            _validate_symbolic(g)
         _SYMBOLIC_CACHE[n] = g
-    return g
+    return _SYMBOLIC_CACHE[n]
 
 
 def _validate_symbolic(g: Groundstate) -> None:
@@ -493,7 +422,7 @@ def _validate_symbolic(g: Groundstate) -> None:
     t = Fraction(3)
     vals = g.values_at(zs)
     lam = eigenvalue(t, zs)
-    tm = transfer_link(t, zs, n, route="loop")
+    tm = transfer_link(t, zs, n)
     image = tm.apply(vals)
     if any(image[k] != lam * vals[k] for k in range(len(vals))):
         raise HomogenizationMismatchError("off-grid eigen residual is nonzero")

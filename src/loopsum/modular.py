@@ -89,52 +89,12 @@ def fraction_mod(x: Fraction | int, p: int) -> int:
     return x.numerator % p * pow(den, p - 2, p) % p
 
 
-def cyclo_mod(a: Fraction, b: Fraction, p: int, g: int) -> int:
-    """a + b*w under the embedding w -> g."""
-    return (fraction_mod(a, p) + fraction_mod(b, p) * g) % p
-
-
-def nullspace_mod(rows: list[list[int]], p: int) -> list[list[int]]:
-    """Kernel basis of a matrix over F_p (rows are modified in place)."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    nrows = len(rows)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        rr = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                ri = rows[i]
-                rows[i] = [(x - f * y) % p for x, y in zip(ri, rr)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for rr, pc in enumerate(pivots):
-            v[pc] = -rows[rr][fc] % p
-        basis.append(v)
-    return basis
-
-
 def nullspace_mod_np(rows, p: int) -> list[list[int]]:
     """Vectorized kernel basis over F_p for p < 2^30 (int64-safe).
 
     ``rows`` is an int64 numpy array with entries already reduced mod p;
-    it is consumed.  Matches nullspace_mod exactly.
+    it is consumed.  The basis is the reduced-row-echelon one: each vector
+    has a 1 at its free column and 0 at every other free column.
     """
     import numpy as np
 

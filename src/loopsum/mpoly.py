@@ -7,16 +7,21 @@ serialized in graded-lexicographic order so JSON output is canonical.
 Interpolation is per-variable Newton divided differences applied recursively
 over a tensor grid; with (bound+1) distinct nodes per variable the result is
 the unique polynomial within the per-variable degree bounds that matches all
-supplied values, and every operation is exact.
+supplied values, and every operation is exact.  reconstruct_homogeneous
+drives it for the package's symbolic objects: sample a grid, interpolate,
+check the degrees and re-homogenize.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .cyclo import CycloNum, ONE, ZERO
+from .cyclo import CycloNum, ONE, ZERO, as_cyclo
 
 
 class ArityMismatchError(ValueError):
@@ -31,12 +36,8 @@ class MissingPointError(ValueError):
     """A tensor-grid value is absent from the supplied map."""
 
 
-def _as_cyclo(x) -> CycloNum:
-    if isinstance(x, CycloNum):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return CycloNum(x, 0)
-    raise TypeError(f"cannot use {type(x).__name__} as a coefficient")
+class HomogenizationMismatchError(RuntimeError):
+    """An interpolated component violates the stated degree bounds."""
 
 
 class MPoly:
@@ -55,7 +56,7 @@ class MPoly:
                     )
                 if any(x < 0 for x in e):
                     raise ValueError(f"negative exponent in {e}")
-                c = _as_cyclo(coeff)
+                c = as_cyclo(coeff)
                 if c:
                     clean[e] = c
         object.__setattr__(self, "nvars", nvars)
@@ -75,7 +76,7 @@ class MPoly:
 
     @classmethod
     def constant(cls, nvars: int, c) -> "MPoly":
-        return cls(nvars, {(0,) * nvars: _as_cyclo(c)})
+        return cls(nvars, {(0,) * nvars: as_cyclo(c)})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "MPoly":
@@ -128,7 +129,7 @@ class MPoly:
 
     def __mul__(self, other) -> "MPoly":
         if not isinstance(other, MPoly):
-            c = _as_cyclo(other)
+            c = as_cyclo(other)
             if not c:
                 return MPoly.zero(self.nvars)
             return MPoly(self.nvars, {e: k * c for e, k in self.terms.items()})
@@ -156,7 +157,7 @@ class MPoly:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "MPoly":
-        c = _as_cyclo(scalar)
+        c = as_cyclo(scalar)
         return self * c.inverse()
 
     def __pow__(self, k: int) -> "MPoly":
@@ -190,7 +191,7 @@ class MPoly:
             raise ArityMismatchError(
                 f"point has {len(point)} coordinates, expected {self.nvars}"
             )
-        pt = [_as_cyclo(x) for x in point]
+        pt = [as_cyclo(x) for x in point]
         # power tables keep repeated exponents cheap
         maxe = [0] * self.nvars
         for e in self.terms:
@@ -267,7 +268,7 @@ class MPoly:
         """Substitute z_var := scale * z_target (exact; var becomes unused)."""
         if var == target:
             raise ValueError("substitution variable must differ from target")
-        s = _as_cyclo(scale)
+        s = as_cyclo(scale)
         terms: dict[tuple[int, ...], CycloNum] = {}
         for e, c in self.terms.items():
             k = e[var]
@@ -404,7 +405,7 @@ def interpolate_grid(
     for point in itertools.product(*nodes):
         if point not in values:
             raise MissingPointError(f"no value supplied for grid point {point}")
-        flat.append(_as_cyclo(values[point]))
+        flat.append(as_cyclo(values[point]))
 
     # Convert axis by axis: along each grid line, Newton divided
     # differences followed by expansion into monomial coefficients.  The
@@ -449,3 +450,56 @@ def interpolate_grid(
         if c:
             terms[exps] = c
     return MPoly(nvars, terms)
+
+
+#: grids with at least this many points are sampled across a process pool:
+#: n >= 4 (4^7 points and up), while n <= 3 (at most 3^5 points) runs serially
+_POOL_MIN_POINTS = 512
+
+
+def reconstruct_homogeneous(
+    evaluate: Callable[[int, tuple], list],
+    n: int,
+    threads: Optional[int] = None,
+) -> list[MPoly]:
+    """Rebuild polynomials in 2n variables that are homogeneous of total
+    degree n(n-1) with degree at most n-1 in each variable, from values.
+
+    ``evaluate(n, point)`` returns the list of values of every polynomial at
+    (point..., 1): homogeneity pins the last variable to 1, so the grid is
+    {1..n}^(2n-1).  Large grids are sampled across ``threads`` worker
+    processes (default: one per CPU), so ``evaluate`` must be a module-level
+    function.  The first point is evaluated here before any worker starts,
+    and the workers inherit every cache it fills.
+    """
+    m = 2 * n
+    total_deg = n * (n - 1)
+    nodes = [[Fraction(k) for k in range(1, n + 1)] for _ in range(m - 1)]
+    bounds = [n - 1] * (m - 1)
+    points = list(itertools.product(*nodes))
+    value_maps = [{points[0]: v} for v in evaluate(n, points[0])]
+    rest = points[1:]
+    workers = threads if threads is not None else (os.cpu_count() or 1)
+    pooled = workers > 1 and len(points) >= _POOL_MIN_POINTS
+    with (ProcessPoolExecutor(max_workers=workers) if pooled else nullcontext()) as pool:
+        samples = (pool.map(evaluate, itertools.repeat(n), rest, chunksize=64)
+                   if pooled else map(evaluate, itertools.repeat(n), rest))
+        for point, values in zip(rest, samples):
+            for vm, v in zip(value_maps, values):
+                vm[point] = v
+        jobs = (value_maps, itertools.repeat(bounds), itertools.repeat(nodes))
+        dehoms = list(pool.map(interpolate_grid, *jobs)
+                      if pooled and len(value_maps) > 1 else map(interpolate_grid, *jobs))
+    out = []
+    for k, dehom in enumerate(dehoms):
+        if any(sum(e) > total_deg for e in dehom.terms):
+            raise HomogenizationMismatchError(
+                f"component {k}: interpolant exceeds total degree {total_deg}"
+            )
+        poly = dehom.homogenize(m - 1, total_deg)
+        if poly.degree_in(m - 1) > n - 1:
+            raise HomogenizationMismatchError(
+                f"component {k}: re-homogenized degree exceeds bound {n - 1}"
+            )
+        out.append(poly)
+    return out

@@ -22,10 +22,8 @@ class CheckReport:
 
     @property
     def passed(self) -> bool:
-        return all(c["pass"] for c in self.cases)
-
-    def counterexamples(self) -> list[dict]:
-        return [c for c in self.cases if not c["pass"]]
+        """A check with no cases proves nothing, so it does not pass."""
+        return bool(self.cases) and all(c["pass"] for c in self.cases)
 
     def to_dict(self) -> dict:
         return {"check": self.check, "cases": self.cases, "pass": self.passed}

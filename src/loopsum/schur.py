@@ -24,14 +24,12 @@ numerically.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
-from .cyclo import CycloNum, ONE, Q, Q_INV, ZERO
-from .mpoly import MPoly, interpolate_grid
+from .cyclo import CycloNum, ONE, Q, Q_INV, ZERO, as_cyclo
+from .mpoly import MPoly, reconstruct_homogeneous
 from .report import CheckReport
 from .solver import ExactMatrix, det
 
@@ -78,12 +76,6 @@ def y_tilde_partition(n: int) -> Partition:
     return Partition((n,) + y_partition(n).parts)
 
 
-def _as_cyclo(x) -> CycloNum:
-    if isinstance(x, CycloNum):
-        return x
-    return CycloNum(x, 0)
-
-
 def _h_values(xs: list[CycloNum], kmax: int) -> list[CycloNum]:
     """Complete homogeneous sums h_0..h_kmax of xs, by the one-variable
     extension recurrence."""
@@ -96,7 +88,7 @@ def _h_values(xs: list[CycloNum], kmax: int) -> list[CycloNum]:
 
 def schur_eval(shape: Partition, xs: Sequence) -> CycloNum:
     """Exact Schur polynomial value s_shape(xs)."""
-    x = [_as_cyclo(v) for v in xs]
+    x = [as_cyclo(v) for v in xs]
     nvars = len(x)
     if shape.length() > nvars:
         return ZERO
@@ -140,40 +132,24 @@ def z_partition_function(n: int, zs: Sequence) -> CycloNum:
     return schur_eval(y_partition(n), zs)
 
 
-def _z_value_task(args):
-    n, pts = args
-    return pts, z_partition_function(n, list(pts) + [Fraction(1)])
+_SCHUR_CACHE: dict[int, MPoly] = {}
 
 
-@lru_cache(maxsize=None)
+def _z_grid_values(n: int, point: tuple) -> list[CycloNum]:
+    return [z_partition_function(n, list(point) + [Fraction(1)])]
+
+
 def schur_symbolic(n: int, threads: int | None = None) -> MPoly:
-    """s_{Y_n} as an exact polynomial in 2n variables.
+    """s_{Y_n} as an exact polynomial in 2n variables, memoized per n.
 
-    Reconstructed by tensor-grid interpolation from point evaluations: the
-    shape has per-variable degree n-1, so n nodes per variable suffice,
-    with one variable pinned by homogeneity.
+    Reconstructed by tensor-grid interpolation from point evaluations
+    (reconstruct_homogeneous, on ``threads`` workers): the shape has
+    per-variable degree n-1, so n nodes per variable suffice, with one
+    variable pinned by homogeneity.
     """
-    import os
-    from concurrent.futures import ProcessPoolExecutor
-
-    m = 2 * n
-    if n == 1:
-        return MPoly.constant(2, 1)
-    nodes = [[Fraction(k) for k in range(1, n + 1)] for _ in range(m - 1)]
-    points = list(itertools.product(*nodes))
-    workers = threads if threads is not None else (os.cpu_count() or 1)
-    values = {}
-    if workers > 1 and len(points) >= 2048:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for pts, val in pool.map(
-                _z_value_task, [(n, p) for p in points], chunksize=128
-            ):
-                values[pts] = val
-    else:
-        for pts in points:
-            values[pts] = z_partition_function(n, list(pts) + [Fraction(1)])
-    dehom = interpolate_grid(values, [n - 1] * (m - 1), nodes)
-    return dehom.homogenize(m - 1, n * (n - 1))
+    if n not in _SCHUR_CACHE:
+        (_SCHUR_CACHE[n],) = reconstruct_homogeneous(_z_grid_values, n, threads)
+    return _SCHUR_CACHE[n]
 
 
 def check_z_recursion(n: int, i: int, zs_rest: Sequence) -> CheckReport:
@@ -183,7 +159,7 @@ def check_z_recursion(n: int, i: int, zs_rest: Sequence) -> CheckReport:
     """
     if not 1 <= i <= 2 * n - 1:
         raise ValueError("need 1 <= i <= 2n-1")
-    rest = [_as_cyclo(x) for x in zs_rest]
+    rest = [as_cyclo(x) for x in zs_rest]
     if len(rest) != 2 * n - 1:
         raise ValueError(f"expected {2 * n - 1} free values")
     zi = rest[i - 1]
@@ -251,7 +227,7 @@ def f_poly(n: int, zs: Sequence) -> list[CycloNum]:
     """
     if len(zs) != 2 * n:
         raise ValueError(f"expected {2 * n} arguments")
-    w = [Q * _as_cyclo(z) for z in zs]
+    w = [Q * as_cyclo(z) for z in zs]
     exps_num = [e for e in range(3 * n + 1) if e % 3 != 1]
     exps_den = [e for e in range(3 * n) if e % 3 != 1]
     den = det(ExactMatrix([[wi**e for e in exps_den] for wi in w]))
@@ -275,7 +251,7 @@ def q_poly(n: int, zs: Sequence) -> list[CycloNum]:
     f = f_poly(n, zs)
     den = [ONE]
     for z in zs:
-        den = poly_mul(den, [-(Q * _as_cyclo(z)), ONE])
+        den = poly_mul(den, [-(Q * as_cyclo(z)), ONE])
     quot, rem = poly_divmod(f, den)
     if rem:
         raise NonzeroRemainderError("root-product division left a remainder")
@@ -306,7 +282,7 @@ def check_f_identity(n: int, zs: Sequence) -> CheckReport:
         all(not f[3 * k + 1] for k in range(n)), kind="coefficient-condition"
     )
     for z in zs:
-        report.add(not poly_eval(f, Q * _as_cyclo(z)), kind="root", z=str(z))
+        report.add(not poly_eval(f, Q * as_cyclo(z)), kind="root", z=str(z))
     return report
 
 
@@ -327,7 +303,7 @@ def check_tq(n: int, zs: Sequence) -> CheckReport:
     p1 = [ONE]
     p2 = [ONE]
     for z in zs:
-        z = _as_cyclo(z)
+        z = as_cyclo(z)
         tpoly = poly_mul(tpoly, [-(Q_INV * z), Q])
         p1 = poly_mul(p1, [-(Q * z), Q_INV])
         p2 = poly_mul(p2, [-z, ONE])
@@ -346,7 +322,7 @@ def check_tq(n: int, zs: Sequence) -> CheckReport:
     report.add(ok, kind="functional-equation")
 
     # the quotient also equals a ratio of Schur functions
-    w = [Q * _as_cyclo(z) for z in zs]
+    w = [Q * as_cyclo(z) for z in zs]
     denom = schur_eval(y_tilde_partition(n), w)
     if denom:
         ratio = _schur_with_extra_variable(y_partition(n + 1), w)

@@ -8,10 +8,9 @@ exactly; solves raise on inconsistent or rank-deficient systems.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
-from .cyclo import CycloNum, ONE, ZERO
+from .cyclo import CycloNum, ONE, ZERO, as_cyclo
 
 
 class InconsistentSystemError(ValueError):
@@ -22,21 +21,13 @@ class RankDeficiencyError(ValueError):
     """The matrix does not have full column rank."""
 
 
-def _as_cyclo(x) -> CycloNum:
-    if isinstance(x, CycloNum):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return CycloNum(x, 0)
-    raise TypeError(f"bad matrix entry of type {type(x).__name__}")
-
-
 class ExactMatrix:
     """A dense rows x cols matrix of CycloNum entries."""
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Sequence[Sequence]):
-        d = [[_as_cyclo(x) for x in row] for row in data]
+        d = [[as_cyclo(x) for x in row] for row in data]
         if d:
             w = len(d[0])
             if any(len(r) != w for r in d):
@@ -90,7 +81,7 @@ class ExactMatrix:
         )
 
     def scale(self, c) -> "ExactMatrix":
-        c = _as_cyclo(c)
+        c = as_cyclo(c)
         return ExactMatrix([[c * x for x in row] for row in self.data])
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
@@ -108,16 +99,13 @@ class ExactMatrix:
         return ExactMatrix(out)
 
     def apply(self, vec: Sequence) -> list[CycloNum]:
-        v = [_as_cyclo(x) for x in vec]
+        v = [as_cyclo(x) for x in vec]
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
         return [
             sum((a * x for a, x in zip(row, v) if a and x), ZERO)
             for row in self.data
         ]
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(list(zip(*self.data)))
 
     def to_json(self) -> list[list[list[str]]]:
         return [[x.to_strings() for x in row] for row in self.data]
@@ -191,7 +179,7 @@ def solve_many(m: ExactMatrix, rhs: ExactMatrix) -> ExactMatrix:
 
 
 def solve(m: ExactMatrix, b: Sequence) -> list[CycloNum]:
-    rhs = ExactMatrix([[_as_cyclo(x)] for x in b])
+    rhs = ExactMatrix([[as_cyclo(x)] for x in b])
     return [row[0] for row in solve_many(m, rhs).data]
 
 

@@ -1,18 +1,19 @@
 """Transfer matrix of the inhomogeneous loop model, in two representations.
 
-The definitional route works in the spin representation: the 4x4 vertex
-weight matrix R(z, t), the monodromy matrix as an ordered product
-R_{2n,0} ... R_{1,0} over the auxiliary space, and the twisted trace
+Production builds the matrix directly in the link basis (transfer_link) by
+summing the 2^{2n} face-tile configurations of one lattice row; each face
+carries weight (q z_i - q^{-1} t) for the pass-through tile and (z_i - t)
+for the glue tile, and closed loops count 1.
+
+The definitional route, kept as the independent oracle, works in the spin
+representation: the 4x4 vertex weight matrix R(z, t), the monodromy matrix
+applied site by site over the auxiliary space, and the twisted trace
 T = -q A - q^{-1} D.  Link patterns embed into the spin space (each arch
 j<k contributing zeta*up_j down_k - zeta^{-1} down_j up_k); T stabilizes
 the embedded subspace and its restriction is the loop-model transfer
-matrix.
-
-A second, much faster route builds the same matrix directly in the link
-basis by summing the 2^{2n} face-tile configurations of one lattice row;
-each face carries weight (q z_i - q^{-1} t) for the pass-through tile and
-(z_i - t) for the glue tile, closed loops count 1, and the tile geometry
-is pinned by exact agreement with the spin route (tested at every n <= 4).
+matrix (transfer_link_spin).  The tile geometry is pinned by exact
+agreement of the two routes, tested at every n <= 4, and
+verify_spin_eigenvector certifies point vectors against the spin route.
 
 Operators are always built at specific parameter values; nothing here is
 symbolic in z or t.
@@ -23,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclo import CycloNum, ONE, Q, Q_INV, ZERO
+from .cyclo import CycloNum, ONE, Q, Q_INV, ZERO, as_cyclo
 from .linkpat import (
     e_apply,
     enumerate_patterns,
@@ -54,8 +55,8 @@ def r_matrix_spin(z, t) -> list[list[CycloNum]]:
 
     Basis order: up-up, up-down, down-up, down-down, the site factor first.
     """
-    z = _cy(z)
-    t = _cy(t)
+    z = as_cyclo(z)
+    t = as_cyclo(t)
     a = Q * z - Q_INV * t
     b = z - t
     cz = (Q - Q_INV) * z
@@ -76,113 +77,16 @@ def rcheck_spin(z, w) -> list[list[CycloNum]]:
     return [[row[0], row[2], row[1], row[3]] for row in r]
 
 
-def _cy(x) -> CycloNum:
-    if isinstance(x, CycloNum):
-        return x
-    return CycloNum(x, 0)
-
-
-class SpinOperator:
-    """A sparse exact operator on (C^2)^{tensor 2n}."""
-
-    __slots__ = ("dim", "entries")
-
-    def __init__(self, dim: int, entries: dict[tuple[int, int], CycloNum]):
-        self.dim = dim
-        self.entries = {k: v for k, v in entries.items() if v}
-
-    def apply(self, vec: dict[int, CycloNum]) -> dict[int, CycloNum]:
-        out: dict[int, CycloNum] = {}
-        for (r, c), m in self.entries.items():
-            x = vec.get(c)
-            if x is None:
-                continue
-            s = out.get(r)
-            s = m * x if s is None else s + m * x
-            if s:
-                out[r] = s
-            else:
-                out.pop(r, None)
-        return out
-
-    def sector_matrix(self, k_up: int) -> tuple[ExactMatrix, list[int]]:
-        """Dense restriction to the sector with k_up up-spins."""
-        nbits = self.dim.bit_length() - 1
-        idx = [b for b in range(self.dim) if nbits - bin(b).count("1") == k_up]
-        pos = {b: i for i, b in enumerate(idx)}
-        data = [[ZERO] * len(idx) for _ in idx]
-        for (r, c), m in self.entries.items():
-            if r in pos and c in pos:
-                data[pos[r]][pos[c]] = m
-        return ExactMatrix(data), idx
-
-
-def _tensor_block(local: dict, big: dict, shift: int) -> dict:
-    out: dict[tuple[int, int], CycloNum] = {}
-    for (sr, sc), lv in local.items():
-        hr = sr << shift
-        hc = sc << shift
-        for (r, c), bv in big.items():
-            out[(hr | r, hc | c)] = lv * bv
-    return out
-
-
-def _block_sum(d1: dict, d2: dict) -> dict:
-    out = dict(d1)
-    for k, v in d2.items():
-        s = out.get(k)
-        s = v if s is None else s + v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def monodromy_blocks(t, zs) -> tuple[dict, dict, dict, dict]:
-    """The operator-valued 2x2 monodromy blocks (A, B, C, D)."""
-    t = _cy(t)
-    A: dict = {(0, 0): ONE}
-    B: dict = {}
-    C: dict = {}
-    D: dict = {(0, 0): ONE}
-    for k, z in enumerate(zs, start=1):
-        z = _cy(z)
-        u = Q * z - Q_INV * t
-        v = z - t
-        la = {(0, 0): u, (1, 1): v}
-        lb = {(1, 0): (Q - Q_INV) * z}
-        lc = {(0, 1): (Q - Q_INV) * t}
-        ld = {(0, 0): v, (1, 1): u}
-        sh = k - 1
-        nA = _block_sum(_tensor_block(la, A, sh), _tensor_block(lb, C, sh))
-        nB = _block_sum(_tensor_block(la, B, sh), _tensor_block(lb, D, sh))
-        nC = _block_sum(_tensor_block(lc, A, sh), _tensor_block(ld, C, sh))
-        nD = _block_sum(_tensor_block(lc, B, sh), _tensor_block(ld, D, sh))
-        A, B, C, D = nA, nB, nC, nD
-    return A, B, C, D
-
-
-def transfer_spin(t, zs) -> SpinOperator:
-    """The twisted-trace transfer matrix -q A(t) - q^{-1} D(t)."""
-    A, _, _, D = monodromy_blocks(t, zs)
-    entries = _block_sum(
-        {k: -(Q * v) for k, v in A.items()},
-        {k: -(Q_INV * v) for k, v in D.items()},
-    )
-    return SpinOperator(1 << len(zs), entries)
-
-
 def monodromy_apply(zs, t, vec: dict[int, CycloNum], aux: int) -> dict:
     """Apply the monodromy to vec tensor |aux>, streaming site by site.
 
     Returns a dict keyed (bits, aux_out).  Keeping only aux_out == aux
     yields A.vec (aux=0) or D.vec (aux=1).
     """
-    t = _cy(t)
+    t = as_cyclo(t)
     state: dict[tuple[int, int], CycloNum] = {(bits, aux): c for bits, c in vec.items()}
     for k, z in enumerate(zs, start=1):
-        z = _cy(z)
+        z = as_cyclo(z)
         u = Q * z - Q_INV * t
         v = z - t
         bz = (Q - Q_INV) * z
@@ -248,8 +152,8 @@ def e_link_matrix(n: int, i: int) -> ExactMatrix:
 
 def rcheck_link(i: int, z, w, n: int) -> LinkOperator:
     """(q z - q^{-1} w) I + (z - w) e_i on link patterns."""
-    z = _cy(z)
-    w = _cy(w)
+    z = as_cyclo(z)
+    w = as_cyclo(w)
     c1 = Q * z - Q_INV * w
     c2 = z - w
     e = e_link_matrix(n, i)
@@ -306,7 +210,11 @@ def embedding_matrix(n: int) -> ExactMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _transfer_link_spin(t, zs, n: int) -> ExactMatrix:
+def transfer_link_spin(t, zs, n: int) -> LinkOperator:
+    """The link-basis transfer matrix by the defining construction: T acts
+    on each embedded pattern in the spin space and the image is decomposed
+    over the embedded patterns.  Production uses transfer_link; this route
+    is the oracle it is checked against."""
     masks, pos = sector_rows(n)
     cols = embedding_columns(n)
     y = [[ZERO] * len(cols) for _ in masks]
@@ -453,38 +361,22 @@ def transfer_link_pairs(n: int, zs, t) -> list[list[tuple]]:
     ]
 
 
-def _transfer_link_loop(t, zs, n: int) -> ExactMatrix:
-    pairs = transfer_link_pairs(n, zs, t)
-    return ExactMatrix(
-        [[CycloNum(Fraction(a), Fraction(b)) for a, b in row] for row in pairs]
-    )
-
-
-def transfer_link(t, zs, n: int, route: str = "auto") -> LinkOperator:
-    """The transfer matrix restricted to link patterns, canonical order.
-
-    route='spin' decomposes the spin-space action over embedded patterns
-    (the defining construction); route='loop' sums row tiles directly in
-    the link basis.  Both agree exactly; 'auto' picks spin for n <= 3 and
-    the loop route beyond.
-    """
+def transfer_link(t, zs, n: int) -> LinkOperator:
+    """The transfer matrix restricted to link patterns, canonical order,
+    summed over the row tiles in the link basis (transfer_link_spin builds
+    the same matrix through the spin representation)."""
     if len(zs) != 2 * n:
         raise ValueError(f"expected {2 * n} spectral parameters, got {len(zs)}")
-    if route == "auto":
-        route = "spin" if n <= 3 else "loop"
-    if route == "spin":
-        return _transfer_link_spin(t, zs, n)
-    if route == "loop":
-        return _transfer_link_loop(t, zs, n)
-    raise ValueError(f"unknown route {route!r}")
+    pairs = transfer_link_pairs(n, zs, t)
+    return ExactMatrix([[CycloNum(a, b) for a, b in row] for row in pairs])
 
 
 def eigenvalue(t, zs) -> CycloNum:
     """prod_i (q t - q^{-1} z_i), the groundstate eigenvalue."""
     acc = ONE
-    t = _cy(t)
+    t = as_cyclo(t)
     for z in zs:
-        acc = acc * (Q * t - Q_INV * _cy(z))
+        acc = acc * (Q * t - Q_INV * as_cyclo(z))
     return acc
 
 
@@ -497,7 +389,7 @@ def verify_spin_eigenvector(n: int, zs, t, values) -> bool:
     cols = embedding_columns(n)
     vec: dict[int, CycloNum] = {}
     for val, col in zip(values, cols):
-        val = _cy(val)
+        val = as_cyclo(val)
         if not val:
             continue
         for bits, c in col.items():
@@ -562,8 +454,8 @@ def check_unitarity(n: int, z, w) -> "CheckReport":
     from .report import CheckReport
 
     report = CheckReport(f"unitarity(n={n})")
-    z = _cy(z)
-    w = _cy(w)
+    z = as_cyclo(z)
+    w = as_cyclo(w)
     scalar = (Q * z - Q_INV * w) * (Q * w - Q_INV * z)
     target = ExactMatrix.identity(len(enumerate_patterns(n))).scale(scalar)
     for i in range(1, 2 * n + 1):
@@ -589,9 +481,8 @@ def check_interlacing(n: int, t, zs, i: int) -> "CheckReport":
     swapped = list(zs)
     swapped[i - 1], swapped[j] = swapped[j], swapped[i - 1]
     rc = rcheck_link(i, zs[i - 1], zs[j], n)
-    route = "spin" if n <= 3 else "loop"
-    lhs = transfer_link(t, zs, n, route=route) @ rc
-    rhs = rc @ transfer_link(t, swapped, n, route=route)
+    lhs = transfer_link(t, zs, n) @ rc
+    rhs = rc @ transfer_link(t, swapped, n)
     report.add(lhs == rhs, point=[str(z) for z in zs], t=str(t))
     return report
 
@@ -603,23 +494,23 @@ def check_arch_insertion(n: int, t, zs_small, i: int, z_new) -> "CheckReport":
     from .report import CheckReport
 
     report = CheckReport(f"arch-insertion(n={n}, i={i})")
-    z = _cy(z_new)
-    t = _cy(t)
+    z = as_cyclo(z_new)
+    t = as_cyclo(t)
     zs = list(zs_small[: i - 1]) + [z, Q * Q * z] + list(zs_small[i - 1 :])
     phi = phi_matrix(n, i)
-    lhs = transfer_link(t, zs, n, route="loop") @ phi
+    lhs = transfer_link(t, zs, n) @ phi
     scalar = (Q * Q * t - z) * (t - z)
-    rhs = (phi @ transfer_link(t, list(zs_small), n - 1, route="loop")).scale(scalar)
+    rhs = (phi @ transfer_link(t, list(zs_small), n - 1)).scale(scalar)
     report.add(lhs == rhs, insert_at=i, z=str(z), t=str(t))
     return report
 
 
-def check_transfer_commutation(n: int, zs, t1, t2, route: str = "auto") -> "CheckReport":
+def check_transfer_commutation(n: int, zs, t1, t2) -> "CheckReport":
     """[T(t), T(t')] = 0 on link patterns."""
     from .report import CheckReport
 
     report = CheckReport(f"transfer-commutation(n={n})")
-    a = transfer_link(t1, zs, n, route=route)
-    b = transfer_link(t2, zs, n, route=route)
+    a = transfer_link(t1, zs, n)
+    b = transfer_link(t2, zs, n)
     report.add(a @ b == b @ a, t=[str(t1), str(t2)])
     return report

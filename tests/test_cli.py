@@ -1,6 +1,7 @@
 import json
 
 from loopsum.cli import main
+from loopsum.report import CheckReport
 
 
 def test_verify_sumrule_symbolic_n2(capsys):
@@ -75,3 +76,23 @@ def test_cap_errors_exit_2(capsys):
 
 def test_usage_error_exit_2():
     assert main(["no-such-command"]) == 2
+
+
+def test_no_points_or_workers_exit_2(capsys):
+    # a run with no cases proves nothing; it must not print PASS
+    for flags in (["--points", "0"], ["--points", "-4"], ["--threads", "0"]):
+        args = ["verify-sumrule", "5", "--mode", "random-points"] + flags
+        assert main(args) == 2, flags
+    assert "PASS" not in capsys.readouterr().out
+
+
+def test_caseless_report_does_not_pass():
+    report = CheckReport("empty")
+    assert not report.passed
+    report.add(True)
+    assert report.passed
+
+
+def test_check_all_n1(capsys):
+    assert main(["check-all", "1", "--threads", "1"]) == 0
+    assert "result: PASS" in capsys.readouterr().out

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from loopsum import groundstate
 from loopsum.cyclo import CycloNum, Q, Q_INV
 from loopsum.golden import golden_groundstate
 from loopsum.groundstate import (
@@ -24,7 +25,7 @@ from loopsum.groundstate import (
 from loopsum.linkpat import fully_nested, pattern_index
 from loopsum.mpoly import MPoly
 from loopsum.schur import schur_symbolic, z_partition_function
-from loopsum.tmatrix import eigenvalue, transfer_link
+from loopsum.tmatrix import eigenvalue, transfer_link, transfer_link_spin
 
 rng = random.Random(17)
 
@@ -95,6 +96,52 @@ def test_psi_point_fixed_degenerate_t_raises():
         psi_point(3, [1] * 6, t=1)
 
 
+class _CallBudgetExceeded(Exception):
+    """A patched kernel helper ran more often than a bounded retry loop can."""
+
+
+def _budgeted(real, corrupt, budget=4000):
+    calls = [0]
+
+    def patched(*args):
+        calls[0] += 1
+        if calls[0] > budget:
+            raise _CallBudgetExceeded(f"{real.__name__} called {budget} times")
+        return corrupt(calls[0], real(*args), *args)
+
+    return patched
+
+
+#: name -> (helper of _kernel_modular, corruption(call, true result, *args))
+CORRUPTIONS = {
+    "kernel-entry-off": ("nullspace_mod_np", lambda k, basis, rows, p:
+                         [v[:-1] + [(v[-1] + 1) % p] for v in basis]),
+    "kernel-zero-at-nested": ("nullspace_mod_np", lambda k, basis, rows, p:
+                              [[0] * rows.shape[1]]),
+    "kernel-too-large": ("nullspace_mod_np", lambda k, basis, rows, p: basis + basis),
+    "lift-off-early": ("rational_reconstruct", lambda k, frac, r, m:
+                       frac + 1 if frac is not None and k <= 40 else frac),
+    "lift-off-always": ("rational_reconstruct", lambda k, frac, r, m:
+                        None if frac is None else frac + 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_corrupted_modular_candidates_never_returned(monkeypatch, name):
+    # the modular layer only proposes; a wrong candidate must end in the
+    # exact vector or a typed error, within a bounded number of attempts
+    target, corrupt = CORRUPTIONS[name]
+    zs = [3, 1, 4, 6, 5, 9, 2, 7]
+    exact = psi_point(4, zs, t=1, method="exact")
+    monkeypatch.setattr(groundstate, target,
+                        _budgeted(getattr(groundstate, target), corrupt))
+    try:
+        got = psi_point(4, zs, t=1)
+    except DegenerateKernelError:
+        return
+    assert got.values == exact.values
+
+
 def test_psi_point_spin_certificate():
     zs = rng.sample(range(1, 30), 6)
     pv = psi_point(3, zs, spin_certificate=True)
@@ -143,7 +190,7 @@ def test_eigen_residual_off_grid():
             vals = g.values_at(zs)
             for _ in range(2):
                 t = Fraction(rng.randint(2, 30), rng.randint(1, 3))
-                tm = transfer_link(t, zs, n, route="loop")
+                tm = transfer_link(t, zs, n)
                 lam = eigenvalue(t, zs)
                 image = tm.apply(vals)
                 assert all(
@@ -156,7 +203,7 @@ def test_eigen_residual_spin_route_spot():
     zs = [Fraction(rng.randint(7, 60), rng.randint(1, 5)) for _ in range(6)]
     t = Fraction(rng.randint(2, 30))
     vals = g.values_at(zs)
-    tm = transfer_link(t, zs, 3, route="spin")
+    tm = transfer_link_spin(t, zs, 3)
     lam = eigenvalue(t, zs)
     image = tm.apply(vals)
     assert all(image[k] == lam * vals[k] for k in range(5))

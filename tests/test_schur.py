@@ -126,6 +126,12 @@ def test_schur_symbolic_small():
     assert s2.is_homogeneous() == 2
 
 
+def test_schur_symbolic_cached_per_n_only():
+    # the worker count does not change the polynomial, so it must not
+    # start a second build
+    assert schur_symbolic(2, threads=1) is schur_symbolic(2, threads=2)
+
+
 def test_aba_residuals():
     for n, zs in ((1, [2, 3]), (2, [1, 2, 3, 5])):
         out = aba_residual(n, zs)

@@ -11,13 +11,13 @@ from loopsum.tmatrix import (
     check_yang_baxter,
     e_link_matrix,
     eigenvalue,
-    monodromy_blocks,
+    monodromy_apply,
     r_matrix_spin,
     rcheck_link,
     rcheck_spin,
     transfer_apply_spin,
     transfer_link,
-    transfer_spin,
+    transfer_link_spin,
 )
 
 rng = random.Random(123)
@@ -72,40 +72,46 @@ def test_unitarity_all_sites():
 def test_transfer_spin_n1_fixes_embedded_pattern():
     z = [CycloNum(2, 0), CycloNum(3, 0)]
     t = CycloNum(5, 0)
-    op = transfer_spin(t, z)
     vec = spin_embed(enumerate_patterns(1)[0])
-    out = op.apply(vec)
+    out = transfer_apply_spin(z, t, vec)
     lam = eigenvalue(t, z)
     assert out == {k: lam * v for k, v in vec.items()}
 
 
 def test_transfer_spin_magnetization_conserved():
     z = [CycloNum(x, 0) for x in (2, 3, 5, 7)]
-    op = transfer_spin(CycloNum(11, 0), z)
-    for (r, c) in op.entries:
-        assert bin(r).count("1") == bin(c).count("1")
+    t = CycloNum(11, 0)
+    for bits in range(1 << 4):
+        out = transfer_apply_spin(z, t, {bits: ONE})
+        assert {bin(k).count("1") for k in out} == {bin(bits).count("1")}
 
 
-def test_transfer_spin_streaming_agrees_with_blocks():
+def test_transfer_spin_streaming_agrees_with_link_route():
+    # T on an embedded pattern is the embedded image of the link-basis column
     z = [CycloNum(x, 0) for x in (2, 3, 5, 7)]
     t = CycloNum(11, 0)
-    op = transfer_spin(t, z)
-    vec = spin_embed(enumerate_patterns(2)[0])
-    assert transfer_apply_spin(z, t, vec) == op.apply(vec)
+    cols = [spin_embed(p) for p in enumerate_patterns(2)]
+    tm = transfer_link(t, z, 2)
+    for src, vec in enumerate(cols):
+        expect = {}
+        for dst, col in enumerate(cols):
+            for bits, c in col.items():
+                expect[bits] = expect.get(bits, ZERO) + tm.data[dst][src] * c
+        assert transfer_apply_spin(z, t, vec) == {k: v for k, v in expect.items() if v}
 
 
 def test_transfer_spin_commutation_in_sector():
     zs = [CycloNum(x, 0) for x in rng.sample(range(1, 30), 4)]
-    a, idx = transfer_spin(CycloNum(5, 0), zs).sector_matrix(2)
-    b, _ = transfer_spin(CycloNum(9, 0), zs).sector_matrix(2)
+    a = transfer_link_spin(CycloNum(5, 0), zs, 2)
+    b = transfer_link_spin(CycloNum(9, 0), zs, 2)
     assert a @ b == b @ a
 
 
 def test_transfer_link_n1_value():
     z = [2, 3]
     t = 5
-    for route in ("spin", "loop"):
-        m = transfer_link(t, z, 1, route=route)
+    for build in (transfer_link_spin, transfer_link):
+        m = build(t, z, 1)
         assert m.data[0][0] == eigenvalue(t, z)
 
 
@@ -113,15 +119,15 @@ def test_transfer_link_routes_agree():
     for n in (1, 2, 3, 4):
         zs = rng.sample(range(1, 40), 2 * n)
         t = rng.randint(1, 40)
-        a = transfer_link(t, zs, n, route="spin")
-        b = transfer_link(t, zs, n, route="loop")
+        a = transfer_link_spin(t, zs, n)
+        b = transfer_link(t, zs, n)
         assert a == b, f"routes differ at n={n}"
 
 
 def test_transfer_link_rowsums_at_homogeneous_point():
     # all parameters 1: the flat vector is the groundstate, eigenvalue
     # (q t - q^{-1})^4 at t = 1
-    m = transfer_link(1, [1, 1, 1, 1], 2, route="spin")
+    m = transfer_link_spin(1, [1, 1, 1, 1], 2)
     lam = eigenvalue(1, [1, 1, 1, 1])
     for row in m.data:
         assert sum(row, ZERO) == lam
@@ -162,17 +168,20 @@ def test_arch_weight_cancellation_identity():
 
 
 def test_monodromy_block_structure():
-    # A and D preserve magnetization; B lowers it by one, C raises it
+    # A (aux 0 -> 0) and D (1 -> 1) preserve the number of down spins (set
+    # bits); B (aux 1 -> 0) adds one, lowering the magnetization, C (0 -> 1)
+    # removes one
     zs = [CycloNum(x, 0) for x in (2, 3)]
-    A, B, C, D = monodromy_blocks(CycloNum(5, 0), zs)
-    for (r, c) in A:
-        assert bin(r).count("1") == bin(c).count("1")
-    for (r, c) in B:
-        assert bin(r).count("1") == bin(c).count("1") + 1
-    for (r, c) in C:
-        assert bin(r).count("1") == bin(c).count("1") - 1
-    for (r, c) in D:
-        assert bin(r).count("1") == bin(c).count("1")
+    shift = {(0, 0): 0, (1, 1): 0, (1, 0): 1, (0, 1): -1}
+    seen = set()
+    for bits in range(4):
+        for aux in (0, 1):
+            image = monodromy_apply(zs, CycloNum(5, 0), {bits: ONE}, aux)
+            for (out, aux_out), c in image.items():
+                assert c
+                assert bin(out).count("1") == bin(bits).count("1") + shift[aux, aux_out]
+                seen.add((aux, aux_out))
+    assert seen == set(shift)
 
 
 def test_eigenvalue_factor_form():
