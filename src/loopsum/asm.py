@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .cyclo import CycloNum, ONE, Q, Q_INV, ZETA, ZETA_INV, as_cyclo
+from .cyclo import CycloNum, ONE, Q, Q_INV, ZETA, ZETA_INV, _frac, as_cyclo
 from .report import CheckReport
 from .schur import schur_eval, y_partition, z_partition_function
 
@@ -226,8 +225,8 @@ def refined_generating_check(n: int, t, u) -> CheckReport:
     """
     if n > 4:
         raise SizeCapError("refined generating check capped at n = 4")
-    t = Fraction(t)
-    u = Fraction(u)
+    t = _frac(t)
+    u = _frac(u)
     report = CheckReport(f"refined-generating(n={n})")
     qt = Q * t + ONE
     qu = Q * u + ONE
@@ -237,7 +236,7 @@ def refined_generating_check(n: int, t, u) -> CheckReport:
         raise ZeroDivisionError("specialization pole at q + t = 0")
     zs = [qt / dt, qu / du] + [ONE] * (2 * n - 2)
     lhs = (Q * Q * dt * du) ** (n - 1) * z_partition_function(n, zs)
-    lhs = lhs / CycloNum(Fraction(3 ** (n * (n - 1) // 2)), 0)
+    lhs = lhs / CycloNum(3 ** (n * (n - 1) // 2), 0)
     rhs = CycloNum(0, 0)
     counts = refined_counts(n)
     for j in range(1, n + 1):

@@ -162,9 +162,14 @@ def cmd_components(args) -> int:
     if n > cap:
         raise CapError(f"components capped at n = {cap}")
     g = psi_symbolic(n, threads=args.threads)
+    doc = g.to_json()
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(g.to_json(), fh)
+            json.dump(doc, fh)
+    if args.json:
+        print(json.dumps(doc))
+        return 0
+    if args.out:
         print(f"wrote {args.out}")
     ones = g.values_at([1] * (2 * n))
     print("components at z = (1, ..., 1):")

@@ -369,13 +369,7 @@ class Groundstate:
     def from_json(cls, data: dict) -> "Groundstate":
         n = data["n"]
         pats = enumerate_patterns(n)
-        stored = []
-        for chords in data["patterns"]:
-            pairing = [0] * (2 * n)
-            for a, b in chords:
-                pairing[a - 1] = b
-                pairing[b - 1] = a
-            stored.append(LinkPattern(pairing))
+        stored = [LinkPattern.from_chords(c) for c in data["patterns"]]
         if tuple(p.pairing for p in stored) != tuple(p.pairing for p in pats):
             raise ValueError("patterns not in canonical order")
         return cls(n, pats, tuple(MPoly.from_json(c) for c in data["components"]))

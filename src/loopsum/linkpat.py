@@ -49,6 +49,19 @@ class LinkPattern:
             stack.append(b)
         object.__setattr__(self, "pairing", p)
 
+    @classmethod
+    def from_chords(cls, chords) -> "LinkPattern":
+        """The pattern with the given arches, pairs (a, b) of points 1..2n."""
+        chords = list(chords)
+        m = 2 * len(chords)
+        pairing = [0] * m
+        for a, b in chords:
+            if not (1 <= a <= m and 1 <= b <= m):
+                raise PlanarityError(f"chord ({a}, {b}) outside 1..{m}")
+            pairing[a - 1] = b
+            pairing[b - 1] = a
+        return cls(pairing)
+
     def __setattr__(self, name, value):
         raise AttributeError("LinkPattern is immutable")
 
@@ -115,13 +128,7 @@ def enumerate_patterns(n: int) -> tuple[LinkPattern, ...]:
                 for mo in matchings(outer):
                     yield ((first, points[k]),) + mi + mo
 
-    out = []
-    for chords in matchings(tuple(range(1, 2 * n + 1))):
-        pairing = [0] * (2 * n)
-        for a, b in chords:
-            pairing[a - 1] = b
-            pairing[b - 1] = a
-        out.append(LinkPattern(pairing))
+    out = [LinkPattern.from_chords(c) for c in matchings(tuple(range(1, 2 * n + 1)))]
     out.sort(key=lambda p: p.pairing)
     assert len(out) == catalan(n)
     return tuple(out)

@@ -15,13 +15,14 @@ check the degrees and re-homogenize.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .cyclo import CycloNum, ONE, ZERO, as_cyclo
+from .cyclo import CycloNum, ONE, ZERO, _frac, as_cyclo
 
 
 class ArityMismatchError(ValueError):
@@ -30,10 +31,6 @@ class ArityMismatchError(ValueError):
 
 class DuplicateNodeError(ValueError):
     """A grid axis contains repeated interpolation nodes."""
-
-
-class MissingPointError(ValueError):
-    """A tensor-grid value is absent from the supplied map."""
 
 
 class HomogenizationMismatchError(RuntimeError):
@@ -375,43 +372,29 @@ def product(nvars: int, factors: Iterable[MPoly]) -> MPoly:
     return acc
 
 
-def interpolate_grid(
-    values: Mapping[tuple, CycloNum],
-    degree_bounds: Sequence[int],
-    grid: Sequence[Sequence],
-) -> MPoly:
-    """Reconstruct the unique polynomial within per-variable degree bounds
-    matching ``values`` on the full tensor grid.
+def interpolate_grid(values: Sequence, grid: Sequence[Sequence]) -> MPoly:
+    """Reconstruct the unique polynomial of degree below len(grid[v]) in
+    each variable v that matches ``values`` on the full tensor grid.
 
-    ``grid[v]`` lists the (degree_bounds[v] + 1) distinct rational nodes of
-    variable v; ``values`` maps full coordinate tuples (in the same node
-    values) to CycloNum samples.
+    ``grid[v]`` lists the distinct rational nodes of variable v; ``values``
+    holds the samples in itertools.product(*grid) order.
     """
-    nvars = len(degree_bounds)
-    if len(grid) != nvars:
-        raise ArityMismatchError("one node list per variable is required")
     nodes: list[list[Fraction]] = []
-    for v in range(nvars):
-        axis = [Fraction(x) for x in grid[v]]
+    for v, axis in enumerate(grid):
+        axis = [_frac(x) for x in axis]
         if len(set(axis)) != len(axis):
             raise DuplicateNodeError(f"axis {v} has repeated nodes")
-        if len(axis) != degree_bounds[v] + 1:
-            raise ValueError(
-                f"axis {v}: {len(axis)} nodes for degree bound {degree_bounds[v]}"
-            )
         nodes.append(axis)
-
-    flat: list[CycloNum] = []
-    for point in itertools.product(*nodes):
-        if point not in values:
-            raise MissingPointError(f"no value supplied for grid point {point}")
-        flat.append(as_cyclo(values[point]))
+    nvars = len(nodes)
+    dims = [len(ax) for ax in nodes]
+    flat = [as_cyclo(x) for x in values]
+    if len(flat) != math.prod(dims):
+        raise ValueError(f"{len(flat)} values for a grid of {math.prod(dims)} points")
 
     # Convert axis by axis: along each grid line, Newton divided
     # differences followed by expansion into monomial coefficients.  The
     # conversions are linear and act on disjoint indices, so after all
     # axes the tensor holds the monomial coefficients directly.
-    dims = [len(ax) for ax in nodes]
     stride = 1
     for axis in range(nvars - 1, -1, -1):
         xs = nodes[axis]
@@ -475,21 +458,20 @@ def reconstruct_homogeneous(
     m = 2 * n
     total_deg = n * (n - 1)
     nodes = [[Fraction(k) for k in range(1, n + 1)] for _ in range(m - 1)]
-    bounds = [n - 1] * (m - 1)
     points = list(itertools.product(*nodes))
-    value_maps = [{points[0]: v} for v in evaluate(n, points[0])]
+    value_lists = [[v] for v in evaluate(n, points[0])]
     rest = points[1:]
     workers = threads if threads is not None else (os.cpu_count() or 1)
     pooled = workers > 1 and len(points) >= _POOL_MIN_POINTS
     with (ProcessPoolExecutor(max_workers=workers) if pooled else nullcontext()) as pool:
         samples = (pool.map(evaluate, itertools.repeat(n), rest, chunksize=64)
                    if pooled else map(evaluate, itertools.repeat(n), rest))
-        for point, values in zip(rest, samples):
-            for vm, v in zip(value_maps, values):
-                vm[point] = v
-        jobs = (value_maps, itertools.repeat(bounds), itertools.repeat(nodes))
+        for values in samples:
+            for vl, v in zip(value_lists, values):
+                vl.append(v)
+        jobs = (value_lists, itertools.repeat(nodes))
         dehoms = list(pool.map(interpolate_grid, *jobs)
-                      if pooled and len(value_maps) > 1 else map(interpolate_grid, *jobs))
+                      if pooled and len(value_lists) > 1 else map(interpolate_grid, *jobs))
     out = []
     for k, dehom in enumerate(dehoms):
         if any(sum(e) > total_deg for e in dehom.terms):

@@ -1,9 +1,9 @@
 """Exact symmetric functions and the Bethe-ansatz functional equations.
 
-Schur polynomials evaluate through the bialternant determinant ratio when
-the arguments are pairwise distinct and through Jacobi-Trudi (a determinant
-of complete homogeneous sums) when values repeat; both routes are exact
-over Q(w) and agree wherever both apply.
+Schur polynomials evaluate through Jacobi-Trudi, a determinant of complete
+homogeneous sums that is exact over Q(w) whether or not values repeat; the
+bialternant determinant ratio is kept as the oracle it is tested against
+at pairwise distinct arguments.
 
 The six-vertex partition function with domain wall boundaries at the cubic
 root of unity is the Schur function of the staircase-doubled shape
@@ -87,19 +87,25 @@ def _h_values(xs: list[CycloNum], kmax: int) -> list[CycloNum]:
 
 
 def schur_eval(shape: Partition, xs: Sequence) -> CycloNum:
-    """Exact Schur polynomial value s_shape(xs)."""
+    """Exact Schur polynomial value s_shape(xs), by Jacobi-Trudi."""
     x = [as_cyclo(v) for v in xs]
-    nvars = len(x)
-    if shape.length() > nvars:
+    r = shape.length()
+    if r > len(x):
         return ZERO
-    if not shape.parts:
+    if not r:
         return ONE
-    if len({(v.a, v.b) for v in x}) == nvars:
-        return _schur_bialternant(shape, x)
-    return _schur_jacobi_trudi(shape, x)
+    h = _h_values(x, shape.parts[0] + r)
+
+    def entry(i, j):
+        k = shape.parts[i] - (i + 1) + (j + 1)
+        return h[k] if k >= 0 else ZERO
+
+    return det(ExactMatrix([[entry(i, j) for j in range(r)] for i in range(r)]))
 
 
 def _schur_bialternant(shape: Partition, x: list[CycloNum]) -> CycloNum:
+    """s_shape(x) as det(x_i^(lam_j + n - j)) / Vandermonde, for pairwise
+    distinct x; the oracle for schur_eval."""
     n = len(x)
     lam = list(shape.parts) + [0] * (n - shape.length())
     powers = [lam[j] + n - 1 - j for j in range(n)]
@@ -109,20 +115,6 @@ def _schur_bialternant(shape: Partition, x: list[CycloNum]) -> CycloNum:
         for j in range(i + 1, n):
             den = den * (x[i] - x[j])
     return num / den
-
-
-def _schur_jacobi_trudi(shape: Partition, x: list[CycloNum]) -> CycloNum:
-    r = shape.length()
-    kmax = shape.parts[0] + r
-    h = _h_values(x, kmax)
-
-    def entry(i, j):
-        k = shape.parts[i] - (i + 1) + (j + 1)
-        if k < 0:
-            return ZERO
-        return h[k]
-
-    return det(ExactMatrix([[entry(i, j) for j in range(r)] for i in range(r)]))
 
 
 def z_partition_function(n: int, zs: Sequence) -> CycloNum:
@@ -233,14 +225,7 @@ def f_poly(n: int, zs: Sequence) -> list[CycloNum]:
     den = det(ExactMatrix([[wi**e for e in exps_den] for wi in w]))
     if not den:
         raise DegenerateDenominatorError("denominator determinant vanished")
-    # expand the (2n+1)-column determinant along the t column
-    coeffs = [ZERO] * (3 * n + 1)
-    rows = len(exps_num)
-    for r in range(rows):
-        kept = [e for k, e in enumerate(exps_num) if k != r]
-        minor = det(ExactMatrix([[wi**e for e in kept] for wi in w]))
-        sign = ONE if (r + rows - 1) % 2 == 0 else -ONE
-        coeffs[exps_num[r]] = sign * minor / den
+    coeffs = [c / den for c in _alternant_in_t(w, exps_num)]
     if coeffs[-1] != ONE:
         raise NonzeroRemainderError("leading coefficient is not 1")
     return coeffs
@@ -313,11 +298,7 @@ def check_tq(n: int, zs: Sequence) -> CheckReport:
     rhs_a = [(-Q) * q2n * c for c in poly_mul(p1, _scale_argument(qq, Q * Q))]
     rhs_b = [(-Q_INV) * qn * c for c in poly_mul(p2, _scale_argument(qq, Q))]
     width = max(len(lhs), len(rhs_a), len(rhs_b))
-
-    def pad(v):
-        return v + [ZERO] * (width - len(v))
-
-    lhs, rhs_a, rhs_b = pad(lhs), pad(rhs_a), pad(rhs_b)
+    lhs, rhs_a, rhs_b = (pad_list(v, width) for v in (lhs, rhs_a, rhs_b))
     ok = all(l == a + b for l, a, b in zip(lhs, rhs_a, rhs_b))
     report.add(ok, kind="functional-equation")
 
@@ -348,13 +329,7 @@ def _schur_with_extra_variable(shape: Partition, w: list[CycloNum]) -> list[Cycl
             vdm = vdm * (w[i] - w[j])
     if not vdm:
         raise DegenerateDenominatorError("repeated arguments")
-    # numerator: expand along the last row (the t powers)
-    num = [ZERO] * (max(powers) + 1)
-    for k, e in enumerate(powers):
-        kept = [ee for j, ee in enumerate(powers) if j != k]
-        minor = det(ExactMatrix([[wi**ee for ee in kept] for wi in w]))
-        sign = ONE if (m - 1 + k) % 2 == 0 else -ONE
-        num[e] = sign * minor
+    num = _alternant_in_t(w, powers)
     # divide by prod_i (w_i - t) and by the Vandermonde of w
     den = [ONE]
     for wi in w:
@@ -363,6 +338,19 @@ def _schur_with_extra_variable(shape: Partition, w: list[CycloNum]) -> list[Cycl
     if rem:
         raise NonzeroRemainderError("Schur ratio division left a remainder")
     return [c / vdm for c in quot]
+
+
+def _alternant_in_t(w: list[CycloNum], exps: list[int]) -> list[CycloNum]:
+    """det[w_i^e ; t^e] (rows w_1..w_m, then the t row; one column per
+    exponent in exps) as ascending coefficients in t, expanded along the t
+    row."""
+    last = len(exps) - 1
+    coeffs = [ZERO] * (max(exps) + 1)
+    for k, e in enumerate(exps):
+        kept = exps[:k] + exps[k + 1 :]
+        minor = det(ExactMatrix([[wi**ee for ee in kept] for wi in w]))
+        coeffs[e] = minor if (last + k) % 2 == 0 else -minor
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +374,7 @@ def aba_residual(n: int, zs: Sequence) -> dict:
         raise ValueError("numeric check capped at n = 3")
     m = 2 * n
     q = complex(-0.5, 0.75**0.5)
-    z = [complex(Fraction(x)) if not isinstance(x, CycloNum) else complex(x) for x in zs]
+    z = [complex(as_cyclo(x)) for x in zs]
 
     roots = np.roots([complex(c) for c in reversed(q_poly(n, zs))])
 

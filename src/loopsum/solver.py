@@ -2,8 +2,8 @@
 
 Plain fraction Gaussian elimination with first-nonzero pivoting: in exact
 arithmetic there is no magnitude heuristic to apply, and the matrices here
-stay small (a few hundred rows at most).  Nullspace vectors satisfy M v = 0
-exactly; solves raise on inconsistent or rank-deficient systems.
+stay small (a few hundred rows at most).  It provides the nullspace (whose
+vectors satisfy M v = 0 exactly), the rank and the determinant.
 """
 
 from __future__ import annotations
@@ -11,14 +11,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from .cyclo import CycloNum, ONE, ZERO, as_cyclo
-
-
-class InconsistentSystemError(ValueError):
-    """The right-hand side is not in the column span."""
-
-
-class RankDeficiencyError(ValueError):
-    """The matrix does not have full column rank."""
 
 
 class ExactMatrix:
@@ -111,17 +103,16 @@ class ExactMatrix:
         return [[x.to_strings() for x in row] for row in self.data]
 
 
-def _rref(data: list[list[CycloNum]], width: int) -> tuple[list[list[CycloNum]], list[int]]:
-    """In-place reduced row echelon form on the first `width` columns.
+def _rref(data: list[list[CycloNum]]) -> tuple[list[list[CycloNum]], list[int]]:
+    """In-place reduced row echelon form.
 
-    Columns beyond `width` are carried along (augmented part).  Returns the
-    row list and the pivot column indices.
+    Returns the row list and the pivot column indices.
     """
     nrows = len(data)
     pivots: list[int] = []
     r = 0
     total = len(data[0]) if data else 0
-    for c in range(width):
+    for c in range(total):
         pr = next((i for i in range(r, nrows) if data[i][c]), None)
         if pr is None:
             continue
@@ -142,14 +133,14 @@ def _rref(data: list[list[CycloNum]], width: int) -> tuple[list[list[CycloNum]],
 
 def rank(m: ExactMatrix) -> int:
     data = [row[:] for row in m.data]
-    _, pivots = _rref(data, m.cols)
+    _, pivots = _rref(data)
     return len(pivots)
 
 
 def nullspace(m: ExactMatrix) -> list[list[CycloNum]]:
     """An exact basis of { v : M v = 0 }; empty for full column rank."""
     data = [row[:] for row in m.data]
-    data, pivots = _rref(data, m.cols)
+    data, pivots = _rref(data)
     free = [c for c in range(m.cols) if c not in pivots]
     basis = []
     for fc in free:
@@ -159,28 +150,6 @@ def nullspace(m: ExactMatrix) -> list[list[CycloNum]]:
             v[pc] = -data[r][fc]
         basis.append(v)
     return basis
-
-
-def solve_many(m: ExactMatrix, rhs: ExactMatrix) -> ExactMatrix:
-    """Solve M X = RHS for full-column-rank M (raises otherwise)."""
-    if m.rows != rhs.rows:
-        raise ValueError("row count mismatch")
-    data = [mr[:] + rr[:] for mr, rr in zip(m.data, rhs.data)]
-    data, pivots = _rref(data, m.cols)
-    if len(pivots) != m.cols:
-        raise RankDeficiencyError(f"rank {len(pivots)} < {m.cols} columns")
-    for r in range(len(pivots), m.rows):
-        if any(data[r][m.cols :]):
-            raise InconsistentSystemError("right-hand side outside column span")
-    x = [[ZERO] * rhs.cols for _ in range(m.cols)]
-    for r, pc in enumerate(pivots):
-        x[pc] = data[r][m.cols :]
-    return ExactMatrix(x)
-
-
-def solve(m: ExactMatrix, b: Sequence) -> list[CycloNum]:
-    rhs = ExactMatrix([[as_cyclo(x)] for x in b])
-    return [row[0] for row in solve_many(m, rhs).data]
 
 
 def det(m: ExactMatrix) -> CycloNum:

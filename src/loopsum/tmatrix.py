@@ -11,9 +11,11 @@ applied site by site over the auxiliary space, and the twisted trace
 T = -q A - q^{-1} D.  Link patterns embed into the spin space (each arch
 j<k contributing zeta*up_j down_k - zeta^{-1} down_j up_k); T stabilizes
 the embedded subspace and its restriction is the loop-model transfer
-matrix (transfer_link_spin).  The tile geometry is pinned by exact
-agreement of the two routes, tested at every n <= 4, and
-verify_spin_eigenvector certifies point vectors against the spin route.
+matrix.  The two routes are compared where T acts: spin_route_agrees
+applies T to every embedded pattern and matches the image against the
+embedded column of a link-basis matrix.  The embedding is injective, so
+agreement pins every entry; it is tested at every n <= 4, and
+verify_spin_eigenvector certifies point vectors the same way.
 
 Operators are always built at specific parameter values; nothing here is
 symbolic in z or t.
@@ -32,17 +34,10 @@ from .linkpat import (
     phi_embed,
     spin_embed,
 )
-from .solver import ExactMatrix, InconsistentSystemError, solve_many
+from .solver import ExactMatrix
 
 #: Operators on link patterns are plain exact matrices in canonical order.
 LinkOperator = ExactMatrix
-
-
-class StabilityViolationError(RuntimeError):
-    """The spin transfer matrix left the embedded link-pattern subspace.
-
-    This signals an implementation bug, never a data condition.
-    """
 
 
 # ---------------------------------------------------------------------------
@@ -186,52 +181,38 @@ def embedding_columns(n: int) -> tuple[dict[int, CycloNum], ...]:
     return tuple(spin_embed(p) for p in enumerate_patterns(n))
 
 
-@lru_cache(maxsize=None)
-def sector_rows(n: int) -> tuple[tuple[int, ...], dict[int, int]]:
-    """Bitmasks of the n-up sector of 2n sites, with their row positions."""
-    masks = [b for b in range(1 << (2 * n)) if bin(b).count("1") == n]
-    return tuple(masks), {b: i for i, b in enumerate(masks)}
-
-
-@lru_cache(maxsize=None)
-def embedding_matrix(n: int) -> ExactMatrix:
-    """Embedded pattern vectors as columns, rows restricted to the sector."""
-    masks, pos = sector_rows(n)
-    cols = embedding_columns(n)
-    data = [[ZERO] * len(cols) for _ in masks]
-    for j, col in enumerate(cols):
+def embed(n: int, values) -> dict[int, CycloNum]:
+    """The spin vector sum_k values[k] * spin_embed(pattern k), canonical
+    pattern order, zero entries dropped."""
+    vec: dict[int, CycloNum] = {}
+    for val, col in zip(values, embedding_columns(n), strict=True):
+        val = as_cyclo(val)
+        if not val:
+            continue
         for bits, c in col.items():
-            data[pos[bits]][j] = c
-    return ExactMatrix(data)
+            s = vec.get(bits)
+            s = val * c if s is None else s + val * c
+            if s:
+                vec[bits] = s
+            else:
+                vec.pop(bits, None)
+    return vec
 
 
-# ---------------------------------------------------------------------------
-# link-basis transfer matrix, spin route
-# ---------------------------------------------------------------------------
-
-
-def transfer_link_spin(t, zs, n: int) -> LinkOperator:
-    """The link-basis transfer matrix by the defining construction: T acts
-    on each embedded pattern in the spin space and the image is decomposed
-    over the embedded patterns.  Production uses transfer_link; this route
-    is the oracle it is checked against."""
-    masks, pos = sector_rows(n)
+def spin_route_agrees(t, zs, n: int, matrix: LinkOperator) -> bool:
+    """True iff ``matrix`` is the spin transfer matrix restricted to the
+    embedded link patterns: T applied to each embedded pattern j equals the
+    embedding of column j.  Production uses transfer_link; this is the
+    oracle it is checked against."""
     cols = embedding_columns(n)
-    y = [[ZERO] * len(cols) for _ in masks]
-    for j, col in enumerate(cols):
-        image = transfer_apply_spin(zs, t, col)
-        for bits, c in image.items():
-            if bits not in pos:
-                raise StabilityViolationError(
-                    f"transfer image leaves the {n}-up sector at mask {bits:b}"
-                )
-            y[pos[bits]][j] = c
-    try:
-        return solve_many(embedding_matrix(n), ExactMatrix(y))
-    except InconsistentSystemError as exc:
-        raise StabilityViolationError(
-            "transfer image of an embedded pattern is outside the pattern span"
-        ) from exc
+    if len(zs) != 2 * n:
+        raise ValueError(f"expected {2 * n} spectral parameters, got {len(zs)}")
+    if matrix.rows != len(cols) or matrix.cols != len(cols):
+        return False
+    return all(
+        transfer_apply_spin(zs, t, col) == embed(n, [row[j] for row in matrix.data])
+        for j, col in enumerate(cols)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +344,8 @@ def transfer_link_pairs(n: int, zs, t) -> list[list[tuple]]:
 
 def transfer_link(t, zs, n: int) -> LinkOperator:
     """The transfer matrix restricted to link patterns, canonical order,
-    summed over the row tiles in the link basis (transfer_link_spin builds
-    the same matrix through the spin representation)."""
+    summed over the row tiles in the link basis (spin_route_agrees checks
+    it against the spin representation)."""
     if len(zs) != 2 * n:
         raise ValueError(f"expected {2 * n} spectral parameters, got {len(zs)}")
     pairs = transfer_link_pairs(n, zs, t)
@@ -386,25 +367,10 @@ def verify_spin_eigenvector(n: int, zs, t, values) -> bool:
     This certificate runs entirely in the spin representation and is
     independent of how the candidate values were produced.
     """
-    cols = embedding_columns(n)
-    vec: dict[int, CycloNum] = {}
-    for val, col in zip(values, cols):
-        val = as_cyclo(val)
-        if not val:
-            continue
-        for bits, c in col.items():
-            s = vec.get(bits)
-            s = val * c if s is None else s + val * c
-            if s:
-                vec[bits] = s
-            else:
-                vec.pop(bits, None)
-    image = transfer_apply_spin(zs, t, vec)
+    vec = embed(n, values)
     lam = eigenvalue(t, zs)
-    for bits in set(image) | set(vec):
-        if image.get(bits, ZERO) != lam * vec.get(bits, ZERO):
-            return False
-    return True
+    expect = {bits: lam * c for bits, c in vec.items()} if lam else {}
+    return transfer_apply_spin(zs, t, vec) == expect
 
 
 # ---------------------------------------------------------------------------

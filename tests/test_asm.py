@@ -116,6 +116,13 @@ def test_refined_generating_at_ones_gives_total():
         assert refined_generating_check(n, 1, 1).passed
 
 
+def test_refined_generating_takes_exact_rationals_only():
+    assert refined_generating_check(2, Fraction(7, 3), Fraction(1, 2)).passed
+    for t, u in (("7/3", 2), (1.5, 2), (2, 0.5)):
+        with pytest.raises(TypeError):
+            refined_generating_check(2, t, u)
+
+
 def test_refined_generating_n2_polynomial_structure():
     # with u = 1 the generating function must reduce to 1 + t
     from loopsum.cyclo import Q

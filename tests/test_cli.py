@@ -1,6 +1,7 @@
 import json
 
 from loopsum.cli import main
+from loopsum.groundstate import Groundstate, psi_symbolic
 from loopsum.report import CheckReport
 
 
@@ -44,6 +45,14 @@ def test_components_writes_json_and_prints_ones(tmp_path, capsys):
     assert len(data["components"]) == 2
     exps = [t["exp"] for t in data["components"][0]["terms"]]
     assert exps == sorted(exps, key=lambda e: (sum(e), tuple(e)))
+
+
+def test_components_json_is_the_groundstate_document(tmp_path, capsys):
+    out = tmp_path / "g2.json"
+    assert main(["components", "2", "--json", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert Groundstate.from_json(json.loads(printed)) == psi_symbolic(2)
+    assert json.loads(printed) == json.loads(out.read_text())
 
 
 def test_check_all_n2(capsys):

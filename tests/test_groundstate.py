@@ -25,7 +25,7 @@ from loopsum.groundstate import (
 from loopsum.linkpat import fully_nested, pattern_index
 from loopsum.mpoly import MPoly
 from loopsum.schur import schur_symbolic, z_partition_function
-from loopsum.tmatrix import eigenvalue, transfer_link, transfer_link_spin
+from loopsum.tmatrix import eigenvalue, transfer_link, verify_spin_eigenvector
 
 rng = random.Random(17)
 
@@ -203,10 +203,11 @@ def test_eigen_residual_spin_route_spot():
     zs = [Fraction(rng.randint(7, 60), rng.randint(1, 5)) for _ in range(6)]
     t = Fraction(rng.randint(2, 30))
     vals = g.values_at(zs)
-    tm = transfer_link_spin(t, zs, 3)
-    lam = eigenvalue(t, zs)
-    image = tm.apply(vals)
-    assert all(image[k] == lam * vals[k] for k in range(5))
+    assert verify_spin_eigenvector(3, zs, t, vals)
+    for k in range(len(vals)):
+        bent = list(vals)
+        bent[k] = bent[k] + 1
+        assert not verify_spin_eigenvector(3, zs, t, bent), k
 
 
 def test_recursion_adjacent_all_sites():

@@ -20,12 +20,18 @@ from loopsum.solver import ExactMatrix, rank
 
 
 def pat(*chords):
-    m = 2 * len(chords)
-    pairing = [0] * m
-    for a, b in chords:
-        pairing[a - 1] = b
-        pairing[b - 1] = a
-    return LinkPattern(pairing)
+    return LinkPattern.from_chords(chords)
+
+
+def test_from_chords_roundtrip_and_planarity():
+    for n in (1, 2, 3, 4):
+        for p in enumerate_patterns(n):
+            assert LinkPattern.from_chords(p.chords()) == p
+    for chords in ([(1, 3), (2, 4)], [(1, 4), (2, 6), (3, 5)]):  # crossing
+        with pytest.raises(PlanarityError):
+            LinkPattern.from_chords(chords)
+    with pytest.raises(PlanarityError):  # point 5 is not on a 4-point circle
+        LinkPattern.from_chords([(1, 5), (2, 3)])
 
 
 def test_counts_match_catalan():

@@ -9,7 +9,6 @@ from loopsum.cyclo import CycloNum, OMEGA as q, ONE, ZERO
 from loopsum.mpoly import (
     ArityMismatchError,
     DuplicateNodeError,
-    MissingPointError,
     MPoly,
     interpolate_grid,
 )
@@ -104,35 +103,37 @@ def test_json_roundtrip_and_term_order():
 
 def test_interpolate_constant():
     nodes = [[Fraction(0), Fraction(1)]] * 2
-    vals = {pt: CycloNum(7, 0) for pt in itertools.product(*nodes)}
-    assert interpolate_grid(vals, [1, 1], nodes) == MPoly.constant(2, 7)
+    vals = [CycloNum(7, 0)] * 4
+    assert interpolate_grid(vals, nodes) == MPoly.constant(2, 7)
 
 
 def test_interpolate_linear():
     nodes = [[Fraction(0), Fraction(1)]] * 2
     target = z(2, 0) - z(2, 1)
-    vals = {pt: target.eval(pt) for pt in itertools.product(*nodes)}
-    assert interpolate_grid(vals, [1, 1], nodes) == target
+    vals = [target.eval(pt) for pt in itertools.product(*nodes)]
+    assert interpolate_grid(vals, nodes) == target
 
 
 def test_interpolate_missing_point():
+    # a value list that does not cover the grid exactly is rejected
     nodes = [[Fraction(0), Fraction(1)]]
-    with pytest.raises(MissingPointError):
-        interpolate_grid({(Fraction(0),): ONE}, [1], nodes)
+    for vals in ([ONE], [ONE, ONE, ONE]):
+        with pytest.raises(ValueError):
+            interpolate_grid(vals, nodes)
 
 
 def test_interpolate_duplicate_node():
     nodes = [[Fraction(1), Fraction(1)]]
     with pytest.raises(DuplicateNodeError):
-        interpolate_grid({}, [1], nodes)
+        interpolate_grid([ONE, ONE], nodes)
 
 
 @settings(max_examples=40, deadline=None)
 @given(poly_strategy(nvars=2, max_exp=2))
 def test_interpolation_roundtrip(p):
     nodes = [[Fraction(k) for k in (1, 2, 3)]] * 2
-    vals = {pt: p.eval(pt) for pt in itertools.product(*nodes)}
-    assert interpolate_grid(vals, [2, 2], nodes) == p
+    vals = [p.eval(pt) for pt in itertools.product(*nodes)]
+    assert interpolate_grid(vals, nodes) == p
 
 
 @settings(max_examples=40)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -57,12 +58,12 @@ def test_schur_symmetric_under_permutation():
 
 
 def test_routes_agree_on_distinct_points():
-    from loopsum.schur import _schur_bialternant, _schur_jacobi_trudi
+    from loopsum.schur import _schur_bialternant
 
     for _ in range(10):
         xs = [CycloNum(x, 0) for x in rng.sample(range(1, 80), 6)]
         lam = y_partition(3)
-        assert _schur_bialternant(lam, xs) == _schur_jacobi_trudi(lam, xs)
+        assert _schur_bialternant(lam, xs) == schur_eval(lam, xs)
 
 
 def test_z_values():
@@ -138,3 +139,9 @@ def test_aba_residuals():
         assert out["residual"] < 1e-9
         assert out["eigenvalue_error"] < 1e-9
         assert out["subspace_angle"] < 1e-9
+
+
+def test_aba_residual_takes_exact_values_only():
+    assert aba_residual(1, [Fraction(2), Fraction(7, 2)])["residual"] < 1e-9
+    with pytest.raises(TypeError):
+        aba_residual(1, [2.0, 3])

@@ -11,13 +11,15 @@ from loopsum.tmatrix import (
     check_yang_baxter,
     e_link_matrix,
     eigenvalue,
+    embed,
     monodromy_apply,
     r_matrix_spin,
     rcheck_link,
     rcheck_spin,
+    spin_route_agrees,
     transfer_apply_spin,
     transfer_link,
-    transfer_link_spin,
+    verify_spin_eigenvector,
 )
 
 rng = random.Random(123)
@@ -101,36 +103,63 @@ def test_transfer_spin_streaming_agrees_with_link_route():
 
 
 def test_transfer_spin_commutation_in_sector():
+    # T(5) T(9) and T(9) T(5) agree on every embedded n = 2 pattern
     zs = [CycloNum(x, 0) for x in rng.sample(range(1, 30), 4)]
-    a = transfer_link_spin(CycloNum(5, 0), zs, 2)
-    b = transfer_link_spin(CycloNum(9, 0), zs, 2)
-    assert a @ b == b @ a
+    t1, t2 = CycloNum(5, 0), CycloNum(9, 0)
+    for p in enumerate_patterns(2):
+        vec = spin_embed(p)
+        a = transfer_apply_spin(zs, t1, transfer_apply_spin(zs, t2, vec))
+        b = transfer_apply_spin(zs, t2, transfer_apply_spin(zs, t1, vec))
+        assert a == b
+
+
+def test_embed_is_linear_in_pattern_basis():
+    pats = enumerate_patterns(3)
+    for k, p in enumerate(pats):
+        unit = [ONE if j == k else ZERO for j in range(len(pats))]
+        assert embed(3, unit) == spin_embed(p)
+    assert embed(3, [ZERO] * len(pats)) == {}
+    a, b = (spin_embed(p) for p in enumerate_patterns(2))
+    combo = {k: 2 * a.get(k, ZERO) - b.get(k, ZERO) for k in set(a) | set(b)}
+    assert embed(2, [2, -1]) == {k: v for k, v in combo.items() if v}
 
 
 def test_transfer_link_n1_value():
     z = [2, 3]
     t = 5
-    for build in (transfer_link_spin, transfer_link):
-        m = build(t, z, 1)
-        assert m.data[0][0] == eigenvalue(t, z)
+    m = transfer_link(t, z, 1)
+    assert m.data[0][0] == eigenvalue(t, z)
+    assert spin_route_agrees(t, z, 1, m)
 
 
 def test_transfer_link_routes_agree():
     for n in (1, 2, 3, 4):
         zs = rng.sample(range(1, 40), 2 * n)
         t = rng.randint(1, 40)
-        a = transfer_link_spin(t, zs, n)
-        b = transfer_link(t, zs, n)
-        assert a == b, f"routes differ at n={n}"
+        assert spin_route_agrees(t, zs, n, transfer_link(t, zs, n)), (
+            f"routes differ at n={n}"
+        )
+
+
+def test_spin_route_rejects_changed_entry():
+    for n in (1, 2, 3, 4):
+        zs = rng.sample(range(1, 40), 2 * n)
+        t = rng.randint(1, 40)
+        data = [row[:] for row in transfer_link(t, zs, n).data]
+        r, c = rng.randrange(len(data)), rng.randrange(len(data))
+        data[r][c] = data[r][c] + Q
+        assert not spin_route_agrees(t, zs, n, ExactMatrix(data)), f"n={n}"
 
 
 def test_transfer_link_rowsums_at_homogeneous_point():
     # all parameters 1: the flat vector is the groundstate, eigenvalue
     # (q t - q^{-1})^4 at t = 1
-    m = transfer_link_spin(1, [1, 1, 1, 1], 2)
+    m = transfer_link(1, [1, 1, 1, 1], 2)
+    assert spin_route_agrees(1, [1, 1, 1, 1], 2, m)
     lam = eigenvalue(1, [1, 1, 1, 1])
     for row in m.data:
         assert sum(row, ZERO) == lam
+    assert verify_spin_eigenvector(2, [1, 1, 1, 1], 1, [ONE, ONE])
 
 
 def test_interlacing_all_sites():
