@@ -10,9 +10,9 @@ Construction is point evaluation plus tensor-grid interpolation: each grid
 point is a small exact kernel solve, the per-variable degree bound n-1
 makes the interpolation exact, and homogeneity (total degree n(n-1)) lets
 one variable be pinned to 1 during sampling.  Large solves run modularly
-(CRT over primes with rational reconstruction) but every returned vector
-is certified by an exact residual check, so no probabilistic step survives
-in the results.
+(symmetric CRT over primes, rational reconstruction as fallback) but every
+returned vector is certified by an exact residual check, so no
+probabilistic step survives in the results.
 
 The check_* functions verify the structural identities the vector must
 satisfy: vanishing/recursion under z_{i+1} = q^2 z_i, the exchange
@@ -54,7 +54,10 @@ from .solver import ExactMatrix, nullspace
 from .tmatrix import (
     e_link_matrix,
     eigenvalue,
+    limbs_exact,
+    limbs_mod,
     transfer_link,
+    transfer_link_limbs,
     transfer_link_pairs,
     verify_spin_eigenvector,
 )
@@ -174,9 +177,18 @@ def _residual_ok(pairs, lam: CycloNum, values: list[CycloNum]) -> bool:
     return True
 
 
-#: 30-bit primes keep every intermediate of the vectorized elimination
-#: inside int64.
+#: Primes below 2^30 keep the modular kernel inside int64.  Elimination:
+#: each update is a product of two residues, p^2 < 2^60 < 2^62, and
+#: nullspace_mod_np reduces before such products could sum past 2^63.
+#: Assembly: the tile sums in reduceat are exact 31-bit limbs,
+#: 2^(2n) * 2^31 < 2^63 for n <= 15 whatever p, and limbs_mod scales their
+#: residues by residues, again below p^2.
 _PRIME_START = (1 << 29) + 1
+
+
+def _symmetric(r: int, m: int) -> int:
+    """The representative of r mod m in (-m/2, m/2]."""
+    return r - m if 2 * r > m else r
 
 
 def _kernel_modular(n: int, zs_int, t_int, base_val: CycloNum, pi0: int,
@@ -184,25 +196,31 @@ def _kernel_modular(n: int, zs_int, t_int, base_val: CycloNum, pi0: int,
     """Kernel vector normalized to base_val at pi0, via CRT over primes.
 
     Runs the elimination over F_p for both embeddings w -> g, g^2 of each
-    prime, splits the (a, b) coordinates, and lifts by rational
-    reconstruction.  The lift is only accepted after the exact residual
-    check, so unlucky primes or a short modulus cost retries, never
-    correctness.  At most max_primes primes are combined and at most
-    2 * max_primes are tried, skipped ones included.
+    prime, splits the (a, b) coordinates and combines them by CRT; the
+    candidates are lifted by symmetric CRT after every prime, rational
+    reconstruction as fallback for fractional values.  A candidate is only
+    accepted with base_val at pi0 and after the exact residual check
+    against the exact transfer matrix, so unlucky primes or a short
+    modulus cost retries, never correctness.  At most max_primes
+    primes are combined and at most 2 * max_primes are tried, skipped ones
+    included.
     """
     import numpy as np
 
-    pairs = transfer_link_pairs(n, zs_int, t_int)
+    limbs = transfer_link_limbs(n, zs_int, t_int)
+    pairs = limbs_exact(limbs)
     lam = eigenvalue(t_int, zs_int)
     cn = len(pairs)
-    flat_a = [[a for a, _ in row] for row in pairs]
-    flat_b = [[b for _, b in row] for row in pairs]
     diag = np.arange(cn)
+
+    def certified(values) -> bool:
+        return values[pi0] == base_val and _residual_ok(pairs, lam, values)
+
     residues_a = [0] * cn
     residues_b = [0] * cn
     modulus = 0
-    # start below the crude magnitude estimate and grow on demand; a failed
-    # reconstruction attempt is much cheaper than an elimination run
+    # rational reconstruction needs about twice the bits of the values;
+    # start it below a crude magnitude estimate and retry every other prime
     est_bits = 2 * (n * (n - 1) + 2 * n) * max(
         int(abs(z)).bit_length() + 2 for z in list(zs_int) + [t_int, 1]
     )
@@ -218,8 +236,7 @@ def _kernel_modular(n: int, zs_int, t_int, base_val: CycloNum, pi0: int,
             lam_p = (fraction_mod(lam.a, p), fraction_mod(lam.b, p))
         except ZeroDivisionError:
             continue
-        amat = np.array([[x % p for x in row] for row in flat_a], dtype=np.int64)
-        bmat = np.array([[x % p for x in row] for row in flat_b], dtype=np.int64)
+        amat, bmat = limbs_mod(limbs, p)
         per_embed = []
         for w in (g, g * g % p):
             rows = (amat + w * bmat) % p
@@ -259,6 +276,12 @@ def _kernel_modular(n: int, zs_int, t_int, base_val: CycloNum, pi0: int,
                 residues_b[k], _ = crt_pair(residues_b[k], modulus, rb[k], p)
             modulus *= p
         used += 1
+        values = [
+            CycloNum(_symmetric(a, modulus), _symmetric(b, modulus))
+            for a, b in zip(residues_a, residues_b)
+        ]
+        if certified(values):
+            return values
         if used < min_primes:
             continue
         values = []
@@ -269,7 +292,7 @@ def _kernel_modular(n: int, zs_int, t_int, base_val: CycloNum, pi0: int,
                 values = None
                 break
             values.append(CycloNum(fa, fb))
-        if values is not None and _residual_ok(pairs, lam, values):
+        if values is not None and certified(values):
             return values
         min_primes = used + 2
     raise DegenerateKernelError(

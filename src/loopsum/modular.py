@@ -2,9 +2,12 @@
 
 Large eigenvector extractions run over F_p for primes p = 1 (mod 3), where
 w maps to a cube root of unity g; the pair (a, b) of a value a + b*w is
-recovered from the two embeddings w -> g and w -> g^2, combined by CRT
-across primes, and lifted by rational reconstruction.  Callers must verify
-the lifted result exactly; these routines only propose candidates.
+recovered from the two embeddings w -> g and w -> g^2 and combined by CRT
+across primes.  Integral values are lifted by symmetric CRT (the residue in
+(-M/2, M/2]), which needs only the bits of the values; rational
+reconstruction, which needs about twice as many, is the fallback for
+fractional ones.  Callers must verify the lifted result exactly; these
+routines only propose candidates.
 """
 
 from __future__ import annotations
@@ -95,39 +98,50 @@ def nullspace_mod_np(rows, p: int) -> list[list[int]]:
     ``rows`` is an int64 numpy array with entries already reduced mod p;
     it is consumed.  The basis is the reduced-row-echelon one: each vector
     has a 1 at its free column and 0 at every other free column.
+
+    Forward elimination touches only the rows below each pivot and the
+    columns from the pivot onwards, and leaves the rows below unreduced
+    for as many updates as int64 holds: each update subtracts a product
+    of two residues, at most (p-1)^2.  Back-substitution then solves for
+    the pivot coordinates of each basis vector.
     """
     import numpy as np
 
     nrows, ncols = rows.shape
+    # pending updates that the rows below the pivot may carry unreduced
+    headroom = (1 << 63) // max(1, (p - 1) ** 2)
+    pending = 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        nz = np.nonzero(rows[r:, c])[0]
+        if r == nrows:
+            break
+        col = rows[r:, c] % p
+        nz = col.nonzero()[0]
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
-            rows[[r, pr]] = rows[[pr, r]]
-        inv = pow(int(rows[r, c]), -1, p)
-        rows[r] = rows[r] * inv % p
-        f = rows[:, c].copy()
-        f[r] = 0
-        hits = np.nonzero(f)[0]
-        if hits.size:
-            rows[hits] = (rows[hits] - np.outer(f[hits], rows[r])) % p
+            rows[[r, pr], c:] = rows[[pr, r], c:]
+            col[[0, nz[0]]] = col[[nz[0], 0]]
+        rows[r, c:] = rows[r, c:] % p * pow(int(col[0]), -1, p) % p
+        if nz.size > 1:
+            if pending == headroom:
+                rows[r + 1:, c:] %= p
+                pending = 0
+            rows[r + 1:, c:] -= col[1:, None] * rows[r, c:]
+            pending += 1
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for rr, pc in enumerate(pivots):
-            v[pc] = int(-rows[rr, fc]) % p
-        basis.append(v)
-    return basis
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis = np.zeros((len(free), ncols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    for rr in range(len(pivots) - 1, -1, -1):
+        pc = pivots[rr]
+        # pivot row rr is normalized and reduced; it has zeros left of pc
+        basis[:, pc] = -((basis[:, pc + 1:] * rows[rr, pc + 1:]) % p).sum(axis=1) % p
+    return basis.tolist()
 
 
 def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:

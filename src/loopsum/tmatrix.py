@@ -17,6 +17,11 @@ embedded column of a link-basis matrix.  The embedding is injective, so
 agreement pins every entry; it is tested at every n <= 4, and
 verify_spin_eigenvector certifies point vectors the same way.
 
+The tile route exists twice: transfer_link_pairs in plain Python (the
+exact solver and set-up use it, and it never imports numpy), and
+transfer_link_limbs, which sums the same tiles in numpy as exact 31-bit
+limbs for the modular kernel; tests require the two to agree entrywise.
+
 Operators are always built at specific parameter values; nothing here is
 symbolic in z or t.
 """
@@ -323,7 +328,11 @@ def row_weights(n: int, zs, t) -> list[tuple]:
 
 
 def transfer_link_pairs(n: int, zs, t) -> list[list[tuple]]:
-    """Link-basis transfer matrix as (a, b) coefficient pairs, tile route."""
+    """Link-basis transfer matrix as (a, b) coefficient pairs, tile route.
+
+    Plain Python, so importing the package and building small matrices
+    never loads numpy; transfer_link_limbs is the numpy route the modular
+    kernel uses."""
     table = _tile_table(n)
     weights = row_weights(n, zs, t)
     cn = len(table)
@@ -340,6 +349,79 @@ def transfer_link_pairs(n: int, zs, t) -> list[list[tuple]]:
         [(ma[r][c], mb[r][c]) for c in range(cn)]
         for r in range(cn)
     ]
+
+
+#: bits per limb of transfer_link_limbs: a sum of 2^{2n} limbs below 2^31
+#: in absolute value stays inside int64 for every n <= 15
+LIMB_BITS = 31
+
+
+@lru_cache(maxsize=None)
+def _tile_scatter(n: int) -> tuple:
+    """The tile table regrouped by destination, one entry per source pattern.
+
+    Entry src is (order, starts, dst): ``order`` (uint16) sorts the 2^{2n}
+    row configurations by the pattern they send src to, ``starts`` are the
+    segment starts of that sorted order, and ``dst`` the destination of
+    each segment, so column src of sum_s W[s] * (tile s) is
+    ``np.add.reduceat(W[order], starts)`` at rows ``dst``.  Built from
+    _tile_table on first use; about 1.3 MB at n = 6.
+    """
+    import numpy as np
+
+    out = []
+    for row in _tile_table(n):
+        dst = np.frombuffer(row, dtype=np.uint16)
+        order = np.argsort(dst, kind="stable").astype(np.uint16)
+        ordered = dst[order]
+        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+        out.append((order, starts, ordered[starts].astype(np.intp)))
+    return tuple(out)
+
+
+def transfer_link_limbs(n: int, zs, t):
+    """The tile-route transfer matrix in numpy, exactly, as int64 limbs.
+
+    zs and t must be integers.  Returns an array of shape (2, L, C, C):
+    entry (a, b) of transfer_link_pairs at [r][c] is
+    sum_k limbs[0 or 1, k, r, c] * 2^(31 k).  Every limb but the top one
+    lies in [0, 2^31); the top one carries the sign.
+    """
+    import numpy as np
+
+    weights = row_weights(n, zs, t)
+    flat = np.array([a for a, _ in weights] + [b for _, b in weights], dtype=object)
+    bits = max(max(flat), -min(flat)).bit_length()
+    nlimbs = bits // LIMB_BITS + 1
+    mask = (1 << LIMB_BITS) - 1
+    parts = [(flat >> (LIMB_BITS * k)) & mask for k in range(nlimbs - 1)]
+    parts.append(flat >> (LIMB_BITS * (nlimbs - 1)))
+    # rows of w: (a limb 0, b limb 0, a limb 1, b limb 1, ...)
+    w = np.stack([x.astype(np.int64) for x in parts]).reshape(2 * nlimbs, -1)
+    scatter = _tile_scatter(n)
+    cn = len(scatter)
+    out = np.zeros((2 * nlimbs, cn, cn), dtype=np.int64)
+    for src, (order, starts, dst) in enumerate(scatter):
+        out[:, dst, src] = np.add.reduceat(w[:, order], starts, axis=1)
+    return out.reshape(nlimbs, 2, cn, cn).swapaxes(0, 1)
+
+
+def limbs_exact(limbs) -> list[list[tuple]]:
+    """transfer_link_pairs rebuilt from transfer_link_limbs, as Python ints."""
+    ma, mb = (
+        sum(part[k].astype(object) << (LIMB_BITS * k) for k in range(len(part)))
+        for part in limbs
+    )
+    return [list(zip(ra, rb)) for ra, rb in zip(ma.tolist(), mb.tolist())]
+
+
+def limbs_mod(limbs, p: int):
+    """The (a, b) coefficient matrices of transfer_link_limbs reduced mod p,
+    shape (2, C, C); needs p < 2^31 so every product stays inside int64."""
+    acc = limbs[:, 0] % p
+    for k in range(1, limbs.shape[1]):
+        acc = (acc + limbs[:, k] % p * pow(2, LIMB_BITS * k, p)) % p
+    return acc
 
 
 def transfer_link(t, zs, n: int) -> LinkOperator:

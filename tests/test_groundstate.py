@@ -109,20 +109,33 @@ def _budgeted(real, corrupt, budget=4000):
             raise _CallBudgetExceeded(f"{real.__name__} called {budget} times")
         return corrupt(calls[0], real(*args), *args)
 
+    patched.calls = calls
     return patched
 
 
-#: name -> (helper of _kernel_modular, corruption(call, true result, *args))
+#: values at this point are integers: the symmetric CRT lift certifies them
+#: before rational reconstruction is ever tried
+INTEGER_POINT = [3, 1, 4, 6, 5, 9, 2, 7]
+#: one fractional z makes the values fractional, so only rational
+#: reconstruction can lift them
+FRACTIONAL_POINT = [Fraction(3, 2), 1, 4, 6, 5, 9, 2, Fraction(7, 3)]
+
+#: name -> (helper of _kernel_modular, point, corruption(call, true result, *args))
 CORRUPTIONS = {
-    "kernel-entry-off": ("nullspace_mod_np", lambda k, basis, rows, p:
+    "kernel-entry-off": ("nullspace_mod_np", INTEGER_POINT, lambda k, basis, rows, p:
                          [v[:-1] + [(v[-1] + 1) % p] for v in basis]),
-    "kernel-zero-at-nested": ("nullspace_mod_np", lambda k, basis, rows, p:
+    "kernel-zero-at-nested": ("nullspace_mod_np", INTEGER_POINT, lambda k, basis, rows, p:
                               [[0] * rows.shape[1]]),
-    "kernel-too-large": ("nullspace_mod_np", lambda k, basis, rows, p: basis + basis),
-    "lift-off-early": ("rational_reconstruct", lambda k, frac, r, m:
+    "kernel-too-large": ("nullspace_mod_np", INTEGER_POINT,
+                         lambda k, basis, rows, p: basis + basis),
+    "lift-off-early": ("rational_reconstruct", FRACTIONAL_POINT, lambda k, frac, r, m:
                        frac + 1 if frac is not None and k <= 40 else frac),
-    "lift-off-always": ("rational_reconstruct", lambda k, frac, r, m:
+    "lift-off-always": ("rational_reconstruct", FRACTIONAL_POINT, lambda k, frac, r, m:
                         None if frac is None else frac + 1),
+    "crt-off-once-early": ("crt_pair", INTEGER_POINT, lambda k, res, r1, m1, r2, m2:
+                           ((res[0] + 1) % res[1], res[1]) if k == 3 else res),
+    "crt-off-always": ("crt_pair", INTEGER_POINT, lambda k, res, r1, m1, r2, m2:
+                       ((res[0] + 1) % res[1], res[1])),
 }
 
 
@@ -130,16 +143,17 @@ CORRUPTIONS = {
 def test_corrupted_modular_candidates_never_returned(monkeypatch, name):
     # the modular layer only proposes; a wrong candidate must end in the
     # exact vector or a typed error, within a bounded number of attempts
-    target, corrupt = CORRUPTIONS[name]
-    zs = [3, 1, 4, 6, 5, 9, 2, 7]
+    target, zs, corrupt = CORRUPTIONS[name]
     exact = psi_point(4, zs, t=1, method="exact")
-    monkeypatch.setattr(groundstate, target,
-                        _budgeted(getattr(groundstate, target), corrupt))
+    patched = _budgeted(getattr(groundstate, target), corrupt)
+    monkeypatch.setattr(groundstate, target, patched)
     try:
         got = psi_point(4, zs, t=1)
     except DegenerateKernelError:
-        return
-    assert got.values == exact.values
+        got = None
+    assert patched.calls[0] > 0, f"{target} never called"
+    if got is not None:
+        assert got.values == exact.values
 
 
 def test_psi_point_spin_certificate():

@@ -101,15 +101,51 @@ def test_rational_reconstruction():
         assert rational_reconstruct(r, m) == target
 
 
-def test_modular_nullspace_matches_exact():
-    rng = random.Random(0)
-    (p, g) = cached_primes(1, 10 ** 7)[0]
-    for _ in range(10):
-        rows = 4
-        m = [[rng.randrange(-9, 9) for _ in range(5)] for _ in range(rows)]
-        exact = nullspace(ExactMatrix([[CycloNum(x, 0) for x in row] for row in m]))
-        import numpy as np
+def _modular_cases(rng):
+    """Integer matrices with kernel dimension 0 to 3, in shapes that force
+    row swaps and with zero columns."""
+    for kdim in range(4):
+        for extra in range(3):
+            cols = 6
+            rnk = cols - kdim
+            rows = rnk + extra
+            left = [[rng.randrange(-9, 9) for _ in range(rnk)] for _ in range(rows)]
+            right = [[rng.randrange(-9, 9) for _ in range(cols)] for _ in range(rnk)]
+            m = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+                 for row in left]
+            yield m
+            # first row zero: the first pivot needs a row swap
+            yield [[0] * cols] + m
+            # a zero column in front and one inside
+            yield [[0] + row[:3] + [0] + row[3:] for row in m]
+            # leading entry zero in a row that is not zero
+            yield [[0] + row[1:] if k == 0 else row for k, row in enumerate(m)]
 
-        vec = np.array([[x % p for x in row] for row in m], dtype=np.int64)
-        modular = nullspace_mod_np(vec, p)
-        assert modular == [[fraction_mod(x.a, p) for x in v] for v in exact]
+
+def test_modular_nullspace_matches_exact():
+    import numpy as np
+
+    rng = random.Random(0)
+    primes = cached_primes(1, 10 ** 7) + cached_primes(1, (1 << 29) + 1)
+    dims = set()
+    for m in _modular_cases(rng):
+        exact = nullspace(ExactMatrix([[CycloNum(x, 0) for x in row] for row in m]))
+        dims.add(len(exact))
+        for p, _ in primes:
+            vec = np.array([[x % p for x in row] for row in m], dtype=np.int64)
+            modular = nullspace_mod_np(vec, p)
+            assert modular == [[fraction_mod(x.a, p) for x in v] for v in exact]
+    assert {0, 1, 2, 3} <= dims
+
+
+def test_modular_nullspace_past_int64_headroom():
+    # 140 pivots at a 30-bit prime pile up more products than int64 holds
+    # unreduced; the basis must still be the kernel, in echelon form
+    import numpy as np
+
+    rng = random.Random(1)
+    (p, _), = cached_primes(1, (1 << 29) + 1)
+    m = [[rng.randrange(p) for _ in range(141)] for _ in range(140)]
+    basis = nullspace_mod_np(np.array(m, dtype=np.int64), p)
+    assert len(basis) == 1 and basis[0][-1] == 1
+    assert all(sum(a * b for a, b in zip(row, basis[0])) % p == 0 for row in m)

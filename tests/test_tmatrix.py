@@ -1,5 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
+import pytest
+
+import loopsum
 from loopsum.cyclo import CycloNum, ONE, Q, Q_INV, ZERO
 from loopsum.linkpat import enumerate_patterns, spin_embed
 from loopsum.solver import ExactMatrix
@@ -12,15 +18,22 @@ from loopsum.tmatrix import (
     e_link_matrix,
     eigenvalue,
     embed,
+    limbs_exact,
+    limbs_mod,
     monodromy_apply,
     r_matrix_spin,
     rcheck_link,
     rcheck_spin,
+    row_weights,
     spin_route_agrees,
     transfer_apply_spin,
     transfer_link,
+    transfer_link_limbs,
+    transfer_link_pairs,
     verify_spin_eigenvector,
 )
+from loopsum.groundstate import _PRIME_START
+from loopsum.modular import cached_primes
 
 rng = random.Random(123)
 
@@ -220,3 +233,47 @@ def test_eigenvalue_factor_form():
         Q * CycloNum(3, 0) - Q_INV * CycloNum(2, 0)
     )
     assert lam == expect
+
+
+def _limb_points(n):
+    m = 2 * n
+    return {
+        # t above every z: pass and glue weights change sign
+        "t-above-z": ([rng.randint(1, 9) for _ in range(m)], 40),
+        # z near 2^20: every weight past n = 1 needs three or more limbs
+        "large-z": ([(1 << 20) - rng.randint(0, 999) for _ in range(m)], 3),
+        "t-zero": ([rng.randint(1, 60) for _ in range(m)], 0),
+    }
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_numpy_assembly_equals_tile_route(n):
+    primes = cached_primes(2, _PRIME_START) + cached_primes(1, 10 ** 6)
+    for kind, (zs, t) in _limb_points(n).items():
+        pairs = transfer_link_pairs(n, zs, t)
+        limbs = transfer_link_limbs(n, zs, t)
+        weights = [x for w in row_weights(n, zs, t) for x in w]
+        if kind == "t-above-z":
+            assert min(weights) < 0
+        if kind == "large-z" and n > 1:
+            assert limbs.shape[1] >= 3
+        assert limbs_exact(limbs) == pairs, kind
+        for p, g in primes:
+            amat, bmat = limbs_mod(limbs, p).tolist()
+            for gg in (g, g * g % p):
+                embedded = [[(a + gg * b) % p for a, b in row] for row in pairs]
+                assert [[(a + gg * b) % p for a, b in zip(ra, rb)]
+                        for ra, rb in zip(amat, bmat)] == embedded, (kind, p)
+            assert amat == [[a % p for a, _ in row] for row in pairs], (kind, p)
+            assert bmat == [[b % p for _, b in row] for row in pairs], (kind, p)
+
+
+def test_setup_stays_numpy_free():
+    # importing numpy costs about as much as the whole check-all 3 set-up
+    code = ("import sys, loopsum.cli, loopsum.tmatrix; "
+            "loopsum.tmatrix.transfer_link_pairs(3, [1] * 6, 1); "
+            "print('numpy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(loopsum.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
