@@ -71,10 +71,10 @@ class RunReport:
     timings: dict = field(default_factory=dict)
 
     def run(self, report_factory):
-        t0 = time.time()
+        t0 = time.perf_counter()
         report = report_factory()
         self.checks.append(report.to_dict())
-        self.timings[report.check] = round(time.time() - t0, 3)
+        self.timings[report.check] = round(time.perf_counter() - t0, 3)
         return report
 
     @property
@@ -161,6 +161,15 @@ def cmd_components(args) -> int:
     cap = SYMBOLIC_CAP_LONG if args.allow_long else SYMBOLIC_CAP
     if n > cap:
         raise CapError(f"components capped at n = {cap}")
+    if args.out:
+        # fail before the build, which takes minutes at n = 4; append mode
+        # tests the same open without truncating an existing file
+        try:
+            with open(args.out, "a"):
+                pass
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
     g = psi_symbolic(n, threads=args.threads)
     doc = g.to_json()
     if args.out:

@@ -9,10 +9,10 @@ prod_{i<j<=n} (q z_i - q^{-1} z_j) * prod_{n<i<j} (q^{-1} z_j - q z_i).
 Construction is point evaluation plus tensor-grid interpolation: each grid
 point is a small exact kernel solve, the per-variable degree bound n-1
 makes the interpolation exact, and homogeneity (total degree n(n-1)) lets
-one variable be pinned to 1 during sampling.  Large solves run modularly
-(symmetric CRT over primes, rational reconstruction as fallback) but every
-returned vector is certified by an exact residual check, so no
-probabilistic step survives in the results.
+one variable be pinned to 1 during sampling.  Every point solve runs
+modularly (symmetric CRT over primes, rational reconstruction as fallback)
+but every returned vector is certified by an exact residual check and its
+nested component, so no probabilistic step survives in the results.
 
 The check_* functions verify the structural identities the vector must
 satisfy: vanishing/recursion under z_{i+1} = q^2 z_i, the exchange
@@ -50,7 +50,6 @@ from .modular import (
 )
 from .mpoly import HomogenizationMismatchError, MPoly, product, reconstruct_homogeneous
 from .report import CheckReport
-from .solver import ExactMatrix, nullspace
 from .tmatrix import (
     e_link_matrix,
     eigenvalue,
@@ -58,7 +57,6 @@ from .tmatrix import (
     limbs_mod,
     transfer_link,
     transfer_link_limbs,
-    transfer_link_pairs,
     verify_spin_eigenvector,
 )
 
@@ -122,25 +120,6 @@ class PointVector:
     values: tuple
 
 
-def _kernel_exact(n: int, zs, t) -> list[CycloNum]:
-    pairs = transfer_link_pairs(n, zs, t)
-    lam = eigenvalue(t, zs)
-    cn = len(pairs)
-    data = [
-        [
-            CycloNum(Fraction(a), Fraction(b)) - (lam if r == c else ZERO)
-            for c, (a, b) in enumerate(pairs[r])
-        ]
-        for r in range(cn)
-    ]
-    basis = nullspace(ExactMatrix(data))
-    if len(basis) != 1:
-        raise DegenerateKernelError(
-            f"kernel dimension {len(basis)} at z={zs}, t={t}"
-        )
-    return basis[0]
-
-
 def _residual_ok(pairs, lam: CycloNum, values: list[CycloNum]) -> bool:
     """(T - Lambda) v = 0, checked with exact integer pair arithmetic.
 
@@ -184,6 +163,8 @@ def _residual_ok(pairs, lam: CycloNum, values: list[CycloNum]) -> bool:
 #: 2^(2n) * 2^31 < 2^63 for n <= 15 whatever p, and limbs_mod scales their
 #: residues by residues, again below p^2.
 _PRIME_START = (1 << 29) + 1
+#: primes combined per kernel solve; about 30 bits each
+_MAX_PRIMES = 64
 
 
 def _symmetric(r: int, m: int) -> int:
@@ -191,8 +172,8 @@ def _symmetric(r: int, m: int) -> int:
     return r - m if 2 * r > m else r
 
 
-def _kernel_modular(n: int, zs_int, t_int, base_val: CycloNum, pi0: int,
-                    max_primes: int = 64) -> list[CycloNum]:
+def _kernel_modular(n: int, zs_int, t_int, base_val: CycloNum,
+                    pi0: int) -> list[CycloNum]:
     """Kernel vector normalized to base_val at pi0, via CRT over primes.
 
     Runs the elimination over F_p for both embeddings w -> g, g^2 of each
@@ -201,8 +182,8 @@ def _kernel_modular(n: int, zs_int, t_int, base_val: CycloNum, pi0: int,
     reconstruction as fallback for fractional values.  A candidate is only
     accepted with base_val at pi0 and after the exact residual check
     against the exact transfer matrix, so unlucky primes or a short
-    modulus cost retries, never correctness.  At most max_primes
-    primes are combined and at most 2 * max_primes are tried, skipped ones
+    modulus cost retries, never correctness.  At most _MAX_PRIMES primes
+    are combined and at most 2 * _MAX_PRIMES are tried, skipped ones
     included.
     """
     import numpy as np
@@ -228,7 +209,7 @@ def _kernel_modular(n: int, zs_int, t_int, base_val: CycloNum, pi0: int,
     used = 0
     taken = 0
     degenerate_strikes = 0
-    while used < max_primes and taken < 2 * max_primes:
+    while used < _MAX_PRIMES and taken < 2 * _MAX_PRIMES:
         taken += 1
         p, g = cached_primes(taken, _PRIME_START)[-1]
         try:
@@ -304,14 +285,16 @@ def psi_point(
     n: int,
     zs: Sequence,
     t=None,
-    method: str = "auto",
     spin_certificate: bool = False,
 ) -> PointVector:
     """Exact groundstate values at a point, normalized on the nested pattern.
 
     z must be positive rationals (that keeps the normalizing component away
-    from zero and the point off every recursion locus).  When t is omitted
-    a retry schedule t = 1, 2, 3, ... skips the degenerate choices.  With
+    from zero and the point off every recursion locus).  The solve is
+    _kernel_modular at z and t scaled to integers by a common factor, which
+    leaves the kernel of T - Lambda unchanged; the vector it returns has
+    passed the exact residual check.  When t is omitted a retry schedule
+    t = 1, 2, 3, ... skips the degenerate choices.  With
     spin_certificate=True the result is additionally certified against the
     spin-representation transfer matrix.
     """
@@ -321,12 +304,14 @@ def psi_point(
     if any(x <= 0 for x in z):
         raise ValueError("spectral parameters must be positive rationals")
     schedule = [_frac(t)] if t is not None else [Fraction(k) for k in range(1, 13)]
-    if method == "auto":
-        method = "exact" if n <= 3 else "modular"
+    pi0 = pattern_index(n)[fully_nested(n).pairing]
+    base_val = base_component_value(n, z)
     last: Optional[Exception] = None
     for tt in schedule:
+        scale = lcm(*(x.denominator for x in z), tt.denominator)
         try:
-            values = _psi_point_at(n, z, tt, method)
+            values = _kernel_modular(n, [int(x * scale) for x in z],
+                                     int(tt * scale), base_val, pi0)
             if spin_certificate and not verify_spin_eigenvector(
                 n, list(z), tt, values
             ):
@@ -337,23 +322,6 @@ def psi_point(
     raise DegenerateKernelError(
         f"no admissible t in schedule for z={z}"
     ) from last
-
-
-def _psi_point_at(n: int, z: tuple, tt: Fraction, method: str) -> list[CycloNum]:
-    pi0 = pattern_index(n)[fully_nested(n).pairing]
-    base_val = base_component_value(n, z)
-    if method == "exact":
-        v = _kernel_exact(n, list(z), tt)
-        if not v[pi0]:
-            raise DegenerateKernelError("kernel vanishes on the nested pattern")
-        scale = base_val / v[pi0]
-        return [x * scale for x in v]
-    if method == "modular":
-        scale = lcm(*(x.denominator for x in z), tt.denominator)
-        zs_int = [int(x * scale) for x in z]
-        t_int = int(tt * scale)
-        return _kernel_modular(n, zs_int, t_int, base_val, pi0)
-    raise ValueError(f"unknown method {method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +363,12 @@ class Groundstate:
         stored = [LinkPattern.from_chords(c) for c in data["patterns"]]
         if tuple(p.pairing for p in stored) != tuple(p.pairing for p in pats):
             raise ValueError("patterns not in canonical order")
-        return cls(n, pats, tuple(MPoly.from_json(c) for c in data["components"]))
+        comps = tuple(MPoly.from_json(c) for c in data["components"])
+        if len(comps) != len(pats):
+            raise ValueError(f"{len(comps)} components for {len(pats)} patterns")
+        if any(c.nvars != 2 * n for c in comps):
+            raise ValueError(f"components must have {2 * n} variables")
+        return cls(n, pats, comps)
 
 
 _SYMBOLIC_CACHE: dict[int, Groundstate] = {}
@@ -417,13 +390,9 @@ def psi_symbolic(n: int, threads: Optional[int] = None) -> Groundstate:
     n <= 4, n = 5 is possible but long.
     """
     if n not in _SYMBOLIC_CACHE:
-        patterns = enumerate_patterns(n)
-        if n == 1:
-            g = Groundstate(1, patterns, (MPoly.constant(2, 1),))
-        else:
-            comps = reconstruct_homogeneous(_psi_grid_values, n, threads)
-            g = Groundstate(n, patterns, tuple(comps))
-            _validate_symbolic(g)
+        comps = reconstruct_homogeneous(_psi_grid_values, n, threads)
+        g = Groundstate(n, enumerate_patterns(n), tuple(comps))
+        _validate_symbolic(g)
         _SYMBOLIC_CACHE[n] = g
     return _SYMBOLIC_CACHE[n]
 
@@ -469,6 +438,41 @@ def _vanish_prefactor(m: int, i0: int, exclude: Sequence[int]) -> MPoly:
     return product(m, factors)
 
 
+def _check_arch_recursion(report: CheckReport, gn: Groundstate, gn1: Groundstate,
+                          comps: Sequence[MPoly], I: int, J: int,
+                          prefactor: MPoly, **extra) -> MPoly:
+    """Specialize z_J = q^2 z_I (0-indexed) in each of comps, which are
+    indexed like gn.patterns: where the pattern has the arch (I+1, I+2)
+    the result must be prefactor times the lifted size n-1 component
+    without it, elsewhere it must vanish.  Adds one case per pattern and
+    returns the sum of the specialized components."""
+    m = 2 * gn.n
+    i = I + 1
+    varmap = [k for k in range(m) if k not in (I, J)]
+    total = MPoly.zero(m)
+    for pat, comp in zip(gn.patterns, comps):
+        spec = comp.specialize_ratio(J, I, QSQ)
+        total = total + spec
+        if pat.partner(i) == i + 1:
+            small = gn1.component(arch_remove(i, pat))
+            ok = spec == prefactor * _lift_component(small, m, varmap)
+            report.add(ok, pattern=pat.to_chords_json(), kind="arch", **extra)
+        else:
+            report.add(not spec, pattern=pat.to_chords_json(), kind="vanish",
+                       **extra)
+    return total
+
+
+def _exchange_apply(c_id: MPoly, c_e: MPoly, e, x: Sequence[MPoly]) -> list[MPoly]:
+    """c_id x + c_e (e x), componentwise, for a 0/1 link-basis matrix e."""
+    zero = MPoly.zero(c_id.nvars)
+    return [
+        c_id * x[k]
+        + c_e * sum((x[kk] for kk, hit in enumerate(e.data[k]) if hit), zero)
+        for k in range(len(x))
+    ]
+
+
 def check_recursion_adjacent(gn: Groundstate, gn1: Groundstate, i: int) -> CheckReport:
     """At z_{i+1} = q^2 z_i (1 <= i <= 2n-1): components without the arch
     (i, i+1) vanish; components with it reduce to the size n-1 state times
@@ -479,18 +483,8 @@ def check_recursion_adjacent(gn: Groundstate, gn1: Groundstate, i: int) -> Check
         raise ValueError("adjacent recursion needs 1 <= i <= 2n-1")
     report = CheckReport(f"recursion-adjacent(n={n}, i={i})")
     I, J = i - 1, i
-    varmap = [k for k in range(m) if k not in (I, J)]
-    prefactor = _vanish_prefactor(m, I, (I, J))
-    for pat, comp in zip(gn.patterns, gn.components):
-        lhs = comp.specialize_ratio(J, I, QSQ)
-        if pat.partner(i) == i + 1:
-            small = gn1.component(arch_remove(i, pat))
-            rhs = prefactor * _lift_component(small, m, varmap)
-            ok = lhs == rhs
-            report.add(ok, pattern=pat.to_chords_json(), kind="arch")
-        else:
-            ok = not lhs
-            report.add(ok, pattern=pat.to_chords_json(), kind="vanish")
+    _check_arch_recursion(report, gn, gn1, gn.components, I, J,
+                          _vanish_prefactor(m, I, (I, J)))
     return report
 
 
@@ -508,18 +502,12 @@ def check_exchange(gn: Groundstate, i: int) -> CheckReport:
     report = CheckReport(f"exchange(n={n}, i={i})")
     zi = MPoly.variable(m, I)
     zj = MPoly.variable(m, J)
-    e = e_link_matrix(n, i)
     swapped = [c.swap_args(I, J) for c in gn.components]
-    c_keep = zi * Q - zj * Q_INV
-    c_move = zi - zj
+    rhs = _exchange_apply(zi * Q - zj * Q_INV, zi - zj, e_link_matrix(n, i),
+                          swapped)
     lhs_factor = zj * Q - zi * Q_INV
-    for k, (pat, comp) in enumerate(zip(gn.patterns, gn.components)):
-        glue = MPoly.zero(m)
-        for kk in range(len(swapped)):
-            if e.data[k][kk]:
-                glue = glue + swapped[kk]
-        ok = lhs_factor * comp == c_keep * swapped[k] + c_move * glue
-        report.add(ok, pattern=pat.to_chords_json())
+    for pat, comp, r in zip(gn.patterns, gn.components, rhs):
+        report.add(lhs_factor * comp == r, pattern=pat.to_chords_json())
     return report
 
 
@@ -638,38 +626,15 @@ def check_recursion_general(gn: Groundstate, gn1: Groundstate, i: int, j: int) -
     zj = MPoly.variable(m, J)
     for mpos in range(J - 1, I, -1):
         zm = MPoly.variable(m, mpos)
-        c_id = zj * Q - zm * Q_INV
-        c_e = zj - zm
-        e = e_link_matrix(n, mpos + 1)
-        x = [
-            c_id * x[k]
-            + c_e
-            * sum(
-                (x[kk] for kk in range(len(x)) if e.data[k][kk]),
-                MPoly.zero(m),
-            )
-            for k in range(len(x))
-        ]
+        x = _exchange_apply(zj * Q - zm * Q_INV, zj - zm,
+                            e_link_matrix(n, mpos + 1), x)
         scalar = scalar * (zm * Q - zj * Q_INV)
     scalar_spec = scalar.specialize_ratio(J, I, QSQ)
-    varmap = [k for k in range(m) if k not in (I, J)]
     prefactor = _vanish_prefactor(m, I, (I, J)) * scalar_spec
-    total = MPoly.zero(m)
-    for pat, comp in zip(gn.patterns, x):
-        spec = comp.specialize_ratio(J, I, QSQ)
-        total = total + spec
-        if pat.partner(i_eff) == i_eff + 1:
-            small = gn1.component(arch_remove(i_eff, pat))
-            ok = spec == prefactor * _lift_component(small, m, varmap)
-            report.add(ok, pattern=pat.to_chords_json(), kind="arch",
-                       reduced_by_rotation=reduced)
-        else:
-            report.add(not spec, pattern=pat.to_chords_json(), kind="vanish",
-                       reduced_by_rotation=reduced)
-    w_small = MPoly.zero(2 * (n - 1))
-    for c in gn1.components:
-        w_small = w_small + c
-    ok = total == prefactor * _lift_component(w_small, m, varmap)
+    total = _check_arch_recursion(report, gn, gn1, x, I, J, prefactor,
+                                  reduced_by_rotation=reduced)
+    varmap = [k for k in range(m) if k not in (I, J)]
+    ok = total == prefactor * _lift_component(gn1.sum_components(), m, varmap)
     report.add(ok, kind="sum-rule-prefactor", reduced_by_rotation=reduced)
     return report
 

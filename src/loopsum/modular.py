@@ -1,9 +1,9 @@
 """Modular arithmetic helpers for fast exact kernel solves.
 
-Large eigenvector extractions run over F_p for primes p = 1 (mod 3), where
-w maps to a cube root of unity g; the pair (a, b) of a value a + b*w is
-recovered from the two embeddings w -> g and w -> g^2 and combined by CRT
-across primes.  Integral values are lifted by symmetric CRT (the residue in
+Every point eigenvector extraction runs over F_p for primes p = 1 (mod 3),
+where w maps to a cube root of unity g; the pair (a, b) of a value a + b*w
+is recovered from the two embeddings w -> g and w -> g^2 and combined by
+CRT across primes.  Integral values are lifted by symmetric CRT (the residue in
 (-M/2, M/2]), which needs only the bits of the values; rational
 reconstruction, which needs about twice as many, is the fallback for
 fractional ones.  Callers must verify the lifted result exactly; these

@@ -2,8 +2,9 @@
 
 Plain fraction Gaussian elimination with first-nonzero pivoting: in exact
 arithmetic there is no magnitude heuristic to apply, and the matrices here
-stay small (a few hundred rows at most).  It provides the nullspace (whose
-vectors satisfy M v = 0 exactly), the rank and the determinant.
+stay small (a few hundred rows at most).  It provides the determinant, and
+the nullspace (whose vectors satisfy M v = 0 exactly) and rank that tests
+use as the reference for the modular kernel.
 """
 
 from __future__ import annotations

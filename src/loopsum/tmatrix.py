@@ -17,8 +17,8 @@ embedded column of a link-basis matrix.  The embedding is injective, so
 agreement pins every entry; it is tested at every n <= 4, and
 verify_spin_eigenvector certifies point vectors the same way.
 
-The tile route exists twice: transfer_link_pairs in plain Python (the
-exact solver and set-up use it, and it never imports numpy), and
+The tile route exists twice: transfer_link_pairs in plain Python
+(transfer_link and set-up use it, and it never imports numpy), and
 transfer_link_limbs, which sums the same tiles in numpy as exact 31-bit
 limbs for the modular kernel; tests require the two to agree entrywise.
 

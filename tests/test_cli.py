@@ -1,5 +1,6 @@
 import json
 
+from loopsum import cli
 from loopsum.cli import main
 from loopsum.groundstate import Groundstate, psi_symbolic
 from loopsum.report import CheckReport
@@ -53,6 +54,16 @@ def test_components_json_is_the_groundstate_document(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert Groundstate.from_json(json.loads(printed)) == psi_symbolic(2)
     assert json.loads(printed) == json.loads(out.read_text())
+
+
+def test_components_bad_out_exits_2_before_the_build(tmp_path, capsys, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("symbolic build started")
+
+    monkeypatch.setattr(cli, "psi_symbolic", no_build)
+    for out in (tmp_path / "missing" / "g2.json", tmp_path):
+        assert main(["components", "2", "--out", str(out)]) == 2, out
+        assert capsys.readouterr().err.startswith("error: "), out
 
 
 def test_check_all_n2(capsys):

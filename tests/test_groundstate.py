@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from loopsum.groundstate import (
 from loopsum.linkpat import fully_nested, pattern_index
 from loopsum.mpoly import MPoly
 from loopsum.schur import schur_symbolic, z_partition_function
+from loopsum.solver import ExactMatrix, nullspace
 from loopsum.tmatrix import eigenvalue, transfer_link, verify_spin_eigenvector
 
 rng = random.Random(17)
@@ -68,21 +70,55 @@ def test_psi_point_requires_positive_rationals():
         psi_point(2, [1, -2, 3, 5])
 
 
+def exact_psi(n, zs, t):
+    """Reference groundstate: the exact Fraction-elimination kernel of
+    T - Lambda normalized to the closed form on the nested pattern, or None
+    where that kernel is not one-dimensional or vanishes there."""
+    lam = eigenvalue(t, zs)
+    rows = transfer_link(t, zs, n).data
+    basis = nullspace(ExactMatrix(
+        [[x - lam if r == c else x for c, x in enumerate(row)]
+         for r, row in enumerate(rows)]
+    ))
+    pi0 = pattern_index(n)[fully_nested(n).pairing]
+    if len(basis) != 1 or not basis[0][pi0]:
+        return None
+    scale = base_component_value(n, zs) / basis[0][pi0]
+    return tuple(x * scale for x in basis[0])
+
+
 def test_psi_point_exact_and_modular_agree():
     for n in (2, 3, 4):
         zs = rng.sample(range(1, 30), 2 * n)
-        a = psi_point(n, zs, t=7, method="exact")
-        b = psi_point(n, zs, t=7, method="modular")
-        assert a.values == b.values
+        assert psi_point(n, zs, t=7).values == exact_psi(n, zs, 7)
 
 
 def test_psi_point_fractional_arguments():
     zs = [Fraction(1, 2), Fraction(3, 2), 2, Fraction(7, 3)]
-    a = psi_point(2, zs, method="exact")
-    b = psi_point(2, zs, method="modular")
-    assert a.values == b.values
+    a = psi_point(2, zs)
+    assert a.values == exact_psi(2, zs, a.t)
     assert a.values[pattern_index(2)[fully_nested(2).pairing]] == \
         base_component_value(2, zs)
+
+
+def test_psi_point_equals_exact_kernel_on_grids():
+    # every point psi_symbolic samples at n <= 3, t as the schedule picks
+    # it, and fractional points off the grid
+    points = [
+        (n, list(head) + [1])
+        for n in (1, 2, 3)
+        for head in itertools.product(range(1, n + 1), repeat=2 * n - 1)
+    ]
+    frac = random.Random(5)
+    points += [
+        (n, [Fraction(frac.randint(1, 40), frac.randint(1, 6))
+             for _ in range(2 * n)])
+        for n in (2, 3, 3, 4)
+    ]
+    for n, zs in points:
+        pv = psi_point(n, zs)
+        assert all(exact_psi(n, zs, t) is None for t in range(1, int(pv.t))), zs
+        assert pv.values == exact_psi(n, zs, pv.t), zs
 
 
 def test_psi_point_degenerate_t_is_skipped():
@@ -144,7 +180,7 @@ def test_corrupted_modular_candidates_never_returned(monkeypatch, name):
     # the modular layer only proposes; a wrong candidate must end in the
     # exact vector or a typed error, within a bounded number of attempts
     target, zs, corrupt = CORRUPTIONS[name]
-    exact = psi_point(4, zs, t=1, method="exact")
+    exact = exact_psi(4, zs, 1)
     patched = _budgeted(getattr(groundstate, target), corrupt)
     monkeypatch.setattr(groundstate, target, patched)
     try:
@@ -153,7 +189,7 @@ def test_corrupted_modular_candidates_never_returned(monkeypatch, name):
         got = None
     assert patched.calls[0] > 0, f"{target} never called"
     if got is not None:
-        assert got.values == exact.values
+        assert got.values == exact
 
 
 def test_psi_point_spin_certificate():
@@ -232,6 +268,17 @@ def test_recursion_adjacent_all_sites():
         assert check_recursion_adjacent(g3, g2, i).passed
 
 
+def test_recursion_checks_reject_a_changed_smaller_state():
+    g2, g3 = psi_symbolic(2), psi_symbolic(3)
+    for k in range(len(g2.components)):
+        comps = list(g2.components)
+        comps[k] = comps[k] + MPoly.variable(4, 0)
+        bent = Groundstate(2, g2.patterns, tuple(comps))
+        report = check_recursion_adjacent(g3, bent, 1)
+        assert {c["kind"] for c in report.cases if not c["pass"]} == {"arch"}
+        assert not check_recursion_general(g3, bent, 2, 5).passed
+
+
 def test_exchange_identity():
     g2, g3 = psi_symbolic(2), psi_symbolic(3)
     for i in range(1, 5):
@@ -281,3 +328,15 @@ def test_groundstate_json_roundtrip():
     back = Groundstate.from_json(data)
     assert back.components == g.components
     assert [p.pairing for p in back.patterns] == [p.pairing for p in g.patterns]
+
+
+def test_groundstate_from_json_rejects_malformed_components():
+    data = psi_symbolic(2).to_json()
+    short = dict(data, components=data["components"][:1])
+    with pytest.raises(ValueError):
+        Groundstate.from_json(short)
+    wide = dict(data, components=[
+        MPoly.variable(5, 0).to_json() for _ in data["components"]
+    ])
+    with pytest.raises(ValueError):
+        Groundstate.from_json(wide)
