@@ -129,8 +129,7 @@ def cmd_verify_sumrule(args) -> int:
         def symbolic():
             report = CheckReport(f"sum-rule-symbolic(n={n})")
             w = psi_symbolic(n, threads=args.threads).sum_components()
-            report.add(w == schur_symbolic(n, threads=args.threads),
-                       kind="polynomial-identity")
+            report.add(w == schur_symbolic(n), kind="polynomial-identity")
             return report
 
         rep.run(symbolic)
@@ -235,7 +234,7 @@ def cmd_check_all(args) -> int:
 
     def sumrule():
         report = CheckReport(f"sum-rule-symbolic(n={n})")
-        report.add(g.sum_components() == schur_symbolic(n, threads=args.threads))
+        report.add(g.sum_components() == schur_symbolic(n))
         return report
 
     rep.run(sumrule)

@@ -43,7 +43,7 @@ from .linkpat import (
 )
 from .modular import (
     cached_primes,
-    crt_pair,
+    crt_lift,
     fraction_mod,
     nullspace_mod_np,
     rational_reconstruct,
@@ -197,9 +197,8 @@ def _kernel_modular(n: int, zs_int, t_int, base_val: CycloNum,
     def certified(values) -> bool:
         return values[pi0] == base_val and _residual_ok(pairs, lam, values)
 
-    residues_a = [0] * cn
-    residues_b = [0] * cn
-    modulus = 0
+    residues_a = residues_b = [0] * cn
+    modulus = 1
     # rational reconstruction needs about twice the bits of the values;
     # start it below a crude magnitude estimate and retry every other prime
     est_bits = 2 * (n * (n - 1) + 2 * n) * max(
@@ -242,20 +241,14 @@ def _kernel_modular(n: int, zs_int, t_int, base_val: CycloNum,
             per_embed.append([x * scale % p for x in v])
         if per_embed is None:
             continue
+        # x = a + b g and y = a + b g^2, coordinate by coordinate
         x, y = per_embed
         inv_gg = pow((g - g * g) % p, -1, p)
-        ra = [0] * cn
-        rb = [0] * cn
-        for k in range(cn):
-            b = (x[k] - y[k]) * inv_gg % p
-            ra[k], rb[k] = (x[k] - b * g) % p, b
-        if modulus == 0:
-            residues_a, residues_b, modulus = ra, rb, p
-        else:
-            for k in range(cn):
-                residues_a[k], _ = crt_pair(residues_a[k], modulus, ra[k], p)
-                residues_b[k], _ = crt_pair(residues_b[k], modulus, rb[k], p)
-            modulus *= p
+        rb = [(xk - yk) * inv_gg % p for xk, yk in zip(x, y)]
+        ra = [(xk - b * g) % p for xk, b in zip(x, rb)]
+        residues_a = crt_lift(residues_a, modulus, ra, p)
+        residues_b = crt_lift(residues_b, modulus, rb, p)
+        modulus *= p
         used += 1
         values = [
             CycloNum(_symmetric(a, modulus), _symmetric(b, modulus))

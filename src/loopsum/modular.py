@@ -144,10 +144,16 @@ def nullspace_mod_np(rows, p: int) -> list[list[int]]:
     return basis.tolist()
 
 
+def crt_lift(residues: list[int], m1: int, rs: list[int], m2: int) -> list[int]:
+    """Combine x_k = residues[k] (mod m1), x_k = rs[k] (mod m2) for coprime
+    moduli, with one inverse for every k; residues in [0, m1) give [0, m1*m2)."""
+    inv = pow(m1 % m2, -1, m2)
+    return [r1 + m1 * ((r2 - r1) * inv % m2) for r1, r2 in zip(residues, rs)]
+
+
 def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    """Combine x = r1 (mod m1), x = r2 (mod m2) for coprime moduli."""
-    t = (r2 - r1) % m2 * pow(m1 % m2, -1, m2) % m2
-    return (r1 + m1 * t) % (m1 * m2), m1 * m2
+    """crt_lift of one coordinate, for any r1."""
+    return crt_lift([r1 % m1], m1, [r2], m2)[0], m1 * m2
 
 
 def rational_reconstruct(r: int, m: int) -> Fraction | None:

@@ -8,8 +8,8 @@ Interpolation is per-variable Newton divided differences applied recursively
 over a tensor grid; with (bound+1) distinct nodes per variable the result is
 the unique polynomial within the per-variable degree bounds that matches all
 supplied values, and every operation is exact.  reconstruct_homogeneous
-drives it for the package's symbolic objects: sample a grid, interpolate,
-check the degrees and re-homogenize.
+drives it for Psi's reconstruction: sample a grid, interpolate, check the
+degrees and re-homogenize.
 """
 
 from __future__ import annotations
@@ -234,10 +234,6 @@ class MPoly:
             return degs.pop()
         return None
 
-    def is_symmetric_under_swap(self, i: int, j: int) -> bool:
-        """True iff exchanging variables i and j leaves the polynomial fixed."""
-        return self == self.swap_args(i, j)
-
     # -- structural maps --------------------------------------------------
 
     def permute_args(self, perm: Sequence[int]) -> "MPoly":
@@ -281,19 +277,6 @@ class MPoly:
             else:
                 terms.pop(ne, None)
         return MPoly(self.nvars, terms)
-
-    def dehomogenize(self, var: int) -> "MPoly":
-        """Substitute z_var := 1 and drop the variable."""
-        terms: dict[tuple[int, ...], CycloNum] = {}
-        for e, c in self.terms.items():
-            ne = e[:var] + e[var + 1 :]
-            acc = terms.get(ne)
-            acc = c if acc is None else acc + c
-            if acc:
-                terms[ne] = acc
-            else:
-                terms.pop(ne, None)
-        return MPoly(self.nvars - 1, terms)
 
     def homogenize(self, position: int, total_degree: int) -> "MPoly":
         """Insert a new variable at ``position`` raising every term to
@@ -470,8 +453,8 @@ def reconstruct_homogeneous(
             for vl, v in zip(value_lists, values):
                 vl.append(v)
         jobs = (value_lists, itertools.repeat(nodes))
-        dehoms = list(pool.map(interpolate_grid, *jobs)
-                      if pooled and len(value_lists) > 1 else map(interpolate_grid, *jobs))
+        dehoms = list(pool.map(interpolate_grid, *jobs) if pooled
+                      else map(interpolate_grid, *jobs))
     out = []
     for k, dehom in enumerate(dehoms):
         if any(sum(e) > total_deg for e in dehom.terms):

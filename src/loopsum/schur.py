@@ -1,9 +1,10 @@
 """Exact symmetric functions and the Bethe-ansatz functional equations.
 
 Schur polynomials evaluate through Jacobi-Trudi, a determinant of complete
-homogeneous sums that is exact over Q(w) whether or not values repeat; the
-bialternant determinant ratio is kept as the oracle it is tested against
-at pairwise distinct arguments.
+homogeneous sums that is exact over Q(w) whether or not values repeat, and
+expand as s_lam = sum_alpha K_{lam, sort(alpha)} z^alpha with Kostka numbers
+from the horizontal-strip branching rule (Macdonald, Symmetric Functions and
+Hall Polynomials, I.5; Stanley, EC2, 7.10); the two routes share no code.
 
 The six-vertex partition function with domain wall boundaries at the cubic
 root of unity is the Schur function of the staircase-doubled shape
@@ -25,11 +26,10 @@ numerically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .cyclo import CycloNum, ONE, Q, Q_INV, ZERO, as_cyclo
-from .mpoly import MPoly, reconstruct_homogeneous
+from .mpoly import MPoly
 from .report import CheckReport
 from .solver import ExactMatrix, det
 
@@ -103,20 +103,6 @@ def schur_eval(shape: Partition, xs: Sequence) -> CycloNum:
     return det(ExactMatrix([[entry(i, j) for j in range(r)] for i in range(r)]))
 
 
-def _schur_bialternant(shape: Partition, x: list[CycloNum]) -> CycloNum:
-    """s_shape(x) as det(x_i^(lam_j + n - j)) / Vandermonde, for pairwise
-    distinct x; the oracle for schur_eval."""
-    n = len(x)
-    lam = list(shape.parts) + [0] * (n - shape.length())
-    powers = [lam[j] + n - 1 - j for j in range(n)]
-    num = det(ExactMatrix([[xi**e for e in powers] for xi in x]))
-    den = ONE
-    for i in range(n):
-        for j in range(i + 1, n):
-            den = den * (x[i] - x[j])
-    return num / den
-
-
 def z_partition_function(n: int, zs: Sequence) -> CycloNum:
     """The domain-wall partition function s_{Y_n}(z_1..z_2n)."""
     if len(zs) != 2 * n:
@@ -127,20 +113,50 @@ def z_partition_function(n: int, zs: Sequence) -> CycloNum:
 _SCHUR_CACHE: dict[int, MPoly] = {}
 
 
-def _z_grid_values(n: int, point: tuple) -> list[CycloNum]:
-    return [z_partition_function(n, list(point) + [Fraction(1)])]
+def _kostka(shape: tuple, content: tuple, memo: dict) -> int:
+    """The Kostka number K_{shape, content}, content weakly decreasing with
+    no zeros.  The boxes of a tableau holding its largest entry form a
+    horizontal strip of content[-1] boxes; removing it leaves an inner shape
+    nu, shape[i+1] <= nu[i] <= shape[i], with the other parts as content."""
+    from itertools import product
+
+    if len(shape) > len(content):
+        return 0  # a column would repeat an entry
+    if not content:
+        return 1
+    key = (shape, content)
+    if key not in memo:
+        size = sum(shape) - content[-1]
+        inner = product(*(range(b, a + 1) for a, b in zip(shape, shape[1:] + (0,))))
+        memo[key] = sum(_kostka(tuple(x for x in nu if x), content[:-1], memo)
+                        for nu in inner if sum(nu) == size)
+    return memo[key]
 
 
 def schur_symbolic(n: int, threads: int | None = None) -> MPoly:
-    """s_{Y_n} as an exact polynomial in 2n variables, memoized per n.
+    """s_{Y_n} as an exact polynomial in 2n variables, memoized per n: the
+    sum of K_{Y_n, sort(alpha)} z^alpha over the exponent vectors alpha of
+    degree n(n-1) with entries at most n-1, one Kostka number per sorted
+    content.  Nothing is sampled; ``threads`` is accepted and ignored."""
+    from itertools import product
 
-    Reconstructed by tensor-grid interpolation from point evaluations
-    (reconstruct_homogeneous, on ``threads`` workers): the shape has
-    per-variable degree n-1, so n nodes per variable suffice, with one
-    variable pinned by homogeneity.
-    """
     if n not in _SCHUR_CACHE:
-        (_SCHUR_CACHE[n],) = reconstruct_homogeneous(_z_grid_values, n, threads)
+        shape, degree = y_partition(n).parts, n * (n - 1)
+        memo: dict = {}
+        coeffs: dict[tuple, CycloNum] = {}
+        terms = {}
+        for head in product(range(n), repeat=2 * n - 1):
+            last = degree - sum(head)
+            if not 0 <= last < n:
+                continue
+            alpha = head + (last,)
+            key = tuple(sorted(alpha, reverse=True))
+            if key not in coeffs:
+                content = tuple(a for a in key if a)
+                coeffs[key] = CycloNum(_kostka(shape, content, memo))
+            if coeffs[key]:
+                terms[alpha] = coeffs[key]
+        _SCHUR_CACHE[n] = MPoly(2 * n, terms)
     return _SCHUR_CACHE[n]
 
 

@@ -168,10 +168,11 @@ CORRUPTIONS = {
                        frac + 1 if frac is not None and k <= 40 else frac),
     "lift-off-always": ("rational_reconstruct", FRACTIONAL_POINT, lambda k, frac, r, m:
                         None if frac is None else frac + 1),
-    "crt-off-once-early": ("crt_pair", INTEGER_POINT, lambda k, res, r1, m1, r2, m2:
-                           ((res[0] + 1) % res[1], res[1]) if k == 3 else res),
-    "crt-off-always": ("crt_pair", INTEGER_POINT, lambda k, res, r1, m1, r2, m2:
-                       ((res[0] + 1) % res[1], res[1])),
+    "crt-off-once-early": ("crt_lift", INTEGER_POINT, lambda k, res, r1, m1, r2, m2:
+                           [(x + 1) % (m1 * m2) if j == 1 else x for j, x in enumerate(res)]
+                           if k == 1 else res),
+    "crt-off-always": ("crt_lift", INTEGER_POINT, lambda k, res, r1, m1, r2, m2:
+                       [(x + 1) % (m1 * m2) for x in res]),
 }
 
 
@@ -222,7 +223,7 @@ def test_sum_components_symmetric_and_schur():
     g = psi_symbolic(2)
     w = g.sum_components()
     for i in range(3):
-        assert w.is_symmetric_under_swap(i, i + 1)
+        assert w.swap_args(i, i + 1) == w
     assert w == schur_symbolic(2)
     zs = rng.sample(range(1, 30), 4)
     assert w.eval(zs) == z_partition_function(2, zs)

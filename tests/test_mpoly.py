@@ -64,8 +64,8 @@ def test_is_homogeneous():
 
 def test_symmetry_under_swap():
     p = z(2, 0) * z(2, 1)
-    assert p.is_symmetric_under_swap(0, 1)
-    assert not (z(2, 0) - z(2, 1)).is_symmetric_under_swap(0, 1)
+    assert p.swap_args(0, 1) == p
+    assert (z(2, 0) - z(2, 1)).swap_args(0, 1) != z(2, 0) - z(2, 1)
 
 
 def test_specialize_ratio():
@@ -84,7 +84,8 @@ def test_homogenize_roundtrip():
     p = z(3, 0) ** 2 * z(3, 1) + z(3, 2) ** 3
     h = p.homogenize(3, 4)
     assert h.is_homogeneous() == 4
-    assert h.dehomogenize(3) == p
+    assert h == z(4, 0) ** 2 * z(4, 1) * z(4, 3) + z(4, 2) ** 3 * z(4, 3)
+    assert h.eval([2, 3, 5, 1]) == p.eval([2, 3, 5])
 
 
 def test_reversed_reciprocal_involution():

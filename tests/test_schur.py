@@ -1,10 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from loopsum import schur
 from loopsum.asm import asm_product_formula
 from loopsum.cyclo import CycloNum, ONE, Q
+from loopsum.mpoly import reconstruct_homogeneous
 from loopsum.schur import (
     Partition,
     aba_residual,
@@ -22,8 +25,23 @@ from loopsum.schur import (
     y_tilde_partition,
     z_partition_function,
 )
+from loopsum.solver import ExactMatrix, det
 
 rng = random.Random(7)
+
+
+def _schur_bialternant(shape: Partition, x: list[CycloNum]) -> CycloNum:
+    """s_shape(x) as det(x_i^(lam_j + n - j)) / Vandermonde, for pairwise
+    distinct x: the oracle for schur_eval and schur_symbolic."""
+    n = len(x)
+    lam = list(shape.parts) + [0] * (n - shape.length())
+    powers = [lam[j] + n - 1 - j for j in range(n)]
+    num = det(ExactMatrix([[xi**e for e in powers] for xi in x]))
+    den = ONE
+    for i in range(n):
+        for j in range(i + 1, n):
+            den = den * (x[i] - x[j])
+    return num / den
 
 
 def test_partition_validation():
@@ -58,8 +76,6 @@ def test_schur_symmetric_under_permutation():
 
 
 def test_routes_agree_on_distinct_points():
-    from loopsum.schur import _schur_bialternant
-
     for _ in range(10):
         xs = [CycloNum(x, 0) for x in rng.sample(range(1, 80), 6)]
         lam = y_partition(3)
@@ -131,6 +147,59 @@ def test_schur_symbolic_cached_per_n_only():
     # the worker count does not change the polynomial, so it must not
     # start a second build
     assert schur_symbolic(2, threads=1) is schur_symbolic(2, threads=2)
+
+
+@pytest.fixture(scope="module")
+def kostka():
+    yield {n: schur_symbolic(n) for n in range(2, 6)}
+    # s_{Y_5} has 522,583 terms (a few hundred MB); do not keep it cached
+    # for the rest of the session
+    schur._SCHUR_CACHE.pop(5, None)
+
+
+def _integer_value(poly, zs: list[int]) -> int:
+    """poly at integer zs, for integer coefficients, in int arithmetic
+    (CycloNum arithmetic in MPoly.eval takes over a minute at n = 5)."""
+    return sum(int(c.a) * math.prod(map(pow, zs, e)) for e, c in poly.terms.items())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_kostka_expansion_matches_both_determinants(kostka, n):
+    points = random.Random(100 + n)
+    for _ in range(3):
+        zs = points.sample(range(1, 60), 2 * n)
+        value = CycloNum(_integer_value(kostka[n], zs), 0)
+        assert value == z_partition_function(n, zs)
+        assert value == _schur_bialternant(y_partition(n), [CycloNum(z, 0) for z in zs])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_kostka_expansion_degrees(kostka, n):
+    s = kostka[n]
+    assert s.nvars == 2 * n
+    assert s.is_homogeneous() == n * (n - 1)
+    assert all(s.degree_in(v) <= n - 1 for v in range(2 * n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_kostka_expansion_counts_asm(kostka, n):
+    # every coefficient is a Kostka number, a positive integer, and
+    # s_{Y_n}(1, ..., 1) = 3^(n(n-1)/2) A_n
+    coeffs = list(kostka[n].terms.values())
+    assert all(not c.b and c.a.denominator == 1 and c.a > 0 for c in coeffs)
+    assert sum(c.a for c in coeffs) == 3 ** (n * (n - 1) // 2) * asm_product_formula(n)
+
+
+def _z_grid_values(n: int, point: tuple) -> list[CycloNum]:
+    # module-level, as reconstruct_homogeneous requires of its evaluator
+    return [z_partition_function(n, list(point) + [1])]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kostka_expansion_equals_grid_rebuild(n):
+    # at most 3^5 grid points, below the pool threshold: sampled serially
+    (rebuilt,) = reconstruct_homogeneous(_z_grid_values, n)
+    assert schur_symbolic(n) == rebuilt
 
 
 def test_aba_residuals():

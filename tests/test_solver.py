@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from loopsum.cyclo import CycloNum, ONE, ZERO
 from loopsum.modular import (
     cached_primes,
+    crt_lift,
     crt_pair,
     cube_root_mod,
     fraction_mod,
@@ -91,6 +92,14 @@ def test_cached_primes_consistent():
 def test_crt_pair():
     r, m = crt_pair(2, 5, 3, 7)
     assert m == 35 and r % 5 == 2 and r % 7 == 3
+
+
+def test_crt_lift():
+    p1, p2 = primes_one_mod_three(2, 10 ** 8)
+    xs = [0, 1, p1 - 1, p1 * p2 - 1, 12345678901234]
+    lifted = crt_lift([x % p1 for x in xs], p1, [x % p2 for x in xs], p2)
+    assert lifted == xs
+    assert crt_lift([], p1, [], p2) == []
 
 
 def test_rational_reconstruction():
