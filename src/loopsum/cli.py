@@ -339,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="JSON report")
         if threads:
             p.add_argument("--threads", type=_positive, default=None,
-                           help="worker processes for grid solves")
+                           help="worker processes for grid solves (default and "
+                           "maximum: the CPUs this process may run on)")
 
     p = sub.add_parser("verify-sumrule", help="sum of components vs Schur")
     common(p)

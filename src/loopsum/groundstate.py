@@ -176,15 +176,19 @@ def _kernel_modular(n: int, zs_int, t_int, base_val: CycloNum,
                     pi0: int) -> list[CycloNum]:
     """Kernel vector normalized to base_val at pi0, via CRT over primes.
 
-    Runs the elimination over F_p for both embeddings w -> g, g^2 of each
-    prime, splits the (a, b) coordinates and combines them by CRT; the
-    candidates are lifted by symmetric CRT after every prime, rational
-    reconstruction as fallback for fractional values.  A candidate is only
-    accepted with base_val at pi0 and after the exact residual check
-    against the exact transfer matrix, so unlucky primes or a short
-    modulus cost retries, never correctness.  At most _MAX_PRIMES primes
-    are combined and at most 2 * _MAX_PRIMES are tried, skipped ones
-    included.
+    Each batch of primes is one stack of matrices T - Lambda over F_p, one
+    member for each embedding w -> g, g^2 of each prime, eliminated by a
+    single nullspace_mod_np call.  The first batch is sized from base_val,
+    the value at pi0, which is known before the solve: enough primes for
+    its bits plus a margin for the other components.  The (a, b)
+    coordinates of the batch are split, lifted once by symmetric CRT and
+    certified; rational reconstruction is the fallback for fractional
+    values, and each failed certification adds a batch of two primes.  A
+    candidate is only accepted with base_val at pi0 and after the exact
+    residual check against the exact transfer matrix, so unlucky primes
+    or a short modulus cost retries, never correctness.  At most
+    _MAX_PRIMES primes are combined and at most 2 * _MAX_PRIMES are tried,
+    skipped ones included.
     """
     import numpy as np
 
@@ -205,70 +209,94 @@ def _kernel_modular(n: int, zs_int, t_int, base_val: CycloNum,
         int(abs(z)).bit_length() + 2 for z in list(zs_int) + [t_int, 1]
     )
     min_primes = max(2, est_bits // 116 + 1)
-    used = 0
-    taken = 0
+    # every prime exceeds 2^29; the other components run a few bits past
+    # the nested one
+    base_bits = max(abs(x).bit_length() for part in (base_val.a, base_val.b)
+                    for x in (part.numerator, part.denominator))
+    batch = -(-(base_bits + cn.bit_length() + 10) // 29)
+    used = lifted = taken = 0
     degenerate_strikes = 0
     while used < _MAX_PRIMES and taken < 2 * _MAX_PRIMES:
-        taken += 1
-        p, g = cached_primes(taken, _PRIME_START)[-1]
-        try:
-            base_p = (fraction_mod(base_val.a, p), fraction_mod(base_val.b, p))
-            lam_p = (fraction_mod(lam.a, p), fraction_mod(lam.b, p))
-        except ZeroDivisionError:
-            continue
-        amat, bmat = limbs_mod(limbs, p)
-        per_embed = []
-        for w in (g, g * g % p):
-            rows = (amat + w * bmat) % p
-            rows[diag, diag] = (rows[diag, diag] - (lam_p[0] + lam_p[1] * w)) % p
-            basis = nullspace_mod_np(rows, p)
-            if len(basis) != 1:
-                # the kernel mod p can only be larger than the exact one;
-                # two independent witnesses mean genuine degeneracy
-                degenerate_strikes += 1
-                if degenerate_strikes >= 2:
-                    raise DegenerateKernelError(
-                        f"kernel dimension {len(basis)} (mod {p}) at t={t_int}"
-                    )
-                per_embed = None
+        size = min(batch, _MAX_PRIMES - used, 2 * _MAX_PRIMES - taken)
+        fresh = cached_primes(taken + size, _PRIME_START)[taken:]
+        taken += size
+        batch = 2
+        members = []
+        for p, g in fresh:
+            try:
+                base_p = (fraction_mod(base_val.a, p), fraction_mod(base_val.b, p))
+                lam_p = (fraction_mod(lam.a, p), fraction_mod(lam.b, p))
+            except ZeroDivisionError:
+                continue
+            members.append((p, (g, g * g % p), base_p, lam_p))
+        stack = np.empty((2 * len(members), cn, cn), dtype=np.int64)
+        for k, (p, ws, _, lam_p) in enumerate(members):
+            amat, bmat = limbs_mod(limbs, p)
+            for e, w in enumerate(ws):
+                rows = stack[2 * k + e]
+                np.multiply(bmat, w, out=rows)
+                rows += amat
+                rows %= p
+                rows[diag, diag] = (rows[diag, diag] - (lam_p[0] + lam_p[1] * w)) % p
+        bases = nullspace_mod_np(stack, [m[0] for m in members for _ in (0, 1)])
+        degenerate = None
+        for k, (p, ws, base_p, _) in enumerate(members):
+            per_embed = []
+            for e, w in enumerate(ws):
+                basis = bases[2 * k + e]
+                if len(basis) != 1:
+                    # the kernel mod p can only be larger than the exact
+                    # one; two independent witnesses mean genuine degeneracy
+                    degenerate_strikes += 1
+                    if degenerate_strikes >= 2:
+                        degenerate = DegenerateKernelError(
+                            f"kernel dimension {len(basis)} (mod {p}) at t={t_int}"
+                        )
+                    per_embed = None
+                    break
+                if basis[0][pi0] == 0:
+                    per_embed = None
+                    break
+                v = basis[0]
+                target = (base_p[0] + base_p[1] * w) % p
+                scale = target * pow(v[pi0], -1, p) % p
+                per_embed.append([x * scale % p for x in v])
+            if degenerate is not None:
                 break
-            if basis[0][pi0] == 0:
-                per_embed = None
-                break
-            v = basis[0]
-            target = (base_p[0] + base_p[1] * w) % p
-            scale = target * pow(v[pi0], -1, p) % p
-            per_embed.append([x * scale % p for x in v])
-        if per_embed is None:
-            continue
-        # x = a + b g and y = a + b g^2, coordinate by coordinate
-        x, y = per_embed
-        inv_gg = pow((g - g * g) % p, -1, p)
-        rb = [(xk - yk) * inv_gg % p for xk, yk in zip(x, y)]
-        ra = [(xk - b * g) % p for xk, b in zip(x, rb)]
-        residues_a = crt_lift(residues_a, modulus, ra, p)
-        residues_b = crt_lift(residues_b, modulus, rb, p)
-        modulus *= p
-        used += 1
-        values = [
-            CycloNum(_symmetric(a, modulus), _symmetric(b, modulus))
-            for a, b in zip(residues_a, residues_b)
-        ]
-        if certified(values):
-            return values
-        if used < min_primes:
-            continue
-        values = []
-        for k in range(cn):
-            fa = rational_reconstruct(residues_a[k], modulus)
-            fb = rational_reconstruct(residues_b[k], modulus)
-            if fa is None or fb is None:
-                values = None
-                break
-            values.append(CycloNum(fa, fb))
-        if values is not None and certified(values):
-            return values
-        min_primes = used + 2
+            if per_embed is None:
+                continue
+            # x = a + b g and y = a + b g^2, coordinate by coordinate
+            x, y = per_embed
+            g, gg = ws
+            inv_gg = pow((g - gg) % p, -1, p)
+            rb = [(xk - yk) * inv_gg % p for xk, yk in zip(x, y)]
+            ra = [(xk - b * g) % p for xk, b in zip(x, rb)]
+            residues_a = crt_lift(residues_a, modulus, ra, p)
+            residues_b = crt_lift(residues_b, modulus, rb, p)
+            modulus *= p
+            used += 1
+        if used > lifted:
+            lifted = used
+            values = [
+                CycloNum(_symmetric(a, modulus), _symmetric(b, modulus))
+                for a, b in zip(residues_a, residues_b)
+            ]
+            if certified(values):
+                return values
+            if used >= min_primes:
+                values = []
+                for k in range(cn):
+                    fa = rational_reconstruct(residues_a[k], modulus)
+                    fb = rational_reconstruct(residues_b[k], modulus)
+                    if fa is None or fb is None:
+                        values = None
+                        break
+                    values.append(CycloNum(fa, fb))
+                if values is not None and certified(values):
+                    return values
+                min_primes = used + 2
+        if degenerate is not None:
+            raise degenerate
     raise DegenerateKernelError(
         f"modular kernel did not stabilize for z={zs_int}, t={t_int}"
     )

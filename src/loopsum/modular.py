@@ -3,10 +3,15 @@
 Every point eigenvector extraction runs over F_p for primes p = 1 (mod 3),
 where w maps to a cube root of unity g; the pair (a, b) of a value a + b*w
 is recovered from the two embeddings w -> g and w -> g^2 and combined by
-CRT across primes.  Integral values are lifted by symmetric CRT (the residue in
-(-M/2, M/2]), which needs only the bits of the values; rational
-reconstruction, which needs about twice as many, is the fallback for
-fractional ones.  Callers must verify the lifted result exactly; these
+CRT across primes.  The matrices of a batch of primes, both embeddings of
+each, are eliminated together as one stack by ``nullspace_mod_np``, in
+lockstep while each member's pivots sit on the diagonal; a member that
+leaves that shape is finished on its own by the same elimination.  A point
+solve sizes its first batch from the one value it knows in advance, so it
+usually needs a single stack.  Integral values are lifted by symmetric CRT
+(the residue in (-M/2, M/2]), which needs only the bits of the values;
+rational reconstruction, which needs about twice as many, is the fallback
+for fractional ones.  Callers must verify the lifted result exactly; these
 routines only propose candidates.
 """
 
@@ -92,28 +97,115 @@ def fraction_mod(x: Fraction | int, p: int) -> int:
     return x.numerator % p * pow(den, p - 2, p) % p
 
 
-def nullspace_mod_np(rows, p: int) -> list[list[int]]:
-    """Vectorized kernel basis over F_p for p < 2^30 (int64-safe).
+#: rows per band of the lockstep update
+_BAND = 32
 
-    ``rows`` is an int64 numpy array with entries already reduced mod p;
-    it is consumed.  The basis is the reduced-row-echelon one: each vector
-    has a 1 at its free column and 0 at every other free column.
+
+def nullspace_mod_np(stack, primes) -> list[list[list[int]]]:
+    """Kernel bases over F_p of a stack of matrices, p < 2^30 (int64-safe).
+
+    ``stack`` is an int64 numpy array of shape (B, R, C) whose member b is
+    already reduced mod ``primes[b]``; it is consumed.  Returns B bases,
+    each the reduced-row-echelon one: every vector has a 1 at its free
+    column and 0 at every other free column.
+
+    The members eliminate in lockstep, column by column, while each finds
+    its pivot in the column's own row, which is the shape of a kernel of
+    dimension one with a nonzero last coordinate.  Pivot swaps are made
+    per member and the pivot inverses are one ``pow`` per member, so the
+    per-column numpy work is paid once for the whole stack.  A member that
+    finds no pivot before the last column leaves the lockstep and is
+    finished on its own by ``_eliminate``, the same elimination for one
+    matrix resumed from that column.
 
     Forward elimination touches only the rows below each pivot and the
     columns from the pivot onwards, and leaves the rows below unreduced
     for as many updates as int64 holds: each update subtracts a product
-    of two residues, at most (p-1)^2.  Back-substitution then solves for
-    the pivot coordinates of each basis vector.
+    of two residues, at most (p-1)^2 for the largest prime.
+    Back-substitution then solves for the pivot coordinates of each basis
+    vector.
+    """
+    import numpy as np
+
+    nmem, nrows, ncols = stack.shape
+    headroom = (1 << 63) // max(1, (max(primes, default=2) - 1) ** 2)
+    pending = 0
+    out: list = [None] * nmem
+    ids = np.arange(nmem)
+    mods = np.array(primes, dtype=np.int64).reshape(nmem, 1)
+    c = 0
+
+    def drop(gone, finish):
+        # record finish(k) for the members in ``gone``; keep the rest
+        nonlocal stack, mods, ids
+        for k in gone.nonzero()[0]:
+            out[ids[k]] = finish(k)
+        keep = ~gone
+        stack, mods, ids = stack[keep], mods[keep], ids[keep]
+        return keep
+
+    def alone(k):
+        return _eliminate(stack[k], int(mods[k, 0]), c, pending)
+
+    # lockstep: the pivot of column c sits in row c of every member left
+    while c < min(nrows, ncols - 1) and ids.size:
+        col = stack[:, c:, c] % mods
+        hit = col != 0
+        first = hit.argmax(axis=1)
+        lost = ~hit[np.arange(ids.size), first]
+        if lost.any():
+            keep = drop(lost, alone)
+            col, first = col[keep], first[keep]
+        for k in first.nonzero()[0]:
+            # a row swap for each member whose pivot is further down
+            f = c + int(first[k])
+            stack[k, [c, f], c:] = stack[k, [f, c], c:]
+            col[k, [0, f - c]] = col[k, [f - c, 0]]
+        inv = [pow(x, -1, p) for x, p in zip(col[:, 0].tolist(), mods[:, 0].tolist())]
+        stack[:, c, c:] = stack[:, c, c:] % mods * np.array(inv, dtype=np.int64)[:, None] % mods
+        if pending == headroom:
+            stack[:, c + 1:, c:] %= mods[:, :, None]
+            pending = 0
+        # the update in bands of rows keeps its temporary small
+        pivot = stack[:, None, c, c:]
+        for lo in range(c + 1, nrows, _BAND):
+            stack[:, lo:lo + _BAND, c:] -= col[:, lo - c:lo - c + _BAND, None] * pivot
+        pending += 1
+        c += 1
+    if c < ncols - 1:
+        # out of lockstep members or out of rows before the last column
+        drop(np.ones(ids.size, dtype=bool), alone)
+        return out
+    # the last column: a pivot there means full rank, none means the last
+    # coordinate is the only free one
+    full = (stack[:, c:, c] % mods).any(axis=1)
+    if full.any():
+        drop(full, lambda k: [])
+    vec = np.zeros((ids.size, ncols), dtype=np.int64)
+    vec[:, -1] = 1
+    for r in range(ncols - 2, -1, -1):
+        # pivot row r is normalized and reduced; it has zeros left of r
+        vec[:, r] = -((vec[:, r + 1:] * stack[:, r, r + 1:]) % mods).sum(axis=1) % mods[:, 0]
+    for b, v in zip(ids, vec.tolist()):
+        out[b] = [v]
+    return out
+
+
+def _eliminate(rows, p: int, start: int, pending: int) -> list[list[int]]:
+    """nullspace_mod_np for one matrix mod p, resumed at column ``start``.
+
+    Rows and columns before ``start`` already hold normalized, reduced
+    pivots on the diagonal; the rows below carry ``pending`` unreduced
+    updates.  From ``start`` on, a column with no pivot is free.
     """
     import numpy as np
 
     nrows, ncols = rows.shape
     # pending updates that the rows below the pivot may carry unreduced
     headroom = (1 << 63) // max(1, (p - 1) ** 2)
-    pending = 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
+    pivots = list(range(start))
+    r = start
+    for c in range(start, ncols):
         if r == nrows:
             break
         col = rows[r:, c] % p

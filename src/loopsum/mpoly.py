@@ -65,6 +65,15 @@ class MPoly:
     def __reduce__(self):
         return (MPoly, (self.nvars, self.terms))
 
+    @classmethod
+    def _raw(cls, nvars: int, terms: dict) -> "MPoly":
+        """Wrap terms that are already valid: tuple exponents of length
+        nvars, CycloNum coefficients, no zeros.  The dict is not copied."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "nvars", nvars)
+        object.__setattr__(out, "terms", terms)
+        return out
+
     # -- constructors --------------------------------------------------
 
     @classmethod
@@ -103,18 +112,12 @@ class MPoly:
                 terms[e] = s
             else:
                 terms.pop(e, None)
-        out = MPoly.__new__(MPoly)
-        object.__setattr__(out, "nvars", self.nvars)
-        object.__setattr__(out, "terms", terms)
-        return out
+        return MPoly._raw(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        out = MPoly.__new__(MPoly)
-        object.__setattr__(out, "nvars", self.nvars)
-        object.__setattr__(out, "terms", {e: -c for e, c in self.terms.items()})
-        return out
+        return MPoly._raw(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MPoly":
         if not isinstance(other, MPoly):
@@ -129,7 +132,8 @@ class MPoly:
             c = as_cyclo(other)
             if not c:
                 return MPoly.zero(self.nvars)
-            return MPoly(self.nvars, {e: k * c for e, k in self.terms.items()})
+            # a product of nonzero field elements is nonzero
+            return MPoly._raw(self.nvars, {e: k * c for e, k in self.terms.items()})
         self._check_arity(other)
         if len(self.terms) > len(other.terms):
             big, small = self.terms, other.terms
@@ -146,10 +150,7 @@ class MPoly:
                     acc[e] = s
                 else:
                     acc.pop(e, None)
-        out = MPoly.__new__(MPoly)
-        object.__setattr__(out, "nvars", self.nvars)
-        object.__setattr__(out, "terms", acc)
-        return out
+        return MPoly._raw(self.nvars, acc)
 
     __rmul__ = __mul__
 
@@ -183,32 +184,50 @@ class MPoly:
     # -- queries ---------------------------------------------------------
 
     def eval(self, point: Sequence) -> CycloNum:
-        """Exact value at a point of CycloNum (or rational) coordinates."""
+        """Exact value at a point of CycloNum (or rational) coordinates.
+
+        The sum runs in integer pairs (a, b) for a + b*w: the point's
+        coordinates share one denominator d and the coefficients one
+        denominator e, each term of degree k is made up to the top degree
+        with d^(top - k), and a single CycloNum is built at the end.
+        """
         if len(point) != self.nvars:
             raise ArityMismatchError(
                 f"point has {len(point)} coordinates, expected {self.nvars}"
             )
         pt = [as_cyclo(x) for x in point]
-        # power tables keep repeated exponents cheap
-        maxe = [0] * self.nvars
-        for e in self.terms:
-            for v, k in enumerate(e):
-                if k > maxe[v]:
-                    maxe[v] = k
-        pows: list[list[CycloNum]] = []
-        for v in range(self.nvars):
-            row = [ONE]
-            for _ in range(maxe[v]):
-                row.append(row[-1] * pt[v])
+        if not self.terms:
+            return ZERO
+        d = math.lcm(*(x.a.denominator for x in pt), *(x.b.denominator for x in pt))
+        e = math.lcm(*(c.a.denominator for c in self.terms.values()),
+                     *(c.b.denominator for c in self.terms.values()))
+        # power tables of (a, b) pairs keep repeated exponents cheap
+        maxe = [max(k) for k in zip(*self.terms)]
+        pows = []
+        for x, top in zip(pt, maxe):
+            xa, xb = int(x.a * d), int(x.b * d)
+            row = [(1, 0)]
+            for _ in range(top):
+                a, b = row[-1]
+                bd = b * xb
+                row.append((a * xa - bd, a * xb + b * xa - bd))
             pows.append(row)
-        total = ZERO
-        for e, c in self.terms.items():
-            m = c
-            for v, k in enumerate(e):
+        degrees = {sum(k) for k in self.terms}
+        top = max(degrees)
+        pad = {k: d ** (top - k) for k in degrees}
+        sa = sb = 0
+        for exps, c in self.terms.items():
+            a, b = int(c.a * e), int(c.b * e)
+            for row, k in zip(pows, exps):
                 if k:
-                    m = m * pows[v][k]
-            total = total + m
-        return total
+                    xa, xb = row[k]
+                    bd = b * xb
+                    a, b = a * xa - bd, a * xb + b * xa - bd
+            f = pad[sum(exps)]
+            sa += a * f
+            sb += b * f
+        den = e * d ** top
+        return CycloNum(Fraction(sa, den), Fraction(sb, den))
 
     def coeff_of(self, exps: Sequence[int]) -> CycloNum:
         e = tuple(exps)
@@ -415,7 +434,7 @@ def interpolate_grid(values: Sequence, grid: Sequence[Sequence]) -> MPoly:
         c = flat[pos]
         if c:
             terms[exps] = c
-    return MPoly(nvars, terms)
+    return MPoly._raw(nvars, terms)
 
 
 #: grids with at least this many points are sampled across a process pool:
@@ -434,9 +453,11 @@ def reconstruct_homogeneous(
     ``evaluate(n, point)`` returns the list of values of every polynomial at
     (point..., 1): homogeneity pins the last variable to 1, so the grid is
     {1..n}^(2n-1).  Large grids are sampled across ``threads`` worker
-    processes (default: one per CPU), so ``evaluate`` must be a module-level
-    function.  The first point is evaluated here before any worker starts,
-    and the workers inherit every cache it fills.
+    processes (default: one per CPU this process may run on), so
+    ``evaluate`` must be a module-level function.  ``threads`` is clamped
+    to that CPU count: more workers would only contend, and they are all
+    forked at once.  The first point is evaluated here before any worker
+    starts, and the workers inherit every cache it fills.
     """
     m = 2 * n
     total_deg = n * (n - 1)
@@ -444,7 +465,9 @@ def reconstruct_homogeneous(
     points = list(itertools.product(*nodes))
     value_lists = [[v] for v in evaluate(n, points[0])]
     rest = points[1:]
-    workers = threads if threads is not None else (os.cpu_count() or 1)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = cpus if threads is None else min(threads, cpus)
     pooled = workers > 1 and len(points) >= _POOL_MIN_POINTS
     with (ProcessPoolExecutor(max_workers=workers) if pooled else nullcontext()) as pool:
         samples = (pool.map(evaluate, itertools.repeat(n), rest, chunksize=64)

@@ -156,7 +156,7 @@ def schur_symbolic(n: int, threads: int | None = None) -> MPoly:
                 coeffs[key] = CycloNum(_kostka(shape, content, memo))
             if coeffs[key]:
                 terms[alpha] = coeffs[key]
-        _SCHUR_CACHE[n] = MPoly(2 * n, terms)
+        _SCHUR_CACHE[n] = MPoly._raw(2 * n, terms)
     return _SCHUR_CACHE[n]
 
 

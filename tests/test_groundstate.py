@@ -1,6 +1,8 @@
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -158,12 +160,13 @@ FRACTIONAL_POINT = [Fraction(3, 2), 1, 4, 6, 5, 9, 2, Fraction(7, 3)]
 
 #: name -> (helper of _kernel_modular, point, corruption(call, true result, *args))
 CORRUPTIONS = {
-    "kernel-entry-off": ("nullspace_mod_np", INTEGER_POINT, lambda k, basis, rows, p:
-                         [v[:-1] + [(v[-1] + 1) % p] for v in basis]),
-    "kernel-zero-at-nested": ("nullspace_mod_np", INTEGER_POINT, lambda k, basis, rows, p:
-                              [[0] * rows.shape[1]]),
+    "kernel-entry-off": ("nullspace_mod_np", INTEGER_POINT, lambda k, bases, stack, primes:
+                         [[v[:-1] + [(v[-1] + 1) % primes[0]] for v in bases[0]]]
+                         + bases[1:]),
+    "kernel-zero-at-nested": ("nullspace_mod_np", INTEGER_POINT, lambda k, bases, stack, primes:
+                              [[[0] * stack.shape[2]] for _ in bases]),
     "kernel-too-large": ("nullspace_mod_np", INTEGER_POINT,
-                         lambda k, basis, rows, p: basis + basis),
+                         lambda k, bases, stack, primes: [b + b for b in bases]),
     "lift-off-early": ("rational_reconstruct", FRACTIONAL_POINT, lambda k, frac, r, m:
                        frac + 1 if frac is not None and k <= 40 else frac),
     "lift-off-always": ("rational_reconstruct", FRACTIONAL_POINT, lambda k, frac, r, m:
@@ -191,6 +194,28 @@ def test_corrupted_modular_candidates_never_returned(monkeypatch, name):
     assert patched.calls[0] > 0, f"{target} never called"
     if got is not None:
         assert got.values == exact
+
+
+def test_psi_point_one_elimination_per_point(monkeypatch):
+    # the first batch of primes covers the integer n = 6 anchor points, so
+    # each point solve eliminates all its matrices in one stacked call
+    fixture = Path(__file__).parent / "fixtures" / "psi_points_n5_n6.json"
+    points = [p for p in json.loads(fixture.read_text())["psi_point"]
+              if p["n"] == 6 and all("/" not in z for z in p["z"])]
+    assert len(points) == 2
+    real = groundstate.nullspace_mod_np
+    calls = []
+
+    def counted(stack, primes):
+        calls.append(len(primes))
+        return real(stack, primes)
+
+    monkeypatch.setattr(groundstate, "nullspace_mod_np", counted)
+    for point in points:
+        calls.clear()
+        pv = psi_point(6, [Fraction(z) for z in point["z"]])
+        assert [v.to_strings() for v in pv.values] == point["values"]
+        assert len(calls) == 1 and calls[0] % 2 == 0
 
 
 def test_psi_point_spin_certificate():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopsum.cyclo import CycloNum, OMEGA as q, ONE, ZERO
+from loopsum.cyclo import CycloNum, OMEGA as q, ONE, ZERO, as_cyclo
 from loopsum.mpoly import (
     ArityMismatchError,
     DuplicateNodeError,
@@ -151,3 +151,76 @@ def test_ring_laws(a, b, c):
 def test_eval_is_ring_homomorphism(p, point):
     q2 = p * p + p
     assert q2.eval(point) == p.eval(point) * p.eval(point) + p.eval(point)
+
+
+def _eval_term_by_term(p, point):
+    total = ZERO
+    for e, c in p.terms.items():
+        for x, k in zip(point, e):
+            c = c * as_cyclo(x) ** k
+        total = total + c
+    return total
+
+
+fractional_coeffs = st.builds(
+    CycloNum,
+    st.fractions(min_value=-9, max_value=9, max_denominator=7),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7),
+)
+fractional_points = st.lists(
+    st.one_of(
+        st.fractions(min_value=-9, max_value=9, max_denominator=6),
+        st.integers(min_value=-9, max_value=9),
+        fractional_coeffs,
+    ),
+    min_size=3,
+    max_size=3,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(st.tuples(*[st.integers(min_value=0, max_value=3)] * 3),
+                    fractional_coeffs, max_size=6).map(lambda t: MPoly(3, t)),
+    fractional_points,
+)
+def test_eval_matches_term_by_term(p, point):
+    # mixed degrees, fractional coefficients, rational and Q(w) coordinates
+    assert p.eval(point) == _eval_term_by_term(p, point)
+
+
+def test_pool_workers_clamped_to_cpus(monkeypatch):
+    # a serial stand-in for the pool records the worker count asked for;
+    # no real pool is started
+    import os
+
+    from loopsum import mpoly
+    from loopsum.groundstate import _psi_grid_values, psi_symbolic
+
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(mpoly, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(mpoly, "_POOL_MIN_POINTS", 1)
+    cpus = len(os.sched_getaffinity(0))
+    pooled = [cpus] if cpus > 1 else []
+    for threads in (100000, None):
+        seen.clear()
+        comps = mpoly.reconstruct_homogeneous(_psi_grid_values, 2, threads)
+        assert seen == pooled
+        assert comps == list(psi_symbolic(2).components)
+    seen.clear()
+    mpoly.reconstruct_homogeneous(_psi_grid_values, 2, 1)
+    assert seen == []

@@ -141,20 +141,116 @@ def test_modular_nullspace_matches_exact():
         exact = nullspace(ExactMatrix([[CycloNum(x, 0) for x in row] for row in m]))
         dims.add(len(exact))
         for p, _ in primes:
-            vec = np.array([[x % p for x in row] for row in m], dtype=np.int64)
-            modular = nullspace_mod_np(vec, p)
+            vec = np.array([[[x % p for x in row] for row in m]], dtype=np.int64)
+            (modular,) = nullspace_mod_np(vec, [p])
             assert modular == [[fraction_mod(x.a, p) for x in v] for v in exact]
     assert {0, 1, 2, 3} <= dims
 
 
+def _exact_kernel_mod(m, p):
+    exact = nullspace(ExactMatrix([[CycloNum(x, 0) for x in row] for row in m]))
+    return [[fraction_mod(x.a, p) for x in v] for v in exact]
+
+
+def test_modular_nullspace_stack_matches_exact():
+    # the same cases, stacked by shape with mixed primes: every member's
+    # basis is the exact kernel mod its own prime
+    import numpy as np
+
+    rng = random.Random(0)
+    primes = [p for p, _ in cached_primes(1, 10 ** 7) + cached_primes(3, (1 << 29) + 1)]
+    by_shape: dict = {}
+    for m in _modular_cases(rng):
+        by_shape.setdefault((len(m), len(m[0])), []).append(m)
+    dims = set()
+    for mats in by_shape.values():
+        ps = [primes[k % len(primes)] for k in range(len(mats))]
+        stack = np.array([[[x % p for x in row] for row in m] for m, p in zip(mats, ps)],
+                         dtype=np.int64)
+        bases = nullspace_mod_np(stack, ps)
+        assert len(bases) == len(mats)
+        for m, p, basis in zip(mats, ps, bases):
+            want = _exact_kernel_mod(m, p)
+            assert basis == want
+            dims.add(len(want))
+    assert {0, 1, 2, 3} <= dims
+
+
+def test_modular_nullspace_stack_lockstep_and_split_members():
+    # square members: kernel dimension 1 stays in lockstep whether or not
+    # the pivots need row swaps; dimension 2, full rank and a kernel
+    # vector that is 0 in the last coordinate leave it
+    import numpy as np
+
+    rng = random.Random(3)
+    primes = [p for p, _ in cached_primes(3, (1 << 29) + 1)]
+    size = 7
+
+    def of_rank(rnk):
+        left = [[rng.randrange(-9, 9) for _ in range(rnk)] for _ in range(size)]
+        right = [[rng.randrange(-9, 9) for _ in range(size)] for _ in range(rnk)]
+        return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+                for row in left]
+
+    kernel_one = of_rank(size - 1)
+    # a first row from the span of rows 1 and 2 with a 0 in front keeps
+    # the kernel and makes the first pivot a swap
+    swapped = [row[:] for row in of_rank(size - 1)]
+    r1, r2 = swapped[1], swapped[2]
+    swapped[0] = [a * r2[0] - b * r1[0] for a, b in zip(r1, r2)]
+    # a zero column before the last: the kernel is spanned by its unit
+    # vector, which is 0 in the last coordinate
+    last_zero = [row[:-2] + [0, row[-1]] for row in of_rank(size)]
+    members = {
+        "lockstep": kernel_one,
+        "lockstep-swap": swapped,
+        "kernel-two": of_rank(size - 2),
+        "full-rank": [[rng.randrange(-9, 9) for _ in range(size)] for _ in range(size)],
+        "last-coordinate-zero": last_zero,
+    }
+    for m in members.values():
+        assert (m[0][0] == 0) == (m is swapped)
+    ps = [primes[k % len(primes)] for k in range(len(members))]
+    stack = np.array([[[x % p for x in row] for row in m]
+                      for m, p in zip(members.values(), ps)], dtype=np.int64)
+    bases = nullspace_mod_np(stack, ps)
+    for (name, m), p, basis in zip(members.items(), ps, bases):
+        assert basis == _exact_kernel_mod(m, p), name
+    dims = {name: len(b) for name, b in zip(members, bases)}
+    assert dims["lockstep"] == dims["lockstep-swap"] == 1
+    assert dims["kernel-two"] == 2 and dims["full-rank"] == 0
+    assert dims["last-coordinate-zero"] == 1
+    assert bases[1][0][-1] == 1 and bases[4][0][-1] == 0
+
+
 def test_modular_nullspace_past_int64_headroom():
     # 140 pivots at a 30-bit prime pile up more products than int64 holds
-    # unreduced; the basis must still be the kernel, in echelon form
+    # unreduced; the basis must still be the kernel, in echelon form, for
+    # every member of a stack of three
     import numpy as np
 
     rng = random.Random(1)
-    (p, _), = cached_primes(1, (1 << 29) + 1)
-    m = [[rng.randrange(p) for _ in range(141)] for _ in range(140)]
-    basis = nullspace_mod_np(np.array(m, dtype=np.int64), p)
-    assert len(basis) == 1 and basis[0][-1] == 1
-    assert all(sum(a * b for a, b in zip(row, basis[0])) % p == 0 for row in m)
+    primes = [p for p, _ in cached_primes(3, (1 << 29) + 1)]
+    mats = [[[rng.randrange(p) for _ in range(141)] for _ in range(140)] for p in primes]
+    # the third member leaves the lockstep at its zero column 31 with a
+    # full budget of unreduced updates, which must carry over: its pivot
+    # rows are 1, -1, -1, ... and the rows below start -1, 0, 1, 2, ...,
+    # so every multiplier is -1 and every update subtracts (p-1)^2
+    p, free = primes[2], 31
+    m = mats[2]
+    for r in range(140):
+        m[r][:free] = [(1 if c == r else 0 if c < r else -1) % p if r < free
+                       else (c - 1) % p for c in range(free)]
+        if r < free:
+            m[r][free + 1:140] = [p - 1] * (139 - free)
+        m[r][free] = 0
+    coeffs = [rng.randrange(p) for _ in range(140)]
+    for row in m:
+        row[140] = sum(a * x for a, x in zip(coeffs, row)) % p
+    bases = nullspace_mod_np(np.array(mats, dtype=np.int64), primes)
+    assert [len(b) for b in bases] == [1, 1, 2]
+    for m, p, basis in zip(mats, primes, bases):
+        assert basis[-1][-1] == 1
+        for v in basis:
+            assert all(sum(a * b for a, b in zip(row, v)) % p == 0 for row in m)
+    assert bases[2][0] == [int(k == free) for k in range(141)]
