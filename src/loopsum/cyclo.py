@@ -7,11 +7,16 @@ zeta = 1 + w satisfies zeta**2 = w and supplies the square root of w
 needed by vertex weights; no other extension is ever required.
 
 Values are immutable and hashable; all operations are exact.
+
+Hot loops skip the Fraction arithmetic of CycloNum: integer_pairs clears
+the denominators of a list of scalars, pair_mul multiplies the integer
+pairs (a, b), and from_pair turns the result back into one CycloNum.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 RationalLike = int | Fraction
 
@@ -172,6 +177,36 @@ def as_cyclo(x) -> CycloNum:
     if isinstance(x, (int, Fraction)):
         return CycloNum(x, 0)
     raise TypeError(f"cannot use {type(x).__name__} as an element of Q(w)")
+
+
+def integer_pairs(values) -> tuple[list[tuple[int, int]], int]:
+    """Scalars (ints, Fractions or CycloNums) as integer pairs over one
+    common denominator d > 0: value k is (a_k + b_k w) / d."""
+    parts = []
+    for x in values:
+        if isinstance(x, CycloNum):
+            parts.append((x.a, x.b))
+        elif isinstance(x, (int, Fraction)):
+            parts.append((x, 0))
+        else:
+            raise TypeError(f"cannot use {type(x).__name__} as an element of Q(w)")
+    d = lcm(*(x.denominator for pair in parts for x in pair))
+    return [(a.numerator * (d // a.denominator), b.numerator * (d // b.denominator))
+            for a, b in parts], d
+
+
+def pair_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """The product of a + b w and c + d w as a pair, w^2 = -1 - w."""
+    a, b = x
+    c, d = y
+    bd = b * d
+    return (a * c - bd, a * d + b * c - bd)
+
+
+def from_pair(pair: tuple[int, int], den: int = 1) -> CycloNum:
+    """(a + b w) / den for integers a, b and den > 0."""
+    a, b = pair
+    return CycloNum(Fraction(a, den), Fraction(b, den))
 
 
 ZERO = CycloNum(0, 0)

@@ -30,7 +30,17 @@ from functools import lru_cache
 from math import lcm
 from typing import Optional, Sequence
 
-from .cyclo import CycloNum, ONE, Q, Q_INV, ZERO, _frac, as_cyclo
+from .cyclo import (
+    CycloNum,
+    ONE,
+    Q,
+    Q_INV,
+    ZERO,
+    _frac,
+    from_pair,
+    integer_pairs,
+    pair_mul,
+)
 from .linkpat import (
     LinkPattern,
     arch_remove,
@@ -51,9 +61,11 @@ from .modular import (
 from .mpoly import HomogenizationMismatchError, MPoly, product, reconstruct_homogeneous
 from .report import CheckReport
 from .tmatrix import (
+    _qdiff,
+    balanced_limbs,
     e_link_matrix,
     eigenvalue,
-    limbs_exact,
+    limbs_matvec,
     limbs_mod,
     transfer_link,
     transfer_link_limbs,
@@ -93,16 +105,22 @@ def base_component(n: int) -> MPoly:
 
 
 def base_component_value(n: int, zs: Sequence) -> CycloNum:
-    acc = ONE
+    """base_component at a point, computed in integer pairs: it is
+    homogeneous of degree n(n-1), so scaling the z_i by their common
+    denominator d scales it by d^(n(n-1))."""
+    z, d = integer_pairs(zs)
     m = 2 * n
-    z = [as_cyclo(x) for x in zs]
+    acc = (1, 0)
     for i in range(n):
         for j in range(i + 1, n):
-            acc = acc * (Q * z[i] - Q_INV * z[j])
+            acc = pair_mul(acc, _qdiff(z[i], z[j]))
+    # q^{-1} z_j - q z_i = -(q z_i - q^{-1} z_j)
     for i in range(n, m):
         for j in range(i + 1, m):
-            acc = acc * (Q_INV * z[j] - Q * z[i])
-    return acc
+            acc = pair_mul(acc, _qdiff(z[i], z[j]))
+    if n * (n - 1) // 2 % 2:
+        acc = (-acc[0], -acc[1])
+    return from_pair(acc, d ** (n * (n - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -120,38 +138,21 @@ class PointVector:
     values: tuple
 
 
-def _residual_ok(pairs, lam: CycloNum, values: list[CycloNum]) -> bool:
-    """(T - Lambda) v = 0, checked with exact integer pair arithmetic.
+def _residual_vanishes(tlimbs, lam: tuple[int, int], va: list[int],
+                       vb: list[int]) -> bool:
+    """(T - Lambda) v = 0 for the integer vector v = va + vb w, exactly.
 
-    Denominators are cleared first: scaling the candidate vector does not
-    change whether the residual vanishes.
+    T is the transfer matrix in balanced_limbs form and Lambda an integer
+    pair.  limbs_matvec computes T v exactly (float64 integers within a
+    checked 2^53 bound); each coordinate is compared with Lambda v.  A
+    candidate with denominators is passed with them cleared, which does
+    not change whether the residual vanishes.
     """
-    vscale = lcm(*(x.a.denominator for x in values),
-                 *(x.b.denominator for x in values))
-    lscale = lcm(lam.a.denominator, lam.b.denominator)
-    va = [int(x.a * vscale) for x in values]
-    vb = [int(x.b * vscale) for x in values]
-    la, lb = int(lam.a * lscale), int(lam.b * lscale)
-    cn = len(values)
-    for r in range(cn):
-        row = pairs[r]
-        sa = sb = 0
-        for c in range(cn):
-            a, b = row[c]
-            if a or b:
-                x, y = va[c], vb[c]
-                if x or y:
-                    bd = b * y
-                    sa += a * x - bd
-                    sb += a * y + b * x - bd
-        # the matrix term carries the eigenvalue's denominator clearing
-        sa *= lscale
-        sb *= lscale
-        x, y = va[r], vb[r]
+    sa, sb = limbs_matvec(tlimbs, va, vb)
+    la, lb = lam
+    for ta, tb, x, y in zip(sa, sb, va, vb):
         bd = lb * y
-        sa -= la * x - bd
-        sb -= la * y + lb * x - bd
-        if sa or sb:
+        if ta != la * x - bd or tb != la * y + lb * x - bd:
             return False
     return True
 
@@ -193,13 +194,16 @@ def _kernel_modular(n: int, zs_int, t_int, base_val: CycloNum,
     import numpy as np
 
     limbs = transfer_link_limbs(n, zs_int, t_int)
-    pairs = limbs_exact(limbs)
+    tlimbs = balanced_limbs(limbs)
     lam = eigenvalue(t_int, zs_int)
-    cn = len(pairs)
+    lam_int = (lam.a.numerator, lam.b.numerator)
+    cn = limbs.shape[2]
     diag = np.arange(cn)
 
-    def certified(values) -> bool:
-        return values[pi0] == base_val and _residual_ok(pairs, lam, values)
+    def certified(va, vb, den=1) -> bool:
+        # the candidate (va + vb w) / den
+        return (from_pair((va[pi0], vb[pi0]), den) == base_val
+                and _residual_vanishes(tlimbs, lam_int, va, vb))
 
     residues_a = residues_b = [0] * cn
     modulus = 1
@@ -225,7 +229,7 @@ def _kernel_modular(n: int, zs_int, t_int, base_val: CycloNum,
         for p, g in fresh:
             try:
                 base_p = (fraction_mod(base_val.a, p), fraction_mod(base_val.b, p))
-                lam_p = (fraction_mod(lam.a, p), fraction_mod(lam.b, p))
+                lam_p = (lam_int[0] % p, lam_int[1] % p)
             except ZeroDivisionError:
                 continue
             members.append((p, (g, g * g % p), base_p, lam_p))
@@ -277,12 +281,10 @@ def _kernel_modular(n: int, zs_int, t_int, base_val: CycloNum,
             used += 1
         if used > lifted:
             lifted = used
-            values = [
-                CycloNum(_symmetric(a, modulus), _symmetric(b, modulus))
-                for a, b in zip(residues_a, residues_b)
-            ]
-            if certified(values):
-                return values
+            va = [_symmetric(a, modulus) for a in residues_a]
+            vb = [_symmetric(b, modulus) for b in residues_b]
+            if certified(va, vb):
+                return [CycloNum(a, b) for a, b in zip(va, vb)]
             if used >= min_primes:
                 values = []
                 for k in range(cn):
@@ -292,8 +294,10 @@ def _kernel_modular(n: int, zs_int, t_int, base_val: CycloNum,
                         values = None
                         break
                     values.append(CycloNum(fa, fb))
-                if values is not None and certified(values):
-                    return values
+                if values is not None:
+                    ints, den = integer_pairs(values)
+                    if certified([a for a, _ in ints], [b for _, b in ints], den):
+                        return values
                 min_primes = used + 2
         if degenerate is not None:
             raise degenerate

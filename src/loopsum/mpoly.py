@@ -22,7 +22,7 @@ from contextlib import nullcontext
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .cyclo import CycloNum, ONE, ZERO, _frac, as_cyclo
+from .cyclo import CycloNum, ONE, ZERO, _frac, as_cyclo, from_pair, integer_pairs, pair_mul
 
 
 class ArityMismatchError(ValueError):
@@ -195,29 +195,23 @@ class MPoly:
             raise ArityMismatchError(
                 f"point has {len(point)} coordinates, expected {self.nvars}"
             )
-        pt = [as_cyclo(x) for x in point]
+        pt, d = integer_pairs(point)
         if not self.terms:
             return ZERO
-        d = math.lcm(*(x.a.denominator for x in pt), *(x.b.denominator for x in pt))
-        e = math.lcm(*(c.a.denominator for c in self.terms.values()),
-                     *(c.b.denominator for c in self.terms.values()))
+        coeffs, e = integer_pairs(self.terms.values())
         # power tables of (a, b) pairs keep repeated exponents cheap
         maxe = [max(k) for k in zip(*self.terms)]
         pows = []
         for x, top in zip(pt, maxe):
-            xa, xb = int(x.a * d), int(x.b * d)
             row = [(1, 0)]
             for _ in range(top):
-                a, b = row[-1]
-                bd = b * xb
-                row.append((a * xa - bd, a * xb + b * xa - bd))
+                row.append(pair_mul(row[-1], x))
             pows.append(row)
         degrees = {sum(k) for k in self.terms}
         top = max(degrees)
         pad = {k: d ** (top - k) for k in degrees}
         sa = sb = 0
-        for exps, c in self.terms.items():
-            a, b = int(c.a * e), int(c.b * e)
+        for exps, (a, b) in zip(self.terms, coeffs):
             for row, k in zip(pows, exps):
                 if k:
                     xa, xb = row[k]
@@ -226,8 +220,7 @@ class MPoly:
             f = pad[sum(exps)]
             sa += a * f
             sb += b * f
-        den = e * d ** top
-        return CycloNum(Fraction(sa, den), Fraction(sb, den))
+        return from_pair((sa, sb), e * d ** top)
 
     def coeff_of(self, exps: Sequence[int]) -> CycloNum:
         e = tuple(exps)

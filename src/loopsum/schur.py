@@ -28,18 +28,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cyclo import CycloNum, ONE, Q, Q_INV, ZERO, as_cyclo
+from .cyclo import (
+    CycloNum,
+    ONE,
+    Q,
+    Q_INV,
+    ZERO,
+    as_cyclo,
+    from_pair,
+    integer_pairs,
+    pair_mul,
+)
 from .mpoly import MPoly
 from .report import CheckReport
-from .solver import ExactMatrix, det
+from .solver import ExactMatrix, NonzeroRemainderError, det
 
 
 class DegenerateDenominatorError(ValueError):
     """A Schur-function denominator vanished; resample the point."""
-
-
-class NonzeroRemainderError(ArithmeticError):
-    """An exact polynomial division left a remainder (internal error)."""
 
 
 @dataclass(frozen=True)
@@ -76,31 +82,37 @@ def y_tilde_partition(n: int) -> Partition:
     return Partition((n,) + y_partition(n).parts)
 
 
-def _h_values(xs: list[CycloNum], kmax: int) -> list[CycloNum]:
-    """Complete homogeneous sums h_0..h_kmax of xs, by the one-variable
-    extension recurrence."""
-    h = [ONE] + [ZERO] * kmax
+def _h_values(xs: list[tuple[int, int]], kmax: int) -> list[tuple[int, int]]:
+    """Complete homogeneous sums h_0..h_kmax of xs, integer pairs in and
+    out, by the one-variable extension recurrence."""
+    h = [(1, 0)] + [(0, 0)] * kmax
     for x in xs:
         for k in range(1, kmax + 1):
-            h[k] = h[k] + x * h[k - 1]
+            a, b = pair_mul(x, h[k - 1])
+            h[k] = (h[k][0] + a, h[k][1] + b)
     return h
 
 
 def schur_eval(shape: Partition, xs: Sequence) -> CycloNum:
-    """Exact Schur polynomial value s_shape(xs), by Jacobi-Trudi."""
-    x = [as_cyclo(v) for v in xs]
+    """Exact Schur polynomial value s_shape(xs), by Jacobi-Trudi.
+
+    The sums h_k run in integer pairs: s_shape is homogeneous of degree
+    |shape|, so scaling xs by their common denominator d scales it by
+    d^|shape|."""
+    x, d = integer_pairs(xs)
     r = shape.length()
     if r > len(x):
         return ZERO
     if not r:
         return ONE
-    h = _h_values(x, shape.parts[0] + r)
+    h = [from_pair(v) for v in _h_values(x, shape.parts[0] + r)]
 
     def entry(i, j):
         k = shape.parts[i] - (i + 1) + (j + 1)
         return h[k] if k >= 0 else ZERO
 
-    return det(ExactMatrix([[entry(i, j) for j in range(r)] for i in range(r)]))
+    value = det(ExactMatrix([[entry(i, j) for j in range(r)] for i in range(r)]))
+    return value / d ** shape.size()
 
 
 def z_partition_function(n: int, zs: Sequence) -> CycloNum:

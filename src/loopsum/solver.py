@@ -1,17 +1,24 @@
 """Exact dense linear algebra over Q(w).
 
-Plain fraction Gaussian elimination with first-nonzero pivoting: in exact
-arithmetic there is no magnitude heuristic to apply, and the matrices here
-stay small (a few hundred rows at most).  It provides the determinant, and
-the nullspace (whose vectors satisfy M v = 0 exactly) and rank that tests
-use as the reference for the modular kernel.
+The determinant is fraction-free: each row is scaled to integer pairs
+(a, b) of Z[w], w = exp(2 pi i / 3), and Bareiss elimination (Math. Comp.
+22, 1968) keeps every entry a minor of that integer matrix, so all its
+divisions are exact in Z[w].  The nullspace (whose vectors satisfy M v = 0
+exactly) and rank that tests use as the reference for the modular kernel
+are plain fraction Gaussian elimination.  Both pivot on the first nonzero
+entry: in exact arithmetic there is no magnitude heuristic to apply, and
+the matrices here stay small (a few hundred rows at most).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .cyclo import CycloNum, ONE, ZERO, as_cyclo
+from .cyclo import CycloNum, ONE, ZERO, as_cyclo, from_pair, integer_pairs
+
+
+class NonzeroRemainderError(ArithmeticError):
+    """An exact division left a remainder (internal error)."""
 
 
 class ExactMatrix:
@@ -154,26 +161,56 @@ def nullspace(m: ExactMatrix) -> list[list[CycloNum]]:
 
 
 def det(m: ExactMatrix) -> CycloNum:
-    """Determinant by fraction Gaussian elimination."""
+    """Determinant by fraction-free Bareiss elimination over Z[w].
+
+    Row i is scaled by the lcm d_i of its denominators, so the integer
+    matrix has determinant det(m) * prod d_i.  After the swap that brings
+    a nonzero pivot p_k to row k, every entry a_ij below and right of it
+    becomes (p_k a_ij - a_ik a_kj) / p_{k-1}, a minor of the integer
+    matrix, so the division is exact in Z[w]: it multiplies by the
+    conjugate of p_{k-1} and divides by its norm, and a remainder raises
+    NonzeroRemainderError.
+    """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
     n = m.rows
-    data = [row[:] for row in m.data]
+    if not n:
+        return ONE
+    rows = []
+    den = 1
+    for row in m.data:
+        pairs, d = integer_pairs(row)
+        rows.append(pairs)
+        den *= d
     sign = 1
-    acc = ONE
-    for c in range(n):
-        pr = next((i for i in range(c, n) if data[i][c]), None)
+    # the previous pivot as its conjugate and norm; (1, 0) has both 1
+    ca, cb, norm = 1, 0, 1
+    for k in range(n - 1):
+        pr = next((i for i in range(k, n) if rows[i][k] != (0, 0)), None)
         if pr is None:
             return ZERO
-        if pr != c:
-            data[c], data[pr] = data[pr], data[c]
+        if pr != k:
+            rows[k], rows[pr] = rows[pr], rows[k]
             sign = -sign
-        piv = data[c][c]
-        acc = acc * piv
-        inv = piv.inverse()
-        for i in range(c + 1, n):
-            if data[i][c]:
-                f = data[i][c] * inv
-                ri, rc = data[i], data[c]
-                data[i] = [ri[k] - f * rc[k] for k in range(n)]
-    return acc if sign == 1 else -acc
+        pa, pb = rows[k][k]
+        pivot_row = rows[k]
+        for i in range(k + 1, n):
+            row = rows[i]
+            fa, fb = row[k]
+            new = row[: k + 1]
+            for j in range(k + 1, n):
+                xa, xb = row[j]
+                ya, yb = pivot_row[j]
+                # p x - f y, then times the conjugate of the previous pivot
+                ea = pa * xa - pb * xb - fa * ya + fb * yb
+                eb = pa * xb + pb * xa - pb * xb - fa * yb - fb * ya + fb * yb
+                ea, eb = ea * ca - eb * cb, ea * cb + eb * ca - eb * cb
+                qa, ra = divmod(ea, norm)
+                qb, rb = divmod(eb, norm)
+                if ra or rb:
+                    raise NonzeroRemainderError("Bareiss division left a remainder")
+                new.append((qa, qb))
+            rows[i] = new
+        ca, cb, norm = pa - pb, -pb, pa * pa - pa * pb + pb * pb
+    a, b = rows[n - 1][n - 1]
+    return from_pair((sign * a, sign * b), den)

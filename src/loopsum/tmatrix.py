@@ -19,8 +19,14 @@ verify_spin_eigenvector certifies point vectors the same way.
 
 The tile route exists twice: transfer_link_pairs in plain Python
 (transfer_link and set-up use it, and it never imports numpy), and
-transfer_link_limbs, which sums the same tiles in numpy as exact 31-bit
-limbs for the modular kernel; tests require the two to agree entrywise.
+transfer_link_limbs, which sums the same tiles in numpy as exact int64
+limbs in base 2^31 for the modular kernel; tests require the two to agree
+entrywise.  The kernel reduces the limbs mod each prime (limbs_mod) and
+certifies its candidate with limbs_matvec, the exact product of the
+matrix with an integer vector: balanced_limbs carries the limbs into
+signed 31-bit range, and one float64 matmul against narrow limbs of the
+vector keeps every partial sum an integer of at most 2^53 in absolute
+value, so nothing is rounded.
 
 Operators are always built at specific parameter values; nothing here is
 symbolic in z or t.
@@ -31,7 +37,17 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclo import CycloNum, ONE, Q, Q_INV, ZERO, as_cyclo
+from .cyclo import (
+    CycloNum,
+    ONE,
+    Q,
+    Q_INV,
+    ZERO,
+    as_cyclo,
+    from_pair,
+    integer_pairs,
+    pair_mul,
+)
 from .linkpat import (
     e_apply,
     enumerate_patterns,
@@ -298,11 +314,10 @@ def _tile_table(n: int):
     return tuple(table)
 
 
-def _pmul(x, y):
-    a, b = x
-    c, d = y
-    bd = b * d
-    return (a * c - bd, a * d + b * c - bd)
+def _qdiff(x, y):
+    """q x - q^{-1} y for pairs x, y, as a pair."""
+    # q x = -x1 + (x0 - x1) w ;  -q^{-1} y = (y0 - y1) + y0 w
+    return (y[0] - y[1] - x[1], x[0] - x[1] + y[0])
 
 
 def _to_pair(x):
@@ -314,16 +329,17 @@ def _to_pair(x):
 
 
 def row_weights(n: int, zs, t) -> list[tuple]:
-    """Weights of all 2^{2n} row configurations as (a, b) pairs."""
+    """Weights of all 2^{2n} row configurations as (a, b) pairs; index s
+    with bit i set means face i+1 glues.  Any number of faces works: the
+    weights of the first k faces alone are row_weights(n, zs[:k], t)."""
     tp = _to_pair(t)
     w = [(1, 0)]
     for z in zs:
         zp = _to_pair(z)
-        qz = _pmul((0, 1), zp)
-        # u = q z - q^{-1} t, with -q^{-1} t = (t0 - t1) + t0 w ;  v = z - t
-        u = (qz[0] + tp[0] - tp[1], qz[1] + tp[0])
+        # pass tile u = q z - q^{-1} t, glue tile v = z - t
+        u = _qdiff(zp, tp)
         v = (zp[0] - tp[0], zp[1] - tp[1])
-        w = [_pmul(x, u) for x in w] + [_pmul(x, v) for x in w]
+        w = [pair_mul(x, u) for x in w] + [pair_mul(x, v) for x in w]
     return w
 
 
@@ -379,25 +395,84 @@ def _tile_scatter(n: int) -> tuple:
     return tuple(out)
 
 
+def _balanced_split(values: list[int], width: int = LIMB_BITS):
+    """Integers as limbs in [-2^(width-1), 2^(width-1)), shape (limbs,
+    len): value k is sum_j limbs[j, k] * 2^(width j)."""
+    import numpy as np
+
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    # k balanced limbs hold every |x| < 2^(width k - 2)
+    nlimbs = (max(map(abs, values), default=0).bit_length() + 1) // width + 1
+    x = np.array(values, dtype=object)
+    out = []
+    for _ in range(nlimbs):
+        low = ((x + half) & mask) - half
+        out.append(low.astype(np.int64))
+        x = (x - low) >> width
+    return np.stack(out)
+
+
+def _weight_limbs(n: int, zs, t):
+    """row_weights(n, zs, t) as int64 limbs of shape (2L, 2^{2n}), rows
+    (a limb 0, b limb 0, a limb 1, ...): limbs in [0, 2^31) but the top
+    one, which carries the sign.
+
+    A weight is the product of the weights of its two half rows, so only
+    the 2 * 2^n half-row weights are Python ints.  Their balanced limbs
+    meet in outer products below 2^62, whose low and high 31 bits
+    accumulate in separate limbs; one carry pass normalizes the sums.
+    """
+    import numpy as np
+    from math import isqrt
+
+    mask = (1 << LIMB_BITS) - 1
+    halves = [row_weights(n, zs[n:], t), row_weights(n, zs[:n], t)]
+    # |a|, |b| <= sqrt(4/3 * norm), and the norm a^2 - a b + b^2 is
+    # multiplicative, so the halves bound the limbs every weight needs
+    norms = [max(a * a - a * b + b * b for a, b in h) for h in halves]
+    nlimbs = (isqrt(4 * norms[0] * norms[1] // 3).bit_length() + 1) // LIMB_BITS + 1
+    hi, lo = (_balanced_split([a for a, _ in h] + [b for _, b in h]).reshape(-1, 2, len(h))
+              for h in halves)
+    nk = len(hi) + len(lo) + 1
+    acc = np.zeros((nk, 2, hi.shape[2] * lo.shape[2]), dtype=np.int64)
+    for i in range(len(hi)):
+        ha, hb = hi[i, 0][:, None], hi[i, 1][:, None]
+        for j in range(len(lo)):
+            la, lb = lo[j, 0], lo[j, 1]
+            bd = hb * lb
+            for part, x in enumerate((ha * la - bd, ha * lb + hb * la - bd)):
+                x = x.ravel()
+                acc[i + j, part] += x & mask
+                acc[i + j + 1, part] += x >> LIMB_BITS
+    for k in range(nk - 1):
+        carry = acc[k] >> LIMB_BITS
+        acc[k] &= mask
+        acc[k + 1] += carry
+    # limbs from nlimbs - 1 up are the sign and the top bits of one value
+    top = acc[nk - 1]
+    for k in range(nk - 2, nlimbs - 2, -1):
+        top = (top << LIMB_BITS) + acc[k]
+    acc[nlimbs - 1] = top
+    return acc[:nlimbs].reshape(2 * nlimbs, -1)
+
+
 def transfer_link_limbs(n: int, zs, t):
     """The tile-route transfer matrix in numpy, exactly, as int64 limbs.
 
     zs and t must be integers.  Returns an array of shape (2, L, C, C):
     entry (a, b) of transfer_link_pairs at [r][c] is
-    sum_k limbs[0 or 1, k, r, c] * 2^(31 k).  Every limb but the top one
-    lies in [0, 2^31); the top one carries the sign.
+    sum_k limbs[0 or 1, k, r, c] * 2^(31 k).  The row weights are split
+    into limbs in [0, 2^31) with a signed top limb, but a limb of the
+    result sums up to 2^{2n} of them, so it can reach 2^{31 + 2n} (37 bits
+    at n = 4 and 40 at n = 6 were measured); balanced_limbs carries them
+    back into 31-bit range.
     """
     import numpy as np
 
-    weights = row_weights(n, zs, t)
-    flat = np.array([a for a, _ in weights] + [b for _, b in weights], dtype=object)
-    bits = max(max(flat), -min(flat)).bit_length()
-    nlimbs = bits // LIMB_BITS + 1
-    mask = (1 << LIMB_BITS) - 1
-    parts = [(flat >> (LIMB_BITS * k)) & mask for k in range(nlimbs - 1)]
-    parts.append(flat >> (LIMB_BITS * (nlimbs - 1)))
     # rows of w: (a limb 0, b limb 0, a limb 1, b limb 1, ...)
-    w = np.stack([x.astype(np.int64) for x in parts]).reshape(2 * nlimbs, -1)
+    w = _weight_limbs(n, zs, t)
+    nlimbs = len(w) // 2
     scatter = _tile_scatter(n)
     cn = len(scatter)
     out = np.zeros((2 * nlimbs, cn, cn), dtype=np.int64)
@@ -406,13 +481,79 @@ def transfer_link_limbs(n: int, zs, t):
     return out.reshape(nlimbs, 2, cn, cn).swapaxes(0, 1)
 
 
-def limbs_exact(limbs) -> list[list[tuple]]:
-    """transfer_link_pairs rebuilt from transfer_link_limbs, as Python ints."""
-    ma, mb = (
-        sum(part[k].astype(object) << (LIMB_BITS * k) for k in range(len(part)))
-        for part in limbs
-    )
-    return [list(zip(ra, rb)) for ra, rb in zip(ma.tolist(), mb.tolist())]
+def balanced_limbs(limbs):
+    """transfer_link_limbs carried into balanced limbs: the same entries,
+    every limb in [-2^30, 2^30), with one more limb where the carries need
+    it."""
+    import numpy as np
+
+    half = 1 << (LIMB_BITS - 1)
+    parts = list(limbs.swapaxes(0, 1))
+    out = []
+    carry = np.zeros_like(parts[0])
+    while len(out) < len(parts) or carry.any():
+        k = len(out)
+        x = parts[k] + carry if k < len(parts) else carry
+        carry = (x + half) >> LIMB_BITS
+        out.append(x - (carry << LIMB_BITS))
+    return np.stack(out, axis=1)
+
+
+def residual_limb_bits(cn: int) -> int:
+    """Limb width w of the vector in limbs_matvec for a matrix with cn
+    columns: the largest w with cn * 2^30 * 2^(w-1) <= 2^53.  A row of cn
+    products of two balanced limbs (|x| <= 2^30, |y| <= 2^(w-1)) then sums
+    to at most 2^53 in absolute value, and so does every partial sum, so
+    float64 holds each one exactly."""
+    return 53 - (LIMB_BITS - 1) + 1 - (cn - 1).bit_length()
+
+
+def limbs_matvec(tlimbs, xs: list[int], ys: list[int]) -> tuple[list, list]:
+    """T (x + y w), exactly, for T in balanced_limbs form and integer
+    vectors x, y; returns the a and b parts of the image as Python ints.
+
+    x and y are split into balanced limbs of residual_limb_bits(C) bits
+    and meet T's limbs in one float64 matmul.  Its partial sums are carried
+    into digits of that width in int64, packed into chunks of at most 60
+    bits and folded into Python ints.
+    """
+    import numpy as np
+
+    _, nt, cn, _ = tlimbs.shape
+    width = residual_limb_bits(cn)
+    assert cn << (LIMB_BITS - 1 + width - 1) <= 1 << 53
+    if tlimbs.size and max(-tlimbs.min(), tlimbs.max()) > 1 << (LIMB_BITS - 1):
+        raise ValueError("matrix limbs are not balanced")
+    vlimbs = _balanced_split(list(xs) + list(ys), width)
+    nv = len(vlimbs)
+    # columns: the limbs of x, then the limbs of y
+    vmat = vlimbs.astype(np.float64).reshape(nv, 2, cn).transpose(2, 1, 0).reshape(cn, 2 * nv)
+    prod = tlimbs.reshape(-1, cn).astype(np.float64) @ vmat
+    # [part of T, limb of T, row, part of v, limb of v]
+    p = prod.astype(np.int64).reshape(2, nt, cn, 2, nv)
+    # (a + b w)(x + y w) = (a x - b y) + (a y + b x - b y) w, below 2^55
+    by = p[1, :, :, 1]
+    digits = np.stack([p[0, :, :, 0] - by, p[0, :, :, 1] + p[1, :, :, 0] - by])
+    # carried into base 2^width, the padding digits leave 0 or -1 on top
+    mask = (1 << width) - 1
+    per_chunk = 60 // width
+    nd = -(-(nv + 56 // width + 1) // per_chunk) * per_chunk
+    digits = np.concatenate(
+        [digits, np.zeros(digits.shape[:-1] + (nd - nv,), dtype=np.int64)], axis=-1)
+    for j in range(nd - 1):
+        carry = digits[..., j] >> width
+        digits[..., j] &= mask
+        digits[..., j + 1] += carry
+    chunks = (digits.reshape(digits.shape[:-1] + (-1, per_chunk))
+              << (width * np.arange(per_chunk))).sum(axis=-1).astype(object)
+    acc = chunks[..., -1]
+    for c in range(chunks.shape[-1] - 2, -1, -1):
+        acc = (acc << (width * per_chunk)) + chunks[..., c]
+    # acc[part, limb of T, row]
+    out = acc[:, -1]
+    for k in range(nt - 2, -1, -1):
+        out = (out << LIMB_BITS) + acc[:, k]
+    return out[0].tolist(), out[1].tolist()
 
 
 def limbs_mod(limbs, p: int):
@@ -435,12 +576,16 @@ def transfer_link(t, zs, n: int) -> LinkOperator:
 
 
 def eigenvalue(t, zs) -> CycloNum:
-    """prod_i (q t - q^{-1} z_i), the groundstate eigenvalue."""
-    acc = ONE
-    t = as_cyclo(t)
-    for z in zs:
-        acc = acc * (Q * t - Q_INV * as_cyclo(z))
-    return acc
+    """prod_i (q t - q^{-1} z_i), the groundstate eigenvalue.
+
+    Computed in integer pairs: every factor has degree 1, so scaling t and
+    the z_i by their common denominator d scales the product by
+    d^len(zs)."""
+    (tp, *zp), d = integer_pairs([t, *zs])
+    acc = (1, 0)
+    for z in zp:
+        acc = pair_mul(acc, _qdiff(tp, z))
+    return from_pair(acc, d ** len(zp))
 
 
 def verify_spin_eigenvector(n: int, zs, t, values) -> bool:

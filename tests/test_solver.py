@@ -47,6 +47,67 @@ def test_det_values():
     assert det(ExactMatrix([[ONE, ONE], [ONE, ONE]])) == ZERO
     m = ExactMatrix([[CycloNum(2, 0), ONE], [ZERO, CycloNum(3, 0)]])
     assert det(m) == CycloNum(6, 0)
+    assert det(ExactMatrix([])) == ONE
+    assert det(ExactMatrix([[ZERO, ONE], [ONE, ZERO]])) == -ONE
+
+
+def det_fraction(m: ExactMatrix) -> CycloNum:
+    """Determinant by fraction Gaussian elimination over Q(w): the oracle
+    for the fraction-free det."""
+    n = m.rows
+    data = [row[:] for row in m.data]
+    sign = 1
+    acc = ONE
+    for c in range(n):
+        pr = next((i for i in range(c, n) if data[i][c]), None)
+        if pr is None:
+            return ZERO
+        if pr != c:
+            data[c], data[pr] = data[pr], data[c]
+            sign = -sign
+        piv = data[c][c]
+        acc = acc * piv
+        inv = piv.inverse()
+        for i in range(c + 1, n):
+            if data[i][c]:
+                f = data[i][c] * inv
+                ri, rc = data[i], data[c]
+                data[i] = [ri[k] - f * rc[k] for k in range(n)]
+    return acc if sign == 1 else -acc
+
+
+fractional = st.builds(
+    CycloNum,
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+
+
+@st.composite
+def square_matrices(draw):
+    """Q(w) matrices of size 0 to 6: integral or fractional entries, some
+    with a zero leading pivot that forces a row swap, some singular."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    entry = draw(st.sampled_from([small, fractional]))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    shape = draw(st.sampled_from(["plain", "zero-pivot", "singular"]))
+    if n >= 2 and shape == "zero-pivot":
+        rows[0][0] = ZERO
+        rows[1][0] = rows[1][0] or ONE
+    if n >= 2 and shape == "singular":
+        c = draw(fractional)
+        rows[-1] = [x + c * y for x, y in zip(rows[0], rows[1 % (n - 1)])]
+    return ExactMatrix(rows), shape
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+def test_det_matches_fraction_elimination(case):
+    m, shape = case
+    got = det(m)
+    assert got == det_fraction(m)
+    if shape == "singular" and m.rows >= 2:
+        assert got == ZERO
 
 
 @settings(max_examples=30, deadline=None)

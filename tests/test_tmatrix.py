@@ -2,14 +2,18 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
 import loopsum
-from loopsum.cyclo import CycloNum, ONE, Q, Q_INV, ZERO
+from loopsum.cyclo import CycloNum, ONE, Q, Q_INV, ZERO, integer_pairs
 from loopsum.linkpat import enumerate_patterns, spin_embed
 from loopsum.solver import ExactMatrix
 from loopsum.tmatrix import (
+    LIMB_BITS,
+    balanced_limbs,
     check_arch_insertion,
     check_interlacing,
     check_transfer_commutation,
@@ -18,7 +22,7 @@ from loopsum.tmatrix import (
     e_link_matrix,
     eigenvalue,
     embed,
-    limbs_exact,
+    limbs_matvec,
     limbs_mod,
     monodromy_apply,
     r_matrix_spin,
@@ -29,10 +33,11 @@ from loopsum.tmatrix import (
     transfer_apply_spin,
     transfer_link,
     transfer_link_limbs,
+    residual_limb_bits,
     transfer_link_pairs,
     verify_spin_eigenvector,
 )
-from loopsum.groundstate import _PRIME_START
+from loopsum.groundstate import _PRIME_START, _residual_vanishes, psi_point
 from loopsum.modular import cached_primes
 
 rng = random.Random(123)
@@ -258,6 +263,9 @@ def test_numpy_assembly_equals_tile_route(n):
         if kind == "large-z" and n > 1:
             assert limbs.shape[1] >= 3
         assert limbs_exact(limbs) == pairs, kind
+        balanced = balanced_limbs(limbs)
+        assert limbs_exact(balanced) == pairs, kind
+        assert -(1 << 30) <= balanced.min() and balanced.max() < 1 << 30, kind
         for p, g in primes:
             amat, bmat = limbs_mod(limbs, p).tolist()
             for gg in (g, g * g % p):
@@ -266,6 +274,154 @@ def test_numpy_assembly_equals_tile_route(n):
                         for ra, rb in zip(amat, bmat)] == embedded, (kind, p)
             assert amat == [[a % p for a, _ in row] for row in pairs], (kind, p)
             assert bmat == [[b % p for _, b in row] for row in pairs], (kind, p)
+
+
+def limbs_exact(limbs) -> list[list[tuple]]:
+    """transfer_link_pairs rebuilt from transfer_link_limbs, as Python ints:
+    the oracle for the limb routes."""
+    ma, mb = (
+        sum(part[k].astype(object) << (LIMB_BITS * k) for k in range(len(part)))
+        for part in limbs
+    )
+    return [list(zip(ra, rb)) for ra, rb in zip(ma.tolist(), mb.tolist())]
+
+
+def _residual_ok(pairs, lam: CycloNum, values: list[CycloNum]) -> bool:
+    """(T - Lambda) v = 0, checked with exact integer pair arithmetic, one
+    pair at a time: the oracle for the limb residual.
+
+    Denominators are cleared first: scaling the candidate vector does not
+    change whether the residual vanishes.
+    """
+    vscale = lcm(*(x.a.denominator for x in values),
+                 *(x.b.denominator for x in values))
+    lscale = lcm(lam.a.denominator, lam.b.denominator)
+    va = [int(x.a * vscale) for x in values]
+    vb = [int(x.b * vscale) for x in values]
+    la, lb = int(lam.a * lscale), int(lam.b * lscale)
+    cn = len(values)
+    for r in range(cn):
+        row = pairs[r]
+        sa = sb = 0
+        for c in range(cn):
+            a, b = row[c]
+            if a or b:
+                x, y = va[c], vb[c]
+                if x or y:
+                    bd = b * y
+                    sa += a * x - bd
+                    sb += a * y + b * x - bd
+        # the matrix term carries the eigenvalue's denominator clearing
+        sa *= lscale
+        sb *= lscale
+        x, y = va[r], vb[r]
+        bd = lb * y
+        sa -= la * x - bd
+        sb -= la * y + lb * x - bd
+        if sa or sb:
+            return False
+    return True
+
+
+def _candidates(values, rnd):
+    """The exact vector, then vectors that are not eigenvectors: one
+    coordinate moved by +-1 in a and then in b, one nonzero coordinate with
+    its sign flipped, and garbage of more than 400 bits."""
+    k = rnd.randrange(len(values))
+    nonzero = [j for j, x in enumerate(values) if x]
+    flip = rnd.choice(nonzero)
+    out = {"exact": list(values)}
+    for d in (1, -1):
+        for part, unit in (("a", CycloNum(d, 0)), ("b", CycloNum(0, d))):
+            bent = list(values)
+            bent[k] = bent[k] + unit
+            out[f"{part}{d:+d}"] = bent
+    flipped = list(values)
+    flipped[flip] = -flipped[flip]
+    out["sign-flip"] = flipped
+    out["garbage"] = [CycloNum(rnd.getrandbits(420) - (1 << 419), rnd.getrandbits(410))
+                      for _ in values]
+    return out
+
+
+def _check_residual_on(n, zs, t, values, rnd):
+    limbs = transfer_link_limbs(n, zs, t)
+    pairs = limbs_exact(limbs)
+    tlimbs = balanced_limbs(limbs)
+    lam = eigenvalue(t, zs)
+    lam_int = (int(lam.a), int(lam.b))
+    for name, cand in _candidates(values, rnd).items():
+        ints, _ = integer_pairs(cand)
+        xs, ys = [a for a, _ in ints], [b for _, b in ints]
+        got = _residual_vanishes(tlimbs, lam_int, xs, ys)
+        assert got == _residual_ok(pairs, lam, cand), name
+        # T - Lambda vanishes at t = 0 and at n = 1: every vector passes
+        assert got == (name == "exact" or t == 0 or n == 1), name
+    # the image itself, for the garbage vector
+    expect = ([sum(a * x - b * y for (a, b), x, y in zip(row, xs, ys)) for row in pairs],
+              [sum(a * y + b * x - b * y for (a, b), x, y in zip(row, xs, ys)) for row in pairs])
+    assert limbs_matvec(tlimbs, xs, ys) == expect
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_limb_residual_agrees_with_pair_oracle(n):
+    # Psi does not depend on t: the vector psi_point returns is an
+    # eigenvector of T(t) for every t, t = 0 and t above every z included
+    rnd = random.Random(n)
+    for kind, (zs, t) in _limb_points(n).items():
+        values = psi_point(n, zs).values
+        if kind == "large-z" and n > 1:
+            assert transfer_link_limbs(n, zs, t).shape[1] >= 3
+        _check_residual_on(n, zs, t, values, rnd)
+
+
+def test_limb_residual_fractional_candidates():
+    # fractional z: the kernel runs at z and t scaled to integers, and the
+    # candidate keeps its denominators until the residual clears them
+    zs = [Fraction(3, 2), 1, 4, 6, 5, 9, 2, Fraction(7, 3)]
+    values = psi_point(4, zs, t=1).values
+    assert any(x.a.denominator > 1 or x.b.denominator > 1 for x in values)
+    scale = 6
+    _check_residual_on(4, [int(z * scale) for z in zs], scale, values, random.Random(9))
+
+
+def test_limb_residual_compares_both_parts():
+    # T = (Lambda + delta) I on a rational vector: delta = w leaves a
+    # residual in the b part alone, delta = 1 in the a part alone
+    import numpy as np
+
+    cn, lam = 5, (5, 7)
+    xs, ys = [3, -1, 4, 1, 5], [0] * cn
+    for delta, ok in (((0, 0), True), ((0, 1), False), ((1, 0), False)):
+        tlimbs = np.zeros((2, 1, cn, cn), dtype=np.int64)
+        for part in (0, 1):
+            tlimbs[part, 0][np.diag_indices(cn)] = lam[part] + delta[part]
+        assert _residual_vanishes(tlimbs, lam, xs, ys) == ok, delta
+
+
+def test_limb_width_rule_at_n7():
+    # C = 429 at n = 7: the rule without the n = 7 tile table
+    import numpy as np
+
+    cn = 429
+    width = residual_limb_bits(cn)
+    assert width == 15 and residual_limb_bits(132) == 16
+    assert cn << (30 + width - 1) <= 1 << 53 < cn << (30 + width)
+    # odd limbs one short of the extremes, -(2^30 - 1) in T and
+    # -(2^(w-1) - 1) in the vector: each row sums to 0.84 * 2^53 with its
+    # low bits set, which a limb one bit wider would push past float64
+    big = (1 << 30) - 1
+    tlimbs = np.full((2, 2, cn, cn), -big, dtype=np.int64)
+    entry = -big - (big << LIMB_BITS)
+    low = -((1 << (width - 1)) - 1)
+    top = sum(low << (width * j) for j in range(6))
+    xs = [top + k for k in range(cn)]
+    ys = [top - 3 * k for k in range(cn)]
+    sx, sy = sum(xs), sum(ys)
+    assert limbs_matvec(tlimbs, xs, ys) == ([entry * sx - entry * sy] * cn,
+                                            [entry * sy + entry * sx - entry * sy] * cn)
+    with pytest.raises(ValueError):
+        limbs_matvec(tlimbs * 2, xs, ys)
 
 
 def test_setup_stays_numpy_free():
