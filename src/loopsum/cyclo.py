@@ -49,9 +49,6 @@ class CycloNum:
     def is_zero(self) -> bool:
         return not self.a and not self.b
 
-    def is_rational(self) -> bool:
-        return not self.b
-
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other) -> "CycloNum":

@@ -87,10 +87,6 @@ class LinkPattern:
         """True iff points i and i+1 (cyclically) are paired."""
         return self.pairing[i - 1] == cyclic_successor(i, self.n)
 
-    def little_arches(self) -> list[int]:
-        """All i with an arch (i, i+1 cyclic)."""
-        return [i for i in range(1, 2 * self.n + 1) if self.has_arch(i)]
-
     def to_chords_json(self) -> list[list[int]]:
         return [list(c) for c in self.chords()]
 

@@ -17,16 +17,21 @@ embedded column of a link-basis matrix.  The embedding is injective, so
 agreement pins every entry; it is tested at every n <= 4, and
 verify_spin_eigenvector certifies point vectors the same way.
 
+Both tile assemblies read _tile_table, the pattern each of the 2^{2n} row
+configurations makes of each source pattern, built by sweeping the row
+one face at a time through the connectivity states of its open ends
+(_face_steps).
+
 The tile route exists twice: transfer_link_pairs in plain Python
-(transfer_link and set-up use it, and it never imports numpy), and
-transfer_link_limbs, which sums the same tiles in numpy as exact int64
-limbs in base 2^31 for the modular kernel; tests require the two to agree
-entrywise.  The kernel reduces the limbs mod each prime (limbs_mod) and
-certifies its candidate with limbs_matvec, the exact product of the
-matrix with an integer vector: balanced_limbs carries the limbs into
-signed 31-bit range, and one float64 matmul against narrow limbs of the
-vector keeps every partial sum an integer of at most 2^53 in absolute
-value, so nothing is rounded.
+(transfer_link and set-up use it, and neither it nor the table builder
+imports numpy), and transfer_link_limbs, which sums the same tiles in
+numpy as exact int64 limbs in base 2^31 for the modular kernel; tests
+require the two to agree entrywise.  The kernel reduces the limbs mod
+each prime (limbs_mod) and certifies its candidate with limbs_matvec,
+the exact product of the matrix with an integer vector: balanced_limbs
+carries the limbs into signed 31-bit range, and one float64 matmul
+against narrow limbs of the vector keeps every partial sum an integer of
+at most 2^53 in absolute value, so nothing is rounded.
 
 Operators are always built at specific parameter values; nothing here is
 symbolic in z or t.
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 from .cyclo import (
     CycloNum,
@@ -246,71 +252,83 @@ def spin_route_agrees(t, zs, n: int, matrix: LinkOperator) -> bool:
 # the glue tile connects S-W and N-E; with every face passing, the row is
 # the one-step rotation, matching the twisted spin trace exactly.
 
-_PORT_S, _PORT_N, _PORT_W, _PORT_E = 0, 1, 2, 3
-_PASS = {_PORT_S: _PORT_E, _PORT_E: _PORT_S, _PORT_W: _PORT_N, _PORT_N: _PORT_W}
-_GLUE = {_PORT_S: _PORT_W, _PORT_W: _PORT_S, _PORT_N: _PORT_E, _PORT_E: _PORT_N}
 
+def _face_steps(n: int) -> list[tuple[list[int], list[int]]]:
+    """The row swept face by face: steps[k] = (pass, glue), the state ids
+    after face k + 1 as lookups over the state ids after face k.
 
-def _row_skeleton(n: int, tiles: int) -> list[int]:
-    """Endpoint matching of one row configuration.
-
-    Ports 0..2n-1 are the top points N_1..N_2n, ports 2n..4n-1 the bottom
-    points S_1..S_2n; skeleton[p] is the port reached from p by travelling
-    through the row.  Tile bit i-1 set means face i glues.
+    A state after k faces is the pairing of the 2n + 2 open ends: slot i
+    is the top point N_{i+1} for i < k and the bottom point S_{i+1} from k
+    on, slot 2n the current E port and slot 2n + 1 the W port of face 1.
+    The states before face 1 are the source patterns in canonical order,
+    each with E paired to W.  States are planar pairings of the 2n + 2
+    ends, so every level has at most C_{n+1} of them.  The last step
+    closes the ring (E glued to W) and maps straight to canonical pattern
+    indices.
     """
     m = 2 * n
-    sk = [-1] * (2 * m)
-    for start in range(2 * m):
-        if sk[start] >= 0:
-            continue
-        if start < m:
-            face, port = start + 1, _PORT_N
-        else:
-            face, port = start - m + 1, _PORT_S
-        while True:
-            tile = _GLUE if (tiles >> (face - 1)) & 1 else _PASS
-            out = tile[port]
-            if out == _PORT_N:
-                end = face - 1
-                break
-            if out == _PORT_S:
-                end = m + face - 1
-                break
-            if out == _PORT_E:
-                face = face % m + 1
-                port = _PORT_W
+    e_slot, w_slot = m, m + 1
+    states = [tuple(j - 1 for j in p.pairing) + (w_slot, e_slot)
+              for p in enumerate_patterns(n)]
+    steps = []
+    for k in range(m):
+        ids: dict[tuple, int] = {}
+        pas, glue = [], []
+        for st in states:
+            e, s = st[e_slot], st[k]
+            if e == k:
+                # the strand from E comes back at S_{k+1}: either tile
+                # leaves N_{k+1} paired with the new E (glue closes a loop)
+                p = g = st
             else:
-                face = (face - 2) % m + 1
-                port = _PORT_E
-        sk[start] = end
-        sk[end] = start
-    return sk
+                # pass: N_{k+1} takes E's partner, the new E takes S's
+                p = list(st)
+                p[k], p[e], p[e_slot], p[s] = e, k, s, e_slot
+                # glue: the partners of E and S join, N_{k+1} pairs with E
+                g = list(st)
+                g[e], g[s], g[k], g[e_slot] = s, e, e_slot, k
+                p, g = tuple(p), tuple(g)
+            pas.append(ids.setdefault(p, len(ids)))
+            glue.append(ids.setdefault(g, len(ids)))
+        steps.append((pas, glue))
+        states = list(ids)
+    index = pattern_index(n)
+    final = []
+    for st in states:
+        st = list(st)
+        e, w = st[e_slot], st[w_slot]
+        if e != w_slot:  # E meeting W itself closes a loop
+            st[e], st[w] = w, e
+        final.append(index[tuple(x + 1 for x in st[:m])])
+    pas, glue = steps[-1]
+    steps[-1] = ([final[x] for x in pas], [final[x] for x in glue])
+    return steps
 
 
 @lru_cache(maxsize=None)
 def _tile_table(n: int):
-    """table[src][tiles] = canonical index of the resulting pattern,
-    stored as compact uint16 arrays (the table dominates memory at n = 7)."""
+    """table[src][tiles] = canonical index of the pattern the row
+    configuration ``tiles`` (bit k - 1 set: face k glues) sends src to,
+    stored as compact uint16 arrays (the table dominates memory at n = 7).
+
+    Built by the face sweep of _face_steps: a source's row of states after
+    k faces is a tuple of 2^k state ids, and face k + 1 maps it through
+    the pass lookup, then through the glue lookup appended after it; only
+    the finished row is stored.  The sweep holds 132 states before face 1
+    and at most 429 (= C_7) per level at n = 6, 429 and 1,430 at n = 7, so
+    the lookups are small and nearly all the work is the 2 * 4^n lookups
+    per source.
+    """
     from array import array
 
-    patterns = enumerate_patterns(n)
-    index = pattern_index(n)
-    m = 2 * n
-    nconf = 1 << m
-    table = [array("H", bytes(2 * nconf)) for _ in patterns]
-    for tiles in range(nconf):
-        sk = _row_skeleton(n, tiles)
-        for src, p in enumerate(patterns):
-            pairing = [0] * m
-            for i in range(m):
-                if pairing[i]:
-                    continue
-                port = sk[i]
-                while port >= m:  # descend through the old pattern
-                    port = sk[m + p.partner(port - m + 1) - 1]
-                pairing[i] = port + 1
-                pairing[port] = i + 1
-            table[src][tiles] = index[tuple(pairing)]
+    (pas, glue), *rest = _face_steps(n)
+    table = []
+    for src in range(len(pas)):
+        row = (pas[src], glue[src])
+        for pas_k, glue_k in rest:
+            get = itemgetter(*row)
+            row = get(pas_k) + get(glue_k)
+        table.append(array("H", row))
     return tuple(table)
 
 
@@ -350,21 +368,17 @@ def transfer_link_pairs(n: int, zs, t) -> list[list[tuple]]:
     never loads numpy; transfer_link_limbs is the numpy route the modular
     kernel uses."""
     table = _tile_table(n)
-    weights = row_weights(n, zs, t)
+    wa, wb = zip(*row_weights(n, zs, t))
     cn = len(table)
-    ma = [[0] * cn for _ in range(cn)]
-    mb = [[0] * cn for _ in range(cn)]
-    wa = [w[0] for w in weights]
-    wb = [w[1] for w in weights]
-    for src in range(cn):
-        row = table[src]
-        for s, dst in enumerate(row):
-            ma[dst][src] += wa[s]
-            mb[dst][src] += wb[s]
-    return [
-        [(ma[r][c], mb[r][c]) for c in range(cn)]
-        for r in range(cn)
-    ]
+    cols = []
+    for row in table:
+        ca = [0] * cn
+        cb = [0] * cn
+        for dst, a, b in zip(row, wa, wb):
+            ca[dst] += a
+            cb[dst] += b
+        cols.append(list(zip(ca, cb)))
+    return [list(r) for r in zip(*cols)]
 
 
 #: bits per limb of transfer_link_limbs: a sum of 2^{2n} limbs below 2^31

@@ -56,7 +56,7 @@ def test_criterion_1_golden_match():
         scale = 3 ** (n * (n - 1) // 2)
         multiset = sorted(int(v.a) for v in ones)
         expect = sorted(scale * k for k in ([1, 1] if n == 2 else [1, 1, 1, 2, 2]))
-        ok &= multiset == expect and all(v.is_rational() for v in ones)
+        ok &= multiset == expect and all(v.b == 0 for v in ones)
     _criterion(1, "golden components for n = 2, 3", ok)
 
 

@@ -57,7 +57,7 @@ def test_psi_point_all_ones_n3():
     pv = psi_point(3, [1] * 6)
     vals = sorted(int(v.a) for v in pv.values)
     assert vals == [27, 27, 27, 54, 54]
-    assert all(v.is_rational() for v in pv.values)
+    assert all(v.b == 0 for v in pv.values)
 
 
 def test_psi_point_matches_golden_at_point():

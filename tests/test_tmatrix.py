@@ -9,10 +9,12 @@ import pytest
 
 import loopsum
 from loopsum.cyclo import CycloNum, ONE, Q, Q_INV, ZERO, integer_pairs
-from loopsum.linkpat import enumerate_patterns, spin_embed
+from loopsum.linkpat import catalan, enumerate_patterns, pattern_index, spin_embed
 from loopsum.solver import ExactMatrix
 from loopsum.tmatrix import (
     LIMB_BITS,
+    _face_steps,
+    _tile_table,
     balanced_limbs,
     check_arch_insertion,
     check_interlacing,
@@ -240,6 +242,111 @@ def test_eigenvalue_factor_form():
     assert lam == expect
 
 
+# the row walked configuration by configuration: the oracle for the face
+# sweep that builds _tile_table
+_PORT_S, _PORT_N, _PORT_W, _PORT_E = 0, 1, 2, 3
+_PASS = {_PORT_S: _PORT_E, _PORT_E: _PORT_S, _PORT_W: _PORT_N, _PORT_N: _PORT_W}
+_GLUE = {_PORT_S: _PORT_W, _PORT_W: _PORT_S, _PORT_N: _PORT_E, _PORT_E: _PORT_N}
+
+
+def _row_skeleton(n: int, tiles: int) -> list[int]:
+    """Endpoint matching of one row configuration.
+
+    Ports 0..2n-1 are the top points N_1..N_2n, ports 2n..4n-1 the bottom
+    points S_1..S_2n; skeleton[p] is the port reached from p by travelling
+    through the row.  Tile bit i-1 set means face i glues.
+    """
+    m = 2 * n
+    sk = [-1] * (2 * m)
+    for start in range(2 * m):
+        if sk[start] >= 0:
+            continue
+        if start < m:
+            face, port = start + 1, _PORT_N
+        else:
+            face, port = start - m + 1, _PORT_S
+        while True:
+            tile = _GLUE if (tiles >> (face - 1)) & 1 else _PASS
+            out = tile[port]
+            if out == _PORT_N:
+                end = face - 1
+                break
+            if out == _PORT_S:
+                end = m + face - 1
+                break
+            if out == _PORT_E:
+                face = face % m + 1
+                port = _PORT_W
+            else:
+                face = (face - 2) % m + 1
+                port = _PORT_E
+        sk[start] = end
+        sk[end] = start
+    return sk
+
+
+def _walk(n: int, sk: list[int], pattern) -> int:
+    """Canonical index of the pattern the row with skeleton sk makes of
+    ``pattern``: every top point follows the row down through the old
+    pattern until it comes back up."""
+    m = 2 * n
+    pairing = [0] * m
+    for i in range(m):
+        if pairing[i]:
+            continue
+        port = sk[i]
+        while port >= m:  # descend through the old pattern
+            port = sk[m + pattern.partner(port - m + 1) - 1]
+        pairing[i] = port + 1
+        pairing[port] = i + 1
+    return pattern_index(n)[tuple(pairing)]
+
+
+def tile_table_by_rows(n: int) -> tuple:
+    """_tile_table rebuilt by walking every row configuration against
+    every source pattern."""
+    from array import array
+
+    patterns = enumerate_patterns(n)
+    table = [array("H", bytes(2 << (2 * n))) for _ in patterns]
+    for tiles in range(1 << (2 * n)):
+        sk = _row_skeleton(n, tiles)
+        for src, p in enumerate(patterns):
+            table[src][tiles] = _walk(n, sk, p)
+    return tuple(table)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_tile_table_equals_row_walk(n):
+    got = _tile_table(n)
+    expect = tile_table_by_rows(n)
+    assert len(got) == len(expect) == catalan(n)
+    for row, ref in zip(got, expect):
+        assert row.typecode == "H" and row.tobytes() == ref.tobytes()
+
+
+def test_tile_table_sampled_at_n7():
+    n = 7
+    table = _tile_table(n)
+    patterns = enumerate_patterns(n)
+    assert len(table) == 429 and all(len(row) == 1 << 14 for row in table)
+    rnd = random.Random(7)
+    for _ in range(2000):
+        src, tiles = rnd.randrange(429), rnd.getrandbits(14)
+        assert table[src][tiles] == _walk(n, _row_skeleton(n, tiles), patterns[src])
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_face_sweep_state_counts(n):
+    # states are planar pairings of 2n + 2 ends: at most C_{n+1} per level,
+    # 1,430 at n = 7, far inside the uint16 range of the table
+    steps = _face_steps(n)
+    assert len(steps) == 2 * n and len(steps[0][0]) == catalan(n)
+    for pas, glue in steps[:-1]:
+        assert max(pas + glue) < catalan(n + 1) < 1 << 16
+    assert sorted(set(steps[-1][0] + steps[-1][1])) == list(range(catalan(n)))
+
+
 def _limb_points(n):
     m = 2 * n
     return {
@@ -425,9 +532,11 @@ def test_limb_width_rule_at_n7():
 
 
 def test_setup_stays_numpy_free():
-    # importing numpy costs about as much as the whole check-all 3 set-up
+    # importing numpy costs about as much as the whole check-all 3 set-up;
+    # the n = 6 set-up builds the largest tile table the benchmark uses
     code = ("import sys, loopsum.cli, loopsum.tmatrix; "
             "loopsum.tmatrix.transfer_link_pairs(3, [1] * 6, 1); "
+            "loopsum.tmatrix.transfer_link_pairs(6, [1] * 12, 1); "
             "print('numpy' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(loopsum.__file__)))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
