@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -160,16 +161,23 @@ def cmd_components(args) -> int:
     cap = SYMBOLIC_CAP_LONG if args.allow_long else SYMBOLIC_CAP
     if n > cap:
         raise CapError(f"components capped at n = {cap}")
+    # a file the probe creates is removed again if the build fails
+    created = bool(args.out) and not os.path.exists(args.out)
     if args.out:
-        # fail before the build, which takes minutes at n = 4; append mode
-        # tests the same open without truncating an existing file
+        # fail before the build, which takes about half a minute at n = 4;
+        # append mode tests the same open without truncating an existing file
         try:
             with open(args.out, "a"):
                 pass
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
             return 2
-    g = psi_symbolic(n, threads=args.threads)
+    try:
+        g = psi_symbolic(n, threads=args.threads)
+    except BaseException:
+        if created:
+            os.remove(args.out)
+        raise
     doc = g.to_json()
     if args.out:
         with open(args.out, "w") as fh:

@@ -4,12 +4,13 @@ Exponent vectors are tuples of small non-negative ints, one entry per
 variable; coefficients are CycloNum and never stored when zero.  Terms are
 serialized in graded-lexicographic order so JSON output is canonical.
 
-Interpolation is per-variable Newton divided differences applied recursively
-over a tensor grid; with (bound+1) distinct nodes per variable the result is
-the unique polynomial within the per-variable degree bounds that matches all
-supplied values, and every operation is exact.  reconstruct_homogeneous
-drives it for Psi's reconstruction: sample a grid, interpolate, check the
-degrees and re-homogenize.
+Tensor-grid interpolation applies each axis's inverse Vandermonde matrix,
+scaled to integers, to integer values over one common denominator; with
+(bound+1) distinct nodes per variable the result is the unique polynomial
+within the per-variable degree bounds that matches all supplied values, and
+one exact division per coefficient ends it.  reconstruct_homogeneous drives
+it for Psi's reconstruction: sample a grid, interpolate, check the degrees
+and re-homogenize.
 """
 
 from __future__ import annotations
@@ -367,6 +368,22 @@ def product(nvars: int, factors: Iterable[MPoly]) -> MPoly:
     return acc
 
 
+def _vandermonde_inverse(xs: Sequence[Fraction]) -> tuple[list[list[int]], int]:
+    """(m, d) with integer rows m and d > 0 such that m / d inverts the
+    Vandermonde matrix V[k][i] = xs[k]^i.  Column k of the inverse holds the
+    ascending coefficients of the Lagrange basis polynomial of node k."""
+    cols = []
+    for k, xk in enumerate(xs):
+        basis = [Fraction(1)]
+        for j, xj in enumerate(xs):
+            if j != k:  # times (x - xj) / (xk - xj)
+                basis = [(lo - xj * hi) / (xk - xj)
+                         for lo, hi in zip([Fraction(0)] + basis, basis + [Fraction(0)])]
+        cols.append(basis)
+    d = math.lcm(*(c.denominator for col in cols for c in col))
+    return [[c.numerator * (d // c.denominator) for c in row] for row in zip(*cols)], d
+
+
 def interpolate_grid(values: Sequence, grid: Sequence[Sequence]) -> MPoly:
     """Reconstruct the unique polynomial of degree below len(grid[v]) in
     each variable v that matches ``values`` on the full tensor grid.
@@ -374,6 +391,8 @@ def interpolate_grid(values: Sequence, grid: Sequence[Sequence]) -> MPoly:
     ``grid[v]`` lists the distinct rational nodes of variable v; ``values``
     holds the samples in itertools.product(*grid) order.
     """
+    import numpy as np
+
     nodes: list[list[Fraction]] = []
     for v, axis in enumerate(grid):
         axis = [_frac(x) for x in axis]
@@ -382,52 +401,24 @@ def interpolate_grid(values: Sequence, grid: Sequence[Sequence]) -> MPoly:
         nodes.append(axis)
     nvars = len(nodes)
     dims = [len(ax) for ax in nodes]
-    flat = [as_cyclo(x) for x in values]
-    if len(flat) != math.prod(dims):
-        raise ValueError(f"{len(flat)} values for a grid of {math.prod(dims)} points")
+    pairs, den = integer_pairs(values)
+    if len(pairs) != math.prod(dims):
+        raise ValueError(f"{len(pairs)} values for a grid of {math.prod(dims)} points")
 
-    # Convert axis by axis: along each grid line, Newton divided
-    # differences followed by expansion into monomial coefficients.  The
-    # conversions are linear and act on disjoint indices, so after all
-    # axes the tensor holds the monomial coefficients directly.
-    stride = 1
-    for axis in range(nvars - 1, -1, -1):
-        xs = nodes[axis]
-        m = dims[axis]
-        inv_diff = [
-            [
-                Fraction(1, xs[k] - xs[k - j]) if j and k >= j else None
-                for k in range(m)
-            ]
-            for j in range(m)
-        ]
-        block = stride * m
-        for outer in range(len(flat) // block):
-            base = outer * block
-            for inner in range(stride):
-                start = base + inner
-                line = [flat[start + k * stride] for k in range(m)]
-                for j in range(1, m):
-                    row = inv_diff[j]
-                    for k in range(m - 1, j - 1, -1):
-                        line[k] = (line[k] - line[k - 1]) * row[k]
-                # expand the Newton form into ascending monomial coefficients
-                poly = [line[m - 1]]
-                for k in range(m - 2, -1, -1):
-                    xk = xs[k]
-                    poly = [line[k] - xk * poly[0]] + [
-                        poly[i - 1] - xk * poly[i] for i in range(1, len(poly))
-                    ] + [poly[-1]]
-                for k in range(m):
-                    flat[start + k * stride] = poly[k]
-        stride = block
-
-    terms: dict[tuple[int, ...], CycloNum] = {}
-    for pos, exps in enumerate(itertools.product(*(range(d) for d in dims))):
-        c = flat[pos]
-        if c:
-            terms[exps] = c
-    return MPoly._raw(nvars, terms)
+    # The coefficients are (V_0^-1 (x) ... (x) V_last^-1) applied to the
+    # values.  With V_v^-1 = m_v / d_v, contracting axis after axis with the
+    # integer m_v keeps every entry an exact Python int; each contraction
+    # moves its axis to the back, so at the end the axes are in order again.
+    # The a and b parts ride on axis 0.
+    inverses = {xs: _vandermonde_inverse(xs) for xs in set(map(tuple, nodes))}
+    tensor = np.array(pairs, dtype=object).T.reshape(2, *dims)
+    for xs in nodes:
+        m, d = inverses[tuple(xs)]
+        tensor = np.tensordot(tensor, np.array(m, dtype=object), axes=([1], [1]))
+        den *= d
+    exponents = itertools.product(*(range(d) for d in dims))
+    return MPoly._raw(nvars, {e: from_pair((a, b), den) for e, a, b in
+                              zip(exponents, *tensor.reshape(2, -1).tolist()) if a or b})
 
 
 #: grids with at least this many points are sampled across a process pool:
@@ -450,7 +441,8 @@ def reconstruct_homogeneous(
     ``evaluate`` must be a module-level function.  ``threads`` is clamped
     to that CPU count: more workers would only contend, and they are all
     forked at once.  The first point is evaluated here before any worker
-    starts, and the workers inherit every cache it fills.
+    starts, and the workers inherit every cache it fills.  The pool only
+    samples: interpolation runs in this process once the pool has shut down.
     """
     m = 2 * n
     total_deg = n * (n - 1)
@@ -468,11 +460,9 @@ def reconstruct_homogeneous(
         for values in samples:
             for vl, v in zip(value_lists, values):
                 vl.append(v)
-        jobs = (value_lists, itertools.repeat(nodes))
-        dehoms = list(pool.map(interpolate_grid, *jobs) if pooled
-                      else map(interpolate_grid, *jobs))
     out = []
-    for k, dehom in enumerate(dehoms):
+    for k, values in enumerate(value_lists):
+        dehom = interpolate_grid(values, nodes)
         if any(sum(e) > total_deg for e in dehom.terms):
             raise HomogenizationMismatchError(
                 f"component {k}: interpolant exceeds total degree {total_deg}"

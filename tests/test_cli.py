@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from loopsum import cli
 from loopsum.cli import main
 from loopsum.groundstate import Groundstate, psi_symbolic
@@ -64,6 +66,22 @@ def test_components_bad_out_exits_2_before_the_build(tmp_path, capsys, monkeypat
     for out in (tmp_path / "missing" / "g2.json", tmp_path):
         assert main(["components", "2", "--out", str(out)]) == 2, out
         assert capsys.readouterr().err.startswith("error: "), out
+
+
+def test_components_failed_build_leaves_no_probe_file(tmp_path, monkeypatch):
+    def failed_build(*args, **kwargs):
+        raise RuntimeError("symbolic build failed")
+
+    monkeypatch.setattr(cli, "psi_symbolic", failed_build)
+    out = tmp_path / "g2.json"
+    with pytest.raises(RuntimeError):
+        main(["components", "2", "--out", str(out)])
+    assert not out.exists()
+    # a file that was there before the probe is kept as it was
+    out.write_text("kept")
+    with pytest.raises(RuntimeError):
+        main(["components", "2", "--out", str(out)])
+    assert out.read_text() == "kept"
 
 
 def test_check_all_n2(capsys):

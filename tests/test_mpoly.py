@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -189,15 +190,68 @@ def test_eval_matches_term_by_term(p, point):
     assert p.eval(point) == _eval_term_by_term(p, point)
 
 
+def _newton_interpolate(values, grid):
+    """Oracle: per-variable Newton divided differences over the tensor grid,
+    in Fraction arithmetic, expanded into monomial coefficients."""
+    nodes = [[Fraction(x) for x in axis] for axis in grid]
+    dims = [len(ax) for ax in nodes]
+    flat = [as_cyclo(x) for x in values]
+    assert len(flat) == math.prod(dims)
+    # the conversions are linear and act on disjoint indices, so after all
+    # axes the tensor holds the monomial coefficients directly
+    stride = 1
+    for axis in range(len(nodes) - 1, -1, -1):
+        xs = nodes[axis]
+        m = dims[axis]
+        block = stride * m
+        for outer in range(len(flat) // block):
+            for inner in range(stride):
+                start = outer * block + inner
+                line = [flat[start + k * stride] for k in range(m)]
+                for j in range(1, m):
+                    for k in range(m - 1, j - 1, -1):
+                        line[k] = (line[k] - line[k - 1]) * Fraction(1, xs[k] - xs[k - j])
+                # expand the Newton form into ascending monomial coefficients
+                poly = [line[m - 1]]
+                for k in range(m - 2, -1, -1):
+                    xk = xs[k]
+                    poly = [line[k] - xk * poly[0]] + [
+                        poly[i - 1] - xk * poly[i] for i in range(1, len(poly))
+                    ] + [poly[-1]]
+                for k in range(m):
+                    flat[start + k * stride] = poly[k]
+        stride = block
+    exponents = itertools.product(*(range(d) for d in dims))
+    return MPoly(len(nodes), dict(zip(exponents, flat)))
+
+
+# distinct nodes per axis, 1 to 4 of them, with 0, negatives and fractions
+grid_axes = st.lists(
+    st.one_of(st.sampled_from([0, -1, 1, 2, -3]),
+              st.fractions(min_value=-5, max_value=5, max_denominator=4)),
+    min_size=1, max_size=4, unique_by=Fraction,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(grid_axes, min_size=1, max_size=3), st.data())
+def test_interpolate_grid_matches_newton_oracle(grid, data):
+    # axes differ, may hold a single node, and the values carry denominators
+    size = math.prod(map(len, grid))
+    values = data.draw(st.lists(fractional_coeffs, min_size=size, max_size=size))
+    assert interpolate_grid(values, grid) == _newton_interpolate(values, grid)
+
+
 def test_pool_workers_clamped_to_cpus(monkeypatch):
-    # a serial stand-in for the pool records the worker count asked for;
-    # no real pool is started
+    # a serial stand-in for the pool records the worker count asked for and
+    # every function sent across it; no real pool is started
     import os
 
     from loopsum import mpoly
     from loopsum.groundstate import _psi_grid_values, psi_symbolic
 
     seen = []
+    mapped = []
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -210,6 +264,7 @@ def test_pool_workers_clamped_to_cpus(monkeypatch):
             return False
 
         def map(self, fn, *iterables, chunksize=1):
+            mapped.append(fn)
             return map(fn, *iterables)
 
     monkeypatch.setattr(mpoly, "ProcessPoolExecutor", SerialPool)
@@ -218,8 +273,11 @@ def test_pool_workers_clamped_to_cpus(monkeypatch):
     pooled = [cpus] if cpus > 1 else []
     for threads in (100000, None):
         seen.clear()
+        mapped.clear()
         comps = mpoly.reconstruct_homogeneous(_psi_grid_values, 2, threads)
         assert seen == pooled
+        # only the grid evaluator crosses the pool: interpolation never forks
+        assert mapped == [_psi_grid_values] * len(pooled)
         assert comps == list(psi_symbolic(2).components)
     seen.clear()
     mpoly.reconstruct_homogeneous(_psi_grid_values, 2, 1)
