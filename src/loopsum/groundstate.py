@@ -62,13 +62,12 @@ from .mpoly import HomogenizationMismatchError, MPoly, product, reconstruct_homo
 from .report import CheckReport
 from .tmatrix import (
     _qdiff,
-    balanced_limbs,
     e_link_matrix,
     eigenvalue,
-    limbs_matvec,
+    kernel_matrix_limbs,
     limbs_mod,
+    limbs_vanish,
     transfer_link,
-    transfer_link_limbs,
     verify_spin_eigenvector,
 )
 
@@ -138,30 +137,11 @@ class PointVector:
     values: tuple
 
 
-def _residual_vanishes(tlimbs, lam: tuple[int, int], va: list[int],
-                       vb: list[int]) -> bool:
-    """(T - Lambda) v = 0 for the integer vector v = va + vb w, exactly.
-
-    T is the transfer matrix in balanced_limbs form and Lambda an integer
-    pair.  limbs_matvec computes T v exactly (float64 integers within a
-    checked 2^53 bound); each coordinate is compared with Lambda v.  A
-    candidate with denominators is passed with them cleared, which does
-    not change whether the residual vanishes.
-    """
-    sa, sb = limbs_matvec(tlimbs, va, vb)
-    la, lb = lam
-    for ta, tb, x, y in zip(sa, sb, va, vb):
-        bd = lb * y
-        if ta != la * x - bd or tb != la * y + lb * x - bd:
-            return False
-    return True
-
-
 #: Primes below 2^30 keep the modular kernel inside int64.  Elimination:
 #: each update is a product of two residues, p^2 < 2^60 < 2^62, and
 #: nullspace_mod_np reduces before such products could sum past 2^63.
-#: Assembly: the tile sums in reduceat are exact 31-bit limbs,
-#: 2^(2n) * 2^31 < 2^63 for n <= 15 whatever p, and limbs_mod scales their
+#: Assembly: the tile sums in reduceat are exact 30-bit limbs,
+#: 2^(2n) * 2^30 < 2^63 for n <= 16 whatever p, and limbs_mod scales their
 #: residues by residues, again below p^2.
 _PRIME_START = (1 << 29) + 1
 #: primes combined per kernel solve; about 30 bits each
@@ -177,7 +157,8 @@ def _kernel_modular(n: int, zs_int, t_int, base_val: CycloNum,
                     pi0: int) -> list[CycloNum]:
     """Kernel vector normalized to base_val at pi0, via CRT over primes.
 
-    Each batch of primes is one stack of matrices T - Lambda over F_p, one
+    The exact matrix T - Lambda is built once, as kernel_matrix_limbs.
+    Each batch of primes is one stack of its reductions over F_p, one
     member for each embedding w -> g, g^2 of each prime, eliminated by a
     single nullspace_mod_np call.  The first batch is sized from base_val,
     the value at pi0, which is known before the solve: enough primes for
@@ -186,24 +167,21 @@ def _kernel_modular(n: int, zs_int, t_int, base_val: CycloNum,
     certified; rational reconstruction is the fallback for fractional
     values, and each failed certification adds a batch of two primes.  A
     candidate is only accepted with base_val at pi0 and after the exact
-    residual check against the exact transfer matrix, so unlucky primes
+    residual check against the same limbs (limbs_vanish), so unlucky primes
     or a short modulus cost retries, never correctness.  At most
     _MAX_PRIMES primes are combined and at most 2 * _MAX_PRIMES are tried,
     skipped ones included.
     """
     import numpy as np
 
-    limbs = transfer_link_limbs(n, zs_int, t_int)
-    tlimbs = balanced_limbs(limbs)
-    lam = eigenvalue(t_int, zs_int)
-    lam_int = (lam.a.numerator, lam.b.numerator)
+    limbs = kernel_matrix_limbs(n, zs_int, t_int)
     cn = limbs.shape[2]
-    diag = np.arange(cn)
 
     def certified(va, vb, den=1) -> bool:
-        # the candidate (va + vb w) / den
+        # the candidate (va + vb w) / den; clearing den does not change
+        # whether (T - Lambda) v vanishes
         return (from_pair((va[pi0], vb[pi0]), den) == base_val
-                and _residual_vanishes(tlimbs, lam_int, va, vb))
+                and limbs_vanish(limbs, va, vb))
 
     residues_a = residues_b = [0] * cn
     modulus = 1
@@ -229,22 +207,18 @@ def _kernel_modular(n: int, zs_int, t_int, base_val: CycloNum,
         for p, g in fresh:
             try:
                 base_p = (fraction_mod(base_val.a, p), fraction_mod(base_val.b, p))
-                lam_p = (lam_int[0] % p, lam_int[1] % p)
             except ZeroDivisionError:
                 continue
-            members.append((p, (g, g * g % p), base_p, lam_p))
+            members.append((p, (g, g * g % p), base_p))
         stack = np.empty((2 * len(members), cn, cn), dtype=np.int64)
-        for k, (p, ws, _, lam_p) in enumerate(members):
+        for k, (p, ws, _) in enumerate(members):
             amat, bmat = limbs_mod(limbs, p)
-            for e, w in enumerate(ws):
-                rows = stack[2 * k + e]
-                np.multiply(bmat, w, out=rows)
-                rows += amat
-                rows %= p
-                rows[diag, diag] = (rows[diag, diag] - (lam_p[0] + lam_p[1] * w)) % p
+            # a + b w at both embeddings of w: products of residues below
+            # 2^30 stay inside int64
+            stack[2 * k:2 * k + 2] = (bmat * np.array(ws)[:, None, None] + amat) % p
         bases = nullspace_mod_np(stack, [m[0] for m in members for _ in (0, 1)])
         degenerate = None
-        for k, (p, ws, base_p, _) in enumerate(members):
+        for k, (p, ws, base_p) in enumerate(members):
             per_embed = []
             for e, w in enumerate(ws):
                 basis = bases[2 * k + e]

@@ -275,13 +275,16 @@ class MPoly:
         if var == target:
             raise ValueError("substitution variable must differ from target")
         s = as_cyclo(scale)
+        powers = [ONE]
+        for _ in range(max((e[var] for e in self.terms), default=0)):
+            powers.append(powers[-1] * s)
         terms: dict[tuple[int, ...], CycloNum] = {}
         for e, c in self.terms.items():
             k = e[var]
             ne = list(e)
             ne[var] = 0
             ne[target] += k
-            c2 = c * s**k if k else c
+            c2 = c * powers[k] if k else c
             ne = tuple(ne)
             acc = terms.get(ne)
             acc = c2 if acc is None else acc + c2
@@ -396,6 +399,8 @@ def interpolate_grid(values: Sequence, grid: Sequence[Sequence]) -> MPoly:
     nodes: list[list[Fraction]] = []
     for v, axis in enumerate(grid):
         axis = [_frac(x) for x in axis]
+        if not axis:
+            raise ValueError(f"axis {v} has no nodes")
         if len(set(axis)) != len(axis):
             raise DuplicateNodeError(f"axis {v} has repeated nodes")
         nodes.append(axis)

@@ -24,14 +24,11 @@ one face at a time through the connectivity states of its open ends
 
 The tile route exists twice: transfer_link_pairs in plain Python
 (transfer_link and set-up use it, and neither it nor the table builder
-imports numpy), and transfer_link_limbs, which sums the same tiles in
-numpy as exact int64 limbs in base 2^31 for the modular kernel; tests
-require the two to agree entrywise.  The kernel reduces the limbs mod
-each prime (limbs_mod) and certifies its candidate with limbs_matvec,
-the exact product of the matrix with an integer vector: balanced_limbs
-carries the limbs into signed 31-bit range, and one float64 matmul
-against narrow limbs of the vector keeps every partial sum an integer of
-at most 2^53 in absolute value, so nothing is rounded.
+imports numpy), and kernel_matrix_limbs, which sums the same tiles in
+numpy into the exact matrix T - Lambda as balanced int64 limbs; tests
+require the two to agree entrywise.  The modular kernel reduces those
+limbs mod each prime (limbs_mod) and certifies its candidate with
+limbs_vanish, an exact zero test of (T - Lambda) v.
 
 Operators are always built at specific parameter values; nothing here is
 symbolic in z or t.
@@ -365,7 +362,7 @@ def transfer_link_pairs(n: int, zs, t) -> list[list[tuple]]:
     """Link-basis transfer matrix as (a, b) coefficient pairs, tile route.
 
     Plain Python, so importing the package and building small matrices
-    never loads numpy; transfer_link_limbs is the numpy route the modular
+    never loads numpy; kernel_matrix_limbs is the numpy route the modular
     kernel uses."""
     table = _tile_table(n)
     wa, wb = zip(*row_weights(n, zs, t))
@@ -381,9 +378,12 @@ def transfer_link_pairs(n: int, zs, t) -> list[list[tuple]]:
     return [list(r) for r in zip(*cols)]
 
 
-#: bits per limb of transfer_link_limbs: a sum of 2^{2n} limbs below 2^31
-#: in absolute value stays inside int64 for every n <= 15
-LIMB_BITS = 31
+#: bits per limb of kernel_matrix_limbs: a sum of 2^{2n} limbs below 2^30
+#: in absolute value stays inside int64 for every n <= 16
+LIMB_BITS = 30
+#: bits per digit of the vector in limbs_vanish, half a limb: limb k of
+#: the matrix lands on digit 2k of the image
+DIGIT_BITS = 15
 
 
 @lru_cache(maxsize=None)
@@ -429,12 +429,12 @@ def _balanced_split(values: list[int], width: int = LIMB_BITS):
 
 def _weight_limbs(n: int, zs, t):
     """row_weights(n, zs, t) as int64 limbs of shape (2L, 2^{2n}), rows
-    (a limb 0, b limb 0, a limb 1, ...): limbs in [0, 2^31) but the top
+    (a limb 0, b limb 0, a limb 1, ...): limbs in [0, 2^30) but the top
     one, which carries the sign.
 
     A weight is the product of the weights of its two half rows, so only
     the 2 * 2^n half-row weights are Python ints.  Their balanced limbs
-    meet in outer products below 2^62, whose low and high 31 bits
+    meet in outer products below 2^60, whose low and high 30 bits
     accumulate in separate limbs; one carry pass normalizes the sums.
     """
     import numpy as np
@@ -471,16 +471,15 @@ def _weight_limbs(n: int, zs, t):
     return acc[:nlimbs].reshape(2 * nlimbs, -1)
 
 
-def transfer_link_limbs(n: int, zs, t):
-    """The tile-route transfer matrix in numpy, exactly, as int64 limbs.
+def kernel_matrix_limbs(n: int, zs, t):
+    """T - Lambda in numpy, exactly, as balanced int64 limbs.
 
     zs and t must be integers.  Returns an array of shape (2, L, C, C):
-    entry (a, b) of transfer_link_pairs at [r][c] is
-    sum_k limbs[0 or 1, k, r, c] * 2^(31 k).  The row weights are split
-    into limbs in [0, 2^31) with a signed top limb, but a limb of the
-    result sums up to 2^{2n} of them, so it can reach 2^{31 + 2n} (37 bits
-    at n = 4 and 40 at n = 6 were measured); balanced_limbs carries them
-    back into 31-bit range.
+    the a and b parts of entry [r][c] of transfer_link_pairs, less
+    eigenvalue(t, zs) when r == c, are sum_k limbs[0 or 1, k, r, c] *
+    2^(30 k), with every limb in [-2^29, 2^29).  A limb of the tile sum
+    can reach 2^{30 + 2n}; one balanced carry pass after the eigenvalue is
+    subtracted brings it back, with one more limb where needed.
     """
     import numpy as np
 
@@ -492,87 +491,70 @@ def transfer_link_limbs(n: int, zs, t):
     out = np.zeros((2 * nlimbs, cn, cn), dtype=np.int64)
     for src, (order, starts, dst) in enumerate(scatter):
         out[:, dst, src] = np.add.reduceat(w[:, order], starts, axis=1)
-    return out.reshape(nlimbs, 2, cn, cn).swapaxes(0, 1)
-
-
-def balanced_limbs(limbs):
-    """transfer_link_limbs carried into balanced limbs: the same entries,
-    every limb in [-2^30, 2^30), with one more limb where the carries need
-    it."""
-    import numpy as np
-
+    raw = out.reshape(nlimbs, 2, cn, cn)
+    lam = eigenvalue(t, zs)
+    # |Lambda| is the modulus of the all-pass row weight, so Lambda needs
+    # no more limbs than the weights
+    lam_limbs = _balanced_split([int(lam.a), int(lam.b)])
+    diag = np.arange(cn)
+    raw[:len(lam_limbs), :, diag, diag] -= lam_limbs[:, :, None]
     half = 1 << (LIMB_BITS - 1)
-    parts = list(limbs.swapaxes(0, 1))
-    out = []
-    carry = np.zeros_like(parts[0])
-    while len(out) < len(parts) or carry.any():
-        k = len(out)
-        x = parts[k] + carry if k < len(parts) else carry
+    limbs = []
+    carry = np.zeros_like(raw[0])
+    while len(limbs) < nlimbs or carry.any():
+        k = len(limbs)
+        x = raw[k] + carry if k < nlimbs else carry
         carry = (x + half) >> LIMB_BITS
-        out.append(x - (carry << LIMB_BITS))
-    return np.stack(out, axis=1)
+        limbs.append(x - (carry << LIMB_BITS))
+    return np.stack(limbs, axis=1)
 
 
-def residual_limb_bits(cn: int) -> int:
-    """Limb width w of the vector in limbs_matvec for a matrix with cn
-    columns: the largest w with cn * 2^30 * 2^(w-1) <= 2^53.  A row of cn
-    products of two balanced limbs (|x| <= 2^30, |y| <= 2^(w-1)) then sums
-    to at most 2^53 in absolute value, and so does every partial sum, so
-    float64 holds each one exactly."""
-    return 53 - (LIMB_BITS - 1) + 1 - (cn - 1).bit_length()
+def limbs_vanish(limbs, xs: list[int], ys: list[int]) -> bool:
+    """True iff M (x + y w) = 0, exactly, for M in kernel_matrix_limbs
+    form and integer vectors x, y.
 
-
-def limbs_matvec(tlimbs, xs: list[int], ys: list[int]) -> tuple[list, list]:
-    """T (x + y w), exactly, for T in balanced_limbs form and integer
-    vectors x, y; returns the a and b parts of the image as Python ints.
-
-    x and y are split into balanced limbs of residual_limb_bits(C) bits
-    and meet T's limbs in one float64 matmul.  Its partial sums are carried
-    into digits of that width in int64, packed into chunks of at most 60
-    bits and folded into Python ints.
+    x and y are split into balanced DIGIT_BITS-bit digits and meet M's
+    limbs in one float64 matmul: a product of a limb and a digit is at
+    most 2^29 * 2^14 in absolute value, so for C <= 1024 columns every
+    partial sum is an integer of at most 2^53 and float64 holds it
+    exactly.  Limb k of M then lands on digit 2k of the image, and one
+    carry pass in int64 tests every digit for zero, the carry out of the
+    top one included.
     """
     import numpy as np
 
-    _, nt, cn, _ = tlimbs.shape
-    width = residual_limb_bits(cn)
-    assert cn << (LIMB_BITS - 1 + width - 1) <= 1 << 53
-    if tlimbs.size and max(-tlimbs.min(), tlimbs.max()) > 1 << (LIMB_BITS - 1):
+    _, nl, cn, _ = limbs.shape
+    assert cn << (LIMB_BITS - 1 + DIGIT_BITS - 1) <= 1 << 53
+    if limbs.size and max(-limbs.min(), limbs.max()) > 1 << (LIMB_BITS - 1):
         raise ValueError("matrix limbs are not balanced")
-    vlimbs = _balanced_split(list(xs) + list(ys), width)
-    nv = len(vlimbs)
-    # columns: the limbs of x, then the limbs of y
-    vmat = vlimbs.astype(np.float64).reshape(nv, 2, cn).transpose(2, 1, 0).reshape(cn, 2 * nv)
-    prod = tlimbs.reshape(-1, cn).astype(np.float64) @ vmat
-    # [part of T, limb of T, row, part of v, limb of v]
-    p = prod.astype(np.int64).reshape(2, nt, cn, 2, nv)
+    digits = _balanced_split(list(xs) + list(ys), DIGIT_BITS)
+    nd = len(digits)
+    # columns: the digits of x, then the digits of y
+    vmat = digits.astype(np.float64).reshape(nd, 2, cn).transpose(2, 1, 0).reshape(cn, 2 * nd)
+    prod = limbs.reshape(-1, cn).astype(np.float64) @ vmat
+    # [part of M, limb of M, row, part of v, digit of v]
+    p = prod.astype(np.int64).reshape(2, nl, cn, 2, nd)
     # (a + b w)(x + y w) = (a x - b y) + (a y + b x - b y) w, below 2^55
     by = p[1, :, :, 1]
-    digits = np.stack([p[0, :, :, 0] - by, p[0, :, :, 1] + p[1, :, :, 0] - by])
-    # carried into base 2^width, the padding digits leave 0 or -1 on top
-    mask = (1 << width) - 1
-    per_chunk = 60 // width
-    nd = -(-(nv + 56 // width + 1) // per_chunk) * per_chunk
-    digits = np.concatenate(
-        [digits, np.zeros(digits.shape[:-1] + (nd - nv,), dtype=np.int64)], axis=-1)
-    for j in range(nd - 1):
-        carry = digits[..., j] >> width
-        digits[..., j] &= mask
-        digits[..., j + 1] += carry
-    chunks = (digits.reshape(digits.shape[:-1] + (-1, per_chunk))
-              << (width * np.arange(per_chunk))).sum(axis=-1).astype(object)
-    acc = chunks[..., -1]
-    for c in range(chunks.shape[-1] - 2, -1, -1):
-        acc = (acc << (width * per_chunk)) + chunks[..., c]
-    # acc[part, limb of T, row]
-    out = acc[:, -1]
-    for k in range(nt - 2, -1, -1):
-        out = (out << LIMB_BITS) + acc[:, k]
-    return out[0].tolist(), out[1].tolist()
+    terms = np.stack([p[0, :, :, 0] - by, p[0, :, :, 1] + p[1, :, :, 0] - by])
+    image = np.zeros((2, cn, 2 * nl + nd - 2), dtype=np.int64)
+    for k in range(nl):
+        image[..., 2 * k:2 * k + nd] += terms[:, k]
+    mask = (1 << DIGIT_BITS) - 1
+    carry = 0
+    for j in range(image.shape[-1]):
+        x = image[..., j] + carry
+        if (x & mask).any():
+            return False
+        carry = x >> DIGIT_BITS
+    return not np.any(carry)
 
 
 def limbs_mod(limbs, p: int):
-    """The (a, b) coefficient matrices of transfer_link_limbs reduced mod p,
-    shape (2, C, C); needs p < 2^31 so every product stays inside int64."""
+    """The (a, b) coefficient matrices of kernel_matrix_limbs reduced mod
+    p, shape (2, C, C); needs p < 2^31 so every product stays inside
+    int64.  numpy's % is a floor mod, so negative limbs reduce as they
+    are."""
     acc = limbs[:, 0] % p
     for k in range(1, limbs.shape[1]):
         acc = (acc + limbs[:, k] % p * pow(2, LIMB_BITS * k, p)) % p

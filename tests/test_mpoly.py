@@ -75,6 +75,17 @@ def test_specialize_ratio():
     assert not p.specialize_ratio(1, 0, q * q)
 
 
+@settings(max_examples=40, deadline=None)
+@given(poly_strategy(nvars=3, max_exp=4),
+       st.sampled_from([q * q, CycloNum(Fraction(-3, 2), 2)]))
+def test_specialize_ratio_matches_evaluation(p, s):
+    # z_2 := s z_0, checked by evaluating at a point where it holds
+    pt = [CycloNum(Fraction(2, 3), 1), CycloNum(5, -1)]
+    spec = p.specialize_ratio(2, 0, s)
+    assert all(e[2] == 0 for e in spec.terms)
+    assert spec.eval(pt + [7]) == p.eval(pt + [s * pt[0]])
+
+
 def test_permute_and_swap():
     p = z(3, 0) * z(3, 1) ** 2
     assert p.swap_args(0, 1) == z(3, 1) * z(3, 0) ** 2
@@ -121,6 +132,13 @@ def test_interpolate_missing_point():
     nodes = [[Fraction(0), Fraction(1)]]
     for vals in ([ONE], [ONE, ONE, ONE]):
         with pytest.raises(ValueError):
+            interpolate_grid(vals, nodes)
+
+
+def test_interpolate_empty_axis():
+    # an axis with no nodes is a typed error that names it
+    for vals, nodes in (([], [[]]), ([], [[Fraction(1), Fraction(2)], []])):
+        with pytest.raises(ValueError, match=f"axis {len(nodes) - 1} has no nodes"):
             interpolate_grid(vals, nodes)
 
 

@@ -8,14 +8,15 @@ from math import lcm
 import pytest
 
 import loopsum
+from loopsum import tmatrix
 from loopsum.cyclo import CycloNum, ONE, Q, Q_INV, ZERO, integer_pairs
 from loopsum.linkpat import catalan, enumerate_patterns, pattern_index, spin_embed
 from loopsum.solver import ExactMatrix
 from loopsum.tmatrix import (
+    DIGIT_BITS,
     LIMB_BITS,
     _face_steps,
     _tile_table,
-    balanced_limbs,
     check_arch_insertion,
     check_interlacing,
     check_transfer_commutation,
@@ -24,8 +25,9 @@ from loopsum.tmatrix import (
     e_link_matrix,
     eigenvalue,
     embed,
-    limbs_matvec,
+    kernel_matrix_limbs,
     limbs_mod,
+    limbs_vanish,
     monodromy_apply,
     r_matrix_spin,
     rcheck_link,
@@ -34,12 +36,10 @@ from loopsum.tmatrix import (
     spin_route_agrees,
     transfer_apply_spin,
     transfer_link,
-    transfer_link_limbs,
-    residual_limb_bits,
     transfer_link_pairs,
     verify_spin_eigenvector,
 )
-from loopsum.groundstate import _PRIME_START, _residual_vanishes, psi_point
+from loopsum.groundstate import _PRIME_START, psi_point
 from loopsum.modular import cached_primes
 
 rng = random.Random(123)
@@ -358,34 +358,56 @@ def _limb_points(n):
     }
 
 
+def kernel_pairs(n, zs, t) -> list[list[tuple]]:
+    """transfer_link_pairs less the eigenvalue on the diagonal: T - Lambda
+    as integer pairs, the oracle for kernel_matrix_limbs."""
+    lam = eigenvalue(t, zs)
+    pairs = transfer_link_pairs(n, zs, t)
+    for r, row in enumerate(pairs):
+        a, b = row[r]
+        row[r] = (a - int(lam.a), b - int(lam.b))
+    return pairs
+
+
+def _check_assembly(n, kind, zs, t, limbs):
+    primes = cached_primes(2, _PRIME_START) + cached_primes(1, 10 ** 6)
+    pairs = kernel_pairs(n, zs, t)
+    assert limbs_exact(limbs) == pairs, kind
+    assert -(1 << 29) <= limbs.min() and limbs.max() < 1 << 29, kind
+    for p, g in primes:
+        amat, bmat = limbs_mod(limbs, p).tolist()
+        for gg in (g, g * g % p):
+            embedded = [[(a + gg * b) % p for a, b in row] for row in pairs]
+            assert [[(a + gg * b) % p for a, b in zip(ra, rb)]
+                    for ra, rb in zip(amat, bmat)] == embedded, (kind, p)
+        assert amat == [[a % p for a, _ in row] for row in pairs], (kind, p)
+        assert bmat == [[b % p for _, b in row] for row in pairs], (kind, p)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_numpy_assembly_equals_tile_route(n):
-    primes = cached_primes(2, _PRIME_START) + cached_primes(1, 10 ** 6)
     for kind, (zs, t) in _limb_points(n).items():
-        pairs = transfer_link_pairs(n, zs, t)
-        limbs = transfer_link_limbs(n, zs, t)
+        limbs = kernel_matrix_limbs(n, zs, t)
         weights = [x for w in row_weights(n, zs, t) for x in w]
         if kind == "t-above-z":
             assert min(weights) < 0
         if kind == "large-z" and n > 1:
             assert limbs.shape[1] >= 3
-        assert limbs_exact(limbs) == pairs, kind
-        balanced = balanced_limbs(limbs)
-        assert limbs_exact(balanced) == pairs, kind
-        assert -(1 << 30) <= balanced.min() and balanced.max() < 1 << 30, kind
-        for p, g in primes:
-            amat, bmat = limbs_mod(limbs, p).tolist()
-            for gg in (g, g * g % p):
-                embedded = [[(a + gg * b) % p for a, b in row] for row in pairs]
-                assert [[(a + gg * b) % p for a, b in zip(ra, rb)]
-                        for ra, rb in zip(amat, bmat)] == embedded, (kind, p)
-            assert amat == [[a % p for a, _ in row] for row in pairs], (kind, p)
-            assert bmat == [[b % p for _, b in row] for row in pairs], (kind, p)
+        _check_assembly(n, kind, zs, t, limbs)
+
+
+@pytest.mark.parametrize("n", (2, 4))
+def test_assembly_without_eigenvalue_shift_is_caught(n, monkeypatch):
+    # the bare transfer matrix must not pass as T - Lambda
+    monkeypatch.setattr(tmatrix, "eigenvalue", lambda t, zs: ZERO)
+    for kind, (zs, t) in _limb_points(n).items():
+        with pytest.raises(AssertionError):
+            _check_assembly(n, kind, zs, t, kernel_matrix_limbs(n, zs, t))
 
 
 def limbs_exact(limbs) -> list[list[tuple]]:
-    """transfer_link_pairs rebuilt from transfer_link_limbs, as Python ints:
-    the oracle for the limb routes."""
+    """The integer pairs of kernel_matrix_limbs, as Python ints: the
+    oracle for the limb routes."""
     ma, mb = (
         sum(part[k].astype(object) << (LIMB_BITS * k) for k in range(len(part)))
         for part in limbs
@@ -452,22 +474,16 @@ def _candidates(values, rnd):
 
 
 def _check_residual_on(n, zs, t, values, rnd):
-    limbs = transfer_link_limbs(n, zs, t)
-    pairs = limbs_exact(limbs)
-    tlimbs = balanced_limbs(limbs)
+    limbs = kernel_matrix_limbs(n, zs, t)
+    pairs = transfer_link_pairs(n, zs, t)
     lam = eigenvalue(t, zs)
-    lam_int = (int(lam.a), int(lam.b))
     for name, cand in _candidates(values, rnd).items():
         ints, _ = integer_pairs(cand)
         xs, ys = [a for a, _ in ints], [b for _, b in ints]
-        got = _residual_vanishes(tlimbs, lam_int, xs, ys)
+        got = limbs_vanish(limbs, xs, ys)
         assert got == _residual_ok(pairs, lam, cand), name
         # T - Lambda vanishes at t = 0 and at n = 1: every vector passes
         assert got == (name == "exact" or t == 0 or n == 1), name
-    # the image itself, for the garbage vector
-    expect = ([sum(a * x - b * y for (a, b), x, y in zip(row, xs, ys)) for row in pairs],
-              [sum(a * y + b * x - b * y for (a, b), x, y in zip(row, xs, ys)) for row in pairs])
-    assert limbs_matvec(tlimbs, xs, ys) == expect
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -478,7 +494,7 @@ def test_limb_residual_agrees_with_pair_oracle(n):
     for kind, (zs, t) in _limb_points(n).items():
         values = psi_point(n, zs).values
         if kind == "large-z" and n > 1:
-            assert transfer_link_limbs(n, zs, t).shape[1] >= 3
+            assert kernel_matrix_limbs(n, zs, t).shape[1] >= 3
         _check_residual_on(n, zs, t, values, rnd)
 
 
@@ -493,17 +509,33 @@ def test_limb_residual_fractional_candidates():
 
 
 def test_limb_residual_compares_both_parts():
-    # T = (Lambda + delta) I on a rational vector: delta = w leaves a
-    # residual in the b part alone, delta = 1 in the a part alone
+    # M = delta I on a rational vector: delta = w leaves an image in the b
+    # part alone, delta = 1 in the a part alone
     import numpy as np
 
-    cn, lam = 5, (5, 7)
+    cn = 5
     xs, ys = [3, -1, 4, 1, 5], [0] * cn
     for delta, ok in (((0, 0), True), ((0, 1), False), ((1, 0), False)):
-        tlimbs = np.zeros((2, 1, cn, cn), dtype=np.int64)
+        limbs = np.zeros((2, 1, cn, cn), dtype=np.int64)
         for part in (0, 1):
-            tlimbs[part, 0][np.diag_indices(cn)] = lam[part] + delta[part]
-        assert _residual_vanishes(tlimbs, lam, xs, ys) == ok, delta
+            limbs[part, 0][np.diag_indices(cn)] = delta[part]
+        assert limbs_vanish(limbs, xs, ys) == ok, delta
+
+
+def test_limb_vanish_reads_the_top_digit():
+    # M = s I and v = +-2^45 e_0, whose digits are (0, 0, 0, +-1): the image
+    # is nonzero only in its top digit (s = 1) or only in the carry out of
+    # it (s = 2^15)
+    import numpy as np
+
+    cn = 3
+    for s in (1, 1 << DIGIT_BITS):
+        limbs = np.zeros((2, 1, cn, cn), dtype=np.int64)
+        limbs[0, 0][np.diag_indices(cn)] = s
+        for x in (1 << 45, -(1 << 45)):
+            assert not limbs_vanish(limbs, [x, 0, 0], [0] * cn), (s, x)
+            assert not limbs_vanish(limbs, [0] * cn, [0, 0, x]), (s, x)
+        assert limbs_vanish(limbs, [0] * cn, [0] * cn)
 
 
 def test_limb_width_rule_at_n7():
@@ -511,24 +543,31 @@ def test_limb_width_rule_at_n7():
     import numpy as np
 
     cn = 429
-    width = residual_limb_bits(cn)
-    assert width == 15 and residual_limb_bits(132) == 16
-    assert cn << (30 + width - 1) <= 1 << 53 < cn << (30 + width)
-    # odd limbs one short of the extremes, -(2^30 - 1) in T and
-    # -(2^(w-1) - 1) in the vector: each row sums to 0.84 * 2^53 with its
-    # low bits set, which a limb one bit wider would push past float64
-    big = (1 << 30) - 1
-    tlimbs = np.full((2, 2, cn, cn), -big, dtype=np.int64)
-    entry = -big - (big << LIMB_BITS)
-    low = -((1 << (width - 1)) - 1)
-    top = sum(low << (width * j) for j in range(6))
+    width = LIMB_BITS - 1 + DIGIT_BITS - 1
+    assert cn << width <= 1 << 53 and 1024 << width == 1 << 53
+    # limbs one short of the extremes, -(2^29 - 1) in the a part and
+    # 2^29 - 1 in the b part, so every entry of M is the same a + b w;
+    # digits of the vector near -(2^14 - 1), except in the last entry,
+    # which makes sum(x) = sum(y) = 0 and so M v = 0.  The matmul sums
+    # reach 0.42 * 2^53 with their low bits set, and a x - b y 0.84 * 2^53
+    big = (1 << (LIMB_BITS - 1)) - 1
+    limbs = np.empty((2, 2, cn, cn), dtype=np.int64)
+    limbs[0], limbs[1] = -big, big
+    low = -((1 << (DIGIT_BITS - 1)) - 1)
+    top = sum(low << (DIGIT_BITS * j) for j in range(6))
     xs = [top + k for k in range(cn)]
-    ys = [top - 3 * k for k in range(cn)]
-    sx, sy = sum(xs), sum(ys)
-    assert limbs_matvec(tlimbs, xs, ys) == ([entry * sx - entry * sy] * cn,
-                                            [entry * sy + entry * sx - entry * sy] * cn)
+    ys = [top + 2 * k for k in range(cn)]
+    xs[-1], ys[-1] = -sum(xs[:-1]), -sum(ys[:-1])
+    assert limbs_vanish(limbs, xs, ys)
+    for k, d in ((0, 1), (cn - 1, -1), (7, 1 << 45)):
+        bent = list(xs)
+        bent[k] += d
+        assert not limbs_vanish(limbs, bent, ys), (k, d)
+        bent = list(ys)
+        bent[k] += d
+        assert not limbs_vanish(limbs, xs, bent), (k, d)
     with pytest.raises(ValueError):
-        limbs_matvec(tlimbs * 2, xs, ys)
+        limbs_vanish(limbs * 2, xs, ys)
 
 
 def test_setup_stays_numpy_free():
