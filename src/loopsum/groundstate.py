@@ -10,7 +10,8 @@ Construction is point evaluation plus tensor-grid interpolation: each grid
 point is a small exact kernel solve, the per-variable degree bound n-1
 makes the interpolation exact, and homogeneity (total degree n(n-1)) lets
 one variable be pinned to 1 during sampling.  Every point solve runs
-modularly (symmetric CRT over primes, rational reconstruction as fallback)
+modularly at the point scaled to integers, where the vector normalized on
+the nested pattern is integral and one symmetric CRT lift recovers it,
 but every returned vector is certified by an exact residual check and its
 nested component, so no probabilistic step survives in the results.
 
@@ -51,13 +52,7 @@ from .linkpat import (
     rotate,
     sequence_decomposition,
 )
-from .modular import (
-    cached_primes,
-    crt_lift,
-    fraction_mod,
-    nullspace_mod_np,
-    rational_reconstruct,
-)
+from .modular import cached_primes, crt_lift, nullspace_mod_np
 from .mpoly import HomogenizationMismatchError, MPoly, product, reconstruct_homogeneous
 from .report import CheckReport
 from .tmatrix import (
@@ -153,48 +148,37 @@ def _symmetric(r: int, m: int) -> int:
     return r - m if 2 * r > m else r
 
 
-def _kernel_modular(n: int, zs_int, t_int, base_val: CycloNum,
-                    pi0: int) -> list[CycloNum]:
-    """Kernel vector normalized to base_val at pi0, via CRT over primes.
+def _kernel_modular(n: int, zs_int, t_int, base: tuple[int, int]) -> list[tuple[int, int]]:
+    """The integer kernel vector of T - Lambda at integer z and t whose
+    last coordinate is base, as (a, b) pairs, via CRT over primes.
 
-    The exact matrix T - Lambda is built once, as kernel_matrix_limbs.
-    Each batch of primes is one stack of its reductions over F_p, one
-    member for each embedding w -> g, g^2 of each prime, eliminated by a
-    single nullspace_mod_np call.  The first batch is sized from base_val,
-    the value at pi0, which is known before the solve: enough primes for
-    its bits plus a margin for the other components.  The (a, b)
-    coordinates of the batch are split, lifted once by symmetric CRT and
-    certified; rational reconstruction is the fallback for fractional
-    values, and each failed certification adds a batch of two primes.  A
-    candidate is only accepted with base_val at pi0 and after the exact
-    residual check against the same limbs (limbs_vanish), so unlucky primes
-    or a short modulus cost retries, never correctness.  At most
-    _MAX_PRIMES primes are combined and at most 2 * _MAX_PRIMES are tried,
-    skipped ones included.
+    The last coordinate is the fully nested pattern's, and base is its
+    closed form at z: the integer point makes every component an integer
+    in Z[w], so a symmetric CRT lift recovers them.  The exact matrix
+    T - Lambda is built once, as kernel_matrix_limbs.  Each batch of
+    primes is one stack of its reductions over F_p, one member for each
+    embedding w -> g, g^2 of each prime, eliminated by a single
+    nullspace_mod_np call; a prime at which base vanishes under either
+    embedding cannot scale the kernel line to it and is skipped first.
+    The first batch is sized from the bits of base plus a margin for the
+    other components.  The (a, b) coordinates of the batch are split,
+    lifted once by symmetric CRT and certified: base in the last
+    coordinate, and the exact residual against the same limbs
+    (limbs_vanish).  Each failed certification adds a batch of two
+    primes, so unlucky primes cost retries, never correctness.  A member
+    with no kernel line counts as a strike, and two strikes mean that the
+    exact kernel is not one line.  At most _MAX_PRIMES primes are combined
+    and at most 2 * _MAX_PRIMES are tried, skipped ones included.
     """
     import numpy as np
 
     limbs = kernel_matrix_limbs(n, zs_int, t_int)
     cn = limbs.shape[2]
-
-    def certified(va, vb, den=1) -> bool:
-        # the candidate (va + vb w) / den; clearing den does not change
-        # whether (T - Lambda) v vanishes
-        return (from_pair((va[pi0], vb[pi0]), den) == base_val
-                and limbs_vanish(limbs, va, vb))
-
     residues_a = residues_b = [0] * cn
     modulus = 1
-    # rational reconstruction needs about twice the bits of the values;
-    # start it below a crude magnitude estimate and retry every other prime
-    est_bits = 2 * (n * (n - 1) + 2 * n) * max(
-        int(abs(z)).bit_length() + 2 for z in list(zs_int) + [t_int, 1]
-    )
-    min_primes = max(2, est_bits // 116 + 1)
     # every prime exceeds 2^29; the other components run a few bits past
     # the nested one
-    base_bits = max(abs(x).bit_length() for part in (base_val.a, base_val.b)
-                    for x in (part.numerator, part.denominator))
+    base_bits = max(abs(x).bit_length() for x in base)
     batch = -(-(base_bits + cn.bit_length() + 10) // 29)
     used = lifted = taken = 0
     degenerate_strikes = 0
@@ -205,43 +189,37 @@ def _kernel_modular(n: int, zs_int, t_int, base_val: CycloNum,
         batch = 2
         members = []
         for p, g in fresh:
-            try:
-                base_p = (fraction_mod(base_val.a, p), fraction_mod(base_val.b, p))
-            except ZeroDivisionError:
-                continue
-            members.append((p, (g, g * g % p), base_p))
+            ws = (g, g * g % p)
+            targets = [(base[0] + base[1] * w) % p for w in ws]
+            if all(targets):
+                members.append((p, ws, targets))
         stack = np.empty((2 * len(members), cn, cn), dtype=np.int64)
         for k, (p, ws, _) in enumerate(members):
             amat, bmat = limbs_mod(limbs, p)
             # a + b w at both embeddings of w: products of residues below
             # 2^30 stay inside int64
             stack[2 * k:2 * k + 2] = (bmat * np.array(ws)[:, None, None] + amat) % p
-        bases = nullspace_mod_np(stack, [m[0] for m in members for _ in (0, 1)])
+        lines = nullspace_mod_np(stack, [m[0] for m in members for _ in (0, 1)])
         degenerate = None
-        for k, (p, ws, base_p) in enumerate(members):
+        for k, (p, ws, targets) in enumerate(members):
             per_embed = []
-            for e, w in enumerate(ws):
-                basis = bases[2 * k + e]
-                if len(basis) != 1:
-                    # the kernel mod p can only be larger than the exact
-                    # one; two independent witnesses mean genuine degeneracy
+            for line, target in zip(lines[2 * k:2 * k + 2], targets):
+                if len(line) != 1:
+                    # with base nonzero mod p, no line means a kernel mod p
+                    # larger than one line; it can only be larger than the
+                    # exact one, so two independent witnesses mean genuine
+                    # degeneracy
                     degenerate_strikes += 1
                     if degenerate_strikes >= 2:
                         degenerate = DegenerateKernelError(
-                            f"kernel dimension {len(basis)} (mod {p}) at t={t_int}"
+                            f"no kernel line (mod {p}) at t={t_int}"
                         )
-                    per_embed = None
                     break
-                if basis[0][pi0] == 0:
-                    per_embed = None
-                    break
-                v = basis[0]
-                target = (base_p[0] + base_p[1] * w) % p
-                scale = target * pow(v[pi0], -1, p) % p
-                per_embed.append([x * scale % p for x in v])
+                # the line has last coordinate 1
+                per_embed.append([x * target % p for x in line[0]])
             if degenerate is not None:
                 break
-            if per_embed is None:
+            if len(per_embed) < 2:
                 continue
             # x = a + b g and y = a + b g^2, coordinate by coordinate
             x, y = per_embed
@@ -257,22 +235,8 @@ def _kernel_modular(n: int, zs_int, t_int, base_val: CycloNum,
             lifted = used
             va = [_symmetric(a, modulus) for a in residues_a]
             vb = [_symmetric(b, modulus) for b in residues_b]
-            if certified(va, vb):
-                return [CycloNum(a, b) for a, b in zip(va, vb)]
-            if used >= min_primes:
-                values = []
-                for k in range(cn):
-                    fa = rational_reconstruct(residues_a[k], modulus)
-                    fb = rational_reconstruct(residues_b[k], modulus)
-                    if fa is None or fb is None:
-                        values = None
-                        break
-                    values.append(CycloNum(fa, fb))
-                if values is not None:
-                    ints, den = integer_pairs(values)
-                    if certified([a for a, _ in ints], [b for _, b in ints], den):
-                        return values
-                min_primes = used + 2
+            if (va[-1], vb[-1]) == base and limbs_vanish(limbs, va, vb):
+                return list(zip(va, vb))
         if degenerate is not None:
             raise degenerate
     raise DegenerateKernelError(
@@ -289,11 +253,13 @@ def psi_point(
     """Exact groundstate values at a point, normalized on the nested pattern.
 
     z must be positive rationals (that keeps the normalizing component away
-    from zero and the point off every recursion locus).  The solve is
-    _kernel_modular at z and t scaled to integers by a common factor, which
-    leaves the kernel of T - Lambda unchanged; the vector it returns has
-    passed the exact residual check.  When t is omitted a retry schedule
-    t = 1, 2, 3, ... skips the degenerate choices.  With
+    from zero and the point off every recursion locus).  z and t are scaled
+    to integers by s, the lcm of their denominators, which leaves the
+    kernel of T - Lambda unchanged; _kernel_modular solves there,
+    normalized to the nested component at s z, and the vector it returns
+    has passed the exact residual check.  By homogeneity, dividing every
+    coordinate by s^(n(n-1)) gives the values at z.  When t is omitted a
+    retry schedule t = 1, 2, 3, ... skips the degenerate choices.  With
     spin_certificate=True the result is additionally certified against the
     spin-representation transfer matrix.
     """
@@ -303,14 +269,15 @@ def psi_point(
     if any(x <= 0 for x in z):
         raise ValueError("spectral parameters must be positive rationals")
     schedule = [_frac(t)] if t is not None else [Fraction(k) for k in range(1, 13)]
-    pi0 = pattern_index(n)[fully_nested(n).pairing]
-    base_val = base_component_value(n, z)
     last: Optional[Exception] = None
     for tt in schedule:
         scale = lcm(*(x.denominator for x in z), tt.denominator)
+        zs_int = [int(x * scale) for x in z]
+        base = base_component_value(n, zs_int)
         try:
-            values = _kernel_modular(n, [int(x * scale) for x in z],
-                                     int(tt * scale), base_val, pi0)
+            pairs = _kernel_modular(n, zs_int, int(tt * scale),
+                                    (int(base.a), int(base.b)))
+            values = [from_pair(pair, scale ** (n * (n - 1))) for pair in pairs]
             if spin_certificate and not verify_spin_eigenvector(
                 n, list(z), tt, values
             ):

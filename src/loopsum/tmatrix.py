@@ -517,14 +517,15 @@ def limbs_vanish(limbs, xs: list[int], ys: list[int]) -> bool:
     limbs in one float64 matmul: a product of a limb and a digit is at
     most 2^29 * 2^14 in absolute value, so for C <= 1024 columns every
     partial sum is an integer of at most 2^53 and float64 holds it
-    exactly.  Limb k of M then lands on digit 2k of the image, and one
+    exactly; a wider M raises ValueError.  Limb k of M then lands on digit 2k of the image, and one
     carry pass in int64 tests every digit for zero, the carry out of the
     top one included.
     """
     import numpy as np
 
     _, nl, cn, _ = limbs.shape
-    assert cn << (LIMB_BITS - 1 + DIGIT_BITS - 1) <= 1 << 53
+    if cn << (LIMB_BITS - 1 + DIGIT_BITS - 1) > 1 << 53:
+        raise ValueError(f"{cn} columns are too many for an exact float64 matmul")
     if limbs.size and max(-limbs.min(), limbs.max()) > 1 << (LIMB_BITS - 1):
         raise ValueError("matrix limbs are not balanced")
     digits = _balanced_split(list(xs) + list(ys), DIGIT_BITS)

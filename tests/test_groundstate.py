@@ -151,31 +151,36 @@ def _budgeted(real, corrupt, budget=4000):
     return patched
 
 
-#: values at this point are integers: the symmetric CRT lift certifies them
-#: before rational reconstruction is ever tried
+#: an integer point: the solve runs at z itself
 INTEGER_POINT = [3, 1, 4, 6, 5, 9, 2, 7]
-#: one fractional z makes the values fractional, so only rational
-#: reconstruction can lift them
+#: a fractional point: the solve runs at z scaled to integers by s = 6,
+#: and the lifted values are divided by s^12 afterwards
 FRACTIONAL_POINT = [Fraction(3, 2), 1, 4, 6, 5, 9, 2, Fraction(7, 3)]
+
+
+def _crt_off_once_early(k, res, r1, m1, r2, m2):
+    return [(x + 1) % (m1 * m2) if j == 1 else x for j, x in enumerate(res)] if k == 1 else res
+
+
+def _crt_off_always(k, res, r1, m1, r2, m2):
+    return [(x + 1) % (m1 * m2) for x in res]
+
 
 #: name -> (helper of _kernel_modular, point, corruption(call, true result, *args))
 CORRUPTIONS = {
-    "kernel-entry-off": ("nullspace_mod_np", INTEGER_POINT, lambda k, bases, stack, primes:
-                         [[v[:-1] + [(v[-1] + 1) % primes[0]] for v in bases[0]]]
-                         + bases[1:]),
-    "kernel-zero-at-nested": ("nullspace_mod_np", INTEGER_POINT, lambda k, bases, stack, primes:
-                              [[[0] * stack.shape[2]] for _ in bases]),
+    "kernel-entry-off": ("nullspace_mod_np", INTEGER_POINT, lambda k, lines, stack, primes:
+                         [[v[:-1] + [(v[-1] + 1) % primes[0]] for v in lines[0]]]
+                         + lines[1:]),
+    "kernel-zero-at-nested": ("nullspace_mod_np", INTEGER_POINT, lambda k, lines, stack, primes:
+                              [[[0] * stack.shape[2]] for _ in lines]),
     "kernel-too-large": ("nullspace_mod_np", INTEGER_POINT,
-                         lambda k, bases, stack, primes: [b + b for b in bases]),
-    "lift-off-early": ("rational_reconstruct", FRACTIONAL_POINT, lambda k, frac, r, m:
-                       frac + 1 if frac is not None and k <= 40 else frac),
-    "lift-off-always": ("rational_reconstruct", FRACTIONAL_POINT, lambda k, frac, r, m:
-                        None if frac is None else frac + 1),
-    "crt-off-once-early": ("crt_lift", INTEGER_POINT, lambda k, res, r1, m1, r2, m2:
-                           [(x + 1) % (m1 * m2) if j == 1 else x for j, x in enumerate(res)]
-                           if k == 1 else res),
-    "crt-off-always": ("crt_lift", INTEGER_POINT, lambda k, res, r1, m1, r2, m2:
-                       [(x + 1) % (m1 * m2) for x in res]),
+                         lambda k, lines, stack, primes: [b + b for b in lines]),
+    "kernel-empty": ("nullspace_mod_np", INTEGER_POINT,
+                     lambda k, lines, stack, primes: [[] for _ in lines]),
+    "lift-off-early": ("crt_lift", FRACTIONAL_POINT, _crt_off_once_early),
+    "lift-off-always": ("crt_lift", FRACTIONAL_POINT, _crt_off_always),
+    "crt-off-once-early": ("crt_lift", INTEGER_POINT, _crt_off_once_early),
+    "crt-off-always": ("crt_lift", INTEGER_POINT, _crt_off_always),
 }
 
 
@@ -194,15 +199,19 @@ def test_corrupted_modular_candidates_never_returned(monkeypatch, name):
     assert patched.calls[0] > 0, f"{target} never called"
     if got is not None:
         assert got.values == exact
+    if name == "kernel-empty":
+        # no member has a kernel line: that is degeneracy, never a vector
+        assert got is None
 
 
 def test_psi_point_one_elimination_per_point(monkeypatch):
-    # the first batch of primes covers the integer n = 6 anchor points, so
-    # each point solve eliminates all its matrices in one stacked call
+    # the first batch of primes covers every anchor point, fractional ones
+    # included, so each point solve eliminates all its matrices in one
+    # stacked call
     fixture = Path(__file__).parent / "fixtures" / "psi_points_n5_n6.json"
-    points = [p for p in json.loads(fixture.read_text())["psi_point"]
-              if p["n"] == 6 and all("/" not in z for z in p["z"])]
-    assert len(points) == 2
+    points = json.loads(fixture.read_text())["psi_point"]
+    assert len(points) == 6
+    assert sum(any("/" in z for z in p["z"]) for p in points) == 2
     real = groundstate.nullspace_mod_np
     calls = []
 
@@ -213,9 +222,9 @@ def test_psi_point_one_elimination_per_point(monkeypatch):
     monkeypatch.setattr(groundstate, "nullspace_mod_np", counted)
     for point in points:
         calls.clear()
-        pv = psi_point(6, [Fraction(z) for z in point["z"]])
+        pv = psi_point(point["n"], [Fraction(z) for z in point["z"]])
         assert [v.to_strings() for v in pv.values] == point["values"]
-        assert len(calls) == 1 and calls[0] % 2 == 0
+        assert len(calls) == 1 and calls[0] % 2 == 0, point["z"]
 
 
 def test_psi_point_spin_certificate():

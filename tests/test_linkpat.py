@@ -10,6 +10,7 @@ from loopsum.linkpat import (
     e_apply,
     enumerate_patterns,
     fully_nested,
+    pattern_index,
     phi_embed,
     reflect,
     rotate,
@@ -49,6 +50,14 @@ def test_counts_match_catalan():
 def test_enumeration_is_lex_sorted_and_planar():
     pats = enumerate_patterns(4)
     assert [p.pairing for p in pats] == sorted(p.pairing for p in pats)
+
+
+def test_fully_nested_is_the_last_pattern():
+    # the point solve normalizes its kernel line on the last coordinate,
+    # the nested component, which the lockstep elimination relies on
+    for n in range(1, 8):
+        assert pattern_index(n)[fully_nested(n).pairing] == catalan(n) - 1
+        assert enumerate_patterns(n)[-1] == fully_nested(n)
 
 
 def test_crossing_rejected():

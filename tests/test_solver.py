@@ -10,7 +10,6 @@ from loopsum.modular import (
     crt_lift,
     crt_pair,
     cube_root_mod,
-    fraction_mod,
     is_prime,
     nullspace_mod_np,
     primes_one_mod_three,
@@ -192,30 +191,50 @@ def _modular_cases(rng):
             yield [[0] + row[1:] if k == 0 else row for k, row in enumerate(m)]
 
 
+def fraction_mod(x, p: int) -> int:
+    """A rational number as a residue mod p."""
+    x = Fraction(x)
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def _exact_kernel(m):
+    return nullspace(ExactMatrix([[CycloNum(x, 0) for x in row] for row in m]))
+
+
+def _exact_line_mod(m, p):
+    """What nullspace_mod_np must return for the integer matrix m, from
+    the exact kernel: the kernel vector scaled to last coordinate 1, mod p,
+    when the kernel is one line with a nonzero last coordinate, and []
+    otherwise."""
+    exact = _exact_kernel(m)
+    if len(exact) != 1 or not exact[0][-1]:
+        return []
+    last = exact[0][-1].a
+    return [[fraction_mod(x.a / last, p) for x in exact[0]]]
+
+
 def test_modular_nullspace_matches_exact():
     import numpy as np
 
     rng = random.Random(0)
     primes = cached_primes(1, 10 ** 7) + cached_primes(1, (1 << 29) + 1)
     dims = set()
+    lines = 0
     for m in _modular_cases(rng):
-        exact = nullspace(ExactMatrix([[CycloNum(x, 0) for x in row] for row in m]))
-        dims.add(len(exact))
+        dims.add(len(_exact_kernel(m)))
         for p, _ in primes:
             vec = np.array([[[x % p for x in row] for row in m]], dtype=np.int64)
             (modular,) = nullspace_mod_np(vec, [p])
-            assert modular == [[fraction_mod(x.a, p) for x in v] for v in exact]
+            want = _exact_line_mod(m, p)
+            assert modular == want
+            lines += bool(want)
     assert {0, 1, 2, 3} <= dims
-
-
-def _exact_kernel_mod(m, p):
-    exact = nullspace(ExactMatrix([[CycloNum(x, 0) for x in row] for row in m]))
-    return [[fraction_mod(x.a, p) for x in v] for v in exact]
+    assert lines > 0
 
 
 def test_modular_nullspace_stack_matches_exact():
     # the same cases, stacked by shape with mixed primes: every member's
-    # basis is the exact kernel mod its own prime
+    # result is the exact kernel line mod its own prime, or []
     import numpy as np
 
     rng = random.Random(0)
@@ -224,23 +243,26 @@ def test_modular_nullspace_stack_matches_exact():
     for m in _modular_cases(rng):
         by_shape.setdefault((len(m), len(m[0])), []).append(m)
     dims = set()
+    outcomes = set()
     for mats in by_shape.values():
         ps = [primes[k % len(primes)] for k in range(len(mats))]
         stack = np.array([[[x % p for x in row] for row in m] for m, p in zip(mats, ps)],
                          dtype=np.int64)
-        bases = nullspace_mod_np(stack, ps)
-        assert len(bases) == len(mats)
-        for m, p, basis in zip(mats, ps, bases):
-            want = _exact_kernel_mod(m, p)
-            assert basis == want
-            dims.add(len(want))
+        lines = nullspace_mod_np(stack, ps)
+        assert len(lines) == len(mats)
+        for m, p, line in zip(mats, ps, lines):
+            assert line == _exact_line_mod(m, p)
+            dims.add(len(_exact_kernel(m)))
+            outcomes.add(len(line))
     assert {0, 1, 2, 3} <= dims
+    assert outcomes == {0, 1}
 
 
 def test_modular_nullspace_stack_lockstep_and_split_members():
     # square members: kernel dimension 1 stays in lockstep whether or not
     # the pivots need row swaps; dimension 2, full rank and a kernel
-    # vector that is 0 in the last coordinate leave it
+    # vector that is 0 in the last coordinate leave it with [], and the
+    # members after them keep their places
     import numpy as np
 
     rng = random.Random(3)
@@ -263,40 +285,42 @@ def test_modular_nullspace_stack_lockstep_and_split_members():
     # vector, which is 0 in the last coordinate
     last_zero = [row[:-2] + [0, row[-1]] for row in of_rank(size)]
     members = {
-        "lockstep": kernel_one,
-        "lockstep-swap": swapped,
         "kernel-two": of_rank(size - 2),
+        "lockstep": kernel_one,
         "full-rank": [[rng.randrange(-9, 9) for _ in range(size)] for _ in range(size)],
+        "lockstep-swap": swapped,
         "last-coordinate-zero": last_zero,
     }
     for m in members.values():
         assert (m[0][0] == 0) == (m is swapped)
+    dims = {name: len(_exact_kernel(m)) for name, m in members.items()}
+    assert dims == {"kernel-two": 2, "lockstep": 1, "full-rank": 0,
+                    "lockstep-swap": 1, "last-coordinate-zero": 1}
     ps = [primes[k % len(primes)] for k in range(len(members))]
     stack = np.array([[[x % p for x in row] for row in m]
                       for m, p in zip(members.values(), ps)], dtype=np.int64)
-    bases = nullspace_mod_np(stack, ps)
-    for (name, m), p, basis in zip(members.items(), ps, bases):
-        assert basis == _exact_kernel_mod(m, p), name
-    dims = {name: len(b) for name, b in zip(members, bases)}
-    assert dims["lockstep"] == dims["lockstep-swap"] == 1
-    assert dims["kernel-two"] == 2 and dims["full-rank"] == 0
-    assert dims["last-coordinate-zero"] == 1
-    assert bases[1][0][-1] == 1 and bases[4][0][-1] == 0
+    lines = nullspace_mod_np(stack, ps)
+    for (name, m), p, line in zip(members.items(), ps, lines):
+        assert line == _exact_line_mod(m, p), name
+    found = {name: len(line) for name, line in zip(members, lines)}
+    assert found == {"kernel-two": 0, "lockstep": 1, "full-rank": 0,
+                     "lockstep-swap": 1, "last-coordinate-zero": 0}
+    assert lines[1][0][-1] == lines[3][0][-1] == 1
 
 
 def test_modular_nullspace_past_int64_headroom():
-    # 140 pivots at a 30-bit prime pile up more products than int64 holds
-    # unreduced; the basis must still be the kernel, in echelon form, for
-    # every member of a stack of three
+    # 140 lockstep pivots at a 30-bit prime pile up more products than
+    # int64 holds unreduced; the kernel line must still come out for every
+    # member of a stack of four that keeps a kernel line
     import numpy as np
 
     rng = random.Random(1)
-    primes = [p for p, _ in cached_primes(3, (1 << 29) + 1)]
+    primes = [p for p, _ in cached_primes(4, (1 << 29) + 1)]
     mats = [[[rng.randrange(p) for _ in range(141)] for _ in range(140)] for p in primes]
-    # the third member leaves the lockstep at its zero column 31 with a
-    # full budget of unreduced updates, which must carry over: its pivot
-    # rows are 1, -1, -1, ... and the rows below start -1, 0, 1, 2, ...,
-    # so every multiplier is -1 and every update subtracts (p-1)^2
+    # the third member leaves the lockstep at its zero column 31, after a
+    # full budget of unreduced updates: its pivot rows are 1, -1, -1, ...
+    # and the rows below start -1, 0, 1, 2, ..., so every multiplier is -1
+    # and every update subtracts (p-1)^2
     p, free = primes[2], 31
     m = mats[2]
     for r in range(140):
@@ -305,13 +329,19 @@ def test_modular_nullspace_past_int64_headroom():
         if r < free:
             m[r][free + 1:140] = [p - 1] * (139 - free)
         m[r][free] = 0
-    coeffs = [rng.randrange(p) for _ in range(140)]
-    for row in m:
-        row[140] = sum(a * x for a, x in zip(coeffs, row)) % p
-    bases = nullspace_mod_np(np.array(mats, dtype=np.int64), primes)
-    assert [len(b) for b in bases] == [1, 1, 2]
-    for m, p, basis in zip(mats, primes, bases):
-        assert basis[-1][-1] == 1
-        for v in basis:
+    # the fourth member is L U for unit triangular L and U with -1 off the
+    # diagonal: each of its 140 pivots is 1 on the diagonal, and every
+    # update subtracts (p-1)^2, past the headroom again and again
+    p = primes[3]
+    mats[3] = [[(min(i, j) + (1 if i == j else -1)) % p for j in range(140)] + [0]
+               for i in range(140)]
+    for m, p in zip(mats, primes):
+        coeffs = [rng.randrange(p) for _ in range(140)]
+        for row in m:
+            row[140] = sum(a * x for a, x in zip(coeffs, row[:140])) % p
+    lines = nullspace_mod_np(np.array(mats, dtype=np.int64), primes)
+    assert [len(line) for line in lines] == [1, 1, 0, 1]
+    for m, p, line in zip(mats, primes, lines):
+        for v in line:
+            assert v[-1] == 1
             assert all(sum(a * b for a, b in zip(row, v)) % p == 0 for row in m)
-    assert bases[2][0] == [int(k == free) for k in range(141)]

@@ -570,6 +570,16 @@ def test_limb_width_rule_at_n7():
         limbs_vanish(limbs * 2, xs, ys)
 
 
+def test_limb_width_rule_is_not_an_assert():
+    # past 1024 columns (C = 1430 at n = 8) the float64 matmul is no
+    # longer exact; the guard must hold under python -O as well
+    import numpy as np
+
+    cn = 1025
+    with pytest.raises(ValueError):
+        limbs_vanish(np.zeros((2, 1, cn, cn), dtype=np.int64), [0] * cn, [0] * cn)
+
+
 def test_setup_stays_numpy_free():
     # importing numpy costs about as much as the whole check-all 3 set-up;
     # the n = 6 set-up builds the largest tile table the benchmark uses
