@@ -203,6 +203,8 @@ def pair_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
 def from_pair(pair: tuple[int, int], den: int = 1) -> CycloNum:
     """(a + b w) / den for integers a, b and den > 0."""
     a, b = pair
+    if den == 1:
+        return CycloNum(a, b)
     return CycloNum(Fraction(a, den), Fraction(b, den))
 
 

@@ -11,9 +11,11 @@ point is a small exact kernel solve, the per-variable degree bound n-1
 makes the interpolation exact, and homogeneity (total degree n(n-1)) lets
 one variable be pinned to 1 during sampling.  Every point solve runs
 modularly at the point scaled to integers, where the vector normalized on
-the nested pattern is integral and one symmetric CRT lift recovers it,
-but every returned vector is certified by an exact residual check and its
-nested component, so no probabilistic step survives in the results.
+the nested pattern is integral: one prime's elimination gives its first
+base-p digit and p-adic lifting the rest, and balanced digits make the
+result its symmetric residue.  Every returned vector is certified by an
+exact residual check and its nested component, so no probabilistic step
+survives in the results.
 
 The check_* functions verify the structural identities the vector must
 satisfy: vanishing/recursion under z_{i+1} = q^2 z_i, the exchange
@@ -52,7 +54,7 @@ from .linkpat import (
     rotate,
     sequence_decomposition,
 )
-from .modular import cached_primes, crt_lift, nullspace_mod_np
+from .modular import cached_primes, inverse_apply, nullspace_mod_np, pivot_inverse
 from .mpoly import HomogenizationMismatchError, MPoly, product, reconstruct_homogeneous
 from .report import CheckReport
 from .tmatrix import (
@@ -60,6 +62,7 @@ from .tmatrix import (
     e_link_matrix,
     eigenvalue,
     kernel_matrix_limbs,
+    limbs_lift,
     limbs_mod,
     limbs_vanish,
     transfer_link,
@@ -139,109 +142,145 @@ class PointVector:
 #: 2^(2n) * 2^30 < 2^63 for n <= 16 whatever p, and limbs_mod scales their
 #: residues by residues, again below p^2.
 _PRIME_START = (1 << 29) + 1
-#: primes combined per kernel solve; about 30 bits each
+#: base-p digits lifted per kernel solve, about 29 bits each
 _MAX_PRIMES = 64
 
 
-def _symmetric(r: int, m: int) -> int:
-    """The representative of r mod m in (-m/2, m/2]."""
-    return r - m if 2 * r > m else r
+def _balanced(x: int, p: int) -> int:
+    """The representative of x mod p in (-p/2, p/2]."""
+    r = x % p
+    return r - p if 2 * r > p else r
 
 
-def _kernel_modular(n: int, zs_int, t_int, base: tuple[int, int]) -> list[tuple[int, int]]:
-    """The integer kernel vector of T - Lambda at integer z and t whose
-    last coordinate is base, as (a, b) pairs, via CRT over primes.
+def _solve_digit(lines, inverse, rhs, nested, crt, p: int):
+    """Digit i of the kernel vector as balanced (a, b) parts, shape (2, C).
 
-    The last coordinate is the fully nested pattern's, and base is its
-    closed form at z: the integer point makes every component an integer
-    in Z[w], so a symmetric CRT lift recovers them.  The exact matrix
-    T - Lambda is built once, as kernel_matrix_limbs.  Each batch of
-    primes is one stack of its reductions over F_p, one member for each
-    embedding w -> g, g^2 of each prime, eliminated by a single
-    nullspace_mod_np call; a prime at which base vanishes under either
-    embedding cannot scale the kernel line to it and is skipped first.
-    The first batch is sized from the bits of base plus a margin for the
-    other components.  The (a, b) coordinates of the batch are split,
-    lifted once by symmetric CRT and certified: base in the last
-    coordinate, and the exact residual against the same limbs
-    (limbs_vanish).  Each failed certification adds a batch of two
-    primes, so unlucky primes cost retries, never correctness.  A member
-    with no kernel line counts as a strike, and two strikes mean that the
-    exact kernel is not one line.  At most _MAX_PRIMES primes are combined
-    and at most 2 * _MAX_PRIMES are tried, skipped ones included.
+    At each embedding w -> g, g^2, the digit is ``nested`` (digit i of
+    the nested component there) times the kernel line, plus A'^{-1}
+    applied to ``rhs``, the residual mod p on the pivot rows, in every
+    coordinate but the last; digit 0 has no residual.  The two embeddings
+    are then combined by CRT over Z[w]: x = a + b g and y = a + b g^2
+    give (g - g^2) a = g y - g^2 x and (g - g^2) b = x - y, which is the
+    matrix ``crt``.
+    """
+    emb = nested[:, None] * lines
+    if rhs is not None:
+        emb[:, :-1] += inverse_apply(inverse, rhs, [p, p])
+    half = p // 2
+    # two products of residues, below 2^61
+    return (crt @ (emb % p) + half) % p - half
+
+
+def _lift(limbs, base, p: int, g: int, elim, first: int):
+    """The kernel vector of T - Lambda whose last coordinate is base, by
+    p-adic lifting from the elimination ``elim`` of the embeddings
+    w -> g, g^2 mod p.
+
+    The vector v = sum_i x_i p^i has balanced base-p digits x_i, Z[w]
+    vectors with parts in (-p/2, p/2]; the last coordinate of x_i is digit
+    i of base.  With the residual r_0 = 0 and r_{i+1} = (r_i - M x_i) / p,
+    where M = T - Lambda, M x_i = r_i holds mod p, and its pivot rows fix
+    every other coordinate of x_i (_solve_digit).  limbs_lift computes
+    r_{i+1} exactly; when p does not divide it, this returns None.  The
+    pivot-row inverse is built when the second digit is, and not before.
+
+    k digits give v mod p^k as its symmetric residue.  ``first`` digits
+    are lifted, then v is certified: base in the last coordinate, and
+    the exact residual against the same limbs (limbs_vanish).  Each
+    failed certificate lifts two more digits, up to _MAX_PRIMES digits.
     """
     import numpy as np
 
-    limbs = kernel_matrix_limbs(n, zs_int, t_int)
+    ws = (g, g * g % p)
+    inv_diff = pow(g - ws[1], -1, p)
+    crt = np.array([[-ws[1] * inv_diff % p, g * inv_diff % p], [inv_diff, p - inv_diff]],
+                   dtype=np.int64)
+    lines = np.array([line for (line,) in elim.lines], dtype=np.int64)
+    cn = lines.shape[1]
+    # the limbs as float64 once, for every residual and certificate
+    limbs = limbs.astype(np.float64)
+    digits = []
+    residual = rhs = inverse = None
+    rest = list(base)
+    want = first
+    while True:
+        while len(digits) < want:
+            ea, eb = (_balanced(x, p) for x in rest)
+            rest = [(rest[0] - ea) // p, (rest[1] - eb) // p]
+            if digits:
+                residual = limbs_lift(limbs, residual, digits[-1], p)
+                if residual is None:
+                    return None
+                if inverse is None:
+                    inverse = pivot_inverse(elim.factors, [p, p])
+                    # the pivot rows of the residual at both embeddings
+                    pivots = elim.rows[:, :-1] + np.array([[0], [cn]])
+                    at_w = np.array(ws, dtype=np.int64)[:, None]
+                res = np.array([x % p for x in residual], dtype=np.int64).reshape(2, cn)
+                rhs = np.take((res[0] + res[1] * at_w) % p, pivots)
+            nested = np.array([(ea + eb * w) % p for w in ws], dtype=np.int64)
+            digits.append(_solve_digit(lines, inverse, rhs, nested, crt, p))
+        high, *lower = [d.tolist() for d in reversed(digits)]
+        va, vb = high
+        for da, db in lower:
+            va = [x * p + y for x, y in zip(va, da)]
+            vb = [x * p + y for x, y in zip(vb, db)]
+        if (va[-1], vb[-1]) == base and limbs_vanish(limbs, va, vb):
+            return list(zip(va, vb))
+        if want >= _MAX_PRIMES:
+            raise DegenerateKernelError(f"kernel vector needs more than {want} digits")
+        want = min(want + 2, _MAX_PRIMES)
+
+
+def _kernel_modular(limbs, base: tuple[int, int]) -> list[tuple[int, int]]:
+    """The integer kernel vector of M = T - Lambda whose last coordinate is
+    base, as (a, b) pairs, by p-adic lifting from one prime.
+
+    ``limbs`` is M in kernel_matrix_limbs form.  At an integer point the
+    last coordinate is the fully nested pattern's, base is its closed
+    form, and every component is an integer in Z[w], so a symmetric
+    residue recovers them.  One prime p just above 2^29 serves the whole
+    solve: a stack of two members, the embeddings w -> g, g^2 of the limbs
+    reduced mod p, is eliminated by a single nullspace_mod_np call, and
+    _lift takes the kernel lines it finds, digit 0 of the vector, to as
+    many base-p digits as the vector needs.  Their number starts from the
+    bits of base plus a margin for the other components, and every
+    returned vector has passed the exact certificate.  A prime at which
+    base vanishes under either embedding cannot scale the kernel line to
+    it and is skipped.
+
+    A member with no kernel line, or a residual that p does not divide,
+    is a strike, and the next prime is tried.  With base nonzero mod p,
+    no line means a kernel mod p larger than one line, which can only be
+    larger than the exact one, so two strikes mean that the exact kernel
+    is not one line and raise DegenerateKernelError.  At most
+    2 * _MAX_PRIMES primes are tried, skipped ones included.
+    """
+    import numpy as np
+
     cn = limbs.shape[2]
-    residues_a = residues_b = [0] * cn
-    modulus = 1
-    # every prime exceeds 2^29; the other components run a few bits past
+    # every digit holds 29 bits; the other components run a few bits past
     # the nested one
     base_bits = max(abs(x).bit_length() for x in base)
-    batch = -(-(base_bits + cn.bit_length() + 10) // 29)
-    used = lifted = taken = 0
-    degenerate_strikes = 0
-    while used < _MAX_PRIMES and taken < 2 * _MAX_PRIMES:
-        size = min(batch, _MAX_PRIMES - used, 2 * _MAX_PRIMES - taken)
-        fresh = cached_primes(taken + size, _PRIME_START)[taken:]
-        taken += size
-        batch = 2
-        members = []
-        for p, g in fresh:
-            ws = (g, g * g % p)
-            targets = [(base[0] + base[1] * w) % p for w in ws]
-            if all(targets):
-                members.append((p, ws, targets))
-        stack = np.empty((2 * len(members), cn, cn), dtype=np.int64)
-        for k, (p, ws, _) in enumerate(members):
-            amat, bmat = limbs_mod(limbs, p)
-            # a + b w at both embeddings of w: products of residues below
-            # 2^30 stay inside int64
-            stack[2 * k:2 * k + 2] = (bmat * np.array(ws)[:, None, None] + amat) % p
-        lines = nullspace_mod_np(stack, [m[0] for m in members for _ in (0, 1)])
-        degenerate = None
-        for k, (p, ws, targets) in enumerate(members):
-            per_embed = []
-            for line, target in zip(lines[2 * k:2 * k + 2], targets):
-                if len(line) != 1:
-                    # with base nonzero mod p, no line means a kernel mod p
-                    # larger than one line; it can only be larger than the
-                    # exact one, so two independent witnesses mean genuine
-                    # degeneracy
-                    degenerate_strikes += 1
-                    if degenerate_strikes >= 2:
-                        degenerate = DegenerateKernelError(
-                            f"no kernel line (mod {p}) at t={t_int}"
-                        )
-                    break
-                # the line has last coordinate 1
-                per_embed.append([x * target % p for x in line[0]])
-            if degenerate is not None:
-                break
-            if len(per_embed) < 2:
-                continue
-            # x = a + b g and y = a + b g^2, coordinate by coordinate
-            x, y = per_embed
-            g, gg = ws
-            inv_gg = pow((g - gg) % p, -1, p)
-            rb = [(xk - yk) * inv_gg % p for xk, yk in zip(x, y)]
-            ra = [(xk - b * g) % p for xk, b in zip(x, rb)]
-            residues_a = crt_lift(residues_a, modulus, ra, p)
-            residues_b = crt_lift(residues_b, modulus, rb, p)
-            modulus *= p
-            used += 1
-        if used > lifted:
-            lifted = used
-            va = [_symmetric(a, modulus) for a in residues_a]
-            vb = [_symmetric(b, modulus) for b in residues_b]
-            if (va[-1], vb[-1]) == base and limbs_vanish(limbs, va, vb):
-                return list(zip(va, vb))
-        if degenerate is not None:
-            raise degenerate
-    raise DegenerateKernelError(
-        f"modular kernel did not stabilize for z={zs_int}, t={t_int}"
-    )
+    first = -(-(base_bits + cn.bit_length() + 10) // 29)
+    strikes = 0
+    for tried in range(2 * _MAX_PRIMES):
+        p, g = cached_primes(tried + 1, _PRIME_START)[tried]
+        ws = (g, g * g % p)
+        if not all((base[0] + base[1] * w) % p for w in ws):
+            continue
+        amat, bmat = limbs_mod(limbs, p)
+        # a + b w at both embeddings of w: products of residues below 2^30
+        # stay inside int64
+        elim = nullspace_mod_np((bmat * np.array(ws)[:, None, None] + amat) % p, [p, p])
+        if all(len(line) == 1 for line in elim.lines):
+            vec = _lift(limbs, base, p, g, elim, first)
+            if vec is not None:
+                return vec
+        strikes += 1
+        if strikes >= 2:
+            raise DegenerateKernelError(f"kernel not one line (mod {p})")
+    raise DegenerateKernelError(f"no usable prime for base {base}")
 
 
 def psi_point(
@@ -268,14 +307,15 @@ def psi_point(
         raise ValueError(f"expected {2 * n} parameters, got {len(z)}")
     if any(x <= 0 for x in z):
         raise ValueError("spectral parameters must be positive rationals")
-    schedule = [_frac(t)] if t is not None else [Fraction(k) for k in range(1, 13)]
+    schedule = [_frac(t)] if t is not None else (Fraction(k) for k in range(1, 13))
     last: Optional[Exception] = None
     for tt in schedule:
         scale = lcm(*(x.denominator for x in z), tt.denominator)
-        zs_int = [int(x * scale) for x in z]
+        zs_int = [x.numerator * (scale // x.denominator) for x in z]
         base = base_component_value(n, zs_int)
         try:
-            pairs = _kernel_modular(n, zs_int, int(tt * scale),
+            t_int = tt.numerator * (scale // tt.denominator)
+            pairs = _kernel_modular(kernel_matrix_limbs(n, zs_int, t_int),
                                     (int(base.a), int(base.b)))
             values = [from_pair(pair, scale ** (n * (n - 1))) for pair in pairs]
             if spin_certificate and not verify_spin_eigenvector(

@@ -1,23 +1,30 @@
 """Modular arithmetic helpers for fast exact kernel solves.
 
-Every point eigenvector extraction runs over F_p for primes p = 1 (mod 3),
-where w maps to a cube root of unity g; the pair (a, b) of a value a + b*w
-is recovered from the two embeddings w -> g and w -> g^2 and combined by
-CRT across primes.  The matrices of a batch of primes, both embeddings of
-each, are eliminated together as one stack by ``nullspace_mod_np``, in
-lockstep: each member either has a kernel of one line with a nonzero last
-coordinate, found with its pivots on the diagonal, or reports that it has
-not.  A point solve sizes its first batch from the one value it knows in
-advance, so it usually needs a single stack.  The values are integers in
-Z[w], lifted by symmetric CRT (the residue in (-M/2, M/2]), which needs
-only their bits.  Callers must verify the lifted result exactly; these
+Every point eigenvector extraction runs over F_p for one prime p = 1
+(mod 3), where w maps to a cube root of unity g, and is lifted p-adically.
+The matrices of both embeddings w -> g and w -> g^2 are eliminated
+together as one stack by ``nullspace_mod_np``, in lockstep: each member
+either has a kernel of one line with a nonzero last coordinate, found with
+its pivots on the diagonal, or reports that it has not.  The elimination
+keeps its multipliers and its row order, from which ``pivot_inverse``
+builds the inverse of the pivot rows without the last column, and
+``inverse_apply`` solves each later digit with it; every mod-p product
+there is exact.  The pair (a, b) of a value a + b*w is recovered from its
+two embeddings.  Callers must verify the lifted result exactly; these
 routines only propose candidates.
+
+``crt_lift``, ``crt_pair`` and ``rational_reconstruct`` have no production
+caller since the point solve lifts p-adically; they stay for the
+benchmark's tracer, which resolves ``crt_pair`` and
+``rational_reconstruct`` by name, and ``crt_pair`` is built on
+``crt_lift``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
+from typing import NamedTuple
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -89,31 +96,57 @@ def cube_root_mod(p: int) -> int:
 
 #: rows per band of the lockstep update
 _BAND = 32
+#: bits per half of a residue in inverse_apply's exact products
+_HALF_BITS = 15
+_HALF_MASK = (1 << _HALF_BITS) - 1
 
 
-def nullspace_mod_np(stack, primes) -> list[list[list[int]]]:
+class Elimination(NamedTuple):
+    """What ``nullspace_mod_np`` finds in a stack.
+
+    ``lines[b]`` is ``[v]`` with v[-1] = 1 when member b's kernel is one
+    line with a nonzero last coordinate, and ``[]`` otherwise.
+
+    ``factors`` keeps the members that stayed in the lockstep up to the
+    last column, ``members`` says which member each one is, and
+    ``rows[k, c]`` is the row of member k's input that ended in position
+    c.  In its first C - 1 rows, factor k holds P A = L U in place: row c
+    carries the inverse of pivot c on the diagonal and the normalized
+    pivot row (U, unit upper triangular) to its right, and below the
+    diagonal sit the multipliers that cleared each column (L, whose
+    diagonal is the pivots).  pivot_inverse reads them.
+    """
+
+    lines: list
+    factors: "np.ndarray"
+    rows: "np.ndarray"
+    members: list
+
+
+def nullspace_mod_np(stack, primes) -> Elimination:
     """Kernel lines over F_p of a stack of matrices, p < 2^30 (int64-safe).
 
     ``stack`` is an int64 numpy array of shape (B, R, C) whose member b is
-    already reduced mod ``primes[b]``; it is consumed.  Returns B results,
-    ``[v]`` with v[-1] = 1 when the member's kernel is one line with a
-    nonzero last coordinate, and ``[]`` otherwise.
+    already reduced mod ``primes[b]``; it is consumed, the returned
+    factors being built in it.
 
-    That kernel is exactly the one whose elimination finds a pivot for
-    each of columns 0 .. C-2 and none for the last, so the members
-    eliminate in lockstep, column by column, with the pivot of column c
-    swapped into row c.  Pivot swaps are made per member and the pivot
-    inverses are one ``pow`` per member, so the per-column numpy work is
-    paid once for the whole stack.  A member that finds no pivot in a
-    column before the last has a kernel vector that is 0 in the last
-    coordinate, and leaves with ``[]``; so does one with a pivot in the
-    last column, which has full rank.
+    A member has a kernel of one line with a nonzero last coordinate
+    exactly when its elimination finds a pivot for each of columns
+    0 .. C-2 and none for the last, so the members eliminate in lockstep,
+    column by column, with the pivot of column c swapped into row c.
+    Pivot swaps are made per member (whole rows, so the multipliers
+    already stored move with them) and the pivot inverses are one ``pow``
+    per member, so the per-column numpy work is paid once for the whole
+    stack.  A member that finds no pivot in a column before the last has
+    a kernel vector that is 0 in the last coordinate, and leaves the
+    lockstep with no line; one with a pivot in the last column has full
+    rank and has no line either.
 
     Forward elimination touches only the rows below each pivot and the
-    columns from the pivot onwards, and leaves the rows below unreduced
-    for as many updates as int64 holds: each update subtracts a product
-    of two residues, at most (p-1)^2 for the largest prime.
-    Back-substitution then solves for the other coordinates of v.
+    columns after it, and leaves the rows below unreduced for as many
+    updates as int64 holds: each update subtracts a product of two
+    residues, at most (p-1)^2 for the largest prime.  Back-substitution
+    then solves for the other coordinates of v.
     """
     import numpy as np
 
@@ -122,54 +155,164 @@ def nullspace_mod_np(stack, primes) -> list[list[list[int]]]:
     pending = 0
     out: list = [[] for _ in range(nmem)]
     ids = np.arange(nmem)
+    rows = np.zeros((nmem, 1), dtype=np.int64) + np.arange(nrows)
     mods = np.array(primes, dtype=np.int64).reshape(nmem, 1)
+    plist = list(primes)
     c = 0
     # lockstep: the pivot of column c sits in row c of every member left
     while c < min(nrows, ncols - 1) and ids.size:
         col = stack[:, c:, c] % mods
-        hit = col != 0
-        first = hit.argmax(axis=1)
-        lost = ~hit[np.arange(ids.size), first]
-        if lost.any():
-            keep = ~lost
-            stack, mods, ids = stack[keep], mods[keep], ids[keep]
-            col, first = col[keep], first[keep]
-        for k in first.nonzero()[0]:
-            # a row swap for each member whose pivot is further down
-            f = c + int(first[k])
-            stack[k, [c, f], c:] = stack[k, [f, c], c:]
-            col[k, [0, f - c]] = col[k, [f - c, 0]]
-        inv = [pow(x, -1, p) for x, p in zip(col[:, 0].tolist(), mods[:, 0].tolist())]
-        stack[:, c, c:] = stack[:, c, c:] % mods * np.array(inv, dtype=np.int64)[:, None] % mods
+        heads = col[:, 0].tolist()
+        if 0 in heads:
+            hit = col != 0
+            first = hit.argmax(axis=1)
+            lost = ~hit[np.arange(ids.size), first]
+            if lost.any():
+                keep = ~lost
+                stack, mods, ids, rows = stack[keep], mods[keep], ids[keep], rows[keep]
+                col, first = col[keep], first[keep]
+                plist = mods[:, 0].tolist()
+            for k in first.nonzero()[0]:
+                # a row swap for each member whose pivot is further down
+                f = c + int(first[k])
+                stack[k, [c, f]] = stack[k, [f, c]]
+                rows[k, [c, f]] = rows[k, [f, c]]
+                col[k, [0, f - c]] = col[k, [f - c, 0]]
+            heads = col[:, 0].tolist()
+        inv = np.array([pow(x, -1, p) for x, p in zip(heads, plist)], dtype=np.int64)
+        pivot = stack[:, c, c + 1:] % mods * inv[:, None] % mods
+        stack[:, c, c + 1:] = pivot
+        stack[:, c, c] = inv
+        stack[:, c + 1:, c] = col[:, 1:]
         if pending == headroom:
-            stack[:, c + 1:, c:] %= mods[:, :, None]
+            stack[:, c + 1:, c + 1:] %= mods[:, :, None]
             pending = 0
         # the update in bands of rows keeps its temporary small
-        pivot = stack[:, None, c, c:]
         for lo in range(c + 1, nrows, _BAND):
-            stack[:, lo:lo + _BAND, c:] -= col[:, lo - c:lo - c + _BAND, None] * pivot
+            stack[:, lo:lo + _BAND, c + 1:] -= col[:, lo - c:lo - c + _BAND, None] * pivot[:, None]
         pending += 1
         c += 1
     if c < ncols - 1:
-        # out of rows before the last column: the kernel is larger
-        return out
+        # out of rows (or members) before the last column: no line
+        return Elimination(out, stack[:0], rows[:0], [])
     # the last column: a pivot there means full rank, none means the last
     # coordinate is the only free one
     line = ~(stack[:, c:, c] % mods).any(axis=1)
-    vec = np.zeros((ids.size, ncols), dtype=np.int64)
-    vec[:, -1] = 1
+    # back-substitution, column by column: the pivot rows are normalized
+    # and reduced right of their diagonal, and the rows above a solved
+    # coordinate stay unreduced for as many updates as int64 holds
+    vec = np.ones((ids.size, ncols), dtype=np.int64)
+    vec[:, :-1] = -stack[:, :ncols - 1, -1]
     for r in range(ncols - 2, -1, -1):
-        # pivot row r is normalized and reduced; it has zeros left of r
-        vec[:, r] = -((vec[:, r + 1:] * stack[:, r, r + 1:]) % mods).sum(axis=1) % mods[:, 0]
+        vec[:, r] %= mods[:, 0]
+        if r and (ncols - 2 - r) % headroom == headroom - 1:
+            vec[:, :r] %= mods
+        vec[:, :r] -= stack[:, :r, r] * vec[:, r, None]
     for b, v, ok in zip(ids.tolist(), vec.tolist(), line.tolist()):
         if ok:
             out[b] = [v]
-    return out
+    return Elimination(out, stack, rows, ids.tolist())
+
+
+def _check_exact(m: int, primes) -> None:
+    """Raise ValueError unless the pivot-row inverse of m columns is exact
+    in int64 at these primes: below 2^30, so a product of two residues is
+    below 2^60, and m products of a residue and a 15-bit half below 2^63.
+    """
+    top = max(primes)
+    if top >= 1 << 2 * _HALF_BITS or m * (top - 1) << _HALF_BITS >= 1 << 63:
+        raise ValueError(f"{m} columns at p = {top} are too many for exact int64 products")
+
+
+def _unit_lower_inverse(strict, primes):
+    """The inverses mod p of unit lower triangular matrices I + N, given
+    the strictly lower part of ``strict`` (G, m, m) as N, with residues in
+    [0, p) for the G ``primes``.
+
+    Row c of the inverse is e_c - sum_{j<c} N[c, j] (row j); once it is
+    known, its products with column c of N are taken off the rows below
+    it, which stay unreduced for as many updates as int64 holds, as in
+    nullspace_mod_np.
+    """
+    import numpy as np
+
+    g, m, _ = strict.shape
+    mods = np.array(primes, dtype=np.int64)[:, None]
+    headroom = (1 << 63) // max(1, (max(primes) - 1) ** 2)
+    inv = np.zeros((g, m, m), dtype=np.int64)
+    inv.reshape(g, -1)[:, ::m + 1] = 1
+    for c in range(m - 1):
+        row = inv[:, c, :c + 1]
+        np.remainder(row, mods, out=row)
+        if c and c % headroom == 0:
+            inv[:, c + 1:, :c + 1] %= mods[:, :, None]
+        inv[:, c + 1:, :c + 1] -= strict[:, c + 1:, c, None] * row[:, None]
+    inv[:, m - 1] %= mods
+    return inv
+
+
+def pivot_inverse(factors, primes):
+    """For each member of ``Elimination.factors``, the inverse mod its
+    prime of its pivot rows without the last column, the (C-1) x (C-1)
+    matrix A_P = L U, kept as its factors: an array of shape (2, B, C-1,
+    C-1) holding L^{-1} and U^{-1}, so A_P^{-1} = U^{-1} L^{-1}.
+
+    L = (I + N) D, where N is the multipliers scaled by the pivot
+    inverses D^{-1} on the diagonal; so L^{-1} = D^{-1} (I + N)^{-1}.
+    (I + N)^{-1} and the transpose of U^{-1} are inverted as one batch of
+    unit lower triangular matrices, one numpy step per column for all.
+    Primes of 2^30 or more, or too many columns for inverse_apply, raise
+    ValueError (_check_exact).
+    """
+    import numpy as np
+
+    b, cn = len(factors), factors.shape[2]
+    m = cn - 1
+    _check_exact(m, primes)
+    mods = np.array(primes, dtype=np.int64)[:, None, None]
+    lu = factors[:, :m, :m]
+    # the pivot inverses, on the diagonal
+    dinv = factors.reshape(b, -1)[:, :m * (cn + 1):cn + 1]
+    # _unit_lower_inverse reads only the strictly lower parts: those of
+    # N and of U transposed
+    strict = np.empty((2, b, m, m), dtype=np.int64)
+    np.multiply(lu, dinv[:, None], out=strict[0])
+    strict[0] %= mods
+    strict[1] = lu.transpose(0, 2, 1)
+    inverse = _unit_lower_inverse(strict.reshape(2 * b, m, m), list(primes) * 2).reshape(2, b, m, m)
+    np.multiply(inverse[0], dinv[:, :, None], out=inverse[0])
+    np.remainder(inverse[0], mods, out=inverse[0])
+    inverse[1] = inverse[1].transpose(0, 2, 1).copy()
+    return inverse
+
+
+def inverse_apply(inverse, vecs, primes):
+    """A_P^{-1} vecs[b] mod primes[b] for the pivot_inverse ``inverse`` and
+    residues ``vecs`` of shape (B, C-1) in [0, p): U^{-1} (L^{-1} vecs).
+
+    Each product is exact: the vector splits into 15-bit halves, so one
+    int64 matmul sums C - 1 products below p * 2^15, and where they could
+    pass 2^63 this raises ValueError (_check_exact).
+    """
+    import numpy as np
+
+    _check_exact(inverse.shape[-1], primes)
+    mods = np.array(primes, dtype=np.int64)[:, None]
+    for factor in inverse:
+        halves = np.empty(vecs.shape + (2,), dtype=np.int64)
+        np.right_shift(vecs, _HALF_BITS, out=halves[..., 0])
+        np.bitwise_and(vecs, _HALF_MASK, out=halves[..., 1])
+        prod = factor @ halves
+        vecs = ((prod[..., 0] % mods << _HALF_BITS) + prod[..., 1]) % mods
+    return vecs
 
 
 def crt_lift(residues: list[int], m1: int, rs: list[int], m2: int) -> list[int]:
     """Combine x_k = residues[k] (mod m1), x_k = rs[k] (mod m2) for coprime
-    moduli, with one inverse for every k; residues in [0, m1) give [0, m1*m2)."""
+    moduli, with one inverse for every k; residues in [0, m1) give [0, m1*m2).
+
+    No production caller: crt_pair is built on it.
+    """
     inv = pow(m1 % m2, -1, m2)
     return [r1 + m1 * ((r2 - r1) * inv % m2) for r1, r2 in zip(residues, rs)]
 

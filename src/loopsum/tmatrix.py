@@ -27,8 +27,9 @@ The tile route exists twice: transfer_link_pairs in plain Python
 imports numpy), and kernel_matrix_limbs, which sums the same tiles in
 numpy into the exact matrix T - Lambda as balanced int64 limbs; tests
 require the two to agree entrywise.  The modular kernel reduces those
-limbs mod each prime (limbs_mod) and certifies its candidate with
-limbs_vanish, an exact zero test of (T - Lambda) v.
+limbs mod its prime (limbs_mod), computes each p-adic residual
+(r - (T - Lambda) x) / p exactly against them (limbs_lift), and certifies
+its candidate with limbs_vanish, an exact zero test of (T - Lambda) v.
 
 Operators are always built at specific parameter values; nothing here is
 symbolic in z or t.
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
+from operator import itemgetter, lshift
 
 from .cyclo import (
     CycloNum,
@@ -386,45 +387,65 @@ LIMB_BITS = 30
 DIGIT_BITS = 15
 
 
+#: row configurations per scatter chunk of kernel_matrix_limbs: whole
+#: source patterns, so a chunk's gather of weight limbs stays near 1 MB
+_SCATTER_CHUNK = 1 << 14
+
+
 @lru_cache(maxsize=None)
 def _tile_scatter(n: int) -> tuple:
-    """The tile table regrouped by destination, one entry per source pattern.
+    """The tile table regrouped by destination, in chunks of whole source
+    patterns of about _SCATTER_CHUNK row configurations in all.
 
-    Entry src is (order, starts, dst): ``order`` (uint16) sorts the 2^{2n}
-    row configurations by the pattern they send src to, ``starts`` are the
-    segment starts of that sorted order, and ``dst`` the destination of
-    each segment, so column src of sum_s W[s] * (tile s) is
-    ``np.add.reduceat(W[order], starts)`` at rows ``dst``.  Built from
-    _tile_table on first use; about 1.3 MB at n = 6.
+    Chunk entry is (order, starts, flat): ``order`` (uint16) lists, one
+    source after another, the 2^{2n} row configurations sorted by the
+    pattern they send the source to; ``starts`` are the segment starts in
+    that list, and ``flat`` = dst * C + src the entry of the C x C matrix
+    each segment sums into.  So the chunk's part of sum_s W[s] * (tile s)
+    is ``np.add.reduceat(W[:, order], starts, axis=1)`` at ``flat``.
+    Built from _tile_table on first use; about 1.3 MB at n = 6.
     """
     import numpy as np
 
-    out = []
-    for row in _tile_table(n):
-        dst = np.frombuffer(row, dtype=np.uint16)
-        order = np.argsort(dst, kind="stable").astype(np.uint16)
-        ordered = dst[order]
-        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-        out.append((order, starts, ordered[starts].astype(np.intp)))
-    return tuple(out)
+    table = _tile_table(n)
+    cn, size = len(table), len(table[0])
+    step = max(1, _SCATTER_CHUNK // size)
+    chunks = []
+    for lo in range(0, cn, step):
+        orders, starts, flats = [], [], []
+        for src in range(lo, min(lo + step, cn)):
+            dst = np.frombuffer(table[src], dtype=np.uint16)
+            order = np.argsort(dst, kind="stable").astype(np.uint16)
+            ordered = dst[order]
+            first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+            orders.append(order)
+            starts.append(first + (src - lo) * size)
+            flats.append(ordered[first].astype(np.intp) * cn + src)
+        chunks.append((np.concatenate(orders), np.concatenate(starts), np.concatenate(flats)))
+    return tuple(chunks)
 
 
 def _balanced_split(values: list[int], width: int = LIMB_BITS):
     """Integers as limbs in [-2^(width-1), 2^(width-1)), shape (limbs,
-    len): value k is sum_j limbs[j, k] * 2^(width j)."""
+    len): value k is sum_j limbs[j, k] * 2^(width j).
+
+    With h = 2^(width-1) added at every limb but the top one, the lower
+    limbs are the unsigned width-bit digits of the sum less h, and the top
+    limb is what is left above them.  Values below 2^59 are split in
+    int64, larger ones as Python integers."""
     import numpy as np
 
     half = 1 << (width - 1)
     mask = (1 << width) - 1
+    bits = max(map(abs, values), default=0).bit_length()
     # k balanced limbs hold every |x| < 2^(width k - 2)
-    nlimbs = (max(map(abs, values), default=0).bit_length() + 1) // width + 1
-    x = np.array(values, dtype=object)
-    out = []
-    for _ in range(nlimbs):
-        low = ((x + half) & mask) - half
-        out.append(low.astype(np.int64))
-        x = (x - low) >> width
-    return np.stack(out)
+    nlimbs = (bits + 1) // width + 1
+    small = bits <= 59
+    offset = sum(half << (width * k) for k in range(nlimbs - 1))
+    shifts = np.array([width * k for k in range(nlimbs)], dtype=np.int64 if small else object)
+    limbs = (np.array(values, dtype=np.int64 if small else object) + offset) >> shifts[:, None]
+    limbs[:-1] = (limbs[:-1] & mask) - half
+    return limbs.astype(np.int64)
 
 
 def _weight_limbs(n: int, zs, t):
@@ -486,11 +507,10 @@ def kernel_matrix_limbs(n: int, zs, t):
     # rows of w: (a limb 0, b limb 0, a limb 1, b limb 1, ...)
     w = _weight_limbs(n, zs, t)
     nlimbs = len(w) // 2
-    scatter = _tile_scatter(n)
-    cn = len(scatter)
-    out = np.zeros((2 * nlimbs, cn, cn), dtype=np.int64)
-    for src, (order, starts, dst) in enumerate(scatter):
-        out[:, dst, src] = np.add.reduceat(w[:, order], starts, axis=1)
+    cn = len(_tile_table(n))
+    out = np.zeros((2 * nlimbs, cn * cn), dtype=np.int64)
+    for order, starts, flat in _tile_scatter(n):
+        out[:, flat] = np.add.reduceat(w[:, order], starts, axis=1)
     raw = out.reshape(nlimbs, 2, cn, cn)
     lam = eigenvalue(t, zs)
     # |Lambda| is the modulus of the all-pass row weight, so Lambda needs
@@ -509,46 +529,90 @@ def kernel_matrix_limbs(n: int, zs, t):
     return np.stack(limbs, axis=1)
 
 
-def limbs_vanish(limbs, xs: list[int], ys: list[int]) -> bool:
-    """True iff M (x + y w) = 0, exactly, for M in kernel_matrix_limbs
-    form and integer vectors x, y.
+def _limbs_image(limbs, vmat):
+    """M (x + y w) for M in kernel_matrix_limbs form (int64, or the same
+    limbs as float64) and a vector given by balanced DIGIT_BITS-bit
+    digits: ``vmat`` is float64 of shape (C, 2D), row k holding the D
+    digits of x[k] and then those of y[k], each at most 2^14 in absolute
+    value.
 
-    x and y are split into balanced DIGIT_BITS-bit digits and meet M's
-    limbs in one float64 matmul: a product of a limb and a digit is at
-    most 2^29 * 2^14 in absolute value, so for C <= 1024 columns every
-    partial sum is an integer of at most 2^53 and float64 holds it
-    exactly; a wider M raises ValueError.  Limb k of M then lands on digit 2k of the image, and one
-    carry pass in int64 tests every digit for zero, the carry out of the
-    top one included.
+    The digits meet M's limbs in one float64 matmul: a product of a limb
+    and a digit is at most 2^29 * 2^14 in absolute value, so for C <= 1024
+    columns every partial sum is an integer of at most 2^53 and float64
+    holds it exactly; a wider M raises ValueError.  Limb k of M lands on
+    digit 2k of the image, whose positions are summed as Python integers:
+    returns the 2C rows of the image, the a parts and then the b parts.
     """
     import numpy as np
 
     _, nl, cn, _ = limbs.shape
+    nd = vmat.shape[1] // 2
     if cn << (LIMB_BITS - 1 + DIGIT_BITS - 1) > 1 << 53:
         raise ValueError(f"{cn} columns are too many for an exact float64 matmul")
-    if limbs.size and max(-limbs.min(), limbs.max()) > 1 << (LIMB_BITS - 1):
-        raise ValueError("matrix limbs are not balanced")
-    digits = _balanced_split(list(xs) + list(ys), DIGIT_BITS)
-    nd = len(digits)
-    # columns: the digits of x, then the digits of y
-    vmat = digits.astype(np.float64).reshape(nd, 2, cn).transpose(2, 1, 0).reshape(cn, 2 * nd)
-    prod = limbs.reshape(-1, cn).astype(np.float64) @ vmat
+    prod = limbs.reshape(-1, cn).astype(np.float64, copy=False) @ vmat
     # [part of M, limb of M, row, part of v, digit of v]
     p = prod.astype(np.int64).reshape(2, nl, cn, 2, nd)
     # (a + b w)(x + y w) = (a x - b y) + (a y + b x - b y) w, below 2^55
     by = p[1, :, :, 1]
-    terms = np.stack([p[0, :, :, 0] - by, p[0, :, :, 1] + p[1, :, :, 0] - by])
-    image = np.zeros((2, cn, 2 * nl + nd - 2), dtype=np.int64)
+    terms = np.empty((2, nl, cn, nd), dtype=np.int64)
+    np.subtract(p[0, :, :, 0], by, out=terms[0])
+    np.add(p[0, :, :, 1], p[1, :, :, 0], out=terms[1])
+    terms[1] -= by
+    image = np.zeros((2 * cn, 2 * nl + nd - 2), dtype=np.int64)
     for k in range(nl):
-        image[..., 2 * k:2 * k + nd] += terms[:, k]
+        image[:, 2 * k:2 * k + nd] += terms[:, k].reshape(2 * cn, nd)
+    shifts = range(0, DIGIT_BITS * image.shape[1], DIGIT_BITS)
+    return [sum(map(lshift, row, shifts)) for row in image.tolist()]
+
+
+def limbs_vanish(limbs, xs: list[int], ys: list[int]) -> bool:
+    """True iff M (x + y w) = 0, exactly, for M in kernel_matrix_limbs
+    form (int64, or the same limbs as float64) and integer vectors x, y.
+
+    x and y are split into balanced DIGIT_BITS-bit digits for
+    _limbs_image, and every row of the image must be zero.  Limbs that
+    are not balanced raise ValueError.
+    """
+    import numpy as np
+
+    cn = limbs.shape[2]
+    if limbs.size and max(-limbs.min(), limbs.max()) > 1 << (LIMB_BITS - 1):
+        raise ValueError("matrix limbs are not balanced")
+    digits = _balanced_split(list(xs) + list(ys), DIGIT_BITS)
+    nd = len(digits)
+    vmat = np.empty((cn, 2, nd))
+    vmat[...] = digits.reshape(nd, 2, cn).T
+    return not any(_limbs_image(limbs, vmat.reshape(cn, 2 * nd)))
+
+
+def limbs_lift(limbs, residual, digit, p: int):
+    """One step of p-adic lifting against M in kernel_matrix_limbs form
+    (int64, or the same limbs as float64): (residual - M x) / p, exactly,
+    or None when p does not divide it.
+
+    ``digit`` is the Z[w] vector x as int64 parts of shape (2, C), each
+    below 2^29 in absolute value, so two balanced DIGIT_BITS-bit digits
+    hold it (_limbs_image).  Residuals are lists of 2C Python integers,
+    the a parts of the C rows and then their b parts; None stands for
+    zero.
+    """
+    import numpy as np
+
     mask = (1 << DIGIT_BITS) - 1
-    carry = 0
-    for j in range(image.shape[-1]):
-        x = image[..., j] + carry
-        if (x & mask).any():
-            return False
-        carry = x >> DIGIT_BITS
-    return not np.any(carry)
+    half = 1 << (DIGIT_BITS - 1)
+    cn = digit.shape[1]
+    low = ((digit + half) & mask) - half
+    vmat = np.empty((cn, 2, 2))
+    vmat[..., 0] = low.T
+    vmat[..., 1] = ((digit - low) >> DIGIT_BITS).T
+    rows = _limbs_image(limbs, vmat.reshape(cn, 4))
+    out = []
+    for old, row in zip(residual or [0] * len(rows), rows):
+        quo, rem = divmod(old - row, p)
+        if rem:
+            return None
+        out.append(quo)
+    return out
 
 
 def limbs_mod(limbs, p: int):

@@ -158,29 +158,67 @@ INTEGER_POINT = [3, 1, 4, 6, 5, 9, 2, 7]
 FRACTIONAL_POINT = [Fraction(3, 2), 1, 4, 6, 5, 9, 2, Fraction(7, 3)]
 
 
-def _crt_off_once_early(k, res, r1, m1, r2, m2):
-    return [(x + 1) % (m1 * m2) if j == 1 else x for j, x in enumerate(res)] if k == 1 else res
+def _off_by_one(digit):
+    out = digit.copy()
+    out[0, 1] += 1
+    return out
 
 
-def _crt_off_always(k, res, r1, m1, r2, m2):
-    return [(x + 1) % (m1 * m2) for x in res]
+def _digit_off_once(call):
+    def corrupt(k, digit, *args):
+        return _off_by_one(digit) if k == call else digit
+    return corrupt
 
 
-#: name -> (helper of _kernel_modular, point, corruption(call, true result, *args))
+def _digit_off_always(k, digit, *args):
+    return _off_by_one(digit)
+
+
+def _inverse_entry_off(inverse):
+    out = inverse.copy()
+    out[0, 0, 1, 0] += 1
+    return out
+
+
+def _quotient_off_once(k, residual, *args):
+    if k != 1 or residual is None:
+        return residual
+    return residual[:1] + [residual[1] + 1] + residual[2:]
+
+
+#: name -> (helper of _kernel_modular, point, corruption(call, true result, *args)).
+#: _solve_digit is the digit solve: each digit from the elimination's
+#: kernel line and, after digit 0, the pivot-row inverse, its two
+#: embeddings combined by CRT over Z[w]; the crt-* and lift-off-* entries
+#: corrupt it.  limbs_lift is the exact residual and its divisibility test.
 CORRUPTIONS = {
-    "kernel-entry-off": ("nullspace_mod_np", INTEGER_POINT, lambda k, lines, stack, primes:
-                         [[v[:-1] + [(v[-1] + 1) % primes[0]] for v in lines[0]]]
-                         + lines[1:]),
-    "kernel-zero-at-nested": ("nullspace_mod_np", INTEGER_POINT, lambda k, lines, stack, primes:
-                              [[[0] * stack.shape[2]] for _ in lines]),
-    "kernel-too-large": ("nullspace_mod_np", INTEGER_POINT,
-                         lambda k, lines, stack, primes: [b + b for b in lines]),
-    "kernel-empty": ("nullspace_mod_np", INTEGER_POINT,
-                     lambda k, lines, stack, primes: [[] for _ in lines]),
-    "lift-off-early": ("crt_lift", FRACTIONAL_POINT, _crt_off_once_early),
-    "lift-off-always": ("crt_lift", FRACTIONAL_POINT, _crt_off_always),
-    "crt-off-once-early": ("crt_lift", INTEGER_POINT, _crt_off_once_early),
-    "crt-off-always": ("crt_lift", INTEGER_POINT, _crt_off_always),
+    "kernel-entry-off": ("nullspace_mod_np", INTEGER_POINT, lambda k, elim, stack, primes:
+                         elim._replace(lines=[[v[:-1] + [(v[-1] + 1) % primes[0]]
+                                               for v in elim.lines[0]]] + elim.lines[1:])),
+    "kernel-zero-at-nested": ("nullspace_mod_np", INTEGER_POINT, lambda k, elim, stack, primes:
+                              elim._replace(lines=[[[0] * stack.shape[2]] for _ in elim.lines])),
+    "kernel-too-large": ("nullspace_mod_np", INTEGER_POINT, lambda k, elim, stack, primes:
+                         elim._replace(lines=[b + b for b in elim.lines])),
+    "kernel-empty": ("nullspace_mod_np", INTEGER_POINT, lambda k, elim, stack, primes:
+                     elim._replace(lines=[[] for _ in elim.lines])),
+    # a later digit once, then every digit, at the fractional point
+    "lift-off-early": ("_solve_digit", FRACTIONAL_POINT, _digit_off_once(2)),
+    "lift-off-always": ("_solve_digit", FRACTIONAL_POINT, _digit_off_always),
+    # digit 0 once, then every digit, at the integer point
+    "crt-off-once-early": ("_solve_digit", INTEGER_POINT, _digit_off_once(1)),
+    "crt-off-always": ("_solve_digit", INTEGER_POINT, _digit_off_always),
+    # one entry of L^{-1} in the pivot-row inverse, once, then always
+    "inverse-entry-off-once": ("pivot_inverse", INTEGER_POINT, lambda k, inverse, *args:
+                               _inverse_entry_off(inverse) if k == 1 else inverse),
+    "inverse-entry-off-always": ("pivot_inverse", FRACTIONAL_POINT, lambda k, inverse, *args:
+                                 _inverse_entry_off(inverse)),
+    # the divisibility test: a false strike once, every step, and a wrong
+    # quotient passed as exact once
+    "divisibility-false-strike": ("limbs_lift", INTEGER_POINT,
+                                  lambda k, residual, *args: None if k == 1 else residual),
+    "divisibility-always-fails": ("limbs_lift", FRACTIONAL_POINT,
+                                  lambda k, residual, *args: None),
+    "divisibility-quotient-off": ("limbs_lift", FRACTIONAL_POINT, _quotient_off_once),
 }
 
 
@@ -205,9 +243,9 @@ def test_corrupted_modular_candidates_never_returned(monkeypatch, name):
 
 
 def test_psi_point_one_elimination_per_point(monkeypatch):
-    # the first batch of primes covers every anchor point, fractional ones
-    # included, so each point solve eliminates all its matrices in one
-    # stacked call
+    # one prime serves every anchor point, fractional ones included: each
+    # point solve eliminates the two embeddings of w in one stacked call
+    # and lifts the rest
     fixture = Path(__file__).parent / "fixtures" / "psi_points_n5_n6.json"
     points = json.loads(fixture.read_text())["psi_point"]
     assert len(points) == 6
@@ -224,7 +262,8 @@ def test_psi_point_one_elimination_per_point(monkeypatch):
         calls.clear()
         pv = psi_point(point["n"], [Fraction(z) for z in point["z"]])
         assert [v.to_strings() for v in pv.values] == point["values"]
-        assert len(calls) == 1 and calls[0] % 2 == 0, point["z"]
+        # one prime, its two embeddings of w
+        assert calls == [2], point["z"]
 
 
 def test_psi_point_spin_certificate():

@@ -4,18 +4,25 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopsum.cyclo import CycloNum, ONE, ZERO
+import pytest
+
+from loopsum import groundstate
+from loopsum.cyclo import CycloNum, ONE, ZERO, pair_mul
+from loopsum.groundstate import DegenerateKernelError, _kernel_modular
 from loopsum.modular import (
     cached_primes,
     crt_lift,
     crt_pair,
     cube_root_mod,
+    inverse_apply,
     is_prime,
     nullspace_mod_np,
+    pivot_inverse,
     primes_one_mod_three,
     rational_reconstruct,
 )
 from loopsum.solver import ExactMatrix, det, nullspace, rank
+from loopsum.tmatrix import _balanced_split
 
 small = st.builds(
     CycloNum,
@@ -224,7 +231,7 @@ def test_modular_nullspace_matches_exact():
         dims.add(len(_exact_kernel(m)))
         for p, _ in primes:
             vec = np.array([[[x % p for x in row] for row in m]], dtype=np.int64)
-            (modular,) = nullspace_mod_np(vec, [p])
+            (modular,) = nullspace_mod_np(vec, [p]).lines
             want = _exact_line_mod(m, p)
             assert modular == want
             lines += bool(want)
@@ -248,7 +255,7 @@ def test_modular_nullspace_stack_matches_exact():
         ps = [primes[k % len(primes)] for k in range(len(mats))]
         stack = np.array([[[x % p for x in row] for row in m] for m, p in zip(mats, ps)],
                          dtype=np.int64)
-        lines = nullspace_mod_np(stack, ps)
+        lines = nullspace_mod_np(stack, ps).lines
         assert len(lines) == len(mats)
         for m, p, line in zip(mats, ps, lines):
             assert line == _exact_line_mod(m, p)
@@ -299,7 +306,7 @@ def test_modular_nullspace_stack_lockstep_and_split_members():
     ps = [primes[k % len(primes)] for k in range(len(members))]
     stack = np.array([[[x % p for x in row] for row in m]
                       for m, p in zip(members.values(), ps)], dtype=np.int64)
-    lines = nullspace_mod_np(stack, ps)
+    lines = nullspace_mod_np(stack, ps).lines
     for (name, m), p, line in zip(members.items(), ps, lines):
         assert line == _exact_line_mod(m, p), name
     found = {name: len(line) for name, line in zip(members, lines)}
@@ -339,9 +346,210 @@ def test_modular_nullspace_past_int64_headroom():
         coeffs = [rng.randrange(p) for _ in range(140)]
         for row in m:
             row[140] = sum(a * x for a, x in zip(coeffs, row[:140])) % p
-    lines = nullspace_mod_np(np.array(mats, dtype=np.int64), primes)
+    elim = nullspace_mod_np(np.array(mats, dtype=np.int64), primes)
+    lines = elim.lines
     assert [len(line) for line in lines] == [1, 1, 0, 1]
+    # the factors of the members that kept a line invert their pivot rows
+    keep = [k for k, member in enumerate(elim.members) if lines[member]]
+    _check_pivot_inverse(mats, primes, elim, keep)
     for m, p, line in zip(mats, primes, lines):
         for v in line:
             assert v[-1] == 1
             assert all(sum(a * b for a, b in zip(row, v)) % p == 0 for row in m)
+
+
+def _check_pivot_inverse(mats, primes, elim, keep):
+    """pivot_inverse of the factors ``keep`` inverts the pivot rows of each
+    member's input (all columns but the last), and inverse_apply agrees
+    with the explicit product."""
+    import numpy as np
+
+    factors = elim.factors[keep]
+    ps = [primes[elim.members[k]] for k in keep]
+    inverse = pivot_inverse(factors, ps)
+    cols = factors.shape[2] - 1
+    rng = random.Random(9)
+    vecs = np.array([[rng.randrange(p) for _ in range(cols)] for p in ps], dtype=np.int64)
+    applied = inverse_apply(inverse, vecs, ps).tolist()
+    for k, p, low, up, vec, got in zip(keep, ps, inverse[0].tolist(), inverse[1].tolist(),
+                                       vecs.tolist(), applied):
+        m = mats[elim.members[k]]
+        pivots = [m[r][:cols] for r in elim.rows[k][:cols].tolist()]
+        full = [[sum(u * x for u, x in zip(urow, col)) % p for col in zip(*low)]
+                for urow in up]
+        for i, row in enumerate(pivots):
+            assert [sum(a * b for a, b in zip(row, col)) % p for col in zip(*full)] == \
+                [int(i == j) for j in range(cols)]
+        assert got == [sum(a * b for a, b in zip(row, vec)) % p for row in full]
+
+
+def test_pivot_inverse_after_row_swaps():
+    # members whose pivots need row swaps, one that leaves the lockstep
+    # and one with full rank: the factors of those with a line invert
+    # their pivot rows in the order the elimination left them
+    import numpy as np
+
+    rng = random.Random(4)
+    primes = [p for p, _ in cached_primes(4, (1 << 29) + 1)]
+    size = 9
+    mats = []
+    for k, p in enumerate(primes):
+        m = [[rng.randrange(p) for _ in range(size)] for _ in range(size)]
+        if k in (0, 3):
+            # zeros on the diagonal force swaps
+            for c in range(0, size - 1, 2):
+                m[c][c] = 0
+        if k == 1:
+            # a zero column before the last: no line
+            for row in m:
+                row[3] = 0
+        if k != 2:
+            # the last column a combination of the others: a kernel line
+            coeffs = [rng.randrange(p) for _ in range(size - 1)]
+            for row in m:
+                row[-1] = sum(a * x for a, x in zip(coeffs, row[:-1])) % p
+        mats.append(m)
+    elim = nullspace_mod_np(np.array(mats, dtype=np.int64), primes)
+    assert [len(line) for line in elim.lines] == [1, 0, 0, 1]
+    assert elim.members == [0, 2, 3]
+    assert elim.rows[0].tolist() != list(range(size))
+    _check_pivot_inverse(mats, primes, elim, [0, 2])
+
+
+def test_pivot_inverse_and_inverse_apply_check_their_bound():
+    import numpy as np
+
+    p = cached_primes(1, (1 << 29) + 1)[0][0]
+    # 2^20 columns of 29-bit residues times 15-bit halves pass 2^63; the
+    # check runs before any product (the vector is short, so a missing
+    # check fails at once on the shapes instead of multiplying)
+    wide = np.broadcast_to(np.zeros(1, dtype=np.int64), (2, 1, 1 << 20, 1 << 20))
+    with pytest.raises(ValueError, match="too many"):
+        inverse_apply(wide, np.zeros((1, 3), dtype=np.int64), [p])
+    with pytest.raises(ValueError, match="too many"):
+        inverse_apply(np.zeros((2, 1, 3, 3), dtype=np.int64), np.zeros((1, 3), dtype=np.int64),
+                      [(1 << 31) - 1])
+    with pytest.raises(ValueError, match="too many"):
+        pivot_inverse(np.zeros((1, 4, 4), dtype=np.int64), [(1 << 31) - 1])
+
+
+# ---------------------------------------------------------------------------
+# p-adic kernel solve against the exact nullspace
+# ---------------------------------------------------------------------------
+
+
+def _limbs_of(rows):
+    """A square matrix of Z[w] integer pairs in kernel_matrix_limbs form."""
+    import numpy as np
+
+    c = len(rows)
+    split = _balanced_split([x for row in rows for pair in row for x in pair])
+    return np.ascontiguousarray(split.reshape(len(split), c, c, 2).transpose(3, 0, 1, 2))
+
+
+def _system(a, rest, base):
+    """M = A [base I | -rest] over Z[w]: for A of full column rank its
+    kernel is the line of v = (rest, base), which is integral."""
+    rows = []
+    for arow in a:
+        last = (0, 0)
+        for x, v in zip(arow, rest):
+            xv = pair_mul(x, v)
+            last = (last[0] - xv[0], last[1] - xv[1])
+        rows.append([pair_mul(x, base) for x in arow] + [last])
+    return rows
+
+
+def _exact_line(rows, base):
+    """The kernel vector with last coordinate base, from the Fraction
+    nullspace, or None when the kernel is not one line."""
+    basis = nullspace(ExactMatrix([[CycloNum(a, b) for a, b in row] for row in rows]))
+    if len(basis) != 1 or not basis[0][-1]:
+        return None
+    scale = CycloNum(*base) / basis[0][-1]
+    return [x * scale for x in basis[0]]
+
+
+def _padic(rows, base):
+    try:
+        return [CycloNum(a, b) for a, b in _kernel_modular(_limbs_of(rows), base)]
+    except DegenerateKernelError:
+        return None
+
+
+def zw(bits):
+    return st.tuples(st.integers(-(1 << bits), 1 << bits), st.integers(-(1 << bits), 1 << bits))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_padic_kernel_matches_exact_nullspace(data):
+    # coordinates of a few bits up to about 20 digits, of either sign; a
+    # matrix A that is not of full rank has a larger kernel, which must
+    # raise and never give a vector
+    c = data.draw(st.integers(min_value=2, max_value=5))
+    bits = data.draw(st.sampled_from([3, 40, 200, 560]))
+    rest = data.draw(st.lists(zw(bits), min_size=c - 1, max_size=c - 1))
+    base = data.draw(zw(bits).filter(any))
+    a = data.draw(st.lists(st.lists(zw(3), min_size=c - 1, max_size=c - 1),
+                           min_size=c, max_size=c))
+    rows = _system(a, rest, base)
+    exact = _exact_line(rows, base)
+    assert _padic(rows, base) == exact
+    if exact is not None:
+        assert exact == [CycloNum(*v) for v in rest] + [CycloNum(*base)]
+
+
+def _counted(monkeypatch, name):
+    real = getattr(groundstate, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(groundstate, name, counted)
+    return calls
+
+
+def test_padic_kernel_negative_coordinates_many_digits(monkeypatch):
+    rng = random.Random(12)
+    rest = [(-rng.getrandbits(500), rng.getrandbits(480)), (rng.getrandbits(490), -7),
+            (-1, -rng.getrandbits(505))]
+    base = (-rng.getrandbits(300), 5)
+    a = [[(rng.randrange(-9, 9), rng.randrange(-9, 9)) for _ in range(3)] for _ in range(4)]
+    rows = _system(a, rest, base)
+    digits = _counted(monkeypatch, "_solve_digit")
+    inverses = _counted(monkeypatch, "pivot_inverse")
+    assert _padic(rows, base) == _exact_line(rows, base)
+    # about 510 bits at 29 bits a digit, from one elimination and one
+    # pivot-row inverse
+    assert len(digits) >= 18 and len(inverses) == 1
+
+
+def test_padic_kernel_just_past_the_first_bound(monkeypatch):
+    # base = 1 asks for one digit; coordinates of 40 bits need two, so the
+    # first certificate fails and two more digits pass the second
+    rng = random.Random(13)
+    rest = [(rng.getrandbits(40), -rng.getrandbits(40)), (-rng.getrandbits(39), 3)]
+    base = (1, 0)
+    a = [[(rng.randrange(-9, 9), rng.randrange(-9, 9)) for _ in range(2)] for _ in range(3)]
+    rows = _system(a, rest, base)
+    digits = _counted(monkeypatch, "_solve_digit")
+    certificates = _counted(monkeypatch, "limbs_vanish")
+    assert _padic(rows, base) == _exact_line(rows, base)
+    assert len(digits) == 3 and len(certificates) == 2
+
+
+def test_padic_kernel_rank_deficient_raises():
+    # A with two equal columns: the kernel is a plane, never a vector
+    rng = random.Random(14)
+    rest = [(rng.getrandbits(60), 1), (-2, rng.getrandbits(50)), (3, 4)]
+    base = (rng.getrandbits(40), -1)
+    a = [[(rng.randrange(-9, 9), rng.randrange(-9, 9)) for _ in range(3)] for _ in range(4)]
+    for row in a:
+        row[2] = row[0]
+    rows = _system(a, rest, base)
+    assert _exact_line(rows, base) is None
+    with pytest.raises(DegenerateKernelError):
+        _kernel_modular(_limbs_of(rows), base)

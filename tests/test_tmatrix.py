@@ -9,7 +9,7 @@ import pytest
 
 import loopsum
 from loopsum import tmatrix
-from loopsum.cyclo import CycloNum, ONE, Q, Q_INV, ZERO, integer_pairs
+from loopsum.cyclo import CycloNum, ONE, Q, Q_INV, ZERO, integer_pairs, pair_mul
 from loopsum.linkpat import catalan, enumerate_patterns, pattern_index, spin_embed
 from loopsum.solver import ExactMatrix
 from loopsum.tmatrix import (
@@ -26,6 +26,7 @@ from loopsum.tmatrix import (
     eigenvalue,
     embed,
     kernel_matrix_limbs,
+    limbs_lift,
     limbs_mod,
     limbs_vanish,
     monodromy_apply,
@@ -536,6 +537,43 @@ def test_limb_vanish_reads_the_top_digit():
             assert not limbs_vanish(limbs, [x, 0, 0], [0] * cn), (s, x)
             assert not limbs_vanish(limbs, [0] * cn, [0, 0, x]), (s, x)
         assert limbs_vanish(limbs, [0] * cn, [0] * cn)
+
+
+@pytest.mark.parametrize("n", (2, 3, 5))
+def test_limbs_lift_matches_pair_arithmetic(n):
+    # (r - M x) / p against M = T - Lambda in plain pair arithmetic: the
+    # exact quotient when p divides, None when one entry is off by one,
+    # from int64 and from float64 limbs alike
+    import numpy as np
+
+    rnd = random.Random(40 + n)
+    zs, t = rnd.sample(range(1, 60), 2 * n), 7
+    limbs = kernel_matrix_limbs(n, zs, t)
+    lam = eigenvalue(t, zs)
+    rows = [[(a - int(lam.a), b - int(lam.b)) if r == c else (a, b)
+             for c, (a, b) in enumerate(row)]
+            for r, row in enumerate(transfer_link_pairs(n, zs, t))]
+    p = cached_primes(1, _PRIME_START)[0][0]
+    cn = len(rows)
+    x = [(rnd.randrange(-(p // 2), p // 2 + 1), rnd.randrange(-(p // 2), p // 2 + 1))
+         for _ in range(cn)]
+    image = []
+    for row in rows:
+        acc = (0, 0)
+        for m, v in zip(row, x):
+            mv = pair_mul(m, v)
+            acc = (acc[0] + mv[0], acc[1] + mv[1])
+        image.append(acc)
+    quo = [rnd.getrandbits(120) - (1 << 119) for _ in range(2 * cn)]
+    residual = [mx + p * q for mx, q in zip([a for a, _ in image] + [b for _, b in image], quo)]
+    digit = np.array(x, dtype=np.int64).T.copy()
+    for form in (limbs, limbs.astype(np.float64)):
+        assert limbs_lift(form, residual, digit, p) == quo
+        assert limbs_lift(form, None, np.zeros_like(digit), p) == [0] * (2 * cn)
+        for k in (0, 2 * cn - 1):
+            bent = list(residual)
+            bent[k] += 1
+            assert limbs_lift(form, bent, digit, p) is None, k
 
 
 def test_limb_width_rule_at_n7():
