@@ -343,12 +343,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, threads=True):
+        """Adds n, --json and --threads; returns the group of mutually
+        exclusive output formats that --json opens."""
         p.add_argument("n", type=_positive, help="half-size (2n boundary points)")
-        p.add_argument("--json", action="store_true", help="JSON report")
+        formats = p.add_mutually_exclusive_group()
+        formats.add_argument("--json", action="store_true", help="JSON report")
         if threads:
             p.add_argument("--threads", type=_positive, default=None,
                            help="worker processes for grid solves (default and "
                            "maximum: the CPUs this process may run on)")
+        return formats
 
     p = sub.add_parser("verify-sumrule", help="sum of components vs Schur")
     common(p)
@@ -372,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_all)
 
     p = sub.add_parser("asm-tables", help="ASM counts and refined tables")
-    common(p, threads=False)
-    p.add_argument("--csv", action="store_true", help="CSV refined table")
+    common(p, threads=False).add_argument("--csv", action="store_true",
+                                          help="CSV refined table")
     p.set_defaults(func=cmd_asm_tables)
     return parser
 

@@ -143,7 +143,9 @@ class PointVector:
 #: residues by residues, again below p^2.
 _PRIME_START = (1 << 29) + 1
 #: base-p digits lifted per kernel solve, about 29 bits each
-_MAX_PRIMES = 64
+_MAX_DIGITS = 64
+#: primes tried per kernel solve, skipped ones included
+_MAX_PRIMES = 128
 
 
 def _balanced(x: int, p: int) -> int:
@@ -165,16 +167,16 @@ def _solve_digit(lines, inverse, rhs, nested, crt, p: int):
     """
     emb = nested[:, None] * lines
     if rhs is not None:
-        emb[:, :-1] += inverse_apply(inverse, rhs, [p, p])
+        emb[:, :-1] += inverse_apply(inverse, rhs, p)
     half = p // 2
     # two products of residues, below 2^61
     return (crt @ (emb % p) + half) % p - half
 
 
-def _lift(limbs, base, p: int, g: int, elim, first: int):
+def _lift(limbs, base, p: int, g: int, elim):
     """The kernel vector of T - Lambda whose last coordinate is base, by
     p-adic lifting from the elimination ``elim`` of the embeddings
-    w -> g, g^2 mod p.
+    w -> g, g^2 mod p, or None when p cannot serve.
 
     The vector v = sum_i x_i p^i has balanced base-p digits x_i, Z[w]
     vectors with parts in (-p/2, p/2]; the last coordinate of x_i is digit
@@ -184,10 +186,12 @@ def _lift(limbs, base, p: int, g: int, elim, first: int):
     r_{i+1} exactly; when p does not divide it, this returns None.  The
     pivot-row inverse is built when the second digit is, and not before.
 
-    k digits give v mod p^k as its symmetric residue.  ``first`` digits
-    are lifted, then v is certified: base in the last coordinate, and
-    the exact residual against the same limbs (limbs_vanish).  Each
-    failed certificate lifts two more digits, up to _MAX_PRIMES digits.
+    The residuals are exact, so the first k digits v_k satisfy
+    M v_k = -p^k r_k, and the lift stops at the first k where base has
+    no digits left and r_k = 0 (Dixon's stopping rule), or raises
+    DegenerateKernelError past _MAX_DIGITS digits.  v_k is then certified
+    once: base in the last coordinate, and the exact residual against the
+    same limbs (limbs_vanish).  A failed certificate returns None.
     """
     import numpy as np
 
@@ -195,41 +199,40 @@ def _lift(limbs, base, p: int, g: int, elim, first: int):
     inv_diff = pow(g - ws[1], -1, p)
     crt = np.array([[-ws[1] * inv_diff % p, g * inv_diff % p], [inv_diff, p - inv_diff]],
                    dtype=np.int64)
-    lines = np.array([line for (line,) in elim.lines], dtype=np.int64)
-    cn = lines.shape[1]
+    cn = elim.lines.shape[1]
     # the limbs as float64 once, for every residual and certificate
     limbs = limbs.astype(np.float64)
     digits = []
     residual = rhs = inverse = None
     rest = list(base)
-    want = first
     while True:
-        while len(digits) < want:
-            ea, eb = (_balanced(x, p) for x in rest)
-            rest = [(rest[0] - ea) // p, (rest[1] - eb) // p]
-            if digits:
-                residual = limbs_lift(limbs, residual, digits[-1], p)
-                if residual is None:
-                    return None
-                if inverse is None:
-                    inverse = pivot_inverse(elim.factors, [p, p])
-                    # the pivot rows of the residual at both embeddings
-                    pivots = elim.rows[:, :-1] + np.array([[0], [cn]])
-                    at_w = np.array(ws, dtype=np.int64)[:, None]
-                res = np.array([x % p for x in residual], dtype=np.int64).reshape(2, cn)
-                rhs = np.take((res[0] + res[1] * at_w) % p, pivots)
-            nested = np.array([(ea + eb * w) % p for w in ws], dtype=np.int64)
-            digits.append(_solve_digit(lines, inverse, rhs, nested, crt, p))
-        high, *lower = [d.tolist() for d in reversed(digits)]
-        va, vb = high
-        for da, db in lower:
-            va = [x * p + y for x, y in zip(va, da)]
-            vb = [x * p + y for x, y in zip(vb, db)]
-        if (va[-1], vb[-1]) == base and limbs_vanish(limbs, va, vb):
-            return list(zip(va, vb))
-        if want >= _MAX_PRIMES:
-            raise DegenerateKernelError(f"kernel vector needs more than {want} digits")
-        want = min(want + 2, _MAX_PRIMES)
+        if len(digits) == _MAX_DIGITS:
+            raise DegenerateKernelError(f"kernel vector needs more than {_MAX_DIGITS} digits")
+        ea, eb = (_balanced(x, p) for x in rest)
+        rest = [(rest[0] - ea) // p, (rest[1] - eb) // p]
+        if digits:
+            if inverse is None:
+                inverse = pivot_inverse(elim.factors, p)
+                # the pivot rows of the residual at both embeddings
+                pivots = elim.rows[:, :-1] + np.array([[0], [cn]])
+                at_w = np.array(ws, dtype=np.int64)[:, None]
+            res = np.array([x % p for x in residual], dtype=np.int64).reshape(2, cn)
+            rhs = np.take((res[0] + res[1] * at_w) % p, pivots)
+        nested = np.array([(ea + eb * w) % p for w in ws], dtype=np.int64)
+        digits.append(_solve_digit(elim.lines, inverse, rhs, nested, crt, p))
+        residual = limbs_lift(limbs, residual, digits[-1], p)
+        if residual is None:
+            return None
+        if rest == [0, 0] and not any(residual):
+            break
+    high, *lower = [d.tolist() for d in reversed(digits)]
+    va, vb = high
+    for da, db in lower:
+        va = [x * p + y for x, y in zip(va, da)]
+        vb = [x * p + y for x, y in zip(vb, db)]
+    if (va[-1], vb[-1]) == base and limbs_vanish(limbs, va, vb):
+        return list(zip(va, vb))
+    return None
 
 
 def _kernel_modular(limbs, base: tuple[int, int]) -> list[tuple[int, int]]:
@@ -243,28 +246,22 @@ def _kernel_modular(limbs, base: tuple[int, int]) -> list[tuple[int, int]]:
     solve: a stack of two members, the embeddings w -> g, g^2 of the limbs
     reduced mod p, is eliminated by a single nullspace_mod_np call, and
     _lift takes the kernel lines it finds, digit 0 of the vector, to as
-    many base-p digits as the vector needs.  Their number starts from the
-    bits of base plus a margin for the other components, and every
-    returned vector has passed the exact certificate.  A prime at which
-    base vanishes under either embedding cannot scale the kernel line to
-    it and is skipped.
+    many base-p digits as the vector needs; every returned vector has
+    passed the exact certificate.  A prime at which base vanishes under
+    either embedding cannot scale the kernel line to it and is skipped.
 
-    A member with no kernel line, or a residual that p does not divide,
-    is a strike, and the next prime is tried.  With base nonzero mod p,
-    no line means a kernel mod p larger than one line, which can only be
-    larger than the exact one, so two strikes mean that the exact kernel
-    is not one line and raise DegenerateKernelError.  At most
-    2 * _MAX_PRIMES primes are tried, skipped ones included.
+    An elimination without a kernel line at both embeddings, a residual
+    that p does not divide, or a failed certificate is a strike, and the
+    next prime is tried.  With base nonzero mod p, no line means a kernel
+    mod p larger than one line, which can only be larger than the exact
+    one, so two strikes mean that the exact kernel is not one line and
+    raise DegenerateKernelError.  At most _MAX_PRIMES primes are tried,
+    skipped ones included.
     """
     import numpy as np
 
-    cn = limbs.shape[2]
-    # every digit holds 29 bits; the other components run a few bits past
-    # the nested one
-    base_bits = max(abs(x).bit_length() for x in base)
-    first = -(-(base_bits + cn.bit_length() + 10) // 29)
     strikes = 0
-    for tried in range(2 * _MAX_PRIMES):
+    for tried in range(_MAX_PRIMES):
         p, g = cached_primes(tried + 1, _PRIME_START)[tried]
         ws = (g, g * g % p)
         if not all((base[0] + base[1] * w) % p for w in ws):
@@ -272,11 +269,10 @@ def _kernel_modular(limbs, base: tuple[int, int]) -> list[tuple[int, int]]:
         amat, bmat = limbs_mod(limbs, p)
         # a + b w at both embeddings of w: products of residues below 2^30
         # stay inside int64
-        elim = nullspace_mod_np((bmat * np.array(ws)[:, None, None] + amat) % p, [p, p])
-        if all(len(line) == 1 for line in elim.lines):
-            vec = _lift(limbs, base, p, g, elim, first)
-            if vec is not None:
-                return vec
+        elim = nullspace_mod_np((bmat * np.array(ws)[:, None, None] + amat) % p, p)
+        vec = None if elim is None else _lift(limbs, base, p, g, elim)
+        if vec is not None:
+            return vec
         strikes += 1
         if strikes >= 2:
             raise DegenerateKernelError(f"kernel not one line (mod {p})")

@@ -3,21 +3,18 @@
 Every point eigenvector extraction runs over F_p for one prime p = 1
 (mod 3), where w maps to a cube root of unity g, and is lifted p-adically.
 The matrices of both embeddings w -> g and w -> g^2 are eliminated
-together as one stack by ``nullspace_mod_np``, in lockstep: each member
-either has a kernel of one line with a nonzero last coordinate, found with
-its pivots on the diagonal, or reports that it has not.  The elimination
-keeps its multipliers and its row order, from which ``pivot_inverse``
-builds the inverse of the pivot rows without the last column, and
-``inverse_apply`` solves each later digit with it; every mod-p product
-there is exact.  The pair (a, b) of a value a + b*w is recovered from its
-two embeddings.  Callers must verify the lifted result exactly; these
-routines only propose candidates.
+together as one stack by ``nullspace_mod_np``, in lockstep: every member
+has a kernel of one line with a nonzero last coordinate, found with its
+pivots on the diagonal, or the elimination gives up.  It keeps its
+multipliers and its row order, from which ``pivot_inverse`` builds the
+inverse of the pivot rows without the last column, and ``inverse_apply``
+solves each later digit with it; every mod-p product there is exact.
+Callers must verify the lifted result exactly; these routines only
+propose candidates.
 
-``crt_lift``, ``crt_pair`` and ``rational_reconstruct`` have no production
-caller since the point solve lifts p-adically; they stay for the
-benchmark's tracer, which resolves ``crt_pair`` and
-``rational_reconstruct`` by name, and ``crt_pair`` is built on
-``crt_lift``.
+``crt_pair`` and ``rational_reconstruct`` have no production caller since
+the point solve lifts p-adically; they stay for the benchmark's tracer,
+which resolves them by name.
 """
 
 from __future__ import annotations
@@ -54,7 +51,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes_one_mod_three(count: int, start: int = (1 << 59) + 1):
+def primes_one_mod_three(count: int, start: int):
     """The first `count` primes p >= start with p = 1 (mod 3)."""
     out = []
     p = start + (1 - start) % 3
@@ -102,33 +99,30 @@ _HALF_MASK = (1 << _HALF_BITS) - 1
 
 
 class Elimination(NamedTuple):
-    """What ``nullspace_mod_np`` finds in a stack.
+    """What ``nullspace_mod_np`` finds in a stack where every member has a
+    kernel line.
 
-    ``lines[b]`` is ``[v]`` with v[-1] = 1 when member b's kernel is one
-    line with a nonzero last coordinate, and ``[]`` otherwise.
-
-    ``factors`` keeps the members that stayed in the lockstep up to the
-    last column, ``members`` says which member each one is, and
-    ``rows[k, c]`` is the row of member k's input that ended in position
-    c.  In its first C - 1 rows, factor k holds P A = L U in place: row c
-    carries the inverse of pivot c on the diagonal and the normalized
-    pivot row (U, unit upper triangular) to its right, and below the
-    diagonal sit the multipliers that cleared each column (L, whose
-    diagonal is the pivots).  pivot_inverse reads them.
+    ``lines[b]`` is member b's kernel vector mod p with last coordinate 1,
+    an int64 array of shape (B, C).  ``rows[b, c]`` is the row of member
+    b's input that ended in position c.  In its first C - 1 rows, factor b
+    holds P A = L U in place: row c carries the inverse of pivot c on the
+    diagonal and the normalized pivot row (U, unit upper triangular) to
+    its right, and below the diagonal sit the multipliers that cleared
+    each column (L, whose diagonal is the pivots).  pivot_inverse reads
+    them.
     """
 
-    lines: list
+    lines: "np.ndarray"
     factors: "np.ndarray"
     rows: "np.ndarray"
-    members: list
 
 
-def nullspace_mod_np(stack, primes) -> Elimination:
-    """Kernel lines over F_p of a stack of matrices, p < 2^30 (int64-safe).
+def nullspace_mod_np(stack, p: int) -> Elimination | None:
+    """Kernel lines over F_p of a stack of matrices, p < 2^30 (int64-safe),
+    or None as soon as one member has none.
 
-    ``stack`` is an int64 numpy array of shape (B, R, C) whose member b is
-    already reduced mod ``primes[b]``; it is consumed, the returned
-    factors being built in it.
+    ``stack`` is an int64 numpy array of shape (B, R, C), already reduced
+    mod p; it is consumed, the returned factors being built in it.
 
     A member has a kernel of one line with a nonzero last coordinate
     exactly when its elimination finds a pivot for each of columns
@@ -138,40 +132,32 @@ def nullspace_mod_np(stack, primes) -> Elimination:
     already stored move with them) and the pivot inverses are one ``pow``
     per member, so the per-column numpy work is paid once for the whole
     stack.  A member that finds no pivot in a column before the last has
-    a kernel vector that is 0 in the last coordinate, and leaves the
-    lockstep with no line; one with a pivot in the last column has full
-    rank and has no line either.
+    a kernel vector that is 0 in the last coordinate, and one with a
+    pivot in the last column has full rank: either ends the elimination.
 
     Forward elimination touches only the rows below each pivot and the
     columns after it, and leaves the rows below unreduced for as many
     updates as int64 holds: each update subtracts a product of two
-    residues, at most (p-1)^2 for the largest prime.  Back-substitution
-    then solves for the other coordinates of v.
+    residues, at most (p-1)^2.  Back-substitution then solves for the
+    other coordinates of v.
     """
     import numpy as np
 
     nmem, nrows, ncols = stack.shape
-    headroom = (1 << 63) // max(1, (max(primes, default=2) - 1) ** 2)
+    if nrows < ncols - 1:
+        return None
+    headroom = (1 << 63) // max(1, (p - 1) ** 2)
     pending = 0
-    out: list = [[] for _ in range(nmem)]
-    ids = np.arange(nmem)
     rows = np.zeros((nmem, 1), dtype=np.int64) + np.arange(nrows)
-    mods = np.array(primes, dtype=np.int64).reshape(nmem, 1)
-    plist = list(primes)
-    c = 0
-    # lockstep: the pivot of column c sits in row c of every member left
-    while c < min(nrows, ncols - 1) and ids.size:
-        col = stack[:, c:, c] % mods
+    # lockstep: the pivot of column c sits in row c of every member
+    for c in range(ncols - 1):
+        col = stack[:, c:, c] % p
         heads = col[:, 0].tolist()
         if 0 in heads:
             hit = col != 0
+            if not hit.any(axis=1).all():
+                return None
             first = hit.argmax(axis=1)
-            lost = ~hit[np.arange(ids.size), first]
-            if lost.any():
-                keep = ~lost
-                stack, mods, ids, rows = stack[keep], mods[keep], ids[keep], rows[keep]
-                col, first = col[keep], first[keep]
-                plist = mods[:, 0].tolist()
             for k in first.nonzero()[0]:
                 # a row swap for each member whose pivot is further down
                 f = c + int(first[k])
@@ -179,55 +165,48 @@ def nullspace_mod_np(stack, primes) -> Elimination:
                 rows[k, [c, f]] = rows[k, [f, c]]
                 col[k, [0, f - c]] = col[k, [f - c, 0]]
             heads = col[:, 0].tolist()
-        inv = np.array([pow(x, -1, p) for x, p in zip(heads, plist)], dtype=np.int64)
-        pivot = stack[:, c, c + 1:] % mods * inv[:, None] % mods
+        inv = np.array([pow(x, -1, p) for x in heads], dtype=np.int64)
+        pivot = stack[:, c, c + 1:] % p * inv[:, None] % p
         stack[:, c, c + 1:] = pivot
         stack[:, c, c] = inv
         stack[:, c + 1:, c] = col[:, 1:]
         if pending == headroom:
-            stack[:, c + 1:, c + 1:] %= mods[:, :, None]
+            stack[:, c + 1:, c + 1:] %= p
             pending = 0
         # the update in bands of rows keeps its temporary small
         for lo in range(c + 1, nrows, _BAND):
             stack[:, lo:lo + _BAND, c + 1:] -= col[:, lo - c:lo - c + _BAND, None] * pivot[:, None]
         pending += 1
-        c += 1
-    if c < ncols - 1:
-        # out of rows (or members) before the last column: no line
-        return Elimination(out, stack[:0], rows[:0], [])
     # the last column: a pivot there means full rank, none means the last
     # coordinate is the only free one
-    line = ~(stack[:, c:, c] % mods).any(axis=1)
+    if (stack[:, ncols - 1:, -1] % p).any():
+        return None
     # back-substitution, column by column: the pivot rows are normalized
     # and reduced right of their diagonal, and the rows above a solved
     # coordinate stay unreduced for as many updates as int64 holds
-    vec = np.ones((ids.size, ncols), dtype=np.int64)
+    vec = np.ones((nmem, ncols), dtype=np.int64)
     vec[:, :-1] = -stack[:, :ncols - 1, -1]
     for r in range(ncols - 2, -1, -1):
-        vec[:, r] %= mods[:, 0]
+        vec[:, r] %= p
         if r and (ncols - 2 - r) % headroom == headroom - 1:
-            vec[:, :r] %= mods
+            vec[:, :r] %= p
         vec[:, :r] -= stack[:, :r, r] * vec[:, r, None]
-    for b, v, ok in zip(ids.tolist(), vec.tolist(), line.tolist()):
-        if ok:
-            out[b] = [v]
-    return Elimination(out, stack, rows, ids.tolist())
+    return Elimination(vec, stack, rows)
 
 
-def _check_exact(m: int, primes) -> None:
+def _check_exact(m: int, p: int) -> None:
     """Raise ValueError unless the pivot-row inverse of m columns is exact
-    in int64 at these primes: below 2^30, so a product of two residues is
-    below 2^60, and m products of a residue and a 15-bit half below 2^63.
+    in int64 at p: below 2^30, so a product of two residues is below
+    2^60, and m products of a residue and a 15-bit half below 2^63.
     """
-    top = max(primes)
-    if top >= 1 << 2 * _HALF_BITS or m * (top - 1) << _HALF_BITS >= 1 << 63:
-        raise ValueError(f"{m} columns at p = {top} are too many for exact int64 products")
+    if p >= 1 << 2 * _HALF_BITS or m * (p - 1) << _HALF_BITS >= 1 << 63:
+        raise ValueError(f"{m} columns at p = {p} are too many for exact int64 products")
 
 
-def _unit_lower_inverse(strict, primes):
+def _unit_lower_inverse(strict, p: int):
     """The inverses mod p of unit lower triangular matrices I + N, given
     the strictly lower part of ``strict`` (G, m, m) as N, with residues in
-    [0, p) for the G ``primes``.
+    [0, p).
 
     Row c of the inverse is e_c - sum_{j<c} N[c, j] (row j); once it is
     known, its products with column c of N are taken off the rows below
@@ -237,39 +216,37 @@ def _unit_lower_inverse(strict, primes):
     import numpy as np
 
     g, m, _ = strict.shape
-    mods = np.array(primes, dtype=np.int64)[:, None]
-    headroom = (1 << 63) // max(1, (max(primes) - 1) ** 2)
+    headroom = (1 << 63) // max(1, (p - 1) ** 2)
     inv = np.zeros((g, m, m), dtype=np.int64)
     inv.reshape(g, -1)[:, ::m + 1] = 1
     for c in range(m - 1):
         row = inv[:, c, :c + 1]
-        np.remainder(row, mods, out=row)
+        np.remainder(row, p, out=row)
         if c and c % headroom == 0:
-            inv[:, c + 1:, :c + 1] %= mods[:, :, None]
+            inv[:, c + 1:, :c + 1] %= p
         inv[:, c + 1:, :c + 1] -= strict[:, c + 1:, c, None] * row[:, None]
-    inv[:, m - 1] %= mods
+    inv[:, m - 1] %= p
     return inv
 
 
-def pivot_inverse(factors, primes):
-    """For each member of ``Elimination.factors``, the inverse mod its
-    prime of its pivot rows without the last column, the (C-1) x (C-1)
-    matrix A_P = L U, kept as its factors: an array of shape (2, B, C-1,
-    C-1) holding L^{-1} and U^{-1}, so A_P^{-1} = U^{-1} L^{-1}.
+def pivot_inverse(factors, p: int):
+    """For each member of ``Elimination.factors``, the inverse mod p of
+    its pivot rows without the last column, the (C-1) x (C-1) matrix
+    A_P = L U, kept as its factors: an array of shape (2, B, C-1, C-1)
+    holding L^{-1} and U^{-1}, so A_P^{-1} = U^{-1} L^{-1}.
 
     L = (I + N) D, where N is the multipliers scaled by the pivot
     inverses D^{-1} on the diagonal; so L^{-1} = D^{-1} (I + N)^{-1}.
     (I + N)^{-1} and the transpose of U^{-1} are inverted as one batch of
     unit lower triangular matrices, one numpy step per column for all.
-    Primes of 2^30 or more, or too many columns for inverse_apply, raise
+    A prime of 2^30 or more, or too many columns for inverse_apply, raise
     ValueError (_check_exact).
     """
     import numpy as np
 
     b, cn = len(factors), factors.shape[2]
     m = cn - 1
-    _check_exact(m, primes)
-    mods = np.array(primes, dtype=np.int64)[:, None, None]
+    _check_exact(m, p)
     lu = factors[:, :m, :m]
     # the pivot inverses, on the diagonal
     dinv = factors.reshape(b, -1)[:, :m * (cn + 1):cn + 1]
@@ -277,17 +254,17 @@ def pivot_inverse(factors, primes):
     # N and of U transposed
     strict = np.empty((2, b, m, m), dtype=np.int64)
     np.multiply(lu, dinv[:, None], out=strict[0])
-    strict[0] %= mods
+    strict[0] %= p
     strict[1] = lu.transpose(0, 2, 1)
-    inverse = _unit_lower_inverse(strict.reshape(2 * b, m, m), list(primes) * 2).reshape(2, b, m, m)
+    inverse = _unit_lower_inverse(strict.reshape(2 * b, m, m), p).reshape(2, b, m, m)
     np.multiply(inverse[0], dinv[:, :, None], out=inverse[0])
-    np.remainder(inverse[0], mods, out=inverse[0])
+    np.remainder(inverse[0], p, out=inverse[0])
     inverse[1] = inverse[1].transpose(0, 2, 1).copy()
     return inverse
 
 
-def inverse_apply(inverse, vecs, primes):
-    """A_P^{-1} vecs[b] mod primes[b] for the pivot_inverse ``inverse`` and
+def inverse_apply(inverse, vecs, p: int):
+    """A_P^{-1} vecs[b] mod p for the pivot_inverse ``inverse`` and
     residues ``vecs`` of shape (B, C-1) in [0, p): U^{-1} (L^{-1} vecs).
 
     Each product is exact: the vector splits into 15-bit halves, so one
@@ -296,34 +273,25 @@ def inverse_apply(inverse, vecs, primes):
     """
     import numpy as np
 
-    _check_exact(inverse.shape[-1], primes)
-    mods = np.array(primes, dtype=np.int64)[:, None]
+    _check_exact(inverse.shape[-1], p)
     for factor in inverse:
         halves = np.empty(vecs.shape + (2,), dtype=np.int64)
         np.right_shift(vecs, _HALF_BITS, out=halves[..., 0])
         np.bitwise_and(vecs, _HALF_MASK, out=halves[..., 1])
         prod = factor @ halves
-        vecs = ((prod[..., 0] % mods << _HALF_BITS) + prod[..., 1]) % mods
+        vecs = ((prod[..., 0] % p << _HALF_BITS) + prod[..., 1]) % p
     return vecs
 
 
-def crt_lift(residues: list[int], m1: int, rs: list[int], m2: int) -> list[int]:
-    """Combine x_k = residues[k] (mod m1), x_k = rs[k] (mod m2) for coprime
-    moduli, with one inverse for every k; residues in [0, m1) give [0, m1*m2).
-
-    No production caller: crt_pair is built on it.
-    """
-    inv = pow(m1 % m2, -1, m2)
-    return [r1 + m1 * ((r2 - r1) * inv % m2) for r1, r2 in zip(residues, rs)]
-
-
 def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    """crt_lift of one coordinate, for any r1.
+    """The x in [0, m1*m2) with x = r1 (mod m1) and x = r2 (mod m2), for
+    coprime moduli, and m1*m2.
 
     No production caller: kept only because perfbench/tracer.py resolves
-    it by name; delete it when the tracer is retargeted to crt_lift.
+    it by name.
     """
-    return crt_lift([r1 % m1], m1, [r2], m2)[0], m1 * m2
+    r1 %= m1
+    return r1 + m1 * ((r2 - r1) * pow(m1, -1, m2) % m2), m1 * m2
 
 
 def rational_reconstruct(r: int, m: int) -> Fraction | None:

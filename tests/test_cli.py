@@ -104,6 +104,15 @@ def test_asm_tables_csv(capsys):
     assert "1,1,0" in out and "2,0,1" in out
 
 
+def test_asm_tables_csv_and_json_exit_2(capsys):
+    # one output format per run: the pair is a usage error, not a silent choice
+    assert main(["asm-tables", "3", "--csv", "--json"]) == 2
+    assert main(["asm-tables", "3", "--json", "--csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
+
+
 def test_cap_errors_exit_2(capsys):
     assert main(["verify-sumrule", "9", "--mode", "symbolic"]) == 2
     assert main(["verify-sumrule", "9", "--mode", "random-points"]) == 2

@@ -186,21 +186,27 @@ def _quotient_off_once(k, residual, *args):
     return residual[:1] + [residual[1] + 1] + residual[2:]
 
 
+def _kernel_entry_off(k, elim, stack, p):
+    lines = elim.lines.copy()
+    lines[0, -1] = (lines[0, -1] + 1) % p
+    return elim._replace(lines=lines)
+
+
 #: name -> (helper of _kernel_modular, point, corruption(call, true result, *args)).
-#: _solve_digit is the digit solve: each digit from the elimination's
-#: kernel line and, after digit 0, the pivot-row inverse, its two
-#: embeddings combined by CRT over Z[w]; the crt-* and lift-off-* entries
-#: corrupt it.  limbs_lift is the exact residual and its divisibility test.
+#: nullspace_mod_np is the elimination: its kernel lines are digit 0, and
+#: None says that some embedding has no line.  _solve_digit is the digit
+#: solve: each digit from the elimination's kernel line and, after digit
+#: 0, the pivot-row inverse, its two embeddings combined by CRT over Z[w];
+#: the crt-* and lift-off-* entries corrupt it.  limbs_lift is the exact
+#: residual and its divisibility test, limbs_vanish the certificate.
 CORRUPTIONS = {
-    "kernel-entry-off": ("nullspace_mod_np", INTEGER_POINT, lambda k, elim, stack, primes:
-                         elim._replace(lines=[[v[:-1] + [(v[-1] + 1) % primes[0]]
-                                               for v in elim.lines[0]]] + elim.lines[1:])),
-    "kernel-zero-at-nested": ("nullspace_mod_np", INTEGER_POINT, lambda k, elim, stack, primes:
-                              elim._replace(lines=[[[0] * stack.shape[2]] for _ in elim.lines])),
-    "kernel-too-large": ("nullspace_mod_np", INTEGER_POINT, lambda k, elim, stack, primes:
-                         elim._replace(lines=[b + b for b in elim.lines])),
-    "kernel-empty": ("nullspace_mod_np", INTEGER_POINT, lambda k, elim, stack, primes:
-                     elim._replace(lines=[[] for _ in elim.lines])),
+    "kernel-entry-off": ("nullspace_mod_np", INTEGER_POINT, _kernel_entry_off),
+    "kernel-zero-at-nested": ("nullspace_mod_np", INTEGER_POINT, lambda k, elim, *args:
+                              elim._replace(lines=0 * elim.lines)),
+    # a kernel larger than one line at the first prime only, then at every prime
+    "kernel-too-large": ("nullspace_mod_np", INTEGER_POINT, lambda k, elim, *args:
+                         None if k == 1 else elim),
+    "kernel-empty": ("nullspace_mod_np", INTEGER_POINT, lambda k, elim, *args: None),
     # a later digit once, then every digit, at the fractional point
     "lift-off-early": ("_solve_digit", FRACTIONAL_POINT, _digit_off_once(2)),
     "lift-off-always": ("_solve_digit", FRACTIONAL_POINT, _digit_off_always),
@@ -219,7 +225,17 @@ CORRUPTIONS = {
     "divisibility-always-fails": ("limbs_lift", FRACTIONAL_POINT,
                                   lambda k, residual, *args: None),
     "divisibility-quotient-off": ("limbs_lift", FRACTIONAL_POINT, _quotient_off_once),
+    # the certificate: a false failure at the first prime, then at every prime
+    "certificate-false-once": ("limbs_vanish", FRACTIONAL_POINT,
+                               lambda k, ok, *args: False if k == 1 else ok),
+    "certificate-false-always": ("limbs_vanish", INTEGER_POINT, lambda k, ok, *args: False),
 }
+
+#: corruptions whose outcome is fixed: a strike at one prime only must end
+#: in the exact vector from the next, and a strike at every prime in
+#: DegenerateKernelError
+ONCE = {"kernel-too-large", "divisibility-false-strike", "certificate-false-once"}
+ALWAYS = {"kernel-empty", "divisibility-always-fails", "certificate-false-always"}
 
 
 @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
@@ -237,8 +253,9 @@ def test_corrupted_modular_candidates_never_returned(monkeypatch, name):
     assert patched.calls[0] > 0, f"{target} never called"
     if got is not None:
         assert got.values == exact
-    if name == "kernel-empty":
-        # no member has a kernel line: that is degeneracy, never a vector
+    if name in ONCE:
+        assert got is not None
+    if name in ALWAYS:
         assert got is None
 
 
@@ -253,9 +270,9 @@ def test_psi_point_one_elimination_per_point(monkeypatch):
     real = groundstate.nullspace_mod_np
     calls = []
 
-    def counted(stack, primes):
-        calls.append(len(primes))
-        return real(stack, primes)
+    def counted(stack, p):
+        calls.append(len(stack))
+        return real(stack, p)
 
     monkeypatch.setattr(groundstate, "nullspace_mod_np", counted)
     for point in points:

@@ -11,7 +11,6 @@ from loopsum.cyclo import CycloNum, ONE, ZERO, pair_mul
 from loopsum.groundstate import DegenerateKernelError, _kernel_modular
 from loopsum.modular import (
     cached_primes,
-    crt_lift,
     crt_pair,
     cube_root_mod,
     inverse_apply,
@@ -159,14 +158,12 @@ def test_cached_primes_consistent():
 def test_crt_pair():
     r, m = crt_pair(2, 5, 3, 7)
     assert m == 35 and r % 5 == 2 and r % 7 == 3
-
-
-def test_crt_lift():
+    # residues of one value mod two primes give it back whole, in [0, p1 p2)
     p1, p2 = primes_one_mod_three(2, 10 ** 8)
-    xs = [0, 1, p1 - 1, p1 * p2 - 1, 12345678901234]
-    lifted = crt_lift([x % p1 for x in xs], p1, [x % p2 for x in xs], p2)
-    assert lifted == xs
-    assert crt_lift([], p1, [], p2) == []
+    for x in [0, 1, p1 - 1, p1 * p2 - 1, 12345678901234]:
+        assert crt_pair(x % p1, p1, x % p2, p2) == (x, p1 * p2)
+    # r1 need not be reduced
+    assert crt_pair(-1, p1, p2 - 1, p2) == (p1 * p2 - 1, p1 * p2)
 
 
 def test_rational_reconstruction():
@@ -209,20 +206,35 @@ def _exact_kernel(m):
 
 
 def _exact_line_mod(m, p):
-    """What nullspace_mod_np must return for the integer matrix m, from
-    the exact kernel: the kernel vector scaled to last coordinate 1, mod p,
-    when the kernel is one line with a nonzero last coordinate, and []
-    otherwise."""
+    """The kernel line of the integer matrix m mod p, from the exact
+    kernel: its vector scaled to last coordinate 1, mod p, when the kernel
+    is one line with a nonzero last coordinate, and None otherwise."""
     exact = _exact_kernel(m)
     if len(exact) != 1 or not exact[0][-1]:
-        return []
+        return None
     last = exact[0][-1].a
-    return [[fraction_mod(x.a / last, p) for x in exact[0]]]
+    return [fraction_mod(x.a / last, p) for x in exact[0]]
+
+
+def _stack_mod(mats, p):
+    import numpy as np
+
+    return np.array([[[x % p for x in row] for row in m] for m in mats], dtype=np.int64)
+
+
+def _expect_stack(mats, p):
+    """What nullspace_mod_np must give for a stack of integer matrices at
+    p: the lines of every member, from the exact kernel, when every member
+    has one, and None otherwise."""
+    lines = [_exact_line_mod(m, p) for m in mats]
+    return None if None in lines else lines
+
+
+def _lines(elim):
+    return None if elim is None else elim.lines.tolist()
 
 
 def test_modular_nullspace_matches_exact():
-    import numpy as np
-
     rng = random.Random(0)
     primes = cached_primes(1, 10 ** 7) + cached_primes(1, (1 << 29) + 1)
     dims = set()
@@ -230,20 +242,18 @@ def test_modular_nullspace_matches_exact():
     for m in _modular_cases(rng):
         dims.add(len(_exact_kernel(m)))
         for p, _ in primes:
-            vec = np.array([[[x % p for x in row] for row in m]], dtype=np.int64)
-            (modular,) = nullspace_mod_np(vec, [p]).lines
-            want = _exact_line_mod(m, p)
-            assert modular == want
-            lines += bool(want)
+            want = _expect_stack([m], p)
+            assert _lines(nullspace_mod_np(_stack_mod([m], p), p)) == want
+            lines += want is not None
     assert {0, 1, 2, 3} <= dims
     assert lines > 0
 
 
 def test_modular_nullspace_stack_matches_exact():
-    # the same cases, stacked by shape with mixed primes: every member's
-    # result is the exact kernel line mod its own prime, or []
-    import numpy as np
-
+    # the same cases, stacked by shape at each prime: the whole stack,
+    # which mixes members with and without a line, and the members with a
+    # line on their own; every result is the exact kernel line of each
+    # member mod p, or None when one member has none
     rng = random.Random(0)
     primes = [p for p, _ in cached_primes(1, 10 ** 7) + cached_primes(3, (1 << 29) + 1)]
     by_shape: dict = {}
@@ -251,29 +261,27 @@ def test_modular_nullspace_stack_matches_exact():
         by_shape.setdefault((len(m), len(m[0])), []).append(m)
     dims = set()
     outcomes = set()
-    for mats in by_shape.values():
-        ps = [primes[k % len(primes)] for k in range(len(mats))]
-        stack = np.array([[[x % p for x in row] for row in m] for m, p in zip(mats, ps)],
-                         dtype=np.int64)
-        lines = nullspace_mod_np(stack, ps).lines
-        assert len(lines) == len(mats)
-        for m, p, line in zip(mats, ps, lines):
-            assert line == _exact_line_mod(m, p)
-            dims.add(len(_exact_kernel(m)))
-            outcomes.add(len(line))
+    for k, mats in enumerate(by_shape.values()):
+        p = primes[k % len(primes)]
+        with_line = [m for m in mats if _exact_line_mod(m, p) is not None]
+        for stack in (mats, with_line):
+            if not stack:
+                continue
+            want = _expect_stack(stack, p)
+            assert _lines(nullspace_mod_np(_stack_mod(stack, p), p)) == want
+            outcomes.add(want is not None)
+        dims.update(len(_exact_kernel(m)) for m in mats)
     assert {0, 1, 2, 3} <= dims
-    assert outcomes == {0, 1}
+    assert outcomes == {False, True}
 
 
 def test_modular_nullspace_stack_lockstep_and_split_members():
     # square members: kernel dimension 1 stays in lockstep whether or not
     # the pivots need row swaps; dimension 2, full rank and a kernel
-    # vector that is 0 in the last coordinate leave it with [], and the
-    # members after them keep their places
-    import numpy as np
-
+    # vector that is 0 in the last coordinate have no line, and any one
+    # of them, wherever it sits in the stack, makes the result None
     rng = random.Random(3)
-    primes = [p for p, _ in cached_primes(3, (1 << 29) + 1)]
+    p = cached_primes(1, (1 << 29) + 1)[0][0]
     size = 7
 
     def of_rank(rnk):
@@ -303,32 +311,34 @@ def test_modular_nullspace_stack_lockstep_and_split_members():
     dims = {name: len(_exact_kernel(m)) for name, m in members.items()}
     assert dims == {"kernel-two": 2, "lockstep": 1, "full-rank": 0,
                     "lockstep-swap": 1, "last-coordinate-zero": 1}
-    ps = [primes[k % len(primes)] for k in range(len(members))]
-    stack = np.array([[[x % p for x in row] for row in m]
-                      for m, p in zip(members.values(), ps)], dtype=np.int64)
-    lines = nullspace_mod_np(stack, ps).lines
-    for (name, m), p, line in zip(members.items(), ps, lines):
-        assert line == _exact_line_mod(m, p), name
-    found = {name: len(line) for name, line in zip(members, lines)}
-    assert found == {"kernel-two": 0, "lockstep": 1, "full-rank": 0,
-                     "lockstep-swap": 1, "last-coordinate-zero": 0}
-    assert lines[1][0][-1] == lines[3][0][-1] == 1
+    good = [kernel_one, swapped]
+    elim = nullspace_mod_np(_stack_mod(good, p), p)
+    assert _lines(elim) == _expect_stack(good, p)
+    assert elim.lines[:, -1].tolist() == [1, 1]
+    assert elim.rows[1].tolist() != list(range(size))
+    assert nullspace_mod_np(_stack_mod(list(members.values()), p), p) is None
+    for name in ("kernel-two", "full-rank", "last-coordinate-zero"):
+        bad = members[name]
+        assert _exact_line_mod(bad, p) is None, name
+        for stack in ([bad], [bad] + good, [kernel_one, bad, swapped], good + [bad]):
+            assert nullspace_mod_np(_stack_mod(stack, p), p) is None, name
 
 
 def test_modular_nullspace_past_int64_headroom():
     # 140 lockstep pivots at a 30-bit prime pile up more products than
     # int64 holds unreduced; the kernel line must still come out for every
-    # member of a stack of four that keeps a kernel line
+    # member of a stack of three that keeps a kernel line, and a member
+    # without one must end the elimination
     import numpy as np
 
     rng = random.Random(1)
-    primes = [p for p, _ in cached_primes(4, (1 << 29) + 1)]
-    mats = [[[rng.randrange(p) for _ in range(141)] for _ in range(140)] for p in primes]
-    # the third member leaves the lockstep at its zero column 31, after a
-    # full budget of unreduced updates: its pivot rows are 1, -1, -1, ...
-    # and the rows below start -1, 0, 1, 2, ..., so every multiplier is -1
-    # and every update subtracts (p-1)^2
-    p, free = primes[2], 31
+    p = cached_primes(1, (1 << 29) + 1)[0][0]
+    mats = [[[rng.randrange(p) for _ in range(141)] for _ in range(140)] for _ in range(4)]
+    # the third member has no line: it finds no pivot at its zero column
+    # 31, after a full budget of unreduced updates: its pivot rows are 1,
+    # -1, -1, ... and the rows below start -1, 0, 1, 2, ..., so every
+    # multiplier is -1 and every update subtracts (p-1)^2
+    free = 31
     m = mats[2]
     for r in range(140):
         m[r][:free] = [(1 if c == r else 0 if c < r else -1) % p if r < free
@@ -339,42 +349,37 @@ def test_modular_nullspace_past_int64_headroom():
     # the fourth member is L U for unit triangular L and U with -1 off the
     # diagonal: each of its 140 pivots is 1 on the diagonal, and every
     # update subtracts (p-1)^2, past the headroom again and again
-    p = primes[3]
     mats[3] = [[(min(i, j) + (1 if i == j else -1)) % p for j in range(140)] + [0]
                for i in range(140)]
-    for m, p in zip(mats, primes):
+    for m in mats:
         coeffs = [rng.randrange(p) for _ in range(140)]
         for row in m:
             row[140] = sum(a * x for a, x in zip(coeffs, row[:140])) % p
-    elim = nullspace_mod_np(np.array(mats, dtype=np.int64), primes)
-    lines = elim.lines
-    assert [len(line) for line in lines] == [1, 1, 0, 1]
-    # the factors of the members that kept a line invert their pivot rows
-    keep = [k for k, member in enumerate(elim.members) if lines[member]]
-    _check_pivot_inverse(mats, primes, elim, keep)
-    for m, p, line in zip(mats, primes, lines):
-        for v in line:
-            assert v[-1] == 1
-            assert all(sum(a * b for a, b in zip(row, v)) % p == 0 for row in m)
+    assert nullspace_mod_np(np.array(mats, dtype=np.int64), p) is None
+    assert nullspace_mod_np(np.array(mats[2:3], dtype=np.int64), p) is None
+    keep = [mats[0], mats[1], mats[3]]
+    elim = nullspace_mod_np(np.array(keep, dtype=np.int64), p)
+    # the factors invert their pivot rows
+    _check_pivot_inverse(keep, p, elim)
+    for m, v in zip(keep, elim.lines.tolist()):
+        assert v[-1] == 1
+        assert all(sum(a * b for a, b in zip(row, v)) % p == 0 for row in m)
 
 
-def _check_pivot_inverse(mats, primes, elim, keep):
-    """pivot_inverse of the factors ``keep`` inverts the pivot rows of each
+def _check_pivot_inverse(mats, p, elim):
+    """pivot_inverse of the factors inverts the pivot rows of each
     member's input (all columns but the last), and inverse_apply agrees
     with the explicit product."""
     import numpy as np
 
-    factors = elim.factors[keep]
-    ps = [primes[elim.members[k]] for k in keep]
-    inverse = pivot_inverse(factors, ps)
-    cols = factors.shape[2] - 1
+    inverse = pivot_inverse(elim.factors, p)
+    cols = elim.factors.shape[2] - 1
     rng = random.Random(9)
-    vecs = np.array([[rng.randrange(p) for _ in range(cols)] for p in ps], dtype=np.int64)
-    applied = inverse_apply(inverse, vecs, ps).tolist()
-    for k, p, low, up, vec, got in zip(keep, ps, inverse[0].tolist(), inverse[1].tolist(),
-                                       vecs.tolist(), applied):
-        m = mats[elim.members[k]]
-        pivots = [m[r][:cols] for r in elim.rows[k][:cols].tolist()]
+    vecs = np.array([[rng.randrange(p) for _ in range(cols)] for _ in mats], dtype=np.int64)
+    applied = inverse_apply(inverse, vecs, p).tolist()
+    for m, rows, low, up, vec, got in zip(mats, elim.rows.tolist(), inverse[0].tolist(),
+                                          inverse[1].tolist(), vecs.tolist(), applied):
+        pivots = [m[r][:cols] for r in rows[:cols]]
         full = [[sum(u * x for u, x in zip(urow, col)) % p for col in zip(*low)]
                 for urow in up]
         for i, row in enumerate(pivots):
@@ -384,16 +389,16 @@ def _check_pivot_inverse(mats, primes, elim, keep):
 
 
 def test_pivot_inverse_after_row_swaps():
-    # members whose pivots need row swaps, one that leaves the lockstep
-    # and one with full rank: the factors of those with a line invert
-    # their pivot rows in the order the elimination left them
+    # members whose pivots need row swaps: their factors invert their
+    # pivot rows in the order the elimination left them; a member with a
+    # zero column or with full rank ends the elimination without factors
     import numpy as np
 
     rng = random.Random(4)
-    primes = [p for p, _ in cached_primes(4, (1 << 29) + 1)]
+    p = cached_primes(1, (1 << 29) + 1)[0][0]
     size = 9
     mats = []
-    for k, p in enumerate(primes):
+    for k in range(4):
         m = [[rng.randrange(p) for _ in range(size)] for _ in range(size)]
         if k in (0, 3):
             # zeros on the diagonal force swaps
@@ -409,11 +414,14 @@ def test_pivot_inverse_after_row_swaps():
             for row in m:
                 row[-1] = sum(a * x for a, x in zip(coeffs, row[:-1])) % p
         mats.append(m)
-    elim = nullspace_mod_np(np.array(mats, dtype=np.int64), primes)
-    assert [len(line) for line in elim.lines] == [1, 0, 0, 1]
-    assert elim.members == [0, 2, 3]
-    assert elim.rows[0].tolist() != list(range(size))
-    _check_pivot_inverse(mats, primes, elim, [0, 2])
+    for k in (1, 2):
+        assert nullspace_mod_np(np.array(mats[k:k + 1], dtype=np.int64), p) is None
+    assert nullspace_mod_np(np.array(mats, dtype=np.int64), p) is None
+    swapped = [mats[0], mats[3]]
+    elim = nullspace_mod_np(np.array(swapped, dtype=np.int64), p)
+    assert elim.lines.shape == (2, size)
+    assert all(rows != list(range(size)) for rows in elim.rows.tolist())
+    _check_pivot_inverse(swapped, p, elim)
 
 
 def test_pivot_inverse_and_inverse_apply_check_their_bound():
@@ -425,12 +433,12 @@ def test_pivot_inverse_and_inverse_apply_check_their_bound():
     # check fails at once on the shapes instead of multiplying)
     wide = np.broadcast_to(np.zeros(1, dtype=np.int64), (2, 1, 1 << 20, 1 << 20))
     with pytest.raises(ValueError, match="too many"):
-        inverse_apply(wide, np.zeros((1, 3), dtype=np.int64), [p])
+        inverse_apply(wide, np.zeros((1, 3), dtype=np.int64), p)
     with pytest.raises(ValueError, match="too many"):
         inverse_apply(np.zeros((2, 1, 3, 3), dtype=np.int64), np.zeros((1, 3), dtype=np.int64),
-                      [(1 << 31) - 1])
+                      (1 << 31) - 1)
     with pytest.raises(ValueError, match="too many"):
-        pivot_inverse(np.zeros((1, 4, 4), dtype=np.int64), [(1 << 31) - 1])
+        pivot_inverse(np.zeros((1, 4, 4), dtype=np.int64), (1 << 31) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -528,17 +536,19 @@ def test_padic_kernel_negative_coordinates_many_digits(monkeypatch):
 
 
 def test_padic_kernel_just_past_the_first_bound(monkeypatch):
-    # base = 1 asks for one digit; coordinates of 40 bits need two, so the
-    # first certificate fails and two more digits pass the second
+    # base = 1 has one digit; coordinates of 40 bits need two, so the lift
+    # goes just past base: r_1 is not zero, r_2 is, and the lift stops
+    # there and is certified once
     rng = random.Random(13)
     rest = [(rng.getrandbits(40), -rng.getrandbits(40)), (-rng.getrandbits(39), 3)]
     base = (1, 0)
     a = [[(rng.randrange(-9, 9), rng.randrange(-9, 9)) for _ in range(2)] for _ in range(3)]
     rows = _system(a, rest, base)
     digits = _counted(monkeypatch, "_solve_digit")
+    lifts = _counted(monkeypatch, "limbs_lift")
     certificates = _counted(monkeypatch, "limbs_vanish")
     assert _padic(rows, base) == _exact_line(rows, base)
-    assert len(digits) == 3 and len(certificates) == 2
+    assert len(digits) == 2 and len(lifts) == 2 and len(certificates) == 1
 
 
 def test_padic_kernel_rank_deficient_raises():
