@@ -158,6 +158,9 @@ def test_cached_primes_consistent():
 def test_crt_pair():
     r, m = crt_pair(2, 5, 3, 7)
     assert m == 35 and r % 5 == 2 and r % 7 == 3
+
+
+def test_crt_lift():
     # residues of one value mod two primes give it back whole, in [0, p1 p2)
     p1, p2 = primes_one_mod_three(2, 10 ** 8)
     for x in [0, 1, p1 - 1, p1 * p2 - 1, 12345678901234]:
