@@ -129,7 +129,7 @@ def cmd_verify_sumrule(args) -> int:
 
         def symbolic():
             report = CheckReport(f"sum-rule-symbolic(n={n})")
-            w = psi_symbolic(n, threads=args.threads).sum_components()
+            w = psi_symbolic(n).sum_components()
             report.add(w == schur_symbolic(n), kind="polynomial-identity")
             return report
 
@@ -164,7 +164,7 @@ def cmd_components(args) -> int:
     # a file the probe creates is removed again if the build fails
     created = bool(args.out) and not os.path.exists(args.out)
     if args.out:
-        # fail before the build, which takes about half a minute at n = 4;
+        # fail before the build, which takes minutes at n = 5;
         # append mode tests the same open without truncating an existing file
         try:
             with open(args.out, "a"):
@@ -173,7 +173,7 @@ def cmd_components(args) -> int:
             print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
             return 2
     try:
-        g = psi_symbolic(n, threads=args.threads)
+        g = psi_symbolic(n)
     except BaseException:
         if created:
             os.remove(args.out)
@@ -200,7 +200,7 @@ def cmd_check_all(args) -> int:
         raise CapError(f"check-all capped at n = {SYMBOLIC_CAP}")
     rng = random.Random(args.seed)
     rep = RunReport("check-all", {"n": n, "seed": args.seed})
-    states = [psi_symbolic(k, threads=args.threads) for k in range(1, n + 1)]
+    states = [psi_symbolic(k) for k in range(1, n + 1)]
     g = states[-1]
 
     if n <= 3:
@@ -350,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
         formats.add_argument("--json", action="store_true", help="JSON report")
         if threads:
             p.add_argument("--threads", type=_positive, default=None,
-                           help="worker processes for grid solves (default and "
-                           "maximum: the CPUs this process may run on)")
+                           help="accepted for compatibility with the benchmark "
+                           "harness; has no effect")
         return formats
 
     p = sub.add_parser("verify-sumrule", help="sum of components vs Schur")

@@ -6,10 +6,11 @@ Lambda = prod_i (q t - q^{-1} z_i), independently of t, and its component
 on the fully nested pattern equals the closed product
 prod_{i<j<=n} (q z_i - q^{-1} z_j) * prod_{n<i<j} (q^{-1} z_j - q z_i).
 
-Construction is point evaluation plus tensor-grid interpolation: each grid
-point is a small exact kernel solve, the per-variable degree bound n-1
-makes the interpolation exact, and homogeneity (total degree n(n-1)) lets
-one variable be pinned to 1 during sampling.  Every point solve runs
+The polynomial components are built from the nested one without
+sampling: rotation covariance and the exchange relation at the little
+arches determine every other component (psi_symbolic), and the result is
+validated against its degree bounds and an exact off-grid eigen residual.
+Values at a point come from a kernel solve (psi_point), which runs
 modularly at the point scaled to integers, where the vector normalized on
 the nested pattern is integral: one prime's elimination gives its first
 base-p digit and p-adic lifting the rest, and balanced digits make the
@@ -47,6 +48,7 @@ from .cyclo import (
 from .linkpat import (
     LinkPattern,
     arch_remove,
+    e_apply,
     enumerate_patterns,
     fully_nested,
     pattern_index,
@@ -55,7 +57,7 @@ from .linkpat import (
     sequence_decomposition,
 )
 from .modular import cached_primes, inverse_apply, nullspace_mod_np, pivot_inverse
-from .mpoly import HomogenizationMismatchError, MPoly, product, reconstruct_homogeneous
+from .mpoly import HomogenizationMismatchError, MPoly, product
 from .report import CheckReport
 from .tmatrix import (
     _qdiff,
@@ -87,18 +89,10 @@ class DegenerateKernelError(RuntimeError):
 def base_component(n: int) -> MPoly:
     """Closed form of the component on the fully nested pattern."""
     m = 2 * n
-    factors = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            zi = MPoly.variable(m, i - 1)
-            zj = MPoly.variable(m, j - 1)
-            factors.append(zi * Q - zj * Q_INV)
-    for i in range(n + 1, m + 1):
-        for j in range(i + 1, m + 1):
-            zi = MPoly.variable(m, i - 1)
-            zj = MPoly.variable(m, j - 1)
-            factors.append(zj * Q_INV - zi * Q)
-    return product(m, factors)
+    z = [MPoly.variable(m, k) for k in range(m)]
+    pairs = itertools.combinations
+    return product(m, [z[i] * Q - z[j] * Q_INV for i, j in pairs(range(n), 2)]
+                   + [z[j] * Q_INV - z[i] * Q for i, j in pairs(range(n, m), 2)])
 
 
 def base_component_value(n: int, zs: Sequence) -> CycloNum:
@@ -343,10 +337,7 @@ class Groundstate:
         return self.components[pattern_index(self.n)[pattern.pairing]]
 
     def sum_components(self) -> MPoly:
-        acc = MPoly.zero(2 * self.n)
-        for c in self.components:
-            acc = acc + c
-        return acc
+        return sum(self.components, MPoly.zero(2 * self.n))
 
     def values_at(self, zs) -> list[CycloNum]:
         return [c.eval(list(zs)) for c in self.components]
@@ -376,24 +367,70 @@ class Groundstate:
 _SYMBOLIC_CACHE: dict[int, Groundstate] = {}
 
 
-def _psi_grid_values(n: int, point: tuple) -> list[CycloNum]:
-    return list(psi_point(n, point + (Fraction(1),)).values)
+class ExchangeStuckError(RuntimeError):
+    """No known component determines a missing one by the exchange relation."""
 
 
-def psi_symbolic(n: int, threads: Optional[int] = None) -> Groundstate:
-    """Reconstruct all components of Psi_n as exact polynomials.
+def _complete_by_exchange(n: int, known: dict) -> list[tuple[int, LinkPattern]]:
+    """Fill ``known`` (pattern -> component) with every component of Psi_n
+    and return the exchange steps taken, as (i, solved pattern).
 
-    Samples the groundstate on the tensor grid {1..n}^(2n-1) x {1} (the
-    last variable is pinned by homogeneity), interpolates with per-variable
-    degree bound n-1, and re-homogenizes to total degree n(n-1); see
-    reconstruct_homogeneous, which also runs the grid on ``threads``
-    workers.  The result is validated against the closed-form nested
-    component and spot residuals, and memoized per n; default size cap is
-    n <= 4, n = 5 is possible but long.
+    Each component brings its rotation orbit (check_cyclic_reflection).
+    Where pi has the little arch (i, i+1), i < 2n, e_i pi = pi closes a
+    loop, and as 1 + q = -q^{-1} the exchange relation (check_exchange)
+    says: the sum of Psi_pi' over pi' != pi with e_i pi' = pi equals
+    (q z_i - q^{-1} z_{i+1}) d_i Psi_pi, d_i the divided difference in
+    z_i, z_{i+1}.  A step solves this for the one unknown pi' of a known
+    pi and adds it, so there are fewer steps than patterns; where no pi
+    has exactly one unknown, ExchangeStuckError is raised.
     """
+    m = 2 * n
+    patterns = enumerate_patterns(n)
+    shift = list(range(1, m)) + [0]  # slot k holds z_{k+2}, the last z_1
+    preimages: dict[tuple, list[LinkPattern]] = {}  # (i, pi) -> the pi'
+    for i in range(1, m):
+        for p in patterns:
+            image, closed = e_apply(i, p)
+            if not closed:
+                preimages.setdefault((i, image), []).append(p)
+
+    def add_orbit(pat: LinkPattern) -> None:
+        nxt = rotate(pat)
+        while nxt not in known:
+            known[nxt] = known[pat].permute_args(shift)
+            pat, nxt = nxt, rotate(nxt)
+
+    def unknown(i: int, pat: LinkPattern) -> list[LinkPattern]:
+        return [p for p in preimages.get((i, pat), ()) if p not in known]
+
+    for pat in list(known):
+        add_orbit(pat)
+    steps = []
+    while len(known) < len(patterns):
+        step = next(((i, pat) for pat in known for i in range(1, m)
+                     if len(unknown(i, pat)) == 1), None)
+        if step is None:
+            raise ExchangeStuckError(f"{len(patterns) - len(known)} components of "
+                                     f"Psi_{n} are out of the exchange relation's reach")
+        i, pat = step
+        (new,) = unknown(i, pat)
+        zi, zj = MPoly.variable(m, i - 1), MPoly.variable(m, i)
+        known[new] = ((zi * Q - zj * Q_INV) * known[pat].divided_difference(i - 1, i)
+                      - sum((known[p] for p in preimages[i, pat] if p != new), MPoly.zero(m)))
+        add_orbit(new)
+        steps.append((i, new))
+    return steps
+
+
+def psi_symbolic(n: int) -> Groundstate:
+    """All components of Psi_n as exact polynomials, built from the
+    closed-form nested one (_complete_by_exchange), validated and memoized
+    per n; default size cap is n <= 4, n = 5 is possible but long."""
     if n not in _SYMBOLIC_CACHE:
-        comps = reconstruct_homogeneous(_psi_grid_values, n, threads)
-        g = Groundstate(n, enumerate_patterns(n), tuple(comps))
+        known = {fully_nested(n): base_component(n)}
+        _complete_by_exchange(n, known)
+        pats = enumerate_patterns(n)
+        g = Groundstate(n, pats, tuple(known[p] for p in pats))
         _validate_symbolic(g)
         _SYMBOLIC_CACHE[n] = g
     return _SYMBOLIC_CACHE[n]
@@ -401,18 +438,22 @@ def psi_symbolic(n: int, threads: Optional[int] = None) -> Groundstate:
 
 def _validate_symbolic(g: Groundstate) -> None:
     n = g.n
+    for k, comp in enumerate(g.components):
+        if (comp.is_homogeneous() != n * (n - 1)
+                or max(map(max, comp.terms), default=0) > n - 1):
+            raise HomogenizationMismatchError(
+                f"component {k}: not homogeneous of total degree {n * (n - 1)} "
+                f"with degree at most {n - 1} in each variable"
+            )
     if g.component(fully_nested(n)) != base_component(n):
         raise HomogenizationMismatchError(
             "nested component does not match its closed form"
         )
     # spot residual at an off-grid point, exact
     zs = [Fraction(n + 2 + 3 * k, 2) for k in range(2 * n)]
-    t = Fraction(3)
     vals = g.values_at(zs)
-    lam = eigenvalue(t, zs)
-    tm = transfer_link(t, zs, n)
-    image = tm.apply(vals)
-    if any(image[k] != lam * vals[k] for k in range(len(vals))):
+    lam = eigenvalue(Fraction(3), zs)
+    if transfer_link(Fraction(3), zs, n).apply(vals) != [lam * v for v in vals]:
         raise HomogenizationMismatchError("off-grid eigen residual is nonzero")
 
 
@@ -496,6 +537,13 @@ def check_exchange(gn: Groundstate, i: int) -> CheckReport:
     (q z_{i+1} - q^{-1} z_i) Psi_pi(z)
       = (q z_i - q^{-1} z_{i+1}) Psi_pi(z with i, i+1 swapped)
         + (z_i - z_{i+1}) sum over pi' with e_i pi' = pi of Psi_pi'(swapped).
+
+    psi_symbolic imposes rotation covariance and solves through the rows
+    of a few patterns pi with the arch (i, i+1) (_complete_by_exchange):
+    i = 3 at n = 3, i = 4 and 1 at n = 4, none at n <= 2.  On its output
+    the check is circular only for those rows and their rotations, the
+    row of r^k pi at i + k (mod 2n); every other row, at every i and the
+    cyclic i = 2n too, is an independent test.
     """
     n = gn.n
     m = 2 * n

@@ -8,20 +8,17 @@ Tensor-grid interpolation applies each axis's inverse Vandermonde matrix,
 scaled to integers, to integer values over one common denominator; with
 (bound+1) distinct nodes per variable the result is the unique polynomial
 within the per-variable degree bounds that matches all supplied values, and
-one exact division per coefficient ends it.  reconstruct_homogeneous drives
-it for Psi's reconstruction: sample a grid, interpolate, check the degrees
-and re-homogenize.
+one exact division per coefficient ends it; the grid oracle of the tests
+uses it.  Psi's construction samples nothing: it builds every component
+from the nested one with divided_difference and permute_args.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .cyclo import CycloNum, ONE, ZERO, _frac, as_cyclo, from_pair, integer_pairs, pair_mul
 
@@ -35,7 +32,7 @@ class DuplicateNodeError(ValueError):
 
 
 class HomogenizationMismatchError(RuntimeError):
-    """An interpolated component violates the stated degree bounds."""
+    """A reconstructed component violates its degree bounds or identities."""
 
 
 class MPoly:
@@ -270,6 +267,28 @@ class MPoly:
         perm[i], perm[j] = perm[j], perm[i]
         return self.permute_args(perm)
 
+    def divided_difference(self, i: int, j: int) -> "MPoly":
+        """(P with z_i and z_j swapped - P) / (z_j - z_i), exact.
+
+        A term c z_i^a z_j^b gives c (z_i z_j)^b times the sum of all
+        monomials of degree a-b-1 in z_i, z_j when a > b, the same with a
+        and b exchanged and -c when a < b, and nothing when a = b.
+        """
+        if i == j:
+            raise ValueError("divided difference needs two distinct variables")
+        terms: dict[tuple[int, ...], CycloNum] = {}
+        for e, c in self.terms.items():
+            a, b = e[i], e[j]
+            c = c if a > b else -c
+            ne = list(e)
+            for k in range(abs(a - b)):
+                ne[i], ne[j] = min(a, b) + k, max(a, b) - 1 - k
+                key = tuple(ne)
+                s = terms.pop(key, ZERO) + c
+                if s:
+                    terms[key] = s
+        return MPoly._raw(self.nvars, terms)
+
     def specialize_ratio(self, var: int, target: int, scale) -> "MPoly":
         """Substitute z_var := scale * z_target (exact; var becomes unused)."""
         if var == target:
@@ -293,20 +312,6 @@ class MPoly:
             else:
                 terms.pop(ne, None)
         return MPoly(self.nvars, terms)
-
-    def homogenize(self, position: int, total_degree: int) -> "MPoly":
-        """Insert a new variable at ``position`` raising every term to
-        ``total_degree``.  Fails if some term already exceeds the degree."""
-        terms = {}
-        for e, c in self.terms.items():
-            d = total_degree - sum(e)
-            if d < 0:
-                raise ValueError(
-                    f"term of degree {sum(e)} exceeds target degree {total_degree}"
-                )
-            ne = e[:position] + (d,) + e[position:]
-            terms[ne] = c
-        return MPoly(self.nvars + 1, terms)
 
     def reversed_reciprocal(self, per_var_degree: int) -> "MPoly":
         """prod_k z_k^d * P(1/z_last, ..., 1/z_first) for d = per_var_degree.
@@ -424,58 +429,3 @@ def interpolate_grid(values: Sequence, grid: Sequence[Sequence]) -> MPoly:
     exponents = itertools.product(*(range(d) for d in dims))
     return MPoly._raw(nvars, {e: from_pair((a, b), den) for e, a, b in
                               zip(exponents, *tensor.reshape(2, -1).tolist()) if a or b})
-
-
-#: grids with at least this many points are sampled across a process pool:
-#: n >= 4 (4^7 points and up), while n <= 3 (at most 3^5 points) runs serially
-_POOL_MIN_POINTS = 512
-
-
-def reconstruct_homogeneous(
-    evaluate: Callable[[int, tuple], list],
-    n: int,
-    threads: Optional[int] = None,
-) -> list[MPoly]:
-    """Rebuild polynomials in 2n variables that are homogeneous of total
-    degree n(n-1) with degree at most n-1 in each variable, from values.
-
-    ``evaluate(n, point)`` returns the list of values of every polynomial at
-    (point..., 1): homogeneity pins the last variable to 1, so the grid is
-    {1..n}^(2n-1).  Large grids are sampled across ``threads`` worker
-    processes (default: one per CPU this process may run on), so
-    ``evaluate`` must be a module-level function.  ``threads`` is clamped
-    to that CPU count: more workers would only contend, and they are all
-    forked at once.  The first point is evaluated here before any worker
-    starts, and the workers inherit every cache it fills.  The pool only
-    samples: interpolation runs in this process once the pool has shut down.
-    """
-    m = 2 * n
-    total_deg = n * (n - 1)
-    nodes = [[Fraction(k) for k in range(1, n + 1)] for _ in range(m - 1)]
-    points = list(itertools.product(*nodes))
-    value_lists = [[v] for v in evaluate(n, points[0])]
-    rest = points[1:]
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    workers = cpus if threads is None else min(threads, cpus)
-    pooled = workers > 1 and len(points) >= _POOL_MIN_POINTS
-    with (ProcessPoolExecutor(max_workers=workers) if pooled else nullcontext()) as pool:
-        samples = (pool.map(evaluate, itertools.repeat(n), rest, chunksize=64)
-                   if pooled else map(evaluate, itertools.repeat(n), rest))
-        for values in samples:
-            for vl, v in zip(value_lists, values):
-                vl.append(v)
-    out = []
-    for k, values in enumerate(value_lists):
-        dehom = interpolate_grid(values, nodes)
-        if any(sum(e) > total_deg for e in dehom.terms):
-            raise HomogenizationMismatchError(
-                f"component {k}: interpolant exceeds total degree {total_deg}"
-            )
-        poly = dehom.homogenize(m - 1, total_deg)
-        if poly.degree_in(m - 1) > n - 1:
-            raise HomogenizationMismatchError(
-                f"component {k}: re-homogenized degree exceeds bound {n - 1}"
-            )
-        out.append(poly)
-    return out

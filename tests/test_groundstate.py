@@ -6,11 +6,13 @@ from pathlib import Path
 
 import pytest
 
+from grid_oracle import psi_grid_values, reconstruct_homogeneous
 from loopsum import groundstate
 from loopsum.cyclo import CycloNum, Q, Q_INV
 from loopsum.golden import golden_groundstate
 from loopsum.groundstate import (
     DegenerateKernelError,
+    ExchangeStuckError,
     Groundstate,
     base_component,
     base_component_value,
@@ -25,8 +27,8 @@ from loopsum.groundstate import (
     psi_point,
     psi_symbolic,
 )
-from loopsum.linkpat import fully_nested, pattern_index
-from loopsum.mpoly import MPoly
+from loopsum.linkpat import consecutive_arches, fully_nested, pattern_index
+from loopsum.mpoly import HomogenizationMismatchError, MPoly
 from loopsum.schur import schur_symbolic, z_partition_function
 from loopsum.solver import ExactMatrix, nullspace
 from loopsum.tmatrix import eigenvalue, transfer_link, verify_spin_eigenvector
@@ -104,8 +106,8 @@ def test_psi_point_fractional_arguments():
 
 
 def test_psi_point_equals_exact_kernel_on_grids():
-    # every point psi_symbolic samples at n <= 3, t as the schedule picks
-    # it, and fractional points off the grid
+    # every point the grid oracle samples at n <= 3, t as the schedule
+    # picks it, and fractional points off the grid
     points = [
         (n, list(head) + [1])
         for n in (1, 2, 3)
@@ -296,6 +298,65 @@ def test_symbolic_matches_golden():
         assert g.patterns == gold.patterns
         for a, b in zip(g.components, gold.components):
             assert a == b
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_symbolic_equals_grid_rebuild(n):
+    # the exchange construction against interpolation of point solves
+    rebuilt = reconstruct_homogeneous(psi_grid_values, n)
+    assert list(psi_symbolic(n).components) == rebuilt
+
+
+def test_exchange_steps():
+    # the rows of the exchange relation psi_symbolic solves through, as
+    # check_exchange's docstring states them; never the cyclic i = 2n
+    for n, sites in ((1, []), (2, []), (3, [3]), (4, [4, 1])):
+        known = {fully_nested(n): base_component(n)}
+        steps = groundstate._complete_by_exchange(n, known)
+        assert [i for i, _ in steps] == sites
+
+
+def test_exchange_cyclic_site_n4():
+    # i = 2n wraps to (z_8, z_1): no construction step uses that relation
+    assert check_exchange(psi_symbolic(4), 8).passed
+
+
+def test_exchange_stuck_never_guesses():
+    # no start at all, and a start (the orbit of the all-little-arch
+    # pattern at n = 3) where every arch leaves two or more unknowns
+    g = psi_symbolic(3)
+    arches = consecutive_arches(3)
+    for known in ({}, {arches: g.component(arches)}):
+        with pytest.raises(ExchangeStuckError):
+            groundstate._complete_by_exchange(3, known)
+
+
+def test_perturbed_exchange_step_is_caught(monkeypatch):
+    # one term dropped from the divided difference of the single n = 3
+    # step: validation must refuse the result, and nothing is cached
+    divided_difference = MPoly.divided_difference
+
+    def drop_a_term(self, i, j):
+        terms = dict(divided_difference(self, i, j).terms)
+        terms.pop(min(terms))
+        return MPoly(self.nvars, terms)
+
+    monkeypatch.setattr(MPoly, "divided_difference", drop_a_term)
+    monkeypatch.delitem(groundstate._SYMBOLIC_CACHE, 3, raising=False)
+    with pytest.raises(HomogenizationMismatchError):
+        psi_symbolic(3)
+    assert 3 not in groundstate._SYMBOLIC_CACHE
+
+
+def test_validate_symbolic_degree_guards():
+    g = psi_symbolic(2)
+    z1 = MPoly.variable(4, 0)
+    k = pattern_index(2)[fully_nested(2).pairing]
+    for bent in (g.components[k] * z1, g.components[k] + z1 * z1):
+        comps = list(g.components)
+        comps[k] = bent
+        with pytest.raises(HomogenizationMismatchError, match="degree"):
+            groundstate._validate_symbolic(Groundstate(2, g.patterns, tuple(comps)))
 
 
 def test_symbolic_degree_bounds():

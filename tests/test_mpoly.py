@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grid_oracle import homogenize
 from loopsum.cyclo import CycloNum, OMEGA as q, ONE, ZERO, as_cyclo
 from loopsum.mpoly import (
     ArityMismatchError,
     DuplicateNodeError,
+    HomogenizationMismatchError,
     MPoly,
     interpolate_grid,
 )
@@ -94,10 +96,24 @@ def test_permute_and_swap():
 
 def test_homogenize_roundtrip():
     p = z(3, 0) ** 2 * z(3, 1) + z(3, 2) ** 3
-    h = p.homogenize(3, 4)
+    h = homogenize(p, 4)
     assert h.is_homogeneous() == 4
     assert h == z(4, 0) ** 2 * z(4, 1) * z(4, 3) + z(4, 2) ** 3 * z(4, 3)
     assert h.eval([2, 3, 5, 1]) == p.eval([2, 3, 5])
+    with pytest.raises(HomogenizationMismatchError):
+        homogenize(p, 2)
+
+
+def test_divided_difference():
+    x, y, w = z(3, 0), z(3, 1), z(3, 2)
+    p = x ** 3 * w + q * x * y ** 2 + y * w ** 2 + 5 * x * y
+    d = p.divided_difference(0, 1)
+    assert d * (y - x) == p.swap_args(0, 1) - p
+    assert d == (x * x + x * y + y * y) * w - q * x * y - w ** 2
+    # symmetric in the pair: nothing left
+    assert (x * y + w).divided_difference(0, 1) == MPoly.zero(3)
+    with pytest.raises(ValueError):
+        p.divided_difference(1, 1)
 
 
 def test_reversed_reciprocal_involution():
@@ -261,42 +277,16 @@ def test_interpolate_grid_matches_newton_oracle(grid, data):
 
 
 def test_pool_workers_clamped_to_cpus(monkeypatch):
-    # a serial stand-in for the pool records the worker count asked for and
-    # every function sent across it; no real pool is started
-    import os
+    # no worker process is started at all: --threads far above the CPU
+    # count is accepted, and Psi_2 is built in this process
+    import multiprocessing.process
 
-    from loopsum import mpoly
-    from loopsum.groundstate import _psi_grid_values, psi_symbolic
+    from loopsum import cli, groundstate
 
-    seen = []
-    mapped = []
+    def no_worker(self):
+        raise AssertionError(f"worker process {self.name} started")
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables, chunksize=1):
-            mapped.append(fn)
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(mpoly, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(mpoly, "_POOL_MIN_POINTS", 1)
-    cpus = len(os.sched_getaffinity(0))
-    pooled = [cpus] if cpus > 1 else []
-    for threads in (100000, None):
-        seen.clear()
-        mapped.clear()
-        comps = mpoly.reconstruct_homogeneous(_psi_grid_values, 2, threads)
-        assert seen == pooled
-        # only the grid evaluator crosses the pool: interpolation never forks
-        assert mapped == [_psi_grid_values] * len(pooled)
-        assert comps == list(psi_symbolic(2).components)
-    seen.clear()
-    mpoly.reconstruct_homogeneous(_psi_grid_values, 2, 1)
-    assert seen == []
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_worker)
+    monkeypatch.delitem(groundstate._SYMBOLIC_CACHE, 2, raising=False)
+    assert cli.main(["components", "2", "--threads", "100000", "--json"]) == 0
+    assert 2 in groundstate._SYMBOLIC_CACHE

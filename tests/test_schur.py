@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from grid_oracle import reconstruct_homogeneous
 from loopsum import schur
 from loopsum.asm import asm_product_formula
 from loopsum.cyclo import CycloNum, ONE, Q
-from loopsum.mpoly import reconstruct_homogeneous
 from loopsum.schur import (
     Partition,
     aba_residual,
@@ -191,13 +191,11 @@ def test_kostka_expansion_counts_asm(kostka, n):
 
 
 def _z_grid_values(n: int, point: tuple) -> list[CycloNum]:
-    # module-level, as reconstruct_homogeneous requires of its evaluator
     return [z_partition_function(n, list(point) + [1])]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_kostka_expansion_equals_grid_rebuild(n):
-    # at most 3^5 grid points, below the pool threshold: sampled serially
     (rebuilt,) = reconstruct_homogeneous(_z_grid_values, n)
     assert schur_symbolic(n) == rebuilt
 
