@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Sequence
 
-from .cyclo import CycloNum, ONE, Q, Q_INV, ZETA, ZETA_INV, _frac, as_cyclo
+from .cyclo import CycloNum, ONE, Q, Q_INV, ZETA, ZETA_INV, _rational, as_cyclo
 from .report import CheckReport
 from .schur import schur_eval, y_partition, z_partition_function
 
@@ -225,8 +225,8 @@ def refined_generating_check(n: int, t, u) -> CheckReport:
     """
     if n > 4:
         raise SizeCapError("refined generating check capped at n = 4")
-    t = _frac(t)
-    u = _frac(u)
+    t = _rational(t)
+    u = _rational(u)
     report = CheckReport(f"refined-generating(n={n})")
     qt = Q * t + ONE
     qu = Q * u + ONE

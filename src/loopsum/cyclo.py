@@ -6,10 +6,14 @@ The defining relation is w**2 = -1 - w, so the pair (a, b) is a canonical
 zeta = 1 + w satisfies zeta**2 = w and supplies the square root of w
 needed by vertex weights; no other extension is ever required.
 
-Values are immutable and hashable; all operations are exact.
+Values are immutable and hashable; all operations are exact.  A part is
+an int when integral and a Fraction otherwise, so integral values (the
+coefficients of Psi_n and s_{Y_n}) add and multiply as native ints; a part
+is never divided with `/`, which gives a float for two ints, only through
+Fraction.
 
-Hot loops skip the Fraction arithmetic of CycloNum: integer_pairs clears
-the denominators of a list of scalars, pair_mul multiplies the integer
+Hot loops skip CycloNum objects altogether: integer_pairs clears the
+denominators of a list of scalars, pair_mul multiplies the integer
 pairs (a, b), and from_pair turns the result back into one CycloNum.
 """
 
@@ -21,22 +25,27 @@ from math import lcm
 RationalLike = int | Fraction
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _rational(x) -> RationalLike:
+    """x as an exact rational: an int when integral, else a Fraction."""
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
 class CycloNum:
-    """An element a + b*w of Q(w), with w = exp(2*pi*i/3)."""
+    """An element a + b*w of Q(w), with w = exp(2*pi*i/3).
+
+    Each part is an int when integral and a Fraction otherwise."""
 
     __slots__ = ("a", "b")
 
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0):
-        object.__setattr__(self, "a", _frac(a))
-        object.__setattr__(self, "b", _frac(b))
+        object.__setattr__(self, "a", _rational(a))
+        object.__setattr__(self, "b", _rational(b))
 
     def __setattr__(self, name, value):
         raise AttributeError("CycloNum is immutable")
@@ -91,7 +100,7 @@ class CycloNum:
         """The image under w -> w^2 (complex conjugation)."""
         return CycloNum(self.a - self.b, -self.b)
 
-    def norm(self) -> Fraction:
+    def norm(self) -> RationalLike:
         """Field norm x * conjugate(x) = a^2 - a b + b^2, a rational."""
         return self.a * self.a - self.a * self.b + self.b * self.b
 
@@ -99,7 +108,7 @@ class CycloNum:
         n = self.norm()
         if not n:
             raise ZeroDivisionError("inverse of zero in Q(w)")
-        return CycloNum((self.a - self.b) / n, -self.b / n)
+        return CycloNum(Fraction(self.a - self.b, n), Fraction(-self.b, n))
 
     def __truediv__(self, other) -> "CycloNum":
         try:

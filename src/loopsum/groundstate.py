@@ -40,7 +40,7 @@ from .cyclo import (
     Q,
     Q_INV,
     ZERO,
-    _frac,
+    _rational,
     from_pair,
     integer_pairs,
     pair_mul,
@@ -292,12 +292,12 @@ def psi_point(
     spin_certificate=True the result is additionally certified against the
     spin-representation transfer matrix.
     """
-    z = tuple(_frac(x) for x in zs)
+    z = tuple(_rational(x) for x in zs)
     if len(z) != 2 * n:
         raise ValueError(f"expected {2 * n} parameters, got {len(z)}")
     if any(x <= 0 for x in z):
         raise ValueError("spectral parameters must be positive rationals")
-    schedule = [_frac(t)] if t is not None else (Fraction(k) for k in range(1, 13))
+    schedule = [_rational(t)] if t is not None else (Fraction(k) for k in range(1, 13))
     last: Optional[Exception] = None
     for tt in schedule:
         scale = lcm(*(x.denominator for x in z), tt.denominator)
@@ -337,7 +337,12 @@ class Groundstate:
         return self.components[pattern_index(self.n)[pattern.pairing]]
 
     def sum_components(self) -> MPoly:
-        return sum(self.components, MPoly.zero(2 * self.n))
+        terms: dict = {}
+        for comp in self.components:  # one dict, not a copy per component
+            for e, c in comp.terms.items():
+                s = terms.get(e)
+                terms[e] = c if s is None else s + c
+        return MPoly(2 * self.n, terms)
 
     def values_at(self, zs) -> list[CycloNum]:
         return [c.eval(list(zs)) for c in self.components]

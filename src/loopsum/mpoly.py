@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .cyclo import CycloNum, ONE, ZERO, _frac, as_cyclo, from_pair, integer_pairs, pair_mul
+from .cyclo import CycloNum, ONE, ZERO, _rational, as_cyclo, from_pair, integer_pairs, pair_mul
 
 
 class ArityMismatchError(ValueError):
@@ -260,7 +260,7 @@ class MPoly:
             for k, ek in enumerate(e):
                 ne[perm[k]] = ek
             terms[tuple(ne)] = c
-        return MPoly(self.nvars, terms)
+        return MPoly._raw(self.nvars, terms)
 
     def swap_args(self, i: int, j: int) -> "MPoly":
         perm = list(range(self.nvars))
@@ -326,7 +326,7 @@ class MPoly:
                 raise ValueError("exponent exceeds the stated per-variable degree")
             ne = tuple(per_var_degree - e[n - 1 - k] for k in range(n))
             terms[ne] = c
-        return MPoly(n, terms)
+        return MPoly._raw(n, terms)
 
     # -- serialization ----------------------------------------------------
 
@@ -403,7 +403,7 @@ def interpolate_grid(values: Sequence, grid: Sequence[Sequence]) -> MPoly:
 
     nodes: list[list[Fraction]] = []
     for v, axis in enumerate(grid):
-        axis = [_frac(x) for x in axis]
+        axis = [_rational(x) for x in axis]
         if not axis:
             raise ValueError(f"axis {v} has no nodes")
         if len(set(axis)) != len(axis):

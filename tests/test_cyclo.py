@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopsum.cyclo import CycloNum, OMEGA, ONE, Q, Q_INV, ZERO, ZETA, sixth_root
+from loopsum.cyclo import CycloNum, OMEGA, ONE, Q, Q_INV, ZERO, ZETA, from_pair, sixth_root
 
 fractions = st.fractions(min_value=-6, max_value=6, max_denominator=8)
 cyclos = st.builds(CycloNum, fractions, fractions)
+rationals = st.one_of(st.integers(-6, 6), fractions)
+mixed = st.builds(CycloNum, rationals, rationals)
 
 
 def test_omega_minimal_polynomial():
@@ -33,6 +35,8 @@ def test_inverse_of_omega():
 
 def test_inverse_of_rational():
     assert CycloNum(2, 0).inverse() == CycloNum(Fraction(1, 2), 0)
+    a = CycloNum(2, 0).inverse().a
+    assert type(a) is Fraction and a == Fraction(1, 2)
 
 
 def test_inverse_of_one_plus_omega():
@@ -73,6 +77,41 @@ def test_power_negative_exponent():
 def test_complex_embedding():
     z = complex(OMEGA)
     assert abs(z - complex(-0.5, 0.75**0.5)) < 1e-15
+
+
+def test_to_strings_same_for_int_and_fraction_parts():
+    assert CycloNum(Fraction(4, 2), Fraction(-3)).to_strings() == ["2", "-3"]
+    assert CycloNum(2, -3).to_strings() == ["2", "-3"]
+    assert CycloNum(Fraction(3, 2), 1).to_strings() == ["3/2", "1"]
+    assert CycloNum.from_strings(["6/3", "-1/2"]).to_strings() == ["2", "-1/2"]
+
+
+def _stored_by_rule(x):
+    """Each part is an int exactly when it is integral, never a float."""
+    for part in (x.a, x.b):
+        assert type(part) in (int, Fraction)
+        assert (type(part) is int) == (Fraction(part).denominator == 1)
+
+
+def test_integral_fractions_and_bools_are_stored_as_ints():
+    for x in (CycloNum(True, False), CycloNum(Fraction(6, 3), Fraction(0)),
+              CycloNum(Fraction(3, 2), 0) * 2):
+        assert type(x.a) is int and type(x.b) is int
+    assert CycloNum(True, False) == ONE
+
+
+@settings(max_examples=80)
+@given(mixed, mixed, st.integers(-3, 3), st.integers(-9, 9), st.integers(-9, 9),
+       st.integers(1, 6))
+def test_parts_are_ints_exactly_when_integral(x, y, k, pa, pb, den):
+    results = [x, x + y, x - y, x * y, -x, x.conjugate(), 2 * x, x + 1,
+               CycloNum.from_strings(x.to_strings()), from_pair((pa, pb), den)]
+    if not x.is_zero():
+        results += [x.inverse(), x**k, y / x, 1 / x]
+    elif k >= 0:
+        results.append(x**k)
+    for r in results:
+        _stored_by_rule(r)
 
 
 def test_hashable_and_equal_across_forms():

@@ -216,7 +216,7 @@ def _exact_line_mod(m, p):
     if len(exact) != 1 or not exact[0][-1]:
         return None
     last = exact[0][-1].a
-    return [fraction_mod(x.a / last, p) for x in exact[0]]
+    return [fraction_mod(Fraction(x.a) / last, p) for x in exact[0]]
 
 
 def _stack_mod(mats, p):
