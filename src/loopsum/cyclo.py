@@ -12,9 +12,16 @@ coefficients of Psi_n and s_{Y_n}) add and multiply as native ints; a part
 is never divided with `/`, which gives a float for two ints, only through
 Fraction.
 
-Hot loops skip CycloNum objects altogether: integer_pairs clears the
-denominators of a list of scalars, pair_mul multiplies the integer
-pairs (a, b), and from_pair turns the result back into one CycloNum.
+as_cyclo is the one type dispatch: it alone decides what counts as a
+scalar.  Ints and Fractions embed through _rational, the one coercion of
+a rational part; CycloNum passes through; anything else, a float or a
+string included, is a TypeError.  Every other entry point, integer_pairs
+included, goes through one of the two.
+
+Hot loops skip CycloNum objects altogether and work on integer pairs
+(a, b) for a + b w: integer_pairs clears the denominators of a list of
+scalars, pair_mul multiplies two pairs, pair_qdiff forms q x - q^{-1} y,
+and from_pair turns the result back into one CycloNum.
 """
 
 from __future__ import annotations
@@ -52,11 +59,6 @@ class CycloNum:
 
     def __reduce__(self):
         return (CycloNum, (self.a, self.b))
-
-    # -- predicates ---------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.a and not self.b
 
     # -- ring operations ----------------------------------------------
 
@@ -147,7 +149,7 @@ class CycloNum:
         return hash((self.a, self.b))
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.a or self.b)
 
     # -- conversions ---------------------------------------------------
 
@@ -186,16 +188,9 @@ def as_cyclo(x) -> CycloNum:
 
 
 def integer_pairs(values) -> tuple[list[tuple[int, int]], int]:
-    """Scalars (ints, Fractions or CycloNums) as integer pairs over one
-    common denominator d > 0: value k is (a_k + b_k w) / d."""
-    parts = []
-    for x in values:
-        if isinstance(x, CycloNum):
-            parts.append((x.a, x.b))
-        elif isinstance(x, (int, Fraction)):
-            parts.append((x, 0))
-        else:
-            raise TypeError(f"cannot use {type(x).__name__} as an element of Q(w)")
+    """Scalars (anything as_cyclo takes) as integer pairs over one common
+    denominator d > 0: value k is (a_k + b_k w) / d."""
+    parts = [(x.a, x.b) for x in map(as_cyclo, values)]
     d = lcm(*(x.denominator for pair in parts for x in pair))
     return [(a.numerator * (d // a.denominator), b.numerator * (d // b.denominator))
             for a, b in parts], d
@@ -207,6 +202,12 @@ def pair_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
     c, d = y
     bd = b * d
     return (a * c - bd, a * d + b * c - bd)
+
+
+def pair_qdiff(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """q x - q^{-1} y for pairs x, y, as a pair."""
+    # q x = -x1 + (x0 - x1) w ;  -q^{-1} y = (y0 - y1) + y0 w
+    return (y[0] - y[1] - x[1], x[0] - x[1] + y[0])
 
 
 def from_pair(pair: tuple[int, int], den: int = 1) -> CycloNum:

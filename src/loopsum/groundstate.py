@@ -44,11 +44,11 @@ from .cyclo import (
     from_pair,
     integer_pairs,
     pair_mul,
+    pair_qdiff,
 )
 from .linkpat import (
     LinkPattern,
     arch_remove,
-    e_apply,
     enumerate_patterns,
     fully_nested,
     pattern_index,
@@ -60,7 +60,6 @@ from .modular import cached_primes, inverse_apply, nullspace_mod_np, pivot_inver
 from .mpoly import HomogenizationMismatchError, MPoly, product
 from .report import CheckReport
 from .tmatrix import (
-    _qdiff,
     e_link_matrix,
     eigenvalue,
     kernel_matrix_limbs,
@@ -100,15 +99,11 @@ def base_component_value(n: int, zs: Sequence) -> CycloNum:
     homogeneous of degree n(n-1), so scaling the z_i by their common
     denominator d scales it by d^(n(n-1))."""
     z, d = integer_pairs(zs)
-    m = 2 * n
+    pairs = itertools.combinations
     acc = (1, 0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            acc = pair_mul(acc, _qdiff(z[i], z[j]))
-    # q^{-1} z_j - q z_i = -(q z_i - q^{-1} z_j)
-    for i in range(n, m):
-        for j in range(i + 1, m):
-            acc = pair_mul(acc, _qdiff(z[i], z[j]))
+    # a pair in n..2n-1 gives q^{-1} z_j - q z_i = -(q z_i - q^{-1} z_j)
+    for i, j in [*pairs(range(n), 2), *pairs(range(n, 2 * n), 2)]:
+        acc = pair_mul(acc, pair_qdiff(z[i], z[j]))
     if n * (n - 1) // 2 % 2:
         acc = (-acc[0], -acc[1])
     return from_pair(acc, d ** (n * (n - 1)))
@@ -178,14 +173,21 @@ def _lift(limbs, base, p: int, g: int, elim):
     where M = T - Lambda, M x_i = r_i holds mod p, and its pivot rows fix
     every other coordinate of x_i (_solve_digit).  limbs_lift computes
     r_{i+1} exactly; when p does not divide it, this returns None.  The
-    pivot-row inverse is built when the second digit is, and not before.
+    pivot-row inverse is built when the second digit is, and not before:
+    at n = 1 (C = 1) there are no pivot rows to invert, and one digit
+    always suffices there.
 
     The residuals are exact, so the first k digits v_k satisfy
     M v_k = -p^k r_k, and the lift stops at the first k where base has
     no digits left and r_k = 0 (Dixon's stopping rule), or raises
     DegenerateKernelError past _MAX_DIGITS digits.  v_k is then certified
     once: base in the last coordinate, and the exact residual against the
-    same limbs (limbs_vanish).  A failed certificate returns None.
+    same limbs (limbs_vanish).  A failed certificate returns None.  The
+    certificate forms M v_k with the same product _limbs_image that
+    limbs_lift uses, so it is not independent of that product; what it
+    checks apart from the residual steps is the reassembly of the digits
+    into va, vb, the quotient and divisibility bookkeeping of every step,
+    and the nested coordinate.
     """
     import numpy as np
 
@@ -391,13 +393,14 @@ def _complete_by_exchange(n: int, known: dict) -> list[tuple[int, LinkPattern]]:
     """
     m = 2 * n
     patterns = enumerate_patterns(n)
+    index = pattern_index(n)
     shift = list(range(1, m)) + [0]  # slot k holds z_{k+2}, the last z_1
-    preimages: dict[tuple, list[LinkPattern]] = {}  # (i, pi) -> the pi'
-    for i in range(1, m):
-        for p in patterns:
-            image, closed = e_apply(i, p)
-            if not closed:
-                preimages.setdefault((i, image), []).append(p)
+
+    def preimages(i: int, pat: LinkPattern) -> list[LinkPattern]:
+        # the pi' != pat with e_i pi' = pat: the 1s in pat's row of e_i
+        k = index[pat.pairing]
+        return [patterns[s] for s, hit in enumerate(e_link_matrix(n, i).data[k])
+                if hit and s != k]
 
     def add_orbit(pat: LinkPattern) -> None:
         nxt = rotate(pat)
@@ -406,7 +409,7 @@ def _complete_by_exchange(n: int, known: dict) -> list[tuple[int, LinkPattern]]:
             pat, nxt = nxt, rotate(nxt)
 
     def unknown(i: int, pat: LinkPattern) -> list[LinkPattern]:
-        return [p for p in preimages.get((i, pat), ()) if p not in known]
+        return [p for p in preimages(i, pat) if p not in known]
 
     for pat in list(known):
         add_orbit(pat)
@@ -421,7 +424,7 @@ def _complete_by_exchange(n: int, known: dict) -> list[tuple[int, LinkPattern]]:
         (new,) = unknown(i, pat)
         zi, zj = MPoly.variable(m, i - 1), MPoly.variable(m, i)
         known[new] = ((zi * Q - zj * Q_INV) * known[pat].divided_difference(i - 1, i)
-                      - sum((known[p] for p in preimages[i, pat] if p != new), MPoly.zero(m)))
+                      - sum((known[p] for p in preimages(i, pat) if p != new), MPoly.zero(m)))
         add_orbit(new)
         steps.append((i, new))
     return steps
@@ -574,7 +577,7 @@ def check_factorization(gn: Groundstate) -> CheckReport:
     m = 2 * n
     report = CheckReport(f"factorization(n={n})")
     for pat, comp in zip(gn.patterns, gn.components):
-        runs = sequence_decomposition(pat).runs
+        runs = sequence_decomposition(pat)
         for run in runs:
             for a_pos in range(len(run)):
                 for b_pos in range(a_pos + 1, len(run)):

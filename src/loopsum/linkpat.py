@@ -10,7 +10,6 @@ order: lexicographic on the pairing array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .cyclo import CycloNum, ZETA, ZETA_INV
@@ -38,16 +37,15 @@ class LinkPattern:
             j = p[i - 1]
             if not 1 <= j <= m or j == i or p[j - 1] != i:
                 raise PlanarityError(f"{p} is not a fixed-point-free involution")
+        object.__setattr__(self, "pairing", p)
         # chords (a,b), (c,d) with a<b, c<d interleave iff a<c<b<d
-        chords = sorted((i, p[i - 1]) for i in range(1, m + 1) if i < p[i - 1])
         stack: list[int] = []
-        for a, b in sorted((min(c), max(c)) for c in chords):
+        for a, b in self.chords():
             while stack and stack[-1] < a:
                 stack.pop()
             if stack and stack[-1] < b:
                 raise PlanarityError(f"chords interleave in {p}")
             stack.append(b)
-        object.__setattr__(self, "pairing", p)
 
     @classmethod
     def from_chords(cls, chords) -> "LinkPattern":
@@ -228,18 +226,12 @@ def arch_remove(i: int, pattern: LinkPattern) -> LinkPattern:
     return LinkPattern(pairing)
 
 
-@dataclass(frozen=True)
-class SequenceDecomposition:
+def sequence_decomposition(pattern: LinkPattern) -> tuple[tuple[int, ...], ...]:
     """Maximal runs of consecutive points not separated by little arches.
 
     A little arch (i, i+1) puts a separator between i and i+1; runs are
     listed starting with the one containing point 1, then in cyclic order.
     """
-
-    runs: tuple[tuple[int, ...], ...]
-
-
-def sequence_decomposition(pattern: LinkPattern) -> SequenceDecomposition:
     n = pattern.n
     m = 2 * n
     cuts = [i for i in range(1, m + 1) if pattern.has_arch(i)]
@@ -255,7 +247,7 @@ def sequence_decomposition(pattern: LinkPattern) -> SequenceDecomposition:
         runs.append(tuple(run))
     runs.sort(key=lambda r: r[0])
     k = next(idx for idx, r in enumerate(runs) if 1 in r)
-    return SequenceDecomposition(tuple(runs[k:] + runs[:k]))
+    return tuple(runs[k:] + runs[:k])
 
 
 def spin_embed(pattern: LinkPattern) -> dict[int, CycloNum]:

@@ -118,8 +118,6 @@ class MPoly:
         return MPoly._raw(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MPoly":
-        if not isinstance(other, MPoly):
-            other = MPoly.constant(self.nvars, other)
         return self + (-other)
 
     def __rsub__(self, other) -> "MPoly":
@@ -170,9 +168,9 @@ class MPoly:
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MPoly):
-            if isinstance(other, (int, Fraction, CycloNum)):
+            try:
                 other = MPoly.constant(self.nvars, other)
-            else:
+            except TypeError:
                 return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
 

@@ -34,6 +34,7 @@ from .cyclo import (
     Q,
     Q_INV,
     ZERO,
+    _rational,
     as_cyclo,
     from_pair,
     integer_pairs,
@@ -53,7 +54,9 @@ class Partition:
     parts: tuple[int, ...]
 
     def __init__(self, parts: Sequence[int]):
-        p = tuple(int(x) for x in parts)
+        p = tuple(map(_rational, parts))
+        if any(type(x) is not int for x in p):
+            raise ValueError(f"{p} has a part that is not an integer")
         while p and p[-1] == 0:
             p = p[:-1]
         if any(a < b for a, b in zip(p, p[1:])):
@@ -185,11 +188,10 @@ def check_z_recursion(n: int, i: int, zs_rest: Sequence) -> CheckReport:
     zi = rest[i - 1]
     zs = rest[: i] + [Q * Q * zi] + rest[i:]
     lhs = z_partition_function(n, zs)
-    prefactor = ONE
-    for j, zj in enumerate(zs, start=1):
-        if j not in (i, i + 1):
-            prefactor = prefactor * (Q * zi - zj)
     small = [zj for j, zj in enumerate(zs, start=1) if j not in (i, i + 1)]
+    prefactor = ONE
+    for zj in small:
+        prefactor = prefactor * (Q * zi - zj)
     rhs = prefactor * z_partition_function(n - 1, small)
     report = CheckReport(f"z-recursion(n={n}, i={i})")
     report.add(lhs == rhs, point=[str(z) for z in zs])

@@ -65,24 +65,17 @@ class ExactMatrix:
         )
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
+        # a zero term is skipped: the link-basis operators are mostly zeros
         return ExactMatrix(
             [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.data, other.data)
-            ]
-        )
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return ExactMatrix(
-            [
-                [a - b for a, b in zip(r1, r2)]
+                [a + b if a and b else a or b for a, b in zip(r1, r2)]
                 for r1, r2 in zip(self.data, other.data)
             ]
         )
 
     def scale(self, c) -> "ExactMatrix":
         c = as_cyclo(c)
-        return ExactMatrix([[c * x for x in row] for row in self.data])
+        return ExactMatrix([[c * x if x else ZERO for x in row] for row in self.data])
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:

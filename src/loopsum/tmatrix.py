@@ -37,7 +37,6 @@ symbolic in z or t.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter, lshift
 
@@ -51,6 +50,7 @@ from .cyclo import (
     from_pair,
     integer_pairs,
     pair_mul,
+    pair_qdiff,
 )
 from .linkpat import (
     e_apply,
@@ -60,9 +60,6 @@ from .linkpat import (
     spin_embed,
 )
 from .solver import ExactMatrix
-
-#: Operators on link patterns are plain exact matrices in canonical order.
-LinkOperator = ExactMatrix
 
 
 # ---------------------------------------------------------------------------
@@ -97,41 +94,38 @@ def rcheck_spin(z, w) -> list[list[CycloNum]]:
     return [[row[0], row[2], row[1], row[3]] for row in r]
 
 
+def _put(acc: dict, key, val: CycloNum) -> None:
+    """acc[key] += val, with the entry dropped when the sum is zero."""
+    s = acc.get(key)
+    s = val if s is None else s + val
+    if s:
+        acc[key] = s
+    else:
+        acc.pop(key, None)
+
+
 def monodromy_apply(zs, t, vec: dict[int, CycloNum], aux: int) -> dict:
     """Apply the monodromy to vec tensor |aux>, streaming site by site.
 
     Returns a dict keyed (bits, aux_out).  Keeping only aux_out == aux
     yields A.vec (aux=0) or D.vec (aux=1).
     """
-    t = as_cyclo(t)
     state: dict[tuple[int, int], CycloNum] = {(bits, aux): c for bits, c in vec.items()}
     for k, z in enumerate(zs, start=1):
-        z = as_cyclo(z)
-        u = Q * z - Q_INV * t
-        v = z - t
-        bz = (Q - Q_INV) * z
-        bt = (Q - Q_INV) * t
+        r = r_matrix_spin(z, t)
+        u, v, cz, ct = r[0][0], r[1][1], r[2][1], r[1][2]
         bit = 1 << (k - 1)
         new: dict[tuple[int, int], CycloNum] = {}
-
-        def put(key, val):
-            s = new.get(key)
-            s = val if s is None else s + val
-            if s:
-                new[key] = s
-            else:
-                new.pop(key, None)
-
         for (bits, a), c in state.items():
             s = 1 if bits & bit else 0
             if s == a:
-                put((bits, a), c * u)
+                _put(new, (bits, a), c * u)
             elif s == 0:  # site up, aux down
-                put((bits, 1), c * v)
-                put((bits | bit, 0), c * bz)
+                _put(new, (bits, 1), c * v)
+                _put(new, (bits | bit, 0), c * cz)
             else:  # site down, aux up
-                put((bits, 0), c * v)
-                put((bits & ~bit, 1), c * bt)
+                _put(new, (bits, 0), c * v)
+                _put(new, (bits & ~bit, 1), c * ct)
         state = new
     return state
 
@@ -141,14 +135,8 @@ def transfer_apply_spin(zs, t, vec: dict[int, CycloNum]) -> dict[int, CycloNum]:
     out: dict[int, CycloNum] = {}
     for aux, twist in ((0, -Q), (1, -Q_INV)):
         for (bits, a), c in monodromy_apply(zs, t, vec, aux).items():
-            if a != aux:
-                continue
-            s = out.get(bits)
-            s = twist * c if s is None else s + twist * c
-            if s:
-                out[bits] = s
-            else:
-                out.pop(bits, None)
+            if a == aux:
+                _put(out, bits, twist * c)
     return out
 
 
@@ -157,43 +145,34 @@ def transfer_apply_spin(zs, t, vec: dict[int, CycloNum]) -> dict[int, CycloNum]:
 # ---------------------------------------------------------------------------
 
 
+def _pattern_map(n: int, sources, image) -> ExactMatrix:
+    """The 0/1 matrix sending source k to pattern image(sources[k]) of
+    size n, rows in canonical order."""
+    index = pattern_index(n)
+    data = [[ZERO] * len(sources) for _ in range(len(index))]
+    for src, p in enumerate(sources):
+        data[index[image(p).pairing]][src] = ONE
+    return ExactMatrix(data)
+
+
 @lru_cache(maxsize=None)
 def e_link_matrix(n: int, i: int) -> ExactMatrix:
     """The Temperley-Lieb generator e_i on link patterns (loop weight 1)."""
-    patterns = enumerate_patterns(n)
-    index = pattern_index(n)
-    c = len(patterns)
-    data = [[ZERO] * c for _ in range(c)]
-    for src, p in enumerate(patterns):
-        q, _closed = e_apply(i, p)
-        data[index[q.pairing]][src] = ONE
-    return ExactMatrix(data)
+    return _pattern_map(n, enumerate_patterns(n), lambda p: e_apply(i, p)[0])
 
 
-def rcheck_link(i: int, z, w, n: int) -> LinkOperator:
+def rcheck_link(i: int, z, w, n: int) -> ExactMatrix:
     """(q z - q^{-1} w) I + (z - w) e_i on link patterns."""
     z = as_cyclo(z)
     w = as_cyclo(w)
-    c1 = Q * z - Q_INV * w
-    c2 = z - w
     e = e_link_matrix(n, i)
-    cn = e.rows
-    data = [[c2 * e.data[r][s] for s in range(cn)] for r in range(cn)]
-    for r in range(cn):
-        data[r][r] = data[r][r] + c1
-    return ExactMatrix(data)
+    return e.scale(z - w) + ExactMatrix.identity(e.rows).scale(Q * z - Q_INV * w)
 
 
 @lru_cache(maxsize=None)
 def phi_matrix(n: int, i: int) -> ExactMatrix:
     """The little-arch insertion LP_{n-1} -> LP_n at (i, i+1) as a 0/1 matrix."""
-    small = enumerate_patterns(n - 1)
-    index = pattern_index(n)
-    cn = len(enumerate_patterns(n))
-    data = [[ZERO] * len(small) for _ in range(cn)]
-    for src, p in enumerate(small):
-        data[index[phi_embed(i, p).pairing]][src] = ONE
-    return ExactMatrix(data)
+    return _pattern_map(n, enumerate_patterns(n - 1), lambda p: phi_embed(i, p))
 
 
 # ---------------------------------------------------------------------------
@@ -215,16 +194,11 @@ def embed(n: int, values) -> dict[int, CycloNum]:
         if not val:
             continue
         for bits, c in col.items():
-            s = vec.get(bits)
-            s = val * c if s is None else s + val * c
-            if s:
-                vec[bits] = s
-            else:
-                vec.pop(bits, None)
+            _put(vec, bits, val * c)
     return vec
 
 
-def spin_route_agrees(t, zs, n: int, matrix: LinkOperator) -> bool:
+def spin_route_agrees(t, zs, n: int, matrix: ExactMatrix) -> bool:
     """True iff ``matrix`` is the spin transfer matrix restricted to the
     embedded link patterns: T applied to each embedded pattern j equals the
     embedding of column j.  Production uses transfer_link; this is the
@@ -330,30 +304,15 @@ def _tile_table(n: int):
     return tuple(table)
 
 
-def _qdiff(x, y):
-    """q x - q^{-1} y for pairs x, y, as a pair."""
-    # q x = -x1 + (x0 - x1) w ;  -q^{-1} y = (y0 - y1) + y0 w
-    return (y[0] - y[1] - x[1], x[0] - x[1] + y[0])
-
-
-def _to_pair(x):
-    if isinstance(x, CycloNum):
-        return (x.a, x.b)
-    if isinstance(x, (int, Fraction)):
-        return (x, 0)
-    raise TypeError(f"bad parameter of type {type(x).__name__}")
-
-
 def row_weights(n: int, zs, t) -> list[tuple]:
     """Weights of all 2^{2n} row configurations as (a, b) pairs; index s
     with bit i set means face i+1 glues.  Any number of faces works: the
     weights of the first k faces alone are row_weights(n, zs[:k], t)."""
-    tp = _to_pair(t)
+    tp, *zps = ((x.a, x.b) for x in map(as_cyclo, [t, *zs]))
     w = [(1, 0)]
-    for z in zs:
-        zp = _to_pair(z)
+    for zp in zps:
         # pass tile u = q z - q^{-1} t, glue tile v = z - t
-        u = _qdiff(zp, tp)
+        u = pair_qdiff(zp, tp)
         v = (zp[0] - tp[0], zp[1] - tp[1])
         w = [pair_mul(x, u) for x in w] + [pair_mul(x, v) for x in w]
     return w
@@ -626,7 +585,7 @@ def limbs_mod(limbs, p: int):
     return acc
 
 
-def transfer_link(t, zs, n: int) -> LinkOperator:
+def transfer_link(t, zs, n: int) -> ExactMatrix:
     """The transfer matrix restricted to link patterns, canonical order,
     summed over the row tiles in the link basis (spin_route_agrees checks
     it against the spin representation)."""
@@ -645,7 +604,7 @@ def eigenvalue(t, zs) -> CycloNum:
     (tp, *zp), d = integer_pairs([t, *zs])
     acc = (1, 0)
     for z in zp:
-        acc = pair_mul(acc, _qdiff(tp, z))
+        acc = pair_mul(acc, pair_qdiff(tp, z))
     return from_pair(acc, d ** len(zp))
 
 

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopsum.cyclo import CycloNum, OMEGA, ONE, Q, Q_INV, ZERO, ZETA, from_pair, sixth_root
+from loopsum.cyclo import (CycloNum, OMEGA, ONE, Q, Q_INV, ZERO, ZETA, from_pair, integer_pairs,
+                           sixth_root)
+from loopsum.groundstate import psi_point
+from loopsum.mpoly import MPoly
+from loopsum.schur import Partition, schur_eval
+from loopsum.solver import ExactMatrix
+from loopsum.tmatrix import eigenvalue, transfer_link_pairs
 
 fractions = st.fractions(min_value=-6, max_value=6, max_denominator=8)
 cyclos = st.builds(CycloNum, fractions, fractions)
@@ -106,7 +112,7 @@ def test_integral_fractions_and_bools_are_stored_as_ints():
 def test_parts_are_ints_exactly_when_integral(x, y, k, pa, pb, den):
     results = [x, x + y, x - y, x * y, -x, x.conjugate(), 2 * x, x + 1,
                CycloNum.from_strings(x.to_strings()), from_pair((pa, pb), den)]
-    if not x.is_zero():
+    if x:
         results += [x.inverse(), x**k, y / x, 1 / x]
     elif k >= 0:
         results.append(x**k)
@@ -122,7 +128,7 @@ def test_hashable_and_equal_across_forms():
 @settings(max_examples=60)
 @given(cyclos)
 def test_field_inverse(x):
-    if not x.is_zero():
+    if x:
         assert x * x.inverse() == ONE
 
 
@@ -134,3 +140,32 @@ def test_ring_laws(x, y, z):
     assert x * y == y * x
     assert x + y == y + x
     assert x * (y + z) == x * y + x * z
+
+
+#: entry points that take scalars; each reaches them through as_cyclo or
+#: the rational coercion under it
+SCALAR_ENTRY_POINTS = {
+    "integer_pairs": lambda x: integer_pairs([1, x]),
+    "transfer_link_pairs": lambda x: transfer_link_pairs(1, [1, x], 3),
+    "transfer_link_pairs-t": lambda x: transfer_link_pairs(1, [1, 2], x),
+    "eigenvalue": lambda x: eigenvalue(x, [1, 2]),
+    "schur_eval": lambda x: schur_eval(Partition([1]), [x, 1]),
+    "MPoly.constant": lambda x: MPoly.constant(2, x),
+    "ExactMatrix": lambda x: ExactMatrix([[1, x]]),
+    "psi_point": lambda x: psi_point(1, [1, x]),
+    "psi_point-t": lambda x: psi_point(1, [1, 2], t=x),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, "3"], ids=["float", "str"])
+@pytest.mark.parametrize("entry", sorted(SCALAR_ENTRY_POINTS))
+def test_one_dispatch_one_error(entry, bad):
+    with pytest.raises(TypeError):
+        SCALAR_ENTRY_POINTS[entry](bad)
+
+
+def test_polynomial_equality_with_a_non_scalar_is_false():
+    x = MPoly.variable(2, 0)
+    assert (x == 1.5) is False
+    assert (x != "3") is True
+    assert MPoly.constant(2, 3) == 3 == MPoly.constant(2, Fraction(6, 2))

@@ -130,12 +130,12 @@ def test_phi_embed_roundtrip():
 
 
 def test_sequence_decomposition_nested():
-    runs = sequence_decomposition(fully_nested(3)).runs
+    runs = sequence_decomposition(fully_nested(3))
     assert runs == ((1, 2, 3), (4, 5, 6))
 
 
 def test_sequence_decomposition_all_arches():
-    runs = sequence_decomposition(consecutive_arches(3)).runs
+    runs = sequence_decomposition(consecutive_arches(3))
     assert runs == ((6, 1), (2, 3), (4, 5))
 
 
@@ -144,7 +144,7 @@ def test_sequence_decomposition_large_example():
     p = pat((1, 2), (5, 6), (8, 9), (11, 12), (16, 17),
             (3, 14), (4, 7), (10, 13), (15, 18))
     assert little_arches(p) == [1, 5, 8, 11, 16]
-    runs = sequence_decomposition(p).runs
+    runs = sequence_decomposition(p)
     assert runs == (
         (17, 18, 1),
         (2, 3, 4, 5),

@@ -48,6 +48,14 @@ def test_partition_validation():
     assert Partition([3, 3, 0, 0]).parts == (3, 3)
     with pytest.raises(ValueError):
         Partition([1, 2])
+    # parts go through the one rational coercion and must be integral
+    assert Partition([Fraction(4, 2), True]).parts == (2, 1)
+    assert all(type(x) is int for x in Partition([Fraction(4, 2), True]).parts)
+    with pytest.raises(ValueError):
+        Partition([Fraction(5, 2), 1])
+    for bad in ([2.5, 1], [2.0, 1], ["3"]):
+        with pytest.raises(TypeError):
+            Partition(bad)
 
 
 def test_shapes():
