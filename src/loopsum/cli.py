@@ -36,6 +36,7 @@ from .groundstate import (
     check_t_independence,
     psi_point,
     psi_symbolic,
+    within_degree_bounds,
 )
 from .report import CheckReport
 from .schur import (
@@ -216,11 +217,7 @@ def cmd_check_all(args) -> int:
     def degrees():
         report = CheckReport(f"degrees(n={n})")
         for pat, comp in zip(g.patterns, g.components):
-            report.add(
-                comp.is_homogeneous() == n * (n - 1)
-                and all(comp.degree_in(v) <= n - 1 for v in range(2 * n)),
-                pattern=pat.to_chords_json(),
-            )
+            report.add(within_degree_bounds(comp, n), pattern=pat.to_chords_json())
         return report
 
     rep.run(degrees)

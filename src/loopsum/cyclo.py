@@ -21,7 +21,8 @@ included, goes through one of the two.
 Hot loops skip CycloNum objects altogether and work on integer pairs
 (a, b) for a + b w: integer_pairs clears the denominators of a list of
 scalars, pair_mul multiplies two pairs, pair_qdiff forms q x - q^{-1} y,
-and from_pair turns the result back into one CycloNum.
+and from_pair turns the result back into one CycloNum.  accumulate is the
+one sparse accumulation: it adds into a dict entry and drops a zero sum.
 """
 
 from __future__ import annotations
@@ -56,9 +57,6 @@ class CycloNum:
 
     def __setattr__(self, name, value):
         raise AttributeError("CycloNum is immutable")
-
-    def __reduce__(self):
-        return (CycloNum, (self.a, self.b))
 
     # -- ring operations ----------------------------------------------
 
@@ -194,6 +192,16 @@ def integer_pairs(values) -> tuple[list[tuple[int, int]], int]:
     d = lcm(*(x.denominator for pair in parts for x in pair))
     return [(a.numerator * (d // a.denominator), b.numerator * (d // b.denominator))
             for a, b in parts], d
+
+
+def accumulate(acc: dict, key, val: CycloNum) -> None:
+    """acc[key] += val, with the entry dropped when the sum is zero."""
+    s = acc.get(key)
+    s = val if s is None else s + val
+    if s:
+        acc[key] = s
+    else:
+        acc.pop(key, None)
 
 
 def pair_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:

@@ -57,7 +57,7 @@ from .linkpat import (
     sequence_decomposition,
 )
 from .modular import cached_primes, inverse_apply, nullspace_mod_np, pivot_inverse
-from .mpoly import HomogenizationMismatchError, MPoly, product
+from .mpoly import HomogenizationMismatchError, MPoly, add_all, product
 from .report import CheckReport
 from .tmatrix import (
     e_link_matrix,
@@ -339,12 +339,7 @@ class Groundstate:
         return self.components[pattern_index(self.n)[pattern.pairing]]
 
     def sum_components(self) -> MPoly:
-        terms: dict = {}
-        for comp in self.components:  # one dict, not a copy per component
-            for e, c in comp.terms.items():
-                s = terms.get(e)
-                terms[e] = c if s is None else s + c
-        return MPoly(2 * self.n, terms)
+        return add_all(2 * self.n, self.components)
 
     def values_at(self, zs) -> list[CycloNum]:
         return [c.eval(list(zs)) for c in self.components]
@@ -424,7 +419,7 @@ def _complete_by_exchange(n: int, known: dict) -> list[tuple[int, LinkPattern]]:
         (new,) = unknown(i, pat)
         zi, zj = MPoly.variable(m, i - 1), MPoly.variable(m, i)
         known[new] = ((zi * Q - zj * Q_INV) * known[pat].divided_difference(i - 1, i)
-                      - sum((known[p] for p in preimages(i, pat) if p != new), MPoly.zero(m)))
+                      - add_all(m, (known[p] for p in preimages(i, pat) if p != new)))
         add_orbit(new)
         steps.append((i, new))
     return steps
@@ -444,11 +439,16 @@ def psi_symbolic(n: int) -> Groundstate:
     return _SYMBOLIC_CACHE[n]
 
 
+def within_degree_bounds(comp: MPoly, n: int) -> bool:
+    """True iff comp is homogeneous of total degree n(n-1) with degree at
+    most n-1 in each variable, the bounds of every component of Psi_n."""
+    return comp.is_homogeneous() == n * (n - 1) and max(map(max, comp.terms), default=0) <= n - 1
+
+
 def _validate_symbolic(g: Groundstate) -> None:
     n = g.n
     for k, comp in enumerate(g.components):
-        if (comp.is_homogeneous() != n * (n - 1)
-                or max(map(max, comp.terms), default=0) > n - 1):
+        if not within_degree_bounds(comp, n):
             raise HomogenizationMismatchError(
                 f"component {k}: not homogeneous of total degree {n * (n - 1)} "
                 f"with degree at most {n - 1} in each variable"
@@ -468,16 +468,6 @@ def _validate_symbolic(g: Groundstate) -> None:
 # ---------------------------------------------------------------------------
 # verification checks
 # ---------------------------------------------------------------------------
-
-
-def _lift_component(poly: MPoly, nbig: int, varmap: Sequence[int]) -> MPoly:
-    terms = {}
-    for e, c in poly.terms.items():
-        ne = [0] * nbig
-        for pos, k in enumerate(e):
-            ne[varmap[pos]] = k
-        terms[tuple(ne)] = c
-    return MPoly(nbig, terms)
 
 
 def _vanish_prefactor(m: int, i0: int, exclude: Sequence[int]) -> MPoly:
@@ -500,26 +490,22 @@ def _check_arch_recursion(report: CheckReport, gn: Groundstate, gn1: Groundstate
     m = 2 * gn.n
     i = I + 1
     varmap = [k for k in range(m) if k not in (I, J)]
-    total = MPoly.zero(m)
-    for pat, comp in zip(gn.patterns, comps):
-        spec = comp.specialize_ratio(J, I, QSQ)
-        total = total + spec
+    specs = [comp.specialize_ratio(J, I, QSQ) for comp in comps]
+    for pat, spec in zip(gn.patterns, specs):
         if pat.partner(i) == i + 1:
             small = gn1.component(arch_remove(i, pat))
-            ok = spec == prefactor * _lift_component(small, m, varmap)
+            ok = spec == prefactor * small.permute_args(varmap, m)
             report.add(ok, pattern=pat.to_chords_json(), kind="arch", **extra)
         else:
             report.add(not spec, pattern=pat.to_chords_json(), kind="vanish",
                        **extra)
-    return total
+    return add_all(m, specs)
 
 
 def _exchange_apply(c_id: MPoly, c_e: MPoly, e, x: Sequence[MPoly]) -> list[MPoly]:
     """c_id x + c_e (e x), componentwise, for a 0/1 link-basis matrix e."""
-    zero = MPoly.zero(c_id.nvars)
     return [
-        c_id * x[k]
-        + c_e * sum((x[kk] for kk, hit in enumerate(e.data[k]) if hit), zero)
+        c_id * x[k] + c_e * add_all(c_id.nvars, (x[kk] for kk, hit in enumerate(e.data[k]) if hit))
         for k in range(len(x))
     ]
 
@@ -577,18 +563,15 @@ def check_factorization(gn: Groundstate) -> CheckReport:
     m = 2 * n
     report = CheckReport(f"factorization(n={n})")
     for pat, comp in zip(gn.patterns, gn.components):
-        runs = sequence_decomposition(pat)
-        for run in runs:
-            for a_pos in range(len(run)):
-                for b_pos in range(a_pos + 1, len(run)):
-                    a, b = run[a_pos], run[b_pos]
-                    sub = comp.specialize_ratio(b - 1, a - 1, QSQ)
-                    report.add(
-                        not sub,
-                        pattern=pat.to_chords_json(),
-                        pair=[a, b],
-                        kind="vanish",
-                    )
+        for run in sequence_decomposition(pat):
+            for a, b in itertools.combinations(run, 2):
+                sub = comp.specialize_ratio(b - 1, a - 1, QSQ)
+                report.add(
+                    not sub,
+                    pattern=pat.to_chords_json(),
+                    pair=[a, b],
+                    kind="vanish",
+                )
         for i in range(1, m):
             if pat.partner(i) == i + 1:
                 continue  # arch there: not an in-sequence pair
@@ -635,12 +618,8 @@ def check_monomial_property(gn: Groundstate) -> CheckReport:
             for c, (a, b) in enumerate(chords):
                 exps[a - 1] = sigma[c]
                 exps[b - 1] = sigma[c]
-            ok = True
-            for kk, comp in enumerate(gn.components):
-                want = ONE if kk == k else ZERO
-                if comp.coeff_of(exps) != want:
-                    ok = False
-                    break
+            ok = all(comp.coeff_of(exps) == (ONE if kk == k else ZERO)
+                     for kk, comp in enumerate(gn.components))
             report.add(ok, pattern=pat.to_chords_json(), exponents=exps)
     return report
 
@@ -692,7 +671,7 @@ def check_recursion_general(gn: Groundstate, gn1: Groundstate, i: int, j: int) -
     total = _check_arch_recursion(report, gn, gn1, x, I, J, prefactor,
                                   reduced_by_rotation=reduced)
     varmap = [k for k in range(m) if k not in (I, J)]
-    ok = total == prefactor * _lift_component(gn1.sum_components(), m, varmap)
+    ok = total == prefactor * gn1.sum_components().permute_args(varmap, m)
     report.add(ok, kind="sum-rule-prefactor", reduced_by_rotation=reduced)
     return report
 
@@ -709,10 +688,7 @@ def check_normalization_chain(gn_list: Sequence[Groundstate]) -> CheckReport:
         pat = consecutive_arches(n)
         comp = gbig.component(pat)
         lhs = comp.specialize_ratio(1, 0, QSQ)
-        varmap = [k for k in range(m) if k not in (0, 1)]
         prefactor = _vanish_prefactor(m, 0, (0, 1))
-        rhs = prefactor * _lift_component(
-            gsmall.component(arch_remove(1, pat)), m, varmap
-        )
+        rhs = prefactor * gsmall.component(arch_remove(1, pat)).permute_args(range(2, m), m)
         report.add(lhs == rhs, n=n)
     return report

@@ -63,9 +63,6 @@ class LinkPattern:
     def __setattr__(self, name, value):
         raise AttributeError("LinkPattern is immutable")
 
-    def __reduce__(self):
-        return (LinkPattern, (self.pairing,))
-
     @property
     def n(self) -> int:
         return len(self.pairing) // 2

@@ -4,6 +4,10 @@ Exponent vectors are tuples of small non-negative ints, one entry per
 variable; coefficients are CycloNum and never stored when zero.  Terms are
 serialized in graded-lexicographic order so JSON output is canonical.
 
+Validation happens at the boundary: MPoly(...) checks the input of zero,
+constant, variable and from_json; results built here from valid terms skip
+it through MPoly._raw, and their coefficient sums drop zeros (accumulate).
+
 Tensor-grid interpolation applies each axis's inverse Vandermonde matrix,
 scaled to integers, to integer values over one common denominator; with
 (bound+1) distinct nodes per variable the result is the unique polynomial
@@ -20,7 +24,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .cyclo import CycloNum, ONE, ZERO, _rational, as_cyclo, from_pair, integer_pairs, pair_mul
+from .cyclo import (CycloNum, ONE, ZERO, _rational, accumulate, as_cyclo, from_pair,
+                    integer_pairs, pair_mul)
 
 
 class ArityMismatchError(ValueError):
@@ -59,9 +64,6 @@ class MPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
-
-    def __reduce__(self):
-        return (MPoly, (self.nvars, self.terms))
 
     @classmethod
     def _raw(cls, nvars: int, terms: dict) -> "MPoly":
@@ -104,12 +106,7 @@ class MPoly:
         self._check_arity(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e)
-            s = c if s is None else s + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
+            accumulate(terms, e, c)
         return MPoly._raw(self.nvars, terms)
 
     __radd__ = __add__
@@ -138,14 +135,7 @@ class MPoly:
         acc: dict[tuple[int, ...], CycloNum] = {}
         for e1, c1 in small.items():
             for e2, c2 in big.items():
-                e = tuple(map(sum, zip(e1, e2)))
-                c = c1 * c2
-                s = acc.get(e)
-                s = c if s is None else s + c
-                if s:
-                    acc[e] = s
-                else:
-                    acc.pop(e, None)
+                accumulate(acc, tuple(map(sum, zip(e1, e2))), c1 * c2)
         return MPoly._raw(self.nvars, acc)
 
     __rmul__ = __mul__
@@ -244,21 +234,27 @@ class MPoly:
 
     # -- structural maps --------------------------------------------------
 
-    def permute_args(self, perm: Sequence[int]) -> "MPoly":
-        """The polynomial P(z_perm[0], ..., z_perm[nvars-1]).
+    def permute_args(self, perm: Sequence[int], nvars: Optional[int] = None) -> "MPoly":
+        """The polynomial P(z_perm[0], ..., z_perm[-1]) in ``nvars``
+        variables, by default as many as P has.
 
         ``perm[k]`` names the variable placed in argument slot k, so the
-        exponent that sat on slot k moves to variable perm[k].
+        exponent that sat on slot k moves to variable perm[k]; a map of
+        the wrong length or not injective into range(nvars) raises
+        ArityMismatchError.
         """
-        if sorted(perm) != list(range(self.nvars)):
-            raise ArityMismatchError(f"{perm} is not a permutation of the variables")
+        nvars = self.nvars if nvars is None else nvars
+        if len(perm) != self.nvars or len(set(perm) & set(range(nvars))) != self.nvars:
+            raise ArityMismatchError(
+                f"{perm} does not map {self.nvars} variables injectively into {nvars}"
+            )
         terms = {}
         for e, c in self.terms.items():
-            ne = [0] * self.nvars
-            for k, ek in enumerate(e):
-                ne[perm[k]] = ek
+            ne = [0] * nvars
+            for k, ek in zip(perm, e):
+                ne[k] = ek
             terms[tuple(ne)] = c
-        return MPoly._raw(self.nvars, terms)
+        return MPoly._raw(nvars, terms)
 
     def swap_args(self, i: int, j: int) -> "MPoly":
         perm = list(range(self.nvars))
@@ -281,10 +277,7 @@ class MPoly:
             ne = list(e)
             for k in range(abs(a - b)):
                 ne[i], ne[j] = min(a, b) + k, max(a, b) - 1 - k
-                key = tuple(ne)
-                s = terms.pop(key, ZERO) + c
-                if s:
-                    terms[key] = s
+                accumulate(terms, tuple(ne), c)
         return MPoly._raw(self.nvars, terms)
 
     def specialize_ratio(self, var: int, target: int, scale) -> "MPoly":
@@ -293,7 +286,7 @@ class MPoly:
             raise ValueError("substitution variable must differ from target")
         s = as_cyclo(scale)
         powers = [ONE]
-        for _ in range(max((e[var] for e in self.terms), default=0)):
+        for _ in range(self.degree_in(var)):
             powers.append(powers[-1] * s)
         terms: dict[tuple[int, ...], CycloNum] = {}
         for e, c in self.terms.items():
@@ -301,15 +294,8 @@ class MPoly:
             ne = list(e)
             ne[var] = 0
             ne[target] += k
-            c2 = c * powers[k] if k else c
-            ne = tuple(ne)
-            acc = terms.get(ne)
-            acc = c2 if acc is None else acc + c2
-            if acc:
-                terms[ne] = acc
-            else:
-                terms.pop(ne, None)
-        return MPoly(self.nvars, terms)
+            accumulate(terms, tuple(ne), c * powers[k] if k else c)
+        return MPoly._raw(self.nvars, terms)
 
     def reversed_reciprocal(self, per_var_degree: int) -> "MPoly":
         """prod_k z_k^d * P(1/z_last, ..., 1/z_first) for d = per_var_degree.
@@ -372,6 +358,17 @@ def product(nvars: int, factors: Iterable[MPoly]) -> MPoly:
     for f in factors:
         acc = acc * f
     return acc
+
+
+def add_all(nvars: int, polys: Iterable[MPoly]) -> MPoly:
+    """The sum of polys, all in nvars variables, accumulated in one dict."""
+    terms: dict[tuple[int, ...], CycloNum] = {}
+    for p in polys:
+        if p.nvars != nvars:
+            raise ArityMismatchError(f"variable counts differ: {nvars} vs {p.nvars}")
+        for e, c in p.terms.items():
+            accumulate(terms, e, c)
+    return MPoly._raw(nvars, terms)
 
 
 def _vandermonde_inverse(xs: Sequence[Fraction]) -> tuple[list[list[int]], int]:

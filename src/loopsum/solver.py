@@ -41,9 +41,6 @@ class ExactMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable (rebuild instead)")
 
-    def __reduce__(self):
-        return (ExactMatrix, (self.data,))
-
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
         return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
@@ -65,6 +62,8 @@ class ExactMatrix:
         )
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("dimension mismatch in matrix sum")
         # a zero term is skipped: the link-basis operators are mostly zeros
         return ExactMatrix(
             [

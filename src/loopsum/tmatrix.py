@@ -46,6 +46,7 @@ from .cyclo import (
     Q,
     Q_INV,
     ZERO,
+    accumulate,
     as_cyclo,
     from_pair,
     integer_pairs,
@@ -94,16 +95,6 @@ def rcheck_spin(z, w) -> list[list[CycloNum]]:
     return [[row[0], row[2], row[1], row[3]] for row in r]
 
 
-def _put(acc: dict, key, val: CycloNum) -> None:
-    """acc[key] += val, with the entry dropped when the sum is zero."""
-    s = acc.get(key)
-    s = val if s is None else s + val
-    if s:
-        acc[key] = s
-    else:
-        acc.pop(key, None)
-
-
 def monodromy_apply(zs, t, vec: dict[int, CycloNum], aux: int) -> dict:
     """Apply the monodromy to vec tensor |aux>, streaming site by site.
 
@@ -119,13 +110,13 @@ def monodromy_apply(zs, t, vec: dict[int, CycloNum], aux: int) -> dict:
         for (bits, a), c in state.items():
             s = 1 if bits & bit else 0
             if s == a:
-                _put(new, (bits, a), c * u)
+                accumulate(new, (bits, a), c * u)
             elif s == 0:  # site up, aux down
-                _put(new, (bits, 1), c * v)
-                _put(new, (bits | bit, 0), c * cz)
+                accumulate(new, (bits, 1), c * v)
+                accumulate(new, (bits | bit, 0), c * cz)
             else:  # site down, aux up
-                _put(new, (bits, 0), c * v)
-                _put(new, (bits & ~bit, 1), c * ct)
+                accumulate(new, (bits, 0), c * v)
+                accumulate(new, (bits & ~bit, 1), c * ct)
         state = new
     return state
 
@@ -136,7 +127,7 @@ def transfer_apply_spin(zs, t, vec: dict[int, CycloNum]) -> dict[int, CycloNum]:
     for aux, twist in ((0, -Q), (1, -Q_INV)):
         for (bits, a), c in monodromy_apply(zs, t, vec, aux).items():
             if a == aux:
-                _put(out, bits, twist * c)
+                accumulate(out, bits, twist * c)
     return out
 
 
@@ -194,7 +185,7 @@ def embed(n: int, values) -> dict[int, CycloNum]:
         if not val:
             continue
         for bits, c in col.items():
-            _put(vec, bits, val * c)
+            accumulate(vec, bits, val * c)
     return vec
 
 
@@ -304,10 +295,10 @@ def _tile_table(n: int):
     return tuple(table)
 
 
-def row_weights(n: int, zs, t) -> list[tuple]:
-    """Weights of all 2^{2n} row configurations as (a, b) pairs; index s
-    with bit i set means face i+1 glues.  Any number of faces works: the
-    weights of the first k faces alone are row_weights(n, zs[:k], t)."""
+def row_weights(zs, t) -> list[tuple]:
+    """Weights of all 2^len(zs) row configurations as (a, b) pairs; index
+    s with bit i set means face i+1 glues.  Any number of faces works: the
+    weights of the first k faces alone are row_weights(zs[:k], t)."""
     tp, *zps = ((x.a, x.b) for x in map(as_cyclo, [t, *zs]))
     w = [(1, 0)]
     for zp in zps:
@@ -324,8 +315,10 @@ def transfer_link_pairs(n: int, zs, t) -> list[list[tuple]]:
     Plain Python, so importing the package and building small matrices
     never loads numpy; kernel_matrix_limbs is the numpy route the modular
     kernel uses."""
+    if len(zs) != 2 * n:
+        raise ValueError(f"expected {2 * n} spectral parameters, got {len(zs)}")
     table = _tile_table(n)
-    wa, wb = zip(*row_weights(n, zs, t))
+    wa, wb = zip(*row_weights(zs, t))
     cn = len(table)
     cols = []
     for row in table:
@@ -408,7 +401,7 @@ def _balanced_split(values: list[int], width: int = LIMB_BITS):
 
 
 def _weight_limbs(n: int, zs, t):
-    """row_weights(n, zs, t) as int64 limbs of shape (2L, 2^{2n}), rows
+    """row_weights(zs, t) as int64 limbs of shape (2L, 2^{2n}), rows
     (a limb 0, b limb 0, a limb 1, ...): limbs in [0, 2^30) but the top
     one, which carries the sign.
 
@@ -421,7 +414,7 @@ def _weight_limbs(n: int, zs, t):
     from math import isqrt
 
     mask = (1 << LIMB_BITS) - 1
-    halves = [row_weights(n, zs[n:], t), row_weights(n, zs[:n], t)]
+    halves = [row_weights(zs[n:], t), row_weights(zs[:n], t)]
     # |a|, |b| <= sqrt(4/3 * norm), and the norm a^2 - a b + b^2 is
     # multiplicative, so the halves bound the limbs every weight needs
     norms = [max(a * a - a * b + b * b for a, b in h) for h in halves]
@@ -463,6 +456,8 @@ def kernel_matrix_limbs(n: int, zs, t):
     """
     import numpy as np
 
+    if len(zs) != 2 * n:
+        raise ValueError(f"expected {2 * n} spectral parameters, got {len(zs)}")
     # rows of w: (a limb 0, b limb 0, a limb 1, b limb 1, ...)
     w = _weight_limbs(n, zs, t)
     nlimbs = len(w) // 2
@@ -589,8 +584,6 @@ def transfer_link(t, zs, n: int) -> ExactMatrix:
     """The transfer matrix restricted to link patterns, canonical order,
     summed over the row tiles in the link basis (spin_route_agrees checks
     it against the spin representation)."""
-    if len(zs) != 2 * n:
-        raise ValueError(f"expected {2 * n} spectral parameters, got {len(zs)}")
     pairs = transfer_link_pairs(n, zs, t)
     return ExactMatrix([[CycloNum(a, b) for a, b in row] for row in pairs])
 

@@ -13,6 +13,7 @@ from loopsum.mpoly import (
     DuplicateNodeError,
     HomogenizationMismatchError,
     MPoly,
+    add_all,
     interpolate_grid,
 )
 
@@ -92,6 +93,45 @@ def test_permute_and_swap():
     p = z(3, 0) * z(3, 1) ** 2
     assert p.swap_args(0, 1) == z(3, 1) * z(3, 0) ** 2
     assert p.permute_args([2, 0, 1]) == z(3, 2) * z(3, 0) ** 2
+
+
+def _valid(r: MPoly) -> bool:
+    # a stored zero would make equal polynomials compare unequal
+    return all(r.terms.values()) and r == MPoly(r.nvars, r.terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_strategy(), poly_strategy(), st.permutations(range(5)),
+       st.sampled_from([ONE, -ONE, q]))
+def test_results_store_no_zero_coefficient(a, b, wide, s):
+    # the same operations in 3 variables and after a lift into 5; the
+    # symmetrized sym has a zero divided difference in slots 0 and 2
+    for x, y in [(a, b), (a.permute_args(wide[:3], 5), b.permute_args(wide[:3], 5))]:
+        m = x.nvars
+        sym = x + x.swap_args(0, 2)
+        results = [x + y, x - y, x - x, x * y, x * y - y * x, -x, (x + y) - y,
+                   add_all(m, [x, y, -x]), add_all(m, []), x.specialize_ratio(0, 1, s),
+                   (x - x.swap_args(0, 1)).specialize_ratio(0, 1, 1),
+                   x.divided_difference(0, 2), sym.divided_difference(0, 2),
+                   x.permute_args(list(reversed(range(m)))), x.permute_args(range(m), m + 2)]
+        for r in results:
+            assert _valid(r)
+        assert sym.divided_difference(0, 2) == MPoly.zero(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=-1, max_value=5), max_size=5),
+       st.sampled_from([None, 3, 5]))
+def test_permute_args_takes_exactly_the_injective_maps(perm, nvars):
+    p = z(3, 0) * z(3, 1) ** 2 + z(3, 2)
+    width = 3 if nvars is None else nvars
+    if len(perm) == 3 and len(set(perm)) == 3 and all(0 <= k < width for k in perm):
+        r = p.permute_args(perm, nvars)
+        assert _valid(r) and r.nvars == width
+        assert r.eval([k + 2 for k in range(width)]) == p.eval([perm[k] + 2 for k in range(3)])
+    else:
+        with pytest.raises(ArityMismatchError):
+            p.permute_args(perm, nvars)
 
 
 def test_homogenize_roundtrip():

@@ -54,6 +54,11 @@ def test_det_values():
     assert det(m) == CycloNum(6, 0)
     assert det(ExactMatrix([])) == ONE
     assert det(ExactMatrix([[ZERO, ONE], [ONE, ZERO]])) == -ONE
+    assert det(m + m) == CycloNum(24, 0)
+    # a sum of two shapes raises instead of truncating to the smaller one
+    for a, b in [((2, 2), (3, 3)), ((3, 3), (2, 2)), ((2, 2), (2, 3))]:
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            ExactMatrix.zeros(*a) + ExactMatrix.zeros(*b)
 
 
 def det_fraction(m: ExactMatrix) -> CycloNum:

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from math import lcm
 
@@ -385,11 +386,18 @@ def _check_assembly(n, kind, zs, t, limbs):
         assert bmat == [[b % p for _, b in row] for row in pairs], (kind, p)
 
 
+@pytest.mark.parametrize("count", (3, 5, 6))
+@pytest.mark.parametrize("route", (transfer_link_pairs, kernel_matrix_limbs))
+def test_tile_routes_check_the_parameter_count(route, count):
+    with pytest.raises(ValueError, match="expected 4 spectral parameters"):
+        route(2, list(range(1, count + 1)), 7)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_numpy_assembly_equals_tile_route(n):
     for kind, (zs, t) in _limb_points(n).items():
         limbs = kernel_matrix_limbs(n, zs, t)
-        weights = [x for w in row_weights(n, zs, t) for x in w]
+        weights = [x for w in row_weights(zs, t) for x in w]
         if kind == "t-above-z":
             assert min(weights) < 0
         if kind == "large-z" and n > 1:
@@ -620,11 +628,18 @@ def test_limb_width_rule_is_not_an_assert():
 
 def test_setup_stays_numpy_free():
     # importing numpy costs about as much as the whole check-all 3 set-up;
-    # the n = 6 set-up builds the largest tile table the benchmark uses
-    code = ("import sys, loopsum.cli, loopsum.tmatrix; "
-            "loopsum.tmatrix.transfer_link_pairs(3, [1] * 6, 1); "
-            "loopsum.tmatrix.transfer_link_pairs(6, [1] * 12, 1); "
-            "print('numpy' in sys.modules)")
+    # the n = 6 set-up builds the largest tile table the benchmark uses,
+    # and the symbolic commands run without numpy from start to end
+    code = textwrap.dedent("""
+        import contextlib, io, sys, loopsum.cli, loopsum.tmatrix
+        loopsum.tmatrix.transfer_link_pairs(3, [1] * 6, 1)
+        loopsum.tmatrix.transfer_link_pairs(6, [1] * 12, 1)
+        for args in ("components 3 --json", "asm-tables 3", "verify-sumrule 3 --mode symbolic"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                if loopsum.cli.main(args.split()) != 0:
+                    raise SystemExit(args)
+        print("numpy" in sys.modules)
+    """)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(loopsum.__file__)))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
