@@ -12,17 +12,17 @@ oracle exact over Q(w).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from math import factorial
 from typing import Sequence
 
-from .cyclo import CycloNum, ONE, Q, Q_INV, ZETA, ZETA_INV, _rational, as_cyclo
+from .cyclo import CycloNum, ONE, Q, Q_INV, ZERO, ZETA, ZETA_INV, _rational, as_cyclo
 from .report import CheckReport
-from .schur import schur_eval, y_partition, z_partition_function
+from .schur import z_partition_function
 
 
 class SizeCapError(ValueError):
-    """Enumeration size exceeds the supported cap."""
+    """A requested size exceeds the supported cap; the CLI exits 2 on it."""
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,8 @@ def asm_product_formula(n: int) -> int:
     num = 1
     den = 1
     for i in range(n):
-        num *= factorial(3 * i + 1)
-        den *= factorial(n + i)
+        num *= math.factorial(3 * i + 1)
+        den *= math.factorial(n + i)
     assert num % den == 0
     return num // den
 
@@ -98,8 +98,6 @@ def asm_product_formula(n: int) -> int:
 def refined_counts(n: int) -> list[list[int]]:
     """counts[j-1][k-1]: ASMs with the top-row 1 at position j (from the
     left) and the bottom-row 1 at position k (from the right)."""
-    if n > 5:
-        raise SizeCapError("refined enumeration capped at n = 5")
     table = [[0] * n for _ in range(n)]
     for a in enumerate_asm(n):
         j = a.entries[0].index(1) + 1
@@ -189,29 +187,21 @@ def dwbc_bruteforce(n: int, xs: Sequence) -> CycloNum:
     if len(xs) != 2 * n:
         raise ValueError(f"expected {2 * n} parameters")
     x = [as_cyclo(v) for v in xs]
-    total = CycloNum(0, 0)
-    for a in enumerate_asm(n):
-        cfg = SixVertexConfig.from_asm(a)
-        weight = ONE
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                weight = weight * _vertex_weight(
-                    cfg.vertex_kind(i, j), x[i - 1], x[n + j - 1]
-                )
-        total = total + weight
-    absorbed = ONE if (n * (n - 1) // 2) % 2 == 0 else -ONE
-    absorbed = absorbed * (Q_INV - Q) ** n
-    for v in x:
-        absorbed = absorbed * v
-    return total / absorbed
+
+    def weight(cfg: SixVertexConfig) -> CycloNum:
+        return math.prod((_vertex_weight(cfg.vertex_kind(i, j), x[i - 1], x[n + j - 1])
+                          for i in range(1, n + 1) for j in range(1, n + 1)), start=ONE)
+
+    total = sum((weight(SixVertexConfig.from_asm(a)) for a in enumerate_asm(n)), ZERO)
+    sign = ONE if (n * (n - 1) // 2) % 2 == 0 else -ONE
+    return total / math.prod(x, start=sign * (Q_INV - Q) ** n)
 
 
 def check_dwbc_oracle(n: int, xs: Sequence) -> CheckReport:
     """dwbc_bruteforce(x) must equal the Schur value at x^2, exactly."""
     report = CheckReport(f"dwbc-oracle(n={n})")
     lhs = dwbc_bruteforce(n, xs)
-    x2 = [as_cyclo(v) ** 2 for v in xs]
-    rhs = schur_eval(y_partition(n), x2)
+    rhs = z_partition_function(n, [as_cyclo(v) ** 2 for v in xs])
     report.add(lhs == rhs, point=[str(v) for v in xs], lhs=str(lhs), rhs=str(rhs))
     return report
 
@@ -237,13 +227,8 @@ def refined_generating_check(n: int, t, u) -> CheckReport:
     zs = [qt / dt, qu / du] + [ONE] * (2 * n - 2)
     lhs = (Q * Q * dt * du) ** (n - 1) * z_partition_function(n, zs)
     lhs = lhs / CycloNum(3 ** (n * (n - 1) // 2), 0)
-    rhs = CycloNum(0, 0)
-    counts = refined_counts(n)
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
-            if counts[j - 1][k - 1]:
-                rhs = rhs + CycloNum(
-                    t ** (j - 1) * u ** (k - 1) * counts[j - 1][k - 1], 0
-                )
+    rhs = sum((CycloNum(t**j * u**k * count, 0)
+               for j, row in enumerate(refined_counts(n))
+               for k, count in enumerate(row)), ZERO)
     report.add(lhs == rhs, t=str(t), u=str(u), lhs=str(lhs), rhs=str(rhs))
     return report

@@ -23,7 +23,7 @@ from .asm import (
     refined_counts,
     refined_generating_check,
 )
-from .cyclo import CycloNum
+from .cyclo import ZERO
 from .golden import golden_groundstate
 from .groundstate import (
     check_cyclic_reflection,
@@ -59,10 +59,6 @@ SYMBOLIC_CAP = 4
 SYMBOLIC_CAP_LONG = 5
 RANDOM_POINTS_CAP = 7
 ASM_CAP = 5
-
-
-class CapError(ValueError):
-    """Requested size exceeds the supported cap."""
 
 
 @dataclass
@@ -126,7 +122,7 @@ def cmd_verify_sumrule(args) -> int:
     if args.mode == "symbolic":
         cap = SYMBOLIC_CAP_LONG if args.allow_long else SYMBOLIC_CAP
         if n > cap:
-            raise CapError(f"symbolic mode capped at n = {cap}")
+            raise SizeCapError(f"symbolic mode capped at n = {cap}")
 
         def symbolic():
             report = CheckReport(f"sum-rule-symbolic(n={n})")
@@ -137,7 +133,7 @@ def cmd_verify_sumrule(args) -> int:
         rep.run(symbolic)
     else:
         if n > RANDOM_POINTS_CAP:
-            raise CapError(f"random-points mode capped at n = {RANDOM_POINTS_CAP}")
+            raise SizeCapError(f"random-points mode capped at n = {RANDOM_POINTS_CAP}")
         rng = random.Random(args.seed)
 
         def random_points():
@@ -145,9 +141,7 @@ def cmd_verify_sumrule(args) -> int:
             for k in range(args.points):
                 zs = _sample_distinct(rng, 2 * n)
                 pv = psi_point(n, zs, spin_certificate=(k < 2 and n <= 6))
-                w = CycloNum(0, 0)
-                for v in pv.values:
-                    w = w + v
+                w = sum(pv.values, ZERO)
                 z = z_partition_function(n, zs)
                 report.add(w == z, point=zs, w=str(w))
             return report
@@ -161,7 +155,7 @@ def cmd_components(args) -> int:
     n = args.n
     cap = SYMBOLIC_CAP_LONG if args.allow_long else SYMBOLIC_CAP
     if n > cap:
-        raise CapError(f"components capped at n = {cap}")
+        raise SizeCapError(f"components capped at n = {cap}")
     # a file the probe creates is removed again if the build fails
     created = bool(args.out) and not os.path.exists(args.out)
     if args.out:
@@ -198,7 +192,7 @@ def cmd_components(args) -> int:
 def cmd_check_all(args) -> int:
     n = args.n
     if n > SYMBOLIC_CAP:
-        raise CapError(f"check-all capped at n = {SYMBOLIC_CAP}")
+        raise SizeCapError(f"check-all capped at n = {SYMBOLIC_CAP}")
     rng = random.Random(args.seed)
     rep = RunReport("check-all", {"n": n, "seed": args.seed})
     states = [psi_symbolic(k) for k in range(1, n + 1)]
@@ -284,7 +278,7 @@ def cmd_check_all(args) -> int:
 def cmd_asm_tables(args) -> int:
     n = args.n
     if n > ASM_CAP:
-        raise CapError(f"asm-tables capped at n = {ASM_CAP}")
+        raise SizeCapError(f"asm-tables capped at n = {ASM_CAP}")
     formula = asm_product_formula(n)
     table = refined_counts(n)
     enumerated = len(enumerate_asm(n))
@@ -387,7 +381,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (CapError, SizeCapError) as exc:
+    except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -189,14 +189,19 @@ def embed(n: int, values) -> dict[int, CycloNum]:
     return vec
 
 
+def _expect_parameters(n: int, zs) -> None:
+    """Every route at size n takes exactly 2n spectral parameters."""
+    if len(zs) != 2 * n:
+        raise ValueError(f"expected {2 * n} spectral parameters, got {len(zs)}")
+
+
 def spin_route_agrees(t, zs, n: int, matrix: ExactMatrix) -> bool:
     """True iff ``matrix`` is the spin transfer matrix restricted to the
     embedded link patterns: T applied to each embedded pattern j equals the
     embedding of column j.  Production uses transfer_link; this is the
     oracle it is checked against."""
     cols = embedding_columns(n)
-    if len(zs) != 2 * n:
-        raise ValueError(f"expected {2 * n} spectral parameters, got {len(zs)}")
+    _expect_parameters(n, zs)
     if matrix.rows != len(cols) or matrix.cols != len(cols):
         return False
     return all(
@@ -315,8 +320,7 @@ def transfer_link_pairs(n: int, zs, t) -> list[list[tuple]]:
     Plain Python, so importing the package and building small matrices
     never loads numpy; kernel_matrix_limbs is the numpy route the modular
     kernel uses."""
-    if len(zs) != 2 * n:
-        raise ValueError(f"expected {2 * n} spectral parameters, got {len(zs)}")
+    _expect_parameters(n, zs)
     table = _tile_table(n)
     wa, wb = zip(*row_weights(zs, t))
     cn = len(table)
@@ -456,8 +460,7 @@ def kernel_matrix_limbs(n: int, zs, t):
     """
     import numpy as np
 
-    if len(zs) != 2 * n:
-        raise ValueError(f"expected {2 * n} spectral parameters, got {len(zs)}")
+    _expect_parameters(n, zs)
     # rows of w: (a limb 0, b limb 0, a limb 1, b limb 1, ...)
     w = _weight_limbs(n, zs, t)
     nlimbs = len(w) // 2
@@ -607,6 +610,7 @@ def verify_spin_eigenvector(n: int, zs, t, values) -> bool:
     This certificate runs entirely in the spin representation and is
     independent of how the candidate values were produced.
     """
+    _expect_parameters(n, zs)
     vec = embed(n, values)
     lam = eigenvalue(t, zs)
     expect = {bits: lam * c for bits, c in vec.items()} if lam else {}

@@ -114,11 +114,21 @@ def test_asm_tables_csv_and_json_exit_2(capsys):
 
 
 def test_cap_errors_exit_2(capsys):
-    assert main(["verify-sumrule", "9", "--mode", "symbolic"]) == 2
-    assert main(["verify-sumrule", "9", "--mode", "random-points"]) == 2
-    assert main(["components", "7"]) == 2
-    assert main(["asm-tables", "6"]) == 2
+    capped = {
+        ("verify-sumrule", "9", "--mode", "symbolic"): "symbolic mode capped at n = 4",
+        ("verify-sumrule", "5", "--mode", "symbolic"): "symbolic mode capped at n = 4",
+        ("verify-sumrule", "9", "--mode", "random-points"):
+            "random-points mode capped at n = 7",
+        ("components", "7"): "components capped at n = 4",
+        ("check-all", "5"): "check-all capped at n = 4",
+        ("asm-tables", "6"): "asm-tables capped at n = 5",
+    }
+    for args, message in capped.items():
+        assert main(list(args)) == 2, args
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n", args
     assert main(["check-all", "0"]) == 2
+    assert "must be at least 1, got 0" in capsys.readouterr().err
 
 
 def test_usage_error_exit_2():

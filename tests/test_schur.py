@@ -90,6 +90,35 @@ def test_routes_agree_on_distinct_points():
         assert _schur_bialternant(lam, xs) == schur_eval(lam, xs)
 
 
+def test_skew_values():
+    # s_{21/1} = h_1^2 and s_{22/1} = s_{21}; an inner shape that does not
+    # fit gives 0, and inner = shape gives 1
+    x, y = CycloNum(2, 0), CycloNum(5, 0)
+    assert schur_eval(Partition([2, 1]), [x, y], Partition([1])) == (x + y) ** 2
+    assert schur_eval(Partition([2, 2]), [x, y], Partition([1])) == x * y * (x + y)
+    assert schur_eval(Partition([1, 1]), [x, y], Partition([2])) == CycloNum(0, 0)
+    assert schur_eval(Partition([1]), [x, y], Partition([1, 1])) == CycloNum(0, 0)
+    assert schur_eval(Partition([2, 1]), [x], Partition([2, 1])) == ONE
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_skew_route_adds_one_variable(n):
+    # sum_k s_{lam/(k)}(w) t^k = s_lam(w, t), the expansion check_tq's
+    # Schur-ratio case uses; repeated w values are fine on both sides
+    lam = y_partition(n)
+    points = random.Random(300 + n)
+    distinct = [Q * CycloNum(Fraction(a, 3), 0)
+                for a in points.sample(range(1, 60), lam.length())]
+    repeated = distinct[:-1] + distinct[:1]
+    for w in (distinct, repeated):
+        coeffs = [schur_eval(lam, w, Partition([k])) for k in range(lam.parts[0] + 1)]
+        for t0 in (Fraction(3, 7), Fraction(-5, 2), Fraction(11, 1)):
+            t = CycloNum(t0, 0)
+            assert poly_eval(coeffs, t) == schur_eval(lam, w + [t]), (w, t0)
+            if w is distinct:
+                assert poly_eval(coeffs, t) == _schur_bialternant(lam, w + [t])
+
+
 def test_z_values():
     assert z_partition_function(1, [3, 4]) == ONE
     assert z_partition_function(2, [1, 1, 1, 1]) == CycloNum(6, 0)
@@ -135,7 +164,9 @@ def test_f_identity_and_tq():
     for n in (2, 3):
         zs = rng.sample(range(1, 30), 2 * n)
         assert check_f_identity(n, zs).passed
-        assert check_tq(n, zs).passed
+        report = check_tq(n, zs)
+        assert report.passed
+        assert "schur-ratio" in [case["kind"] for case in report.cases]
 
 
 def test_q_poly_degree():

@@ -386,9 +386,15 @@ def _check_assembly(n, kind, zs, t, limbs):
         assert bmat == [[b % p for _, b in row] for row in pairs], (kind, p)
 
 
+def spin_certificate(n, zs, t):
+    """verify_spin_eigenvector on a true n = 2 groundstate vector."""
+    return verify_spin_eigenvector(n, zs, t, psi_point(2, [1, 2, 3, 4], t).values)
+
+
 @pytest.mark.parametrize("count", (3, 5, 6))
-@pytest.mark.parametrize("route", (transfer_link_pairs, kernel_matrix_limbs))
+@pytest.mark.parametrize("route", (transfer_link_pairs, kernel_matrix_limbs, spin_certificate))
 def test_tile_routes_check_the_parameter_count(route, count):
+    # a wrong count is a usage error on every route, never a failed certificate
     with pytest.raises(ValueError, match="expected 4 spectral parameters"):
         route(2, list(range(1, count + 1)), 7)
 
