@@ -7,8 +7,9 @@ together as one stack by ``nullspace_mod_np``, in lockstep: every member
 has a kernel of one line with a nonzero last coordinate, found with its
 pivots on the diagonal, or the elimination gives up.  It keeps its
 multipliers and its row order, from which ``pivot_inverse`` builds the
-inverse of the pivot rows without the last column, and ``inverse_apply``
-solves each later digit with it; every mod-p product there is exact.
+inverse of the pivot rows without the last column, by recursive halving
+with float64 block products, and ``inverse_apply`` solves each later
+digit with it; every mod-p product there is exact.
 Callers must verify the lifted result exactly; these routines only
 propose candidates.
 
@@ -93,9 +94,15 @@ def cube_root_mod(p: int) -> int:
 
 #: rows per band of the lockstep update
 _BAND = 32
-#: bits per half of a residue in inverse_apply's exact products
+#: bits per half of a residue in the exact products of inverse_apply and
+#: _mulmod
 _HALF_BITS = 15
 _HALF_MASK = (1 << _HALF_BITS) - 1
+#: the largest block that _lower_inverse inverts by its column sweep
+_BLOCK = 32
+#: inner width of one float64 product in _mulmod:
+#: 256 * (2^30 - 1) * (2^15 - 1) < 2^53
+_FLOAT_CHUNK = 256
 
 
 class Elimination(NamedTuple):
@@ -195,9 +202,11 @@ def nullspace_mod_np(stack, p: int) -> Elimination | None:
 
 
 def _check_exact(m: int, p: int) -> None:
-    """Raise ValueError unless the pivot-row inverse of m columns is exact
-    in int64 at p: below 2^30, so a product of two residues is below
-    2^60, and m products of a residue and a 15-bit half below 2^63.
+    """Raise ValueError unless inverse_apply with a pivot-row inverse of m
+    columns is exact in int64 at p: below 2^30, so a product of two
+    residues is below 2^60 and a residue splits into two 15-bit halves,
+    and m products of a residue and a half below 2^63.  _mulmod, which
+    builds that inverse, has its own check of its float64 bound.
     """
     if p >= 1 << 2 * _HALF_BITS or m * (p - 1) << _HALF_BITS >= 1 << 63:
         raise ValueError(f"{m} columns at p = {p} are too many for exact int64 products")
@@ -206,7 +215,8 @@ def _check_exact(m: int, p: int) -> None:
 def _unit_lower_inverse(strict, p: int):
     """The inverses mod p of unit lower triangular matrices I + N, given
     the strictly lower part of ``strict`` (G, m, m) as N, with residues in
-    [0, p).
+    [0, p): the base case of _lower_inverse, for blocks of at most _BLOCK
+    columns.
 
     Row c of the inverse is e_c - sum_{j<c} N[c, j] (row j); once it is
     known, its products with column c of N are taken off the rows below
@@ -229,6 +239,68 @@ def _unit_lower_inverse(strict, p: int):
     return inv
 
 
+def _mulmod(x, y, p: int):
+    """x @ y mod p for stacks of int64 residues, x in [0, p) and y in
+    [0, p], exactly, through float64 products: y splits into 15-bit
+    halves side by side, and the inner dimension is summed _FLOAT_CHUNK
+    terms at a time, so every partial sum is an integer below 2^53.  A
+    prime of 2^30 or more, whose residues do not split into two halves,
+    raises ValueError.
+    """
+    import numpy as np
+
+    if p >= 1 << 2 * _HALF_BITS or _FLOAT_CHUNK * (p - 1) * _HALF_MASK >= 1 << 53:
+        raise ValueError(f"p = {p} is too large for exact float64 products")
+    inner, cols = y.shape[-2:]
+    halves = np.empty(y.shape[:-1] + (2 * cols,), dtype=np.float64)
+    np.right_shift(y, _HALF_BITS, out=halves[..., :cols], casting="unsafe")
+    np.bitwise_and(y, _HALF_MASK, out=halves[..., cols:], casting="unsafe")
+    xf = x.astype(np.float64)
+    acc = None
+    for lo in range(0, inner, _FLOAT_CHUNK):
+        part = (xf[..., lo:lo + _FLOAT_CHUNK] @ halves[..., lo:lo + _FLOAT_CHUNK, :]).astype(np.int64)
+        np.remainder(part, p, out=part)
+        if acc is None:
+            acc = part
+        else:
+            acc += part
+    high = acc[..., :cols]
+    high %= p
+    high <<= _HALF_BITS
+    high += acc[..., cols:]
+    high %= p
+    return high
+
+
+def _lower_inverse(x, p: int) -> None:
+    """Replace the stack ``x`` (G, m, m) of unit lower triangular matrices
+    I + N mod p, given by their strictly lower parts as residues in
+    [0, p), by their inverses, halving recursively:
+
+        [[A, 0], [B, D]]^{-1} = [[A^{-1}, 0], [-D^{-1} B A^{-1}, D^{-1}]].
+
+    Blocks of at most _BLOCK columns are inverted by the column sweep of
+    _unit_lower_inverse, and the two products of each larger block by
+    _mulmod, which raises ValueError for a prime of 2^30 or more.
+    """
+    import numpy as np
+
+    m = x.shape[1]
+    if m <= _BLOCK:
+        x[...] = _unit_lower_inverse(x, p)
+        return
+    # ceil(m / _BLOCK) leaves of near-equal size, half of them on each side
+    blocks = -(-m // _BLOCK)
+    h = m * (blocks // 2) // blocks
+    _lower_inverse(x[:, :h, :h], p)
+    _lower_inverse(x[:, h:, h:], p)
+    low = x[:, h:, :h]
+    # p - (B A^{-1} mod p) is -B A^{-1} mod p, in [1, p]
+    np.subtract(p, _mulmod(low, x[:, :h, :h], p), out=low)
+    low[...] = _mulmod(x[:, h:, h:], low, p)
+    x[:, :h, h:] = 0
+
+
 def pivot_inverse(factors, p: int):
     """For each member of ``Elimination.factors``, the inverse mod p of
     its pivot rows without the last column, the (C-1) x (C-1) matrix
@@ -238,9 +310,10 @@ def pivot_inverse(factors, p: int):
     L = (I + N) D, where N is the multipliers scaled by the pivot
     inverses D^{-1} on the diagonal; so L^{-1} = D^{-1} (I + N)^{-1}.
     (I + N)^{-1} and the transpose of U^{-1} are inverted as one batch of
-    unit lower triangular matrices, one numpy step per column for all.
-    A prime of 2^30 or more, or too many columns for inverse_apply, raise
-    ValueError (_check_exact).
+    unit lower triangular matrices by _lower_inverse, blocks of halving
+    size whose products are exact float64 products.  A prime of 2^30 or
+    more, or too many columns for inverse_apply, raise ValueError
+    (_check_exact).
     """
     import numpy as np
 
@@ -250,13 +323,13 @@ def pivot_inverse(factors, p: int):
     lu = factors[:, :m, :m]
     # the pivot inverses, on the diagonal
     dinv = factors.reshape(b, -1)[:, :m * (cn + 1):cn + 1]
-    # _unit_lower_inverse reads only the strictly lower parts: those of
-    # N and of U transposed
-    strict = np.empty((2, b, m, m), dtype=np.int64)
-    np.multiply(lu, dinv[:, None], out=strict[0])
-    strict[0] %= p
-    strict[1] = lu.transpose(0, 2, 1)
-    inverse = _unit_lower_inverse(strict.reshape(2 * b, m, m), p).reshape(2, b, m, m)
+    # _lower_inverse reads only the strictly lower parts: those of N and
+    # of U transposed
+    inverse = np.empty((2, b, m, m), dtype=np.int64)
+    np.multiply(lu, dinv[:, None], out=inverse[0])
+    inverse[0] %= p
+    inverse[1] = lu.transpose(0, 2, 1)
+    _lower_inverse(inverse.reshape(2 * b, m, m), p)
     np.multiply(inverse[0], dinv[:, :, None], out=inverse[0])
     np.remainder(inverse[0], p, out=inverse[0])
     inverse[1] = inverse[1].transpose(0, 2, 1).copy()

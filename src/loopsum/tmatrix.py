@@ -358,7 +358,9 @@ def _tile_scatter(n: int) -> tuple:
     pattern they send the source to; ``starts`` are the segment starts in
     that list, and ``flat`` = dst * C + src the entry of the C x C matrix
     each segment sums into.  So the chunk's part of sum_s W[s] * (tile s)
-    is ``np.add.reduceat(W[:, order], starts, axis=1)`` at ``flat``.
+    is ``np.add.reduceat(np.take(W, order, axis=1), starts, axis=1)`` at
+    ``flat``: np.take gathers in one pass and converts the uint16 order
+    itself, where the fancy index W[:, order] takes about twice as long.
     Built from _tile_table on first use; about 1.3 MB at n = 6.
     """
     import numpy as np
@@ -467,7 +469,7 @@ def kernel_matrix_limbs(n: int, zs, t):
     cn = len(_tile_table(n))
     out = np.zeros((2 * nlimbs, cn * cn), dtype=np.int64)
     for order, starts, flat in _tile_scatter(n):
-        out[:, flat] = np.add.reduceat(w[:, order], starts, axis=1)
+        out[:, flat] = np.add.reduceat(np.take(w, order, axis=1), starts, axis=1)
     raw = out.reshape(nlimbs, 2, cn, cn)
     lam = eigenvalue(t, zs)
     # |Lambda| is the modulus of the all-pass row weight, so Lambda needs

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -36,6 +37,23 @@ def test_reports_deterministic_for_seed(capsys):
     assert main(args) == 0
     second = capsys.readouterr().out
     assert json.loads(first)["checks"] == json.loads(second)["checks"]
+
+
+def test_plain_reports_identical_bytes(capsys, monkeypatch):
+    # a clock whose steps grow gives every check a different time in each
+    # run: the plain report must not show them, --json keeps them
+    ticks = itertools.count()
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: next(ticks) ** 2 / 1000)
+    runs = []
+    for _ in range(2):
+        assert main(["asm-tables", "2"]) == 0
+        runs.append(capsys.readouterr().out.encode())
+    assert runs[0] == runs[1]
+    assert "result: PASS" in runs[0].decode()
+    assert main(["asm-tables", "2", "--json"]) == 0
+    timings = json.loads(capsys.readouterr().out)["timings"]
+    assert sorted(timings) == ["asm-count(n=2)", "dwbc-oracle(n=2)"]
+    assert all(v > 0 for v in timings.values())
 
 
 def test_components_writes_json_and_prints_ones(tmp_path, capsys):

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -10,6 +14,9 @@ from loopsum import groundstate
 from loopsum.cyclo import CycloNum, ONE, ZERO, pair_mul
 from loopsum.groundstate import DegenerateKernelError, _kernel_modular
 from loopsum.modular import (
+    _lower_inverse,
+    _mulmod,
+    _unit_lower_inverse,
     cached_primes,
     crt_pair,
     cube_root_mod,
@@ -447,6 +454,76 @@ def test_pivot_inverse_and_inverse_apply_check_their_bound():
                       (1 << 31) - 1)
     with pytest.raises(ValueError, match="too many"):
         pivot_inverse(np.zeros((1, 4, 4), dtype=np.int64), (1 << 31) - 1)
+
+
+#: the first prime above 2^29 and the largest below 2^30, the largest
+#: _check_exact allows
+WIDE_PRIMES = (cached_primes(1, (1 << 29) + 1)[0][0],
+               next(q for q in range((1 << 30) - 1, 0, -1) if is_prime(q)))
+
+
+def _mod_product(a, b, p):
+    """a @ b mod p for int64 residues below 2^30, in int64 on 15-bit halves
+    of b: no float product, so independent of _mulmod."""
+    high = (a @ (b >> 15)) % p
+    return ((high << 15) + a @ (b & 0x7FFF)) % p
+
+
+@pytest.mark.parametrize("p", WIDE_PRIMES)
+@pytest.mark.parametrize("m", [31, 32, 33, 65, 300, 520])
+def test_blocked_inverse_equals_column_sweep(m, p):
+    # the worst case has every strictly lower residue p - 1; a second
+    # member is random, with a random diagonal and upper part, which the
+    # inverse must ignore.  At m = 520 the first split leaves 276 rows
+    # below it, so a product there sums past one 256-wide float64 chunk
+    import numpy as np
+
+    rng = np.random.default_rng(m)
+    strict = np.stack([np.full((m, m), p - 1), rng.integers(0, p, (m, m))])
+    expect = _unit_lower_inverse(strict, p)
+    got = strict.copy()
+    _lower_inverse(got, p)
+    assert np.array_equal(got, expect)
+    unit = np.tril(strict, -1) + np.eye(m, dtype=np.int64)
+    assert (_mod_product(unit, got, p) == np.eye(m, dtype=np.int64)).all()
+
+
+@pytest.mark.parametrize("p", WIDE_PRIMES)
+def test_float_product_sums_past_one_chunk(p):
+    # inner width 600 is three float64 chunks of at most 256; x at p - 1
+    # and y at p, the largest values _mulmod takes, give the largest sums
+    import numpy as np
+
+    rng = np.random.default_rng(5)
+    x = np.concatenate([np.full((1, 3, 600), p - 1), rng.integers(0, p, (1, 3, 600))])
+    y = np.concatenate([np.full((1, 600, 4), p), rng.integers(0, p + 1, (1, 600, 4))])
+    got = _mulmod(x, y, p).tolist()
+    assert got == [[[sum(int(a) * int(b) for a, b in zip(row, col)) % p for col in mat_y.T]
+                    for row in mat_x] for mat_x, mat_y in zip(x, y)]
+
+
+def test_blocked_inverse_checks_its_bound_without_assert():
+    # p >= 2^30 splits into more than two 15-bit halves: a ValueError,
+    # also under python -O, which drops assert statements
+    code = textwrap.dedent("""
+        import numpy as np
+        from loopsum.modular import _lower_inverse, _mulmod
+        calls = (lambda: _lower_inverse(np.zeros((1, 33, 33), dtype=np.int64), 1 << 30),
+                 lambda: _mulmod(np.ones((1, 2, 2), dtype=np.int64),
+                                 np.ones((1, 2, 2), dtype=np.int64), (1 << 31) - 1))
+        raised = 0
+        for call in calls:
+            try:
+                call()
+            except ValueError as exc:
+                raised += "too large" in str(exc)
+        print(raised)
+    """)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(groundstate.__file__)))
+    for flags in ([], ["-O"]):
+        out = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
+                             text=True, check=True, env=env)
+        assert out.stdout == "2\n", flags
 
 
 # ---------------------------------------------------------------------------
