@@ -56,7 +56,7 @@ from .linkpat import (
     rotate,
     sequence_decomposition,
 )
-from .modular import cached_primes, inverse_apply, nullspace_mod_np, pivot_inverse
+from .modular import cached_primes, inverse_apply, nullspace_mod_np, pivot_inverse, reduce_mod
 from .mpoly import HomogenizationMismatchError, MPoly, add_all, product
 from .report import CheckReport
 from .tmatrix import (
@@ -128,8 +128,9 @@ class PointVector:
 #: each update is a product of two residues, p^2 < 2^60 < 2^62, and
 #: nullspace_mod_np reduces before such products could sum past 2^63.
 #: Assembly: the tile sums in reduceat are exact 30-bit limbs,
-#: 2^(2n) * 2^30 < 2^63 for n <= 16 whatever p, and limbs_mod scales their
-#: residues by residues, again below p^2.
+#: 2^(2n) * 2^30 < 2^63 for n <= 16 whatever p, and limbs_mod scales the
+#: limbs by residues, below 2^59, reducing before their sum could pass
+#: 2^63.
 _PRIME_START = (1 << 29) + 1
 #: base-p digits lifted per kernel solve, about 29 bits each
 _MAX_DIGITS = 64
@@ -265,7 +266,7 @@ def _kernel_modular(limbs, base: tuple[int, int]) -> list[tuple[int, int]]:
         amat, bmat = limbs_mod(limbs, p)
         # a + b w at both embeddings of w: products of residues below 2^30
         # stay inside int64
-        elim = nullspace_mod_np((bmat * np.array(ws)[:, None, None] + amat) % p, p)
+        elim = nullspace_mod_np(reduce_mod(bmat * np.array(ws)[:, None, None] + amat, p), p)
         vec = None if elim is None else _lift(limbs, base, p, g, elim)
         if vec is not None:
             return vec

@@ -5,11 +5,15 @@ Every point eigenvector extraction runs over F_p for one prime p = 1
 The matrices of both embeddings w -> g and w -> g^2 are eliminated
 together as one stack by ``nullspace_mod_np``, in lockstep: every member
 has a kernel of one line with a nonzero last coordinate, found with its
-pivots on the diagonal, or the elimination gives up.  It keeps its
-multipliers and its row order, from which ``pivot_inverse`` builds the
-inverse of the pivot rows without the last column, by recursive halving
-with float64 block products, and ``inverse_apply`` solves each later
-digit with it; every mod-p product there is exact.
+pivots on the diagonal, or the elimination gives up.  It is a blocked
+LU: column steps within panels of at most 30 columns, and after each
+panel one exact float64 product (``_mulmod``) for the block below and
+right of it.  It keeps its multipliers and its row order, from which
+``pivot_inverse`` builds the inverse of the pivot rows without the last
+column, by recursive halving with the same float64 block products, and
+``inverse_apply`` solves each later digit with it; every mod-p product
+there is exact.  Whole arrays are reduced by ``reduce_mod``, the floor
+division form of numpy's %.
 Callers must verify the lifted result exactly; these routines only
 propose candidates.
 
@@ -92,8 +96,8 @@ def cube_root_mod(p: int) -> int:
     raise ArithmeticError(f"no cube root found mod {p}")
 
 
-#: rows per band of the lockstep update
-_BAND = 32
+#: columns per panel of nullspace_mod_np, at most
+_PANEL = 30
 #: bits per half of a residue in the exact products of inverse_apply and
 #: _mulmod
 _HALF_BITS = 15
@@ -116,7 +120,8 @@ class Elimination(NamedTuple):
     diagonal and the normalized pivot row (U, unit upper triangular) to
     its right, and below the diagonal sit the multipliers that cleared
     each column (L, whose diagonal is the pivots).  pivot_inverse reads
-    them.
+    them.  Below row C - 2 the last column holds what elimination left of
+    it: zero mod p, but not reduced.
     """
 
     lines: "np.ndarray"
@@ -125,8 +130,9 @@ class Elimination(NamedTuple):
 
 
 def nullspace_mod_np(stack, p: int) -> Elimination | None:
-    """Kernel lines over F_p of a stack of matrices, p < 2^30 (int64-safe),
-    or None as soon as one member has none.
+    """Kernel lines over F_p of a stack of matrices, p < 2^30, or None as
+    soon as one member has none; a prime of 2^30 or more raises
+    ValueError, whatever the size.
 
     ``stack`` is an int64 numpy array of shape (B, R, C), already reduced
     mod p; it is consumed, the returned factors being built in it.
@@ -142,48 +148,60 @@ def nullspace_mod_np(stack, p: int) -> Elimination | None:
     a kernel vector that is 0 in the last coordinate, and one with a
     pivot in the last column has full rank: either ends the elimination.
 
-    Forward elimination touches only the rows below each pivot and the
-    columns after it, and leaves the rows below unreduced for as many
-    updates as int64 holds: each update subtracts a product of two
-    residues, at most (p-1)^2.  Back-substitution then solves for the
-    other coordinates of v.
+    The columns are eliminated in panels of w columns (a blocked LU): w
+    is _PANEL, or fewer where int64 could not hold w products of two
+    residues, each at most (p-1)^2, on top of a residue.  Within a panel
+    each column step updates only the panel's own columns, which start
+    the panel reduced; the pivot row's part right of the panel first
+    takes the panel's earlier columns off in one int64 product.  After
+    the panel the block below it and to its right takes L21 U12 off at
+    once, by the exact float64 product _mulmod, and is reduced.  The last
+    panel runs to the last column, so an elimination of at most w + 1
+    columns is the plain column sweep.  Back-substitution then solves
+    for the other coordinates of v.
     """
     import numpy as np
 
+    if p >= 1 << 2 * _HALF_BITS:
+        raise ValueError(f"p = {p} is too large for exact float64 products")
     nmem, nrows, ncols = stack.shape
     if nrows < ncols - 1:
         return None
     headroom = (1 << 63) // max(1, (p - 1) ** 2)
-    pending = 0
+    width = min(_PANEL, headroom - 1)
     rows = np.zeros((nmem, 1), dtype=np.int64) + np.arange(nrows)
-    # lockstep: the pivot of column c sits in row c of every member
-    for c in range(ncols - 1):
-        col = stack[:, c:, c] % p
-        heads = col[:, 0].tolist()
-        if 0 in heads:
-            hit = col != 0
-            if not hit.any(axis=1).all():
-                return None
-            first = hit.argmax(axis=1)
-            for k in first.nonzero()[0]:
-                # a row swap for each member whose pivot is further down
-                f = c + int(first[k])
-                stack[k, [c, f]] = stack[k, [f, c]]
-                rows[k, [c, f]] = rows[k, [f, c]]
-                col[k, [0, f - c]] = col[k, [f - c, 0]]
+    for lo in range(0, ncols - 1, width):
+        hi = min(lo + width, ncols - 1)
+        end = hi if hi < ncols - 1 else ncols
+        # lockstep: the pivot of column c sits in row c of every member
+        for c in range(lo, hi):
+            col = stack[:, c:, c] % p
             heads = col[:, 0].tolist()
-        inv = np.array([pow(x, -1, p) for x in heads], dtype=np.int64)
-        pivot = stack[:, c, c + 1:] % p * inv[:, None] % p
-        stack[:, c, c + 1:] = pivot
-        stack[:, c, c] = inv
-        stack[:, c + 1:, c] = col[:, 1:]
-        if pending == headroom:
-            stack[:, c + 1:, c + 1:] %= p
-            pending = 0
-        # the update in bands of rows keeps its temporary small
-        for lo in range(c + 1, nrows, _BAND):
-            stack[:, lo:lo + _BAND, c + 1:] -= col[:, lo - c:lo - c + _BAND, None] * pivot[:, None]
-        pending += 1
+            if 0 in heads:
+                hit = col != 0
+                if not hit.any(axis=1).all():
+                    return None
+                first = hit.argmax(axis=1)
+                for k in first.nonzero()[0]:
+                    # a row swap for each member whose pivot is further down
+                    f = c + int(first[k])
+                    stack[k, [c, f]] = stack[k, [f, c]]
+                    rows[k, [c, f]] = rows[k, [f, c]]
+                    col[k, [0, f - c]] = col[k, [f - c, 0]]
+                heads = col[:, 0].tolist()
+            inv = np.array([pow(x, -1, p) for x in heads], dtype=np.int64)
+            if c > lo and end < ncols:
+                # fewer than headroom products, each below (p-1)^2
+                stack[:, c, end:] -= (stack[:, c, None, lo:c] @ stack[:, lo:c, end:])[:, 0]
+            pivot = stack[:, c, c + 1:] % p * inv[:, None] % p
+            stack[:, c, c + 1:] = pivot
+            stack[:, c, c] = inv
+            stack[:, c + 1:, c] = col[:, 1:]
+            stack[:, c + 1:, c + 1:end] -= col[:, 1:, None] * pivot[:, None, :end - c - 1]
+        if end < ncols:
+            trail = stack[:, hi:, end:]
+            trail -= _mulmod(stack[:, hi:, lo:hi], stack[:, lo:hi, end:], p)
+            reduce_mod(trail, p)
     # the last column: a pivot there means full rank, none means the last
     # coordinate is the only free one
     if (stack[:, ncols - 1:, -1] % p).any():
@@ -199,6 +217,22 @@ def nullspace_mod_np(stack, p: int) -> Elimination | None:
             vec[:, :r] %= p
         vec[:, :r] -= stack[:, :r, r] * vec[:, r, None]
     return Elimination(vec, stack, rows)
+
+
+def reduce_mod(x, p: int):
+    """Reduce the int64 array x mod p in place, |x| <= 2^63 - p, and
+    return it: the residues of numpy's % (in [0, p), negatives included),
+    computed as x - (x // p) p.  numpy divides an array by a scalar
+    through a precomputed multiplier (libdivide), so on a whole array the
+    three passes take a fraction of the time of one %; on a slice of one
+    column or row the extra passes do not pay, and those keep %.
+    """
+    import numpy as np
+
+    q = np.floor_divide(x, p)
+    q *= p
+    x -= q
+    return x
 
 
 def _check_exact(m: int, p: int) -> None:
@@ -259,17 +293,16 @@ def _mulmod(x, y, p: int):
     acc = None
     for lo in range(0, inner, _FLOAT_CHUNK):
         part = (xf[..., lo:lo + _FLOAT_CHUNK] @ halves[..., lo:lo + _FLOAT_CHUNK, :]).astype(np.int64)
-        np.remainder(part, p, out=part)
+        # the first chunk is left below 2^53, the later ones reduced, so
+        # the high half reduced and shifted adds to the low half in int64
         if acc is None:
             acc = part
         else:
-            acc += part
-    high = acc[..., :cols]
-    high %= p
+            acc += reduce_mod(part, p)
+    high = reduce_mod(acc[..., :cols], p)
     high <<= _HALF_BITS
     high += acc[..., cols:]
-    high %= p
-    return high
+    return reduce_mod(high, p)
 
 
 def _lower_inverse(x, p: int) -> None:
@@ -327,11 +360,11 @@ def pivot_inverse(factors, p: int):
     # of U transposed
     inverse = np.empty((2, b, m, m), dtype=np.int64)
     np.multiply(lu, dinv[:, None], out=inverse[0])
-    inverse[0] %= p
+    reduce_mod(inverse[0], p)
     inverse[1] = lu.transpose(0, 2, 1)
     _lower_inverse(inverse.reshape(2 * b, m, m), p)
     np.multiply(inverse[0], dinv[:, :, None], out=inverse[0])
-    np.remainder(inverse[0], p, out=inverse[0])
+    reduce_mod(inverse[0], p)
     inverse[1] = inverse[1].transpose(0, 2, 1).copy()
     return inverse
 

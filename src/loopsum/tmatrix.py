@@ -60,6 +60,7 @@ from .linkpat import (
     phi_embed,
     spin_embed,
 )
+from .modular import reduce_mod
 from .solver import ExactMatrix
 
 
@@ -576,13 +577,18 @@ def limbs_lift(limbs, residual, digit, p: int):
 
 def limbs_mod(limbs, p: int):
     """The (a, b) coefficient matrices of kernel_matrix_limbs reduced mod
-    p, shape (2, C, C); needs p < 2^31 so every product stays inside
-    int64.  numpy's % is a floor mod, so negative limbs reduce as they
-    are."""
-    acc = limbs[:, 0] % p
+    p, shape (2, C, C), for p < 2^31.  Limb k, below 2^29 in absolute
+    value, is scaled by 2^(30 k) mod p, and the terms are summed unreduced
+    for as many limbs as int64 holds; reduce_mod takes negative sums to
+    their residues as numpy's % does."""
+    term = (p - 1) << (LIMB_BITS - 1)
+    room = (1 << 63) // term - 1
+    acc = limbs[:, 0].copy()
     for k in range(1, limbs.shape[1]):
-        acc = (acc + limbs[:, k] % p * pow(2, LIMB_BITS * k, p)) % p
-    return acc
+        if k % room == 0:
+            reduce_mod(acc, p)
+        acc += limbs[:, k] * pow(2, LIMB_BITS * k, p)
+    return reduce_mod(acc, p)
 
 
 def transfer_link(t, zs, n: int) -> ExactMatrix:

@@ -1,10 +1,12 @@
 import itertools
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from loopsum import cli
 from loopsum.cli import main
+from loopsum.cyclo import ZERO
 from loopsum.groundstate import Groundstate, psi_symbolic
 from loopsum.report import CheckReport
 
@@ -27,6 +29,23 @@ def test_verify_sumrule_random_points(capsys):
         "n": 3, "mode": "random-points", "points": 4, "seed": 5,
     }
     assert len(report["checks"][0]["cases"]) == 4
+
+
+@pytest.mark.parametrize("n", (2, 6, 7))
+def test_random_points_certify_the_first_two(n, capsys, monkeypatch):
+    # stream points 0 and 1 carry the spin certificate at every n up to
+    # the cap, n = 7 included; the solve is stubbed, so no certificate runs
+    flags = []
+
+    def solve(size, zs, spin_certificate=False):
+        flags.append((size, len(zs), spin_certificate))
+        return SimpleNamespace(values=(ZERO,))
+
+    monkeypatch.setattr(cli, "psi_point", solve)
+    monkeypatch.setattr(cli, "z_partition_function", lambda size, zs: ZERO)
+    assert main(["verify-sumrule", str(n), "--mode", "random-points", "--points", "3"]) == 0
+    assert flags == [(n, 2 * n, True), (n, 2 * n, True), (n, 2 * n, False)]
+    assert "result: PASS" in capsys.readouterr().out
 
 
 def test_reports_deterministic_for_seed(capsys):

@@ -14,6 +14,8 @@ from loopsum import groundstate
 from loopsum.cyclo import CycloNum, ONE, ZERO, pair_mul
 from loopsum.groundstate import DegenerateKernelError, _kernel_modular
 from loopsum.modular import (
+    _PANEL,
+    Elimination,
     _lower_inverse,
     _mulmod,
     _unit_lower_inverse,
@@ -26,6 +28,7 @@ from loopsum.modular import (
     pivot_inverse,
     primes_one_mod_three,
     rational_reconstruct,
+    reduce_mod,
 )
 from loopsum.solver import ExactMatrix, det, nullspace, rank
 from loopsum.tmatrix import _balanced_split
@@ -524,6 +527,161 @@ def test_blocked_inverse_checks_its_bound_without_assert():
         out = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
                              text=True, check=True, env=env)
         assert out.stdout == "2\n", flags
+
+
+def _column_sweep(stack, p):
+    """The lockstep elimination column by column, each step updating the
+    whole block below and right of its pivot: the reference for
+    nullspace_mod_np, which must give equal lines, rows and factors."""
+    import numpy as np
+
+    band = 32
+    nmem, nrows, ncols = stack.shape
+    if nrows < ncols - 1:
+        return None
+    headroom = (1 << 63) // max(1, (p - 1) ** 2)
+    pending = 0
+    rows = np.zeros((nmem, 1), dtype=np.int64) + np.arange(nrows)
+    for c in range(ncols - 1):
+        col = stack[:, c:, c] % p
+        heads = col[:, 0].tolist()
+        if 0 in heads:
+            hit = col != 0
+            if not hit.any(axis=1).all():
+                return None
+            first = hit.argmax(axis=1)
+            for k in first.nonzero()[0]:
+                f = c + int(first[k])
+                stack[k, [c, f]] = stack[k, [f, c]]
+                rows[k, [c, f]] = rows[k, [f, c]]
+                col[k, [0, f - c]] = col[k, [f - c, 0]]
+            heads = col[:, 0].tolist()
+        inv = np.array([pow(x, -1, p) for x in heads], dtype=np.int64)
+        pivot = stack[:, c, c + 1:] % p * inv[:, None] % p
+        stack[:, c, c + 1:] = pivot
+        stack[:, c, c] = inv
+        stack[:, c + 1:, c] = col[:, 1:]
+        if pending == headroom:
+            stack[:, c + 1:, c + 1:] %= p
+            pending = 0
+        for lo in range(c + 1, nrows, band):
+            stack[:, lo:lo + band, c + 1:] -= col[:, lo - c:lo - c + band, None] * pivot[:, None]
+        pending += 1
+    if (stack[:, ncols - 1:, -1] % p).any():
+        return None
+    vec = np.ones((nmem, ncols), dtype=np.int64)
+    vec[:, :-1] = -stack[:, :ncols - 1, -1]
+    for r in range(ncols - 2, -1, -1):
+        vec[:, r] %= p
+        if r and (ncols - 2 - r) % headroom == headroom - 1:
+            vec[:, :r] %= p
+        vec[:, :r] -= stack[:, :r, r] * vec[:, r, None]
+    return Elimination(vec, stack, rows)
+
+
+def _panel_width(p):
+    return min(_PANEL, (1 << 63) // (p - 1) ** 2 - 1)
+
+
+def _with_swaps(rng, nrows, ncols, zeros, p):
+    """A random matrix mod p with a kernel line whose elimination finds a
+    zero on the diagonal at each column in ``zeros`` (increasing, none
+    next to another): there, row c's first c + 1 entries are a
+    combination of the rows above, which hold the pivots of columns
+    0 .. c-1 in some order."""
+    m = [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
+    for c in zeros:
+        coeffs = [rng.randrange(p) for _ in range(c)]
+        m[c][:c + 1] = [sum(a * m[j][k] for j, a in enumerate(coeffs)) % p for k in range(c + 1)]
+    coeffs = [rng.randrange(p) for _ in range(ncols - 1)]
+    for row in m:
+        row[-1] = sum(a * x for a, x in zip(coeffs, row[:-1])) % p
+    return m
+
+
+def _assert_same_elimination(got, want, p):
+    import numpy as np
+
+    assert np.array_equal(got.lines, want.lines)
+    assert np.array_equal(got.rows, want.rows)
+    ncols = got.factors.shape[2]
+    # below row C - 2 the last column is zero mod p, reduced or not
+    assert np.array_equal(got.factors[:, :ncols - 1], want.factors[:, :ncols - 1])
+    assert np.array_equal(got.factors[:, :, :-1], want.factors[:, :, :-1])
+    assert not (got.factors[:, ncols - 1:, -1] % p).any()
+
+
+@pytest.mark.parametrize("p", WIDE_PRIMES)
+@pytest.mark.parametrize("span", ["w", "w+1", "w+2", "2w+1", "132"])
+def test_blocked_elimination_equals_column_sweep(span, p):
+    # w is the panel width: 30 at the first prime above 2^29, 7 at the
+    # largest prime below 2^30.  One member swaps mid-panel and at a later
+    # panel's first column, one never swaps; a third member loses its
+    # pivot in panel 2, and with it in the stack there is no result
+    import numpy as np
+
+    w = _panel_width(p)
+    assert w == (30 if p == WIDE_PRIMES[0] else 7)
+    ncols = {"w": w, "w+1": w + 1, "w+2": w + 2, "2w+1": 2 * w + 1, "132": 132}[span]
+    nrows = ncols + 2 if span == "2w+1" else ncols
+    rng = random.Random(ncols)
+    zeros = [c for c in (w // 2, w, 2 * w + 2) if c < ncols - 1]
+    swapped = _with_swaps(rng, nrows, ncols, zeros, p)
+    plain = _with_swaps(rng, nrows, ncols, [], p)
+    stack = np.array([swapped, plain], dtype=np.int64)
+    want = _column_sweep(stack.copy(), p)
+    got = nullspace_mod_np(stack.copy(), p)
+    _assert_same_elimination(got, want, p)
+    assert all(got.rows[0, c] != c for c in zeros)
+    assert (got.rows[1] == np.arange(nrows)).all()
+    assert (got.lines[:, -1] == 1).all()
+    for m, v in zip((swapped, plain), got.lines.tolist()):
+        assert all(sum(a * b for a, b in zip(row, v)) % p == 0 for row in m)
+    if ncols - 1 > w + 2:
+        # column w + 2, in panel 2, a combination of the columns before it
+        lost = [row[:] for row in plain]
+        coeffs = [rng.randrange(p) for _ in range(w + 2)]
+        for row in lost:
+            row[w + 2] = sum(a * x for a, x in zip(coeffs, row)) % p
+        for members in ([lost], [swapped, lost], [lost, plain]):
+            bad = np.array(members, dtype=np.int64)
+            assert _column_sweep(bad.copy(), p) is None
+            assert nullspace_mod_np(bad, p) is None
+
+
+def test_elimination_checks_its_prime_without_assert():
+    # p >= 2^30: a ValueError at every size, also where the elimination
+    # has nothing to eliminate or too few rows, and under python -O
+    code = textwrap.dedent("""
+        import numpy as np
+        from loopsum.modular import nullspace_mod_np
+        raised = 0
+        for p in (1 << 30, (1 << 31) - 1):
+            for shape in ((1, 1, 1), (2, 1, 4), (1, 2, 2), (2, 5, 5), (1, 40, 41)):
+                try:
+                    nullspace_mod_np(np.zeros(shape, dtype=np.int64), p)
+                except ValueError as exc:
+                    raised += "too large" in str(exc)
+        print(raised)
+    """)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(groundstate.__file__)))
+    for flags in ([], ["-O"]):
+        out = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
+                             text=True, check=True, env=env)
+        assert out.stdout == "10\n", flags
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-(1 << 62), 1 << 62), min_size=1, max_size=40),
+       st.integers(2, (1 << 31) - 1))
+def test_reduce_mod_equals_remainder(values, p):
+    import numpy as np
+
+    x = np.array(values + [-(1 << 62), 1 << 62, -1, 0, p, -p], dtype=np.int64)
+    want = x % p
+    got = reduce_mod(x, p)
+    assert got is x
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -553,6 +553,26 @@ def test_limb_vanish_reads_the_top_digit():
         assert limbs_vanish(limbs, [0] * cn, [0] * cn)
 
 
+@pytest.mark.parametrize("p", (cached_primes(1, _PRIME_START)[0][0], 2147483629))
+def test_limbs_mod_sums_past_int64_headroom(p):
+    # 40 limbs at their extremes, -2^29 and 2^29 - 1, and at random:
+    # limbs_mod sums 7 scaled limbs at a time at the largest prime below
+    # 2^31 - 1 and 30 at the first prime above 2^29, reducing in between;
+    # at the first, 40 extreme limbs summed at once pass 2^63.  (2^31 - 1
+    # itself would not: there 2^(30 k) mod p is a power of two.)
+    import numpy as np
+
+    nlimbs = 40
+    rng = np.random.default_rng(p % 1000)
+    limbs = rng.integers(-(1 << 29), 1 << 29, (2, nlimbs, 3, 3))
+    limbs[0, :, 0] = -(1 << 29)
+    limbs[1, :, 0] = (1 << 29) - 1
+    limbs[:, ::2, 1] = -(1 << 29)
+    want = [[[sum(int(limbs[part, k, r, c]) << LIMB_BITS * k for k in range(nlimbs)) % p
+              for c in range(3)] for r in range(3)] for part in range(2)]
+    assert limbs_mod(limbs, p).tolist() == want
+
+
 @pytest.mark.parametrize("n", (2, 3, 5))
 def test_limbs_lift_matches_pair_arithmetic(n):
     # (r - M x) / p against M = T - Lambda in plain pair arithmetic: the
