@@ -579,10 +579,6 @@ def _column_sweep(stack, p):
     return Elimination(vec, stack, rows)
 
 
-def _panel_width(p):
-    return min(_PANEL, (1 << 63) // (p - 1) ** 2 - 1)
-
-
 def _with_swaps(rng, nrows, ncols, zeros, p):
     """A random matrix mod p with a kernel line whose elimination finds a
     zero on the diagonal at each column in ``zeros`` (increasing, none
@@ -620,7 +616,7 @@ def test_blocked_elimination_equals_column_sweep(span, p):
     # pivot in panel 2, and with it in the stack there is no result
     import numpy as np
 
-    w = _panel_width(p)
+    w = min(_PANEL, (1 << 63) // (p - 1) ** 2 - 1)
     assert w == (30 if p == WIDE_PRIMES[0] else 7)
     ncols = {"w": w, "w+1": w + 1, "w+2": w + 2, "2w+1": 2 * w + 1, "132": 132}[span]
     nrows = ncols + 2 if span == "2w+1" else ncols
