@@ -157,27 +157,31 @@ def cmd_components(args) -> int:
     cap = SYMBOLIC_CAP_LONG if args.allow_long else SYMBOLIC_CAP
     if n > cap:
         raise SizeCapError(f"components capped at n = {cap}")
-    # a file the probe creates is removed again if the build fails
-    created = bool(args.out) and not os.path.exists(args.out)
+    # the document goes to a new file beside the target, which replaces
+    # the target only once it is written whole; any failure removes it
+    tmp = None
     if args.out:
-        # fail before the build, which takes minutes at n = 5;
-        # append mode tests the same open without truncating an existing file
+        # fail before the build, which takes minutes at n = 5
         try:
-            with open(args.out, "a"):
-                pass
+            if os.path.exists(args.out):
+                # append mode tests that it is a writable file, unchanged
+                open(args.out, "a").close()
+            tmp = f"{args.out}.{os.getpid()}.tmp"
+            open(tmp, "x").close()
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
             return 2
     try:
         g = psi_symbolic(n)
+        doc = g.to_json()
+        if tmp:
+            with open(tmp, "w") as fh:
+                json.dump(doc, fh)
+            os.replace(tmp, args.out)
     except BaseException:
-        if created:
-            os.remove(args.out)
+        if tmp and os.path.exists(tmp):
+            os.remove(tmp)
         raise
-    doc = g.to_json()
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh)
     if args.json:
         print(json.dumps(doc))
         return 0

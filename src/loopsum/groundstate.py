@@ -124,13 +124,7 @@ class PointVector:
     values: tuple
 
 
-#: Primes below 2^30 keep the modular kernel inside int64.  Elimination:
-#: each update is a product of two residues, p^2 < 2^60 < 2^62, and
-#: nullspace_mod_np reduces before such products could sum past 2^63.
-#: Assembly: the tile sums in reduceat are exact 30-bit limbs,
-#: 2^(2n) * 2^30 < 2^63 for n <= 16 whatever p, and limbs_mod scales the
-#: limbs by residues, below 2^59, reducing before their sum could pass
-#: 2^63.
+#: the first prime tried, just above 2^29: modular._check_prime bounds p below 2^30
 _PRIME_START = (1 << 29) + 1
 #: base-p digits lifted per kernel solve, about 29 bits each
 _MAX_DIGITS = 64
@@ -163,10 +157,11 @@ def _solve_digit(lines, inverse, rhs, nested, crt, p: int):
     return (crt @ (emb % p) + half) % p - half
 
 
-def _lift(limbs, base, p: int, g: int, elim):
+def _lift(limbs, base, p: int, ws, elim):
     """The kernel vector of T - Lambda whose last coordinate is base, by
     p-adic lifting from the elimination ``elim`` of the embeddings
-    w -> g, g^2 mod p, or None when p cannot serve.
+    w -> g, g^2 mod p, given as ``ws`` = (g, g^2 mod p), or None when p
+    cannot serve.
 
     The vector v = sum_i x_i p^i has balanced base-p digits x_i, Z[w]
     vectors with parts in (-p/2, p/2]; the last coordinate of x_i is digit
@@ -192,9 +187,8 @@ def _lift(limbs, base, p: int, g: int, elim):
     """
     import numpy as np
 
-    ws = (g, g * g % p)
-    inv_diff = pow(g - ws[1], -1, p)
-    crt = np.array([[-ws[1] * inv_diff % p, g * inv_diff % p], [inv_diff, p - inv_diff]],
+    inv_diff = pow(ws[0] - ws[1], -1, p)
+    crt = np.array([[-ws[1] * inv_diff % p, ws[0] * inv_diff % p], [inv_diff, p - inv_diff]],
                    dtype=np.int64)
     cn = elim.lines.shape[1]
     # the limbs as float64 once, for every residual and certificate
@@ -267,7 +261,7 @@ def _kernel_modular(limbs, base: tuple[int, int]) -> list[tuple[int, int]]:
         # a + b w at both embeddings of w: products of residues below 2^30
         # stay inside int64
         elim = nullspace_mod_np(reduce_mod(bmat * np.array(ws)[:, None, None] + amat, p), p)
-        vec = None if elim is None else _lift(limbs, base, p, g, elim)
+        vec = None if elim is None else _lift(limbs, base, p, ws, elim)
         if vec is not None:
             return vec
         strikes += 1

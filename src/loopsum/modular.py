@@ -11,9 +11,10 @@ panel one exact float64 product (``_mulmod``) for the block below and
 right of it.  It keeps its multipliers and its row order, from which
 ``pivot_inverse`` builds the inverse of the pivot rows without the last
 column, by recursive halving with the same float64 block products, and
-``inverse_apply`` solves each later digit with it; every mod-p product
-there is exact.  Whole arrays are reduced by ``reduce_mod``, the floor
-division form of numpy's %.
+``inverse_apply`` solves each later digit with it, again through
+``_mulmod``.  Every mod-p product is exact for p below 2^30, the one
+bound that ``_check_prime`` enforces.  Whole arrays are reduced by
+``reduce_mod``, the floor division form of numpy's %.
 Callers must verify the lifted result exactly; these routines only
 propose candidates.
 
@@ -56,32 +57,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes_one_mod_three(count: int, start: int):
-    """The first `count` primes p >= start with p = 1 (mod 3)."""
-    out = []
-    p = start + (1 - start) % 3
-    if p % 2 == 0:
-        p += 3
-    while len(out) < count:
-        if is_prime(p):
-            out.append(p)
-        p += 6 if p % 6 == 1 else 3
-        p += (1 - p) % 3
-    return out
-
-
 _CACHED_PRIMES: dict[int, list[tuple[int, int]]] = {}
 
 
 def cached_primes(count: int, start: int) -> list[tuple[int, int]]:
-    """The first `count` primes p = 1 (mod 3) from `start`, with a cube
-    root of unity for each; memoized so repeated solves skip the sieve."""
+    """The first `count` primes p >= start with p = 1 (mod 3), with a
+    cube root of unity for each; memoized so repeated solves skip the
+    search.  Such primes are odd, so they are the primes p = 1 (mod 6)."""
     lst = _CACHED_PRIMES.setdefault(start, [])
-    p = lst[-1][0] + 1 if lst else start
+    p = lst[-1][0] + 6 if lst else start + (1 - start) % 6
     while len(lst) < count:
-        (p,) = primes_one_mod_three(1, p)
-        lst.append((p, cube_root_mod(p)))
-        p += 1
+        if is_prime(p):
+            lst.append((p, cube_root_mod(p)))
+        p += 6
     return lst[:count]
 
 
@@ -96,17 +84,34 @@ def cube_root_mod(p: int) -> int:
     raise ArithmeticError(f"no cube root found mod {p}")
 
 
+#: bits per limb of tmatrix.kernel_matrix_limbs: a sum of 2^{2n} limbs
+#: below 2^30 in absolute value stays inside int64 for every n <= 16
+LIMB_BITS = 30
+#: bits per digit, half a limb: a residue splits into two digits in
+#: _mulmod, and limb k of tmatrix.limbs_vanish's matrix lands on digit 2k
+#: of its image
+DIGIT_BITS = LIMB_BITS // 2
 #: columns per panel of nullspace_mod_np, at most
 _PANEL = 30
-#: bits per half of a residue in the exact products of inverse_apply and
-#: _mulmod
-_HALF_BITS = 15
-_HALF_MASK = (1 << _HALF_BITS) - 1
 #: the largest block that _lower_inverse inverts by its column sweep
 _BLOCK = 32
 #: inner width of one float64 product in _mulmod:
 #: 256 * (2^30 - 1) * (2^15 - 1) < 2^53
 _FLOAT_CHUNK = 256
+
+
+def _check_prime(p: int) -> None:
+    """Raise ValueError for a prime of 2^30 or more, whose residues do not
+    split into two DIGIT_BITS-bit digits: the one bound on p of every
+    exact product here."""
+    if p >= 1 << 2 * DIGIT_BITS:
+        raise ValueError(f"p = {p} is too large for exact float64 products")
+
+
+def _headroom(p: int) -> int:
+    """How many products of two residues mod p, each at most (p-1)^2,
+    int64 holds."""
+    return (1 << 63) // max(1, (p - 1) ** 2)
 
 
 class Elimination(NamedTuple):
@@ -162,12 +167,11 @@ def nullspace_mod_np(stack, p: int) -> Elimination | None:
     """
     import numpy as np
 
-    if p >= 1 << 2 * _HALF_BITS:
-        raise ValueError(f"p = {p} is too large for exact float64 products")
+    _check_prime(p)
     nmem, nrows, ncols = stack.shape
     if nrows < ncols - 1:
         return None
-    headroom = (1 << 63) // max(1, (p - 1) ** 2)
+    headroom = _headroom(p)
     width = min(_PANEL, headroom - 1)
     rows = np.zeros((nmem, 1), dtype=np.int64) + np.arange(nrows)
     for lo in range(0, ncols - 1, width):
@@ -235,17 +239,6 @@ def reduce_mod(x, p: int):
     return x
 
 
-def _check_exact(m: int, p: int) -> None:
-    """Raise ValueError unless inverse_apply with a pivot-row inverse of m
-    columns is exact in int64 at p: below 2^30, so a product of two
-    residues is below 2^60 and a residue splits into two 15-bit halves,
-    and m products of a residue and a half below 2^63.  _mulmod, which
-    builds that inverse, has its own check of its float64 bound.
-    """
-    if p >= 1 << 2 * _HALF_BITS or m * (p - 1) << _HALF_BITS >= 1 << 63:
-        raise ValueError(f"{m} columns at p = {p} are too many for exact int64 products")
-
-
 def _unit_lower_inverse(strict, p: int):
     """The inverses mod p of unit lower triangular matrices I + N, given
     the strictly lower part of ``strict`` (G, m, m) as N, with residues in
@@ -260,7 +253,7 @@ def _unit_lower_inverse(strict, p: int):
     import numpy as np
 
     g, m, _ = strict.shape
-    headroom = (1 << 63) // max(1, (p - 1) ** 2)
+    headroom = _headroom(p)
     inv = np.zeros((g, m, m), dtype=np.int64)
     inv.reshape(g, -1)[:, ::m + 1] = 1
     for c in range(m - 1):
@@ -275,20 +268,19 @@ def _unit_lower_inverse(strict, p: int):
 
 def _mulmod(x, y, p: int):
     """x @ y mod p for stacks of int64 residues, x in [0, p) and y in
-    [0, p], exactly, through float64 products: y splits into 15-bit
-    halves side by side, and the inner dimension is summed _FLOAT_CHUNK
-    terms at a time, so every partial sum is an integer below 2^53.  A
-    prime of 2^30 or more, whose residues do not split into two halves,
-    raises ValueError.
+    [0, p], exactly, through float64 products: y splits into two
+    DIGIT_BITS-bit digits side by side, and the inner dimension is summed
+    _FLOAT_CHUNK terms at a time, so every partial sum is an integer below
+    2^53, whatever the inner width.  A prime of 2^30 or more raises
+    ValueError (_check_prime).
     """
     import numpy as np
 
-    if p >= 1 << 2 * _HALF_BITS or _FLOAT_CHUNK * (p - 1) * _HALF_MASK >= 1 << 53:
-        raise ValueError(f"p = {p} is too large for exact float64 products")
+    _check_prime(p)
     inner, cols = y.shape[-2:]
     halves = np.empty(y.shape[:-1] + (2 * cols,), dtype=np.float64)
-    np.right_shift(y, _HALF_BITS, out=halves[..., :cols], casting="unsafe")
-    np.bitwise_and(y, _HALF_MASK, out=halves[..., cols:], casting="unsafe")
+    np.right_shift(y, DIGIT_BITS, out=halves[..., :cols], casting="unsafe")
+    np.bitwise_and(y, (1 << DIGIT_BITS) - 1, out=halves[..., cols:], casting="unsafe")
     xf = x.astype(np.float64)
     acc = None
     for lo in range(0, inner, _FLOAT_CHUNK):
@@ -300,7 +292,7 @@ def _mulmod(x, y, p: int):
         else:
             acc += reduce_mod(part, p)
     high = reduce_mod(acc[..., :cols], p)
-    high <<= _HALF_BITS
+    high <<= DIGIT_BITS
     high += acc[..., cols:]
     return reduce_mod(high, p)
 
@@ -345,14 +337,13 @@ def pivot_inverse(factors, p: int):
     (I + N)^{-1} and the transpose of U^{-1} are inverted as one batch of
     unit lower triangular matrices by _lower_inverse, blocks of halving
     size whose products are exact float64 products.  A prime of 2^30 or
-    more, or too many columns for inverse_apply, raise ValueError
-    (_check_exact).
+    more raises ValueError (_check_prime).
     """
     import numpy as np
 
+    _check_prime(p)
     b, cn = len(factors), factors.shape[2]
     m = cn - 1
-    _check_exact(m, p)
     lu = factors[:, :m, :m]
     # the pivot inverses, on the diagonal
     dinv = factors.reshape(b, -1)[:, :m * (cn + 1):cn + 1]
@@ -371,21 +362,12 @@ def pivot_inverse(factors, p: int):
 
 def inverse_apply(inverse, vecs, p: int):
     """A_P^{-1} vecs[b] mod p for the pivot_inverse ``inverse`` and
-    residues ``vecs`` of shape (B, C-1) in [0, p): U^{-1} (L^{-1} vecs).
-
-    Each product is exact: the vector splits into 15-bit halves, so one
-    int64 matmul sums C - 1 products below p * 2^15, and where they could
-    pass 2^63 this raises ValueError (_check_exact).
+    residues ``vecs`` of shape (B, C-1) in [0, p): U^{-1} (L^{-1} vecs),
+    each factor applied by the exact product _mulmod, which raises
+    ValueError for a prime of 2^30 or more.
     """
-    import numpy as np
-
-    _check_exact(inverse.shape[-1], p)
     for factor in inverse:
-        halves = np.empty(vecs.shape + (2,), dtype=np.int64)
-        np.right_shift(vecs, _HALF_BITS, out=halves[..., 0])
-        np.bitwise_and(vecs, _HALF_MASK, out=halves[..., 1])
-        prod = factor @ halves
-        vecs = ((prod[..., 0] % p << _HALF_BITS) + prod[..., 1]) % p
+        vecs = _mulmod(factor, vecs[..., None], p)[..., 0]
     return vecs
 
 

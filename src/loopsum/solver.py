@@ -49,10 +49,6 @@ class ExactMatrix:
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
         return cls([[ZERO] * cols for _ in range(rows)])
 
-    def __getitem__(self, rc) -> CycloNum:
-        r, c = rc
-        return self.data[r][c]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ExactMatrix)

@@ -60,7 +60,7 @@ from .linkpat import (
     phi_embed,
     spin_embed,
 )
-from .modular import reduce_mod
+from .modular import DIGIT_BITS, LIMB_BITS, reduce_mod
 from .solver import ExactMatrix
 
 
@@ -334,14 +334,6 @@ def transfer_link_pairs(n: int, zs, t) -> list[list[tuple]]:
             cb[dst] += b
         cols.append(list(zip(ca, cb)))
     return [list(r) for r in zip(*cols)]
-
-
-#: bits per limb of kernel_matrix_limbs: a sum of 2^{2n} limbs below 2^30
-#: in absolute value stays inside int64 for every n <= 16
-LIMB_BITS = 30
-#: bits per digit of the vector in limbs_vanish, half a limb: limb k of
-#: the matrix lands on digit 2k of the image
-DIGIT_BITS = 15
 
 
 #: row configurations per scatter chunk of kernel_matrix_limbs: whole

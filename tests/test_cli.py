@@ -121,6 +121,24 @@ def test_components_failed_build_leaves_no_probe_file(tmp_path, monkeypatch):
     assert out.read_text() == "kept"
 
 
+def test_components_failed_write_leaves_no_file(tmp_path, monkeypatch):
+    # a failure after the build, as to_json running out of memory at n = 5
+    def no_memory(self):
+        raise MemoryError
+
+    monkeypatch.setattr(Groundstate, "to_json", no_memory)
+    out = tmp_path / "g2.json"
+    with pytest.raises(MemoryError):
+        main(["components", "2", "--out", str(out)])
+    assert list(tmp_path.iterdir()) == []
+    # a file that was there before is kept byte for byte
+    out.write_bytes(b"kept\n")
+    with pytest.raises(MemoryError):
+        main(["components", "2", "--out", str(out)])
+    assert list(tmp_path.iterdir()) == [out]
+    assert out.read_bytes() == b"kept\n"
+
+
 def test_check_all_n2(capsys):
     assert main(["check-all", "2", "--seed", "3"]) == 0
     out = capsys.readouterr().out

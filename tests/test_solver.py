@@ -26,7 +26,6 @@ from loopsum.modular import (
     is_prime,
     nullspace_mod_np,
     pivot_inverse,
-    primes_one_mod_three,
     rational_reconstruct,
     reduce_mod,
 )
@@ -152,13 +151,23 @@ def test_is_prime_small():
 
 
 def test_primes_one_mod_three():
-    ps = primes_one_mod_three(5, 7)
-    assert all(is_prime(p) and p % 3 == 1 for p in ps)
-    assert ps[0] == 7
+    # the primes p = 1 (mod 3) from each start, as found before
+    # cached_primes did its own search; the second call resumes the first
+    expect = {
+        7: [7, 13, 19, 31, 37],
+        1000: [1009, 1021, 1033, 1039, 1051],
+        10 ** 8: [100000039, 100000081, 100000123, 100000213, 100000231],
+        (1 << 29) + 1: [536870923, 536871001, 536871019, 536871061, 536871091],
+    }
+    for start, want in expect.items():
+        assert [p for p, _ in cached_primes(2, start)] == want[:2], start
+        ps = [p for p, _ in cached_primes(5, start)]
+        assert ps == want, start
+        assert all(is_prime(p) and p % 3 == 1 for p in ps)
 
 
 def test_cube_root():
-    for p in primes_one_mod_three(4, 1000):
+    for p, _ in cached_primes(4, 1000):
         g = cube_root_mod(p)
         assert (g * g * g) % p == 1 and g != 1
         assert (g * g + g + 1) % p == 0
@@ -177,7 +186,7 @@ def test_crt_pair():
 
 def test_crt_lift():
     # residues of one value mod two primes give it back whole, in [0, p1 p2)
-    p1, p2 = primes_one_mod_three(2, 10 ** 8)
+    (p1, _), (p2, _) = cached_primes(2, 10 ** 8)
     for x in [0, 1, p1 - 1, p1 * p2 - 1, 12345678901234]:
         assert crt_pair(x % p1, p1, x % p2, p2) == (x, p1 * p2)
     # r1 need not be reduced
@@ -185,7 +194,7 @@ def test_crt_lift():
 
 
 def test_rational_reconstruction():
-    p1, p2 = primes_one_mod_three(2, 10 ** 8)
+    (p1, _), (p2, _) = cached_primes(2, 10 ** 8)
     m = p1 * p2
     for target in [Fraction(22, 7), Fraction(-5, 3), Fraction(1234), Fraction(0)]:
         r = target.numerator * pow(target.denominator, -1, m) % m
@@ -445,22 +454,15 @@ def test_pivot_inverse_after_row_swaps():
 def test_pivot_inverse_and_inverse_apply_check_their_bound():
     import numpy as np
 
-    p = cached_primes(1, (1 << 29) + 1)[0][0]
-    # 2^20 columns of 29-bit residues times 15-bit halves pass 2^63; the
-    # check runs before any product (the vector is short, so a missing
-    # check fails at once on the shapes instead of multiplying)
-    wide = np.broadcast_to(np.zeros(1, dtype=np.int64), (2, 1, 1 << 20, 1 << 20))
-    with pytest.raises(ValueError, match="too many"):
-        inverse_apply(wide, np.zeros((1, 3), dtype=np.int64), p)
-    with pytest.raises(ValueError, match="too many"):
+    with pytest.raises(ValueError, match="too large"):
         inverse_apply(np.zeros((2, 1, 3, 3), dtype=np.int64), np.zeros((1, 3), dtype=np.int64),
                       (1 << 31) - 1)
-    with pytest.raises(ValueError, match="too many"):
+    with pytest.raises(ValueError, match="too large"):
         pivot_inverse(np.zeros((1, 4, 4), dtype=np.int64), (1 << 31) - 1)
 
 
 #: the first prime above 2^29 and the largest below 2^30, the largest
-#: _check_exact allows
+#: _check_prime allows
 WIDE_PRIMES = (cached_primes(1, (1 << 29) + 1)[0][0],
                next(q for q in range((1 << 30) - 1, 0, -1) if is_prime(q)))
 
@@ -470,6 +472,22 @@ def _mod_product(a, b, p):
     of b: no float product, so independent of _mulmod."""
     high = (a @ (b >> 15)) % p
     return ((high << 15) + a @ (b & 0x7FFF)) % p
+
+
+@pytest.mark.parametrize("p", WIDE_PRIMES)
+@pytest.mark.parametrize("m", [1, 13, 41, 131, 300])
+def test_inverse_apply_equals_int64_product(m, p):
+    # one member at the largest residues, one random; at m = 300 each
+    # product sums past one 256-wide float64 chunk
+    import numpy as np
+
+    rng = np.random.default_rng(m)
+    inverse = np.stack([np.full((2, m, m), p - 1), rng.integers(0, p, (2, m, m))], axis=1)
+    vecs = np.stack([np.full(m, p - 1), rng.integers(0, p, m)])
+    want = vecs[..., None]
+    for factor in inverse:
+        want = _mod_product(factor, want, p)
+    assert np.array_equal(inverse_apply(inverse, vecs, p), want[..., 0])
 
 
 @pytest.mark.parametrize("p", WIDE_PRIMES)
@@ -507,13 +525,22 @@ def test_float_product_sums_past_one_chunk(p):
 
 def test_blocked_inverse_checks_its_bound_without_assert():
     # p >= 2^30 splits into more than two 15-bit halves: a ValueError,
-    # also under python -O, which drops assert statements
+    # also under python -O, which drops assert statements; q is the first
+    # prime p = 1 (mod 3) above 2^30, one the point solve could be given
     code = textwrap.dedent("""
         import numpy as np
-        from loopsum.modular import _lower_inverse, _mulmod
+        from loopsum.modular import (_lower_inverse, _mulmod, cached_primes, inverse_apply,
+                                     nullspace_mod_np, pivot_inverse)
+        q = cached_primes(1, (1 << 30) + 1)[0][0]
         calls = (lambda: _lower_inverse(np.zeros((1, 33, 33), dtype=np.int64), 1 << 30),
                  lambda: _mulmod(np.ones((1, 2, 2), dtype=np.int64),
-                                 np.ones((1, 2, 2), dtype=np.int64), (1 << 31) - 1))
+                                 np.ones((1, 2, 2), dtype=np.int64), (1 << 31) - 1),
+                 lambda: nullspace_mod_np(np.zeros((2, 5, 5), dtype=np.int64), q),
+                 lambda: pivot_inverse(np.zeros((2, 5, 5), dtype=np.int64), q),
+                 lambda: inverse_apply(np.zeros((2, 2, 4, 4), dtype=np.int64),
+                                       np.zeros((2, 4), dtype=np.int64), q),
+                 lambda: _mulmod(np.ones((1, 2, 2), dtype=np.int64),
+                                 np.ones((1, 2, 2), dtype=np.int64), q))
         raised = 0
         for call in calls:
             try:
@@ -526,7 +553,7 @@ def test_blocked_inverse_checks_its_bound_without_assert():
     for flags in ([], ["-O"]):
         out = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
                              text=True, check=True, env=env)
-        assert out.stdout == "2\n", flags
+        assert out.stdout == "6\n", flags
 
 
 def _column_sweep(stack, p):
