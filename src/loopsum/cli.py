@@ -157,35 +157,46 @@ def cmd_components(args) -> int:
     cap = SYMBOLIC_CAP_LONG if args.allow_long else SYMBOLIC_CAP
     if n > cap:
         raise SizeCapError(f"components capped at n = {cap}")
-    # the document goes to a new file beside the target, which replaces
-    # the target only once it is written whole; any failure removes it
-    tmp = None
+    if args.out == "":
+        print("error: --out needs a file name", file=sys.stderr)
+        return 2
+    # the document goes to a new file beside the target, or a symlink's
+    # target, and replaces it once written whole; any failure removes it.
+    # A target that is not a regular file (a device) is written in place.
+    fh = tmp = None
     if args.out:
         # fail before the build, which takes minutes at n = 5
         try:
-            if os.path.exists(args.out):
-                # append mode tests that it is a writable file, unchanged
-                open(args.out, "a").close()
-            tmp = f"{args.out}.{os.getpid()}.tmp"
-            open(tmp, "x").close()
+            if os.path.exists(args.out) and not os.path.isfile(args.out):
+                fh = open(args.out, "w")
+            else:
+                target = os.path.realpath(args.out)
+                if os.path.exists(target):
+                    # append mode tests that it is a writable file, unchanged
+                    open(target, "a").close()
+                tmp = f"{target}.{os.getpid()}.tmp"
+                fh = open(tmp, "x")
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
             return 2
     try:
         g = psi_symbolic(n)
         doc = g.to_json()
-        if tmp:
-            with open(tmp, "w") as fh:
+        if fh:
+            with fh:
                 json.dump(doc, fh)
-            os.replace(tmp, args.out)
+            if tmp:
+                os.replace(tmp, target)
     except BaseException:
+        if fh:
+            fh.close()
         if tmp and os.path.exists(tmp):
             os.remove(tmp)
         raise
     if args.json:
         print(json.dumps(doc))
         return 0
-    if args.out:
+    if fh:
         print(f"wrote {args.out}")
     ones = g.values_at([1] * (2 * n))
     print("components at z = (1, ..., 1):")

@@ -8,13 +8,13 @@ has a kernel of one line with a nonzero last coordinate, found with its
 pivots on the diagonal, or the elimination gives up.  It is a blocked
 LU: column steps within panels of at most 30 columns, and after each
 panel one exact float64 product (``_mulmod``) for the block below and
-right of it.  It keeps its multipliers and its row order, from which
-``pivot_inverse`` builds the inverse of the pivot rows without the last
-column, by recursive halving with the same float64 block products, and
-``inverse_apply`` solves each later digit with it, again through
-``_mulmod``.  Every mod-p product is exact for p below 2^30, the one
-bound that ``_check_prime`` enforces.  Whole arrays are reduced by
-``reduce_mod``, the floor division form of numpy's %.
+right of it.  From its multipliers ``pivot_inverse`` builds the inverse
+of the pivot rows without the last column, by recursive halving with the
+same products: the one triangular solve, which gives the kernel line and,
+through ``inverse_apply``, each later digit of the lift.  Every mod-p
+product is exact for p below 2^30, the one bound that ``_check_prime``
+enforces.  Whole arrays are reduced by ``reduce_mod``, the floor division
+form of numpy's %.
 Callers must verify the lifted result exactly; these routines only
 propose candidates.
 
@@ -124,14 +124,15 @@ class Elimination(NamedTuple):
     holds P A = L U in place: row c carries the inverse of pivot c on the
     diagonal and the normalized pivot row (U, unit upper triangular) to
     its right, and below the diagonal sit the multipliers that cleared
-    each column (L, whose diagonal is the pivots).  pivot_inverse reads
-    them.  Below row C - 2 the last column holds what elimination left of
-    it: zero mod p, but not reduced.
+    each column (L, whose diagonal is the pivots).  Below row C - 2 the
+    last column holds what elimination left of it: zero mod p, but not
+    reduced.  ``inverse`` is pivot_inverse of the factors.
     """
 
     lines: "np.ndarray"
     factors: "np.ndarray"
     rows: "np.ndarray"
+    inverse: "np.ndarray"
 
 
 def nullspace_mod_np(stack, p: int) -> Elimination | None:
@@ -162,8 +163,10 @@ def nullspace_mod_np(stack, p: int) -> Elimination | None:
     the panel the block below it and to its right takes L21 U12 off at
     once, by the exact float64 product _mulmod, and is reduced.  The last
     panel runs to the last column, so an elimination of at most w + 1
-    columns is the plain column sweep.  Back-substitution then solves
-    for the other coordinates of v.
+    columns is the plain column sweep.  The pivot rows then read
+    U x + u = 0 for v = (x, 1), u their reduced last column, so x =
+    U^{-1} (p - u): one _mulmod with the U^{-1} of pivot_inverse, which
+    the result keeps for the lift.  At C = 1 there are no pivot rows.
     """
     import numpy as np
 
@@ -171,8 +174,7 @@ def nullspace_mod_np(stack, p: int) -> Elimination | None:
     nmem, nrows, ncols = stack.shape
     if nrows < ncols - 1:
         return None
-    headroom = _headroom(p)
-    width = min(_PANEL, headroom - 1)
+    width = min(_PANEL, _headroom(p) - 1)
     rows = np.zeros((nmem, 1), dtype=np.int64) + np.arange(nrows)
     for lo in range(0, ncols - 1, width):
         hi = min(lo + width, ncols - 1)
@@ -210,17 +212,11 @@ def nullspace_mod_np(stack, p: int) -> Elimination | None:
     # coordinate is the only free one
     if (stack[:, ncols - 1:, -1] % p).any():
         return None
-    # back-substitution, column by column: the pivot rows are normalized
-    # and reduced right of their diagonal, and the rows above a solved
-    # coordinate stay unreduced for as many updates as int64 holds
+    inverse = pivot_inverse(stack, p)
     vec = np.ones((nmem, ncols), dtype=np.int64)
-    vec[:, :-1] = -stack[:, :ncols - 1, -1]
-    for r in range(ncols - 2, -1, -1):
-        vec[:, r] %= p
-        if r and (ncols - 2 - r) % headroom == headroom - 1:
-            vec[:, :r] %= p
-        vec[:, :r] -= stack[:, :r, r] * vec[:, r, None]
-    return Elimination(vec, stack, rows)
+    if ncols > 1:
+        vec[:, :-1] = _mulmod(inverse[1], p - stack[:, :ncols - 1, -1:], p)[..., 0]
+    return Elimination(vec, stack, rows, inverse)
 
 
 def reduce_mod(x, p: int):
@@ -256,13 +252,12 @@ def _unit_lower_inverse(strict, p: int):
     headroom = _headroom(p)
     inv = np.zeros((g, m, m), dtype=np.int64)
     inv.reshape(g, -1)[:, ::m + 1] = 1
-    for c in range(m - 1):
+    for c in range(m):
         row = inv[:, c, :c + 1]
         np.remainder(row, p, out=row)
         if c and c % headroom == 0:
             inv[:, c + 1:, :c + 1] %= p
         inv[:, c + 1:, :c + 1] -= strict[:, c + 1:, c, None] * row[:, None]
-    inv[:, m - 1] %= p
     return inv
 
 

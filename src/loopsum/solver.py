@@ -95,9 +95,6 @@ class ExactMatrix:
             for row in self.data
         ]
 
-    def to_json(self) -> list[list[list[str]]]:
-        return [[x.to_strings() for x in row] for row in self.data]
-
 
 def _rref(data: list[list[CycloNum]]) -> tuple[list[list[CycloNum]], list[int]]:
     """In-place reduced row echelon form.

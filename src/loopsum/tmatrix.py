@@ -399,15 +399,32 @@ def _balanced_split(values: list[int], width: int = LIMB_BITS):
     return limbs.astype(np.int64)
 
 
+def _balanced_carry(raw) -> list:
+    """The int64 limbs ``raw`` (value sum_k raw[k] 2^(30 k), |raw| < 2^62)
+    as balanced limbs in [-2^29, 2^29): a list of len(raw) arrays, or more
+    where the top carry needs them.  A value's balanced form with a given
+    limb count is unique, however the value was split."""
+    import numpy as np
+
+    half = 1 << (LIMB_BITS - 1)
+    limbs = []
+    carry = np.zeros_like(raw[0])
+    while len(limbs) < len(raw) or carry.any():
+        k = len(limbs)
+        x = raw[k] + carry if k < len(raw) else carry
+        carry = (x + half) >> LIMB_BITS
+        limbs.append(x - (carry << LIMB_BITS))
+    return limbs
+
+
 def _weight_limbs(n: int, zs, t):
-    """row_weights(zs, t) as int64 limbs of shape (2L, 2^{2n}), rows
-    (a limb 0, b limb 0, a limb 1, ...): limbs in [0, 2^30) but the top
-    one, which carries the sign.
+    """row_weights(zs, t) as balanced int64 limbs in [-2^29, 2^29), shape
+    (2L, 2^{2n}), rows (a limb 0, b limb 0, a limb 1, ...).
 
     A weight is the product of the weights of its two half rows, so only
     the 2 * 2^n half-row weights are Python ints.  Their balanced limbs
     meet in outer products below 2^60, whose low and high 30 bits
-    accumulate in separate limbs; one carry pass normalizes the sums.
+    accumulate in separate limbs; _balanced_carry normalizes the sums.
     """
     import numpy as np
     from math import isqrt
@@ -415,13 +432,13 @@ def _weight_limbs(n: int, zs, t):
     mask = (1 << LIMB_BITS) - 1
     halves = [row_weights(zs[n:], t), row_weights(zs[:n], t)]
     # |a|, |b| <= sqrt(4/3 * norm), and the norm a^2 - a b + b^2 is
-    # multiplicative, so the halves bound the limbs every weight needs
+    # multiplicative, so the halves bound the limbs every weight needs;
+    # the balanced limbs above those are zero
     norms = [max(a * a - a * b + b * b for a, b in h) for h in halves]
     nlimbs = (isqrt(4 * norms[0] * norms[1] // 3).bit_length() + 1) // LIMB_BITS + 1
     hi, lo = (_balanced_split([a for a, _ in h] + [b for _, b in h]).reshape(-1, 2, len(h))
               for h in halves)
-    nk = len(hi) + len(lo) + 1
-    acc = np.zeros((nk, 2, hi.shape[2] * lo.shape[2]), dtype=np.int64)
+    acc = np.zeros((len(hi) + len(lo) + 1, 2, hi.shape[2] * lo.shape[2]), dtype=np.int64)
     for i in range(len(hi)):
         ha, hb = hi[i, 0][:, None], hi[i, 1][:, None]
         for j in range(len(lo)):
@@ -431,16 +448,7 @@ def _weight_limbs(n: int, zs, t):
                 x = x.ravel()
                 acc[i + j, part] += x & mask
                 acc[i + j + 1, part] += x >> LIMB_BITS
-    for k in range(nk - 1):
-        carry = acc[k] >> LIMB_BITS
-        acc[k] &= mask
-        acc[k + 1] += carry
-    # limbs from nlimbs - 1 up are the sign and the top bits of one value
-    top = acc[nk - 1]
-    for k in range(nk - 2, nlimbs - 2, -1):
-        top = (top << LIMB_BITS) + acc[k]
-    acc[nlimbs - 1] = top
-    return acc[:nlimbs].reshape(2 * nlimbs, -1)
+    return np.stack(_balanced_carry(acc)[:nlimbs]).reshape(2 * nlimbs, -1)
 
 
 def kernel_matrix_limbs(n: int, zs, t):
@@ -450,35 +458,26 @@ def kernel_matrix_limbs(n: int, zs, t):
     the a and b parts of entry [r][c] of transfer_link_pairs, less
     eigenvalue(t, zs) when r == c, are sum_k limbs[0 or 1, k, r, c] *
     2^(30 k), with every limb in [-2^29, 2^29).  A limb of the tile sum
-    can reach 2^{30 + 2n}; one balanced carry pass after the eigenvalue is
-    subtracted brings it back, with one more limb where needed.
+    can reach 2^{29 + 2n}; _balanced_carry, after the eigenvalue is
+    subtracted, brings it back, with one more limb where needed.
     """
     import numpy as np
 
     _expect_parameters(n, zs)
     # rows of w: (a limb 0, b limb 0, a limb 1, b limb 1, ...)
     w = _weight_limbs(n, zs, t)
-    nlimbs = len(w) // 2
     cn = len(_tile_table(n))
-    out = np.zeros((2 * nlimbs, cn * cn), dtype=np.int64)
+    out = np.zeros((len(w), cn * cn), dtype=np.int64)
     for order, starts, flat in _tile_scatter(n):
         out[:, flat] = np.add.reduceat(np.take(w, order, axis=1), starts, axis=1)
-    raw = out.reshape(nlimbs, 2, cn, cn)
+    raw = out.reshape(-1, 2, cn, cn)
     lam = eigenvalue(t, zs)
     # |Lambda| is the modulus of the all-pass row weight, so Lambda needs
     # no more limbs than the weights
     lam_limbs = _balanced_split([int(lam.a), int(lam.b)])
     diag = np.arange(cn)
     raw[:len(lam_limbs), :, diag, diag] -= lam_limbs[:, :, None]
-    half = 1 << (LIMB_BITS - 1)
-    limbs = []
-    carry = np.zeros_like(raw[0])
-    while len(limbs) < nlimbs or carry.any():
-        k = len(limbs)
-        x = raw[k] + carry if k < nlimbs else carry
-        carry = (x + half) >> LIMB_BITS
-        limbs.append(x - (carry << LIMB_BITS))
-    return np.stack(limbs, axis=1)
+    return np.stack(_balanced_carry(raw), axis=1)
 
 
 def _limbs_image(limbs, vmat):

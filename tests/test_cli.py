@@ -1,5 +1,8 @@
 import itertools
 import json
+import os
+import stat
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -137,6 +140,44 @@ def test_components_failed_write_leaves_no_file(tmp_path, monkeypatch):
         main(["components", "2", "--out", str(out)])
     assert list(tmp_path.iterdir()) == [out]
     assert out.read_bytes() == b"kept\n"
+
+
+def test_components_writes_through_a_symlink(tmp_path, capsys):
+    # the link stays a link, and its target gets the document: first a
+    # dangling link, then one whose target exists
+    real = tmp_path / "real.json"
+    link = tmp_path / "link.json"
+    link.symlink_to(real.name)
+    for _ in range(2):
+        assert main(["components", "2", "--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == real.name
+        assert json.loads(real.read_text()) == psi_symbolic(2).to_json()
+        assert sorted(tmp_path.iterdir()) == [link, real]
+        real.write_text("old")
+
+
+def test_components_writes_a_fifo_in_place(tmp_path, capsys):
+    # a file that is not a regular file is written, never replaced
+    fifo = tmp_path / "g2.fifo"
+    os.mkfifo(fifo)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert main(["components", "2", "--out", str(fifo)]) == 0
+    reader.join(60)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert [json.loads(text) for text in read] == [psi_symbolic(2).to_json()]
+    assert list(tmp_path.iterdir()) == [fifo]
+
+
+def test_components_empty_out_exits_2(capsys, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("symbolic build started")
+
+    monkeypatch.setattr(cli, "psi_symbolic", no_build)
+    assert main(["components", "2", "--out", ""]) == 2
+    assert "--out" in capsys.readouterr().err
 
 
 def test_check_all_n2(capsys):

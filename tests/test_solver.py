@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import pytest
 
-from loopsum import groundstate
+from loopsum import groundstate, modular
 from loopsum.cyclo import CycloNum, ONE, ZERO, pair_mul
 from loopsum.groundstate import DegenerateKernelError, _kernel_modular
 from loopsum.modular import (
@@ -558,8 +558,9 @@ def test_blocked_inverse_checks_its_bound_without_assert():
 
 def _column_sweep(stack, p):
     """The lockstep elimination column by column, each step updating the
-    whole block below and right of its pivot: the reference for
-    nullspace_mod_np, which must give equal lines, rows and factors."""
+    whole block below and right of its pivot, and back-substitution for
+    the lines: the reference for nullspace_mod_np, which must give equal
+    lines, rows, factors and pivot-row inverse."""
     import numpy as np
 
     band = 32
@@ -603,7 +604,7 @@ def _column_sweep(stack, p):
         if r and (ncols - 2 - r) % headroom == headroom - 1:
             vec[:, :r] %= p
         vec[:, :r] -= stack[:, :r, r] * vec[:, r, None]
-    return Elimination(vec, stack, rows)
+    return Elimination(vec, stack, rows, pivot_inverse(stack, p))
 
 
 def _with_swaps(rng, nrows, ncols, zeros, p):
@@ -632,6 +633,7 @@ def _assert_same_elimination(got, want, p):
     assert np.array_equal(got.factors[:, :ncols - 1], want.factors[:, :ncols - 1])
     assert np.array_equal(got.factors[:, :, :-1], want.factors[:, :, :-1])
     assert not (got.factors[:, ncols - 1:, -1] % p).any()
+    assert np.array_equal(got.inverse, want.inverse)
 
 
 @pytest.mark.parametrize("p", WIDE_PRIMES)
@@ -774,15 +776,15 @@ def test_padic_kernel_matches_exact_nullspace(data):
         assert exact == [CycloNum(*v) for v in rest] + [CycloNum(*base)]
 
 
-def _counted(monkeypatch, name):
-    real = getattr(groundstate, name)
+def _counted(monkeypatch, name, module=groundstate):
+    real = getattr(module, name)
     calls = []
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(groundstate, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -794,7 +796,7 @@ def test_padic_kernel_negative_coordinates_many_digits(monkeypatch):
     a = [[(rng.randrange(-9, 9), rng.randrange(-9, 9)) for _ in range(3)] for _ in range(4)]
     rows = _system(a, rest, base)
     digits = _counted(monkeypatch, "_solve_digit")
-    inverses = _counted(monkeypatch, "pivot_inverse")
+    inverses = _counted(monkeypatch, "pivot_inverse", modular)
     assert _padic(rows, base) == _exact_line(rows, base)
     # about 510 bits at 29 bits a digit, from one elimination and one
     # pivot-row inverse

@@ -7,6 +7,8 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loopsum
 from loopsum import tmatrix
@@ -16,8 +18,10 @@ from loopsum.solver import ExactMatrix
 from loopsum.tmatrix import (
     DIGIT_BITS,
     LIMB_BITS,
+    _balanced_carry,
     _face_steps,
     _tile_table,
+    _weight_limbs,
     check_arch_insertion,
     check_interlacing,
     check_transfer_commutation,
@@ -409,6 +413,28 @@ def test_numpy_assembly_equals_tile_route(n):
         if kind == "large-z" and n > 1:
             assert limbs.shape[1] >= 3
         _check_assembly(n, kind, zs, t, limbs)
+        # the weight limbs are balanced too, with the weights' values
+        wl = _weight_limbs(n, zs, t)
+        assert -(1 << 29) <= wl.min() and wl.max() < 1 << 29, kind
+        parts = wl.reshape(-1, 2, wl.shape[1]).astype(object)
+        values = sum(parts[k] << (LIMB_BITS * k) for k in range(len(parts)))
+        assert list(zip(*values.tolist())) == row_weights(zs, t), kind
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(-(1 << 62) + 1, (1 << 62) - 1), min_size=3, max_size=3),
+                min_size=1, max_size=6))
+def test_balanced_carry_keeps_the_value(raw):
+    # 1-6 raw limbs of |x| < 2^62 each: the same values in balanced limbs
+    import numpy as np
+
+    limbs = _balanced_carry(np.array(raw, dtype=np.int64))
+    assert len(limbs) >= len(raw)
+    out = np.stack(limbs)
+    assert -(1 << 29) <= out.min() and out.max() < 1 << 29
+    for col in range(3):
+        assert sum(int(x) << (LIMB_BITS * k) for k, x in enumerate(out[:, col])) == \
+            sum(r[col] << (LIMB_BITS * k) for k, r in enumerate(raw))
 
 
 @pytest.mark.parametrize("n", (2, 4))
