@@ -169,8 +169,10 @@ def _lift(limbs, base, p: int, ws, elim):
     where M = T - Lambda, M x_i = r_i holds mod p, and its pivot rows fix
     every other coordinate of x_i (_solve_digit).  limbs_lift computes
     r_{i+1} exactly; when p does not divide it, this returns None.  Every
-    digit is solved with the one pivot-row inverse that gave the kernel
-    lines, ``elim.inverse``, on the same pivot rows ``elim.rows``.
+    digit after the first is solved with the pivot-row inverse that the
+    elimination left behind with the kernel lines, ``elim.inverse``, the
+    eta columns of its Gauss-Jordan steps, on the same pivot rows
+    ``elim.rows``.
 
     The residuals are exact, so the first k digits v_k satisfy
     M v_k = -p^k r_k, and the lift stops at the first k where base has

@@ -6,15 +6,15 @@ The matrices of both embeddings w -> g and w -> g^2 are eliminated
 together as one stack by ``nullspace_mod_np``, in lockstep: every member
 has a kernel of one line with a nonzero last coordinate, found with its
 pivots on the diagonal, or the elimination gives up.  It is a blocked
-LU: column steps within panels of at most 30 columns, and after each
-panel one exact float64 product (``_mulmod``) for the block below and
-right of it.  From its multipliers ``pivot_inverse`` builds the inverse
-of the pivot rows without the last column, by recursive halving with the
-same products: the one triangular solve, which gives the kernel line and,
-through ``inverse_apply``, each later digit of the lift.  Every mod-p
-product is exact for p below 2^30, the one bound that ``_check_prime``
-enforces.  Whole arrays are reduced by ``reduce_mod``, the floor division
-form of numpy's %.
+Gauss-Jordan elimination in product form: column steps within panels of
+at most 30 columns, and after each panel one exact float64 product
+(``_mulmod``) for the columns right of it, in every row.  The columns it
+leaves behind are the eta columns of the inverse of the pivot rows, so
+one sweep gives the kernel line, with no triangular solve, and the
+inverse that ``inverse_apply`` applies to each later digit of the lift.
+Every mod-p product is exact for p below 2^30, the one bound that
+``_check_prime`` enforces.  Whole arrays are reduced by ``reduce_mod``,
+the floor division form of numpy's %.
 Callers must verify the lifted result exactly; these routines only
 propose candidates.
 
@@ -91,10 +91,8 @@ LIMB_BITS = 30
 #: _mulmod, and limb k of tmatrix.limbs_vanish's matrix lands on digit 2k
 #: of its image
 DIGIT_BITS = LIMB_BITS // 2
-#: columns per panel of nullspace_mod_np, at most
+#: columns per panel of nullspace_mod_np and inverse_apply, at most
 _PANEL = 30
-#: the largest block that _lower_inverse inverts by its column sweep
-_BLOCK = 32
 #: inner width of one float64 product in _mulmod:
 #: 256 * (2^30 - 1) * (2^15 - 1) < 2^53
 _FLOAT_CHUNK = 256
@@ -120,19 +118,27 @@ class Elimination(NamedTuple):
 
     ``lines[b]`` is member b's kernel vector mod p with last coordinate 1,
     an int64 array of shape (B, C).  ``rows[b, c]`` is the row of member
-    b's input that ended in position c.  In its first C - 1 rows, factor b
-    holds P A = L U in place: row c carries the inverse of pivot c on the
-    diagonal and the normalized pivot row (U, unit upper triangular) to
-    its right, and below the diagonal sit the multipliers that cleared
-    each column (L, whose diagonal is the pivots).  Below row C - 2 the
-    last column holds what elimination left of it: zero mod p, but not
-    reduced.  ``inverse`` is pivot_inverse of the factors.
+    b's input that ended in position c.  ``inverse`` is the inverse mod p
+    of each member's pivot rows without the last column, the (C-1) x (C-1)
+    matrix A', in product form: a view (B, C-1, C-1) of the consumed
+    stack whose columns are the eta columns of the Gauss-Jordan steps:
+    A'^{-1} = E_K ... E_1, where E_k, the eta of panel k, is the identity
+    with panel k's columns replaced by those of ``inverse``.
+    ``inverse_apply`` applies it.
     """
 
     lines: "np.ndarray"
-    factors: "np.ndarray"
     rows: "np.ndarray"
     inverse: "np.ndarray"
+
+
+def _panel_width(p: int) -> int:
+    """Columns per panel of nullspace_mod_np and inverse_apply: _PANEL, or
+    fewer where int64 could not hold that many products of two residues,
+    each at most (p-1)^2, on top of a residue.  A prime of 2^30 or more
+    raises ValueError (_check_prime)."""
+    _check_prime(p)
+    return min(_PANEL, _headroom(p) - 1)
 
 
 def nullspace_mod_np(stack, p: int) -> Elimination | None:
@@ -141,50 +147,54 @@ def nullspace_mod_np(stack, p: int) -> Elimination | None:
     ValueError, whatever the size.
 
     ``stack`` is an int64 numpy array of shape (B, R, C), already reduced
-    mod p; it is consumed, the returned factors being built in it.
+    mod p; it is consumed, the returned inverse being built in it.
 
     A member has a kernel of one line with a nonzero last coordinate
     exactly when its elimination finds a pivot for each of columns
     0 .. C-2 and none for the last, so the members eliminate in lockstep,
     column by column, with the pivot of column c swapped into row c.
-    Pivot swaps are made per member (whole rows, so the multipliers
+    Pivot swaps are made per member (whole rows, so the eta entries
     already stored move with them) and the pivot inverses are one ``pow``
     per member, so the per-column numpy work is paid once for the whole
     stack.  A member that finds no pivot in a column before the last has
     a kernel vector that is 0 in the last coordinate, and one with a
     pivot in the last column has full rank: either ends the elimination.
 
-    The columns are eliminated in panels of w columns (a blocked LU): w
-    is _PANEL, or fewer where int64 could not hold w products of two
-    residues, each at most (p-1)^2, on top of a residue.  Within a panel
-    each column step updates only the panel's own columns, which start
-    the panel reduced; the pivot row's part right of the panel first
-    takes the panel's earlier columns off in one int64 product.  After
-    the panel the block below it and to its right takes L21 U12 off at
-    once, by the exact float64 product _mulmod, and is reduced.  The last
-    panel runs to the last column, so an elimination of at most w + 1
-    columns is the plain column sweep.  The pivot rows then read
-    U x + u = 0 for v = (x, 1), u their reduced last column, so x =
-    U^{-1} (p - u): one _mulmod with the U^{-1} of pivot_inverse, which
-    the result keeps for the lift.  At C = 1 there are no pivot rows.
+    It is a Gauss-Jordan elimination in product form, in panels of
+    _panel_width(p) columns.  Column step c updates its panel's columns in
+    every row, the rows above c included: the pivot row is scaled by the
+    pivot's inverse, which is stored at (c, c), and every other row i
+    takes a_ic times the pivot row off, with -a_ic/a_cc stored at (i, c),
+    the eta column of step c.  The panel's columns start reduced and take
+    one product of two residues per step, at most w in all on top of a
+    residue, which int64 holds.  After the panel its
+    rows' columns to the right, untouched so far, are the right factor:
+    they are copied out and zeroed, and every row adds its panel columns
+    times that copy, one exact float64 product (_mulmod), then is reduced.
+    Columns left of a panel are never touched again, so they keep the
+    eta columns.  The last panel runs to the last column, so an
+    elimination of at most w + 1 columns is the plain column sweep, and
+    afterwards the pivot rows' last column holds A'^{-1} u, for u the
+    input's last column in pivot order: the kernel line is (-A'^{-1} u,
+    1), with no triangular solve.  At C = 1 there are no pivot rows.
     """
     import numpy as np
 
-    _check_prime(p)
+    width = _panel_width(p)
     nmem, nrows, ncols = stack.shape
     if nrows < ncols - 1:
         return None
-    width = min(_PANEL, _headroom(p) - 1)
+    m = ncols - 1
     rows = np.zeros((nmem, 1), dtype=np.int64) + np.arange(nrows)
-    for lo in range(0, ncols - 1, width):
-        hi = min(lo + width, ncols - 1)
-        end = hi if hi < ncols - 1 else ncols
-        # lockstep: the pivot of column c sits in row c of every member
+    for lo in range(0, m, width):
+        hi = min(lo + width, m)
+        end = hi if hi < m else ncols
         for c in range(lo, hi):
-            col = stack[:, c:, c] % p
-            heads = col[:, 0].tolist()
+            # lockstep: the pivot of column c sits in row c of every member
+            col = stack[:, :, c] % p
+            heads = col[:, c].tolist()
             if 0 in heads:
-                hit = col != 0
+                hit = col[:, c:] != 0
                 if not hit.any(axis=1).all():
                     return None
                 first = hit.argmax(axis=1)
@@ -193,30 +203,30 @@ def nullspace_mod_np(stack, p: int) -> Elimination | None:
                     f = c + int(first[k])
                     stack[k, [c, f]] = stack[k, [f, c]]
                     rows[k, [c, f]] = rows[k, [f, c]]
-                    col[k, [0, f - c]] = col[k, [f - c, 0]]
-                heads = col[:, 0].tolist()
+                    col[k, [c, f]] = col[k, [f, c]]
+                heads = col[:, c].tolist()
             inv = np.array([pow(x, -1, p) for x in heads], dtype=np.int64)
-            if c > lo and end < ncols:
-                # fewer than headroom products, each below (p-1)^2
-                stack[:, c, end:] -= (stack[:, c, None, lo:c] @ stack[:, lo:c, end:])[:, 0]
-            pivot = stack[:, c, c + 1:] % p * inv[:, None] % p
-            stack[:, c, c + 1:] = pivot
-            stack[:, c, c] = inv
-            stack[:, c + 1:, c] = col[:, 1:]
-            stack[:, c + 1:, c + 1:end] -= col[:, 1:, None] * pivot[:, None, :end - c - 1]
+            pivot = stack[:, c, lo:end] % p * inv[:, None] % p
+            pivot[:, c - lo] = inv
+            # column c of every other row becomes -a_ic inv; row c is the pivot
+            col[:, c] = 0
+            stack[:, :, c] = 0
+            stack[:, :, lo:end] -= col[:, :, None] * pivot[:, None]
+            stack[:, c, lo:end] = pivot
+        reduce_mod(stack[:, :, lo:hi], p)
         if end < ncols:
-            trail = stack[:, hi:, end:]
-            trail -= _mulmod(stack[:, hi:, lo:hi], stack[:, lo:hi, end:], p)
+            right = stack[:, lo:hi, end:].copy()
+            stack[:, lo:hi, end:] = 0
+            trail = stack[:, :, end:]
+            trail += _mulmod(stack[:, :, lo:hi], right, p)
             reduce_mod(trail, p)
     # the last column: a pivot there means full rank, none means the last
     # coordinate is the only free one
-    if (stack[:, ncols - 1:, -1] % p).any():
+    if (stack[:, m:, -1] % p).any():
         return None
-    inverse = pivot_inverse(stack, p)
     vec = np.ones((nmem, ncols), dtype=np.int64)
-    if ncols > 1:
-        vec[:, :-1] = _mulmod(inverse[1], p - stack[:, :ncols - 1, -1:], p)[..., 0]
-    return Elimination(vec, stack, rows, inverse)
+    vec[:, :-1] = -stack[:, :m, -1] % p
+    return Elimination(vec, rows, stack[:, :m, :m])
 
 
 def reduce_mod(x, p: int):
@@ -233,32 +243,6 @@ def reduce_mod(x, p: int):
     q *= p
     x -= q
     return x
-
-
-def _unit_lower_inverse(strict, p: int):
-    """The inverses mod p of unit lower triangular matrices I + N, given
-    the strictly lower part of ``strict`` (G, m, m) as N, with residues in
-    [0, p): the base case of _lower_inverse, for blocks of at most _BLOCK
-    columns.
-
-    Row c of the inverse is e_c - sum_{j<c} N[c, j] (row j); once it is
-    known, its products with column c of N are taken off the rows below
-    it, which stay unreduced for as many updates as int64 holds, as in
-    nullspace_mod_np.
-    """
-    import numpy as np
-
-    g, m, _ = strict.shape
-    headroom = _headroom(p)
-    inv = np.zeros((g, m, m), dtype=np.int64)
-    inv.reshape(g, -1)[:, ::m + 1] = 1
-    for c in range(m):
-        row = inv[:, c, :c + 1]
-        np.remainder(row, p, out=row)
-        if c and c % headroom == 0:
-            inv[:, c + 1:, :c + 1] %= p
-        inv[:, c + 1:, :c + 1] -= strict[:, c + 1:, c, None] * row[:, None]
-    return inv
 
 
 def _mulmod(x, y, p: int):
@@ -292,77 +276,21 @@ def _mulmod(x, y, p: int):
     return reduce_mod(high, p)
 
 
-def _lower_inverse(x, p: int) -> None:
-    """Replace the stack ``x`` (G, m, m) of unit lower triangular matrices
-    I + N mod p, given by their strictly lower parts as residues in
-    [0, p), by their inverses, halving recursively:
-
-        [[A, 0], [B, D]]^{-1} = [[A^{-1}, 0], [-D^{-1} B A^{-1}, D^{-1}]].
-
-    Blocks of at most _BLOCK columns are inverted by the column sweep of
-    _unit_lower_inverse, and the two products of each larger block by
-    _mulmod, which raises ValueError for a prime of 2^30 or more.
-    """
-    import numpy as np
-
-    m = x.shape[1]
-    if m <= _BLOCK:
-        x[...] = _unit_lower_inverse(x, p)
-        return
-    # ceil(m / _BLOCK) leaves of near-equal size, half of them on each side
-    blocks = -(-m // _BLOCK)
-    h = m * (blocks // 2) // blocks
-    _lower_inverse(x[:, :h, :h], p)
-    _lower_inverse(x[:, h:, h:], p)
-    low = x[:, h:, :h]
-    # p - (B A^{-1} mod p) is -B A^{-1} mod p, in [1, p]
-    np.subtract(p, _mulmod(low, x[:, :h, :h], p), out=low)
-    low[...] = _mulmod(x[:, h:, h:], low, p)
-    x[:, :h, h:] = 0
-
-
-def pivot_inverse(factors, p: int):
-    """For each member of ``Elimination.factors``, the inverse mod p of
-    its pivot rows without the last column, the (C-1) x (C-1) matrix
-    A_P = L U, kept as its factors: an array of shape (2, B, C-1, C-1)
-    holding L^{-1} and U^{-1}, so A_P^{-1} = U^{-1} L^{-1}.
-
-    L = (I + N) D, where N is the multipliers scaled by the pivot
-    inverses D^{-1} on the diagonal; so L^{-1} = D^{-1} (I + N)^{-1}.
-    (I + N)^{-1} and the transpose of U^{-1} are inverted as one batch of
-    unit lower triangular matrices by _lower_inverse, blocks of halving
-    size whose products are exact float64 products.  A prime of 2^30 or
-    more raises ValueError (_check_prime).
-    """
-    import numpy as np
-
-    _check_prime(p)
-    b, cn = len(factors), factors.shape[2]
-    m = cn - 1
-    lu = factors[:, :m, :m]
-    # the pivot inverses, on the diagonal
-    dinv = factors.reshape(b, -1)[:, :m * (cn + 1):cn + 1]
-    # _lower_inverse reads only the strictly lower parts: those of N and
-    # of U transposed
-    inverse = np.empty((2, b, m, m), dtype=np.int64)
-    np.multiply(lu, dinv[:, None], out=inverse[0])
-    reduce_mod(inverse[0], p)
-    inverse[1] = lu.transpose(0, 2, 1)
-    _lower_inverse(inverse.reshape(2 * b, m, m), p)
-    np.multiply(inverse[0], dinv[:, :, None], out=inverse[0])
-    reduce_mod(inverse[0], p)
-    inverse[1] = inverse[1].transpose(0, 2, 1).copy()
-    return inverse
-
-
 def inverse_apply(inverse, vecs, p: int):
-    """A_P^{-1} vecs[b] mod p for the pivot_inverse ``inverse`` and
-    residues ``vecs`` of shape (B, C-1) in [0, p): U^{-1} (L^{-1} vecs),
-    each factor applied by the exact product _mulmod, which raises
-    ValueError for a prime of 2^30 or more.
+    """A'^{-1} vecs[b] mod p for the Elimination ``inverse`` (B, m, m) and
+    residues ``vecs`` of shape (B, m) in [0, p): the panel etas E_1 ... E_K
+    applied in order.  E_k changes only the entries in its panel: they are
+    replaced by E_k's panel columns times those entries, through the exact
+    product _mulmod, and added to the others.  A prime of 2^30 or more
+    raises ValueError (_check_prime).
     """
-    for factor in inverse:
-        vecs = _mulmod(factor, vecs[..., None], p)[..., 0]
+    width = _panel_width(p)
+    vecs = vecs.copy()
+    for lo in range(0, vecs.shape[1], width):
+        saved = vecs[:, lo:lo + width, None].copy()
+        vecs[:, lo:lo + width] = 0
+        vecs += _mulmod(inverse[:, :, lo:lo + width], saved, p)[..., 0]
+        reduce_mod(vecs, p)
     return vecs
 
 

@@ -176,9 +176,10 @@ def _digit_off_always(k, digit, *args):
     return _off_by_one(digit)
 
 
-def _inverse_entry_off(elim):
+def _inverse_entry_off(elim, p):
+    # an eta entry below the first pivot of the first embedding
     inverse = elim.inverse.copy()
-    inverse[0, 0, 1, 0] += 1
+    inverse[0, 1, 0] = (inverse[0, 1, 0] + 1) % p
     return elim._replace(inverse=inverse)
 
 
@@ -216,11 +217,11 @@ CORRUPTIONS = {
     # digit 0 once, then every digit, at the integer point
     "crt-off-once-early": ("_solve_digit", INTEGER_POINT, _digit_off_once(1)),
     "crt-off-always": ("_solve_digit", INTEGER_POINT, _digit_off_always),
-    # one entry of L^{-1} in the pivot-row inverse, once, then always
-    "inverse-entry-off-once": ("nullspace_mod_np", INTEGER_POINT, lambda k, elim, *args:
-                               _inverse_entry_off(elim) if k == 1 else elim),
-    "inverse-entry-off-always": ("nullspace_mod_np", FRACTIONAL_POINT, lambda k, elim, *args:
-                                 _inverse_entry_off(elim)),
+    # one entry of the pivot-row inverse, once, then always
+    "inverse-entry-off-once": ("nullspace_mod_np", INTEGER_POINT, lambda k, elim, stack, p:
+                               _inverse_entry_off(elim, p) if k == 1 else elim),
+    "inverse-entry-off-always": ("nullspace_mod_np", FRACTIONAL_POINT, lambda k, elim, stack, p:
+                                 _inverse_entry_off(elim, p)),
     # the divisibility test: a false strike once, every step, and a wrong
     # quotient passed as exact once
     "divisibility-false-strike": ("limbs_lift", INTEGER_POINT,
@@ -237,8 +238,10 @@ CORRUPTIONS = {
 #: corruptions whose outcome is fixed: a strike at one prime only must end
 #: in the exact vector from the next, and a strike at every prime in
 #: DegenerateKernelError
-ONCE = {"kernel-too-large", "divisibility-false-strike", "certificate-false-once"}
-ALWAYS = {"kernel-empty", "divisibility-always-fails", "certificate-false-always"}
+ONCE = {"kernel-too-large", "divisibility-false-strike", "certificate-false-once",
+        "inverse-entry-off-once"}
+ALWAYS = {"kernel-empty", "divisibility-always-fails", "certificate-false-always",
+          "inverse-entry-off-always"}
 
 
 @pytest.mark.parametrize("name", sorted(CORRUPTIONS))

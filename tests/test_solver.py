@@ -10,22 +10,19 @@ from hypothesis import strategies as st
 
 import pytest
 
-from loopsum import groundstate, modular
+from loopsum import groundstate
 from loopsum.cyclo import CycloNum, ONE, ZERO, pair_mul
 from loopsum.groundstate import DegenerateKernelError, _kernel_modular
 from loopsum.modular import (
     _PANEL,
-    Elimination,
-    _lower_inverse,
+    _headroom,
     _mulmod,
-    _unit_lower_inverse,
     cached_primes,
     crt_pair,
     cube_root_mod,
     inverse_apply,
     is_prime,
     nullspace_mod_np,
-    pivot_inverse,
     rational_reconstruct,
     reduce_mod,
 )
@@ -386,7 +383,7 @@ def test_modular_nullspace_past_int64_headroom():
     assert nullspace_mod_np(np.array(mats[2:3], dtype=np.int64), p) is None
     keep = [mats[0], mats[1], mats[3]]
     elim = nullspace_mod_np(np.array(keep, dtype=np.int64), p)
-    # the factors invert their pivot rows
+    # the inverse inverts their pivot rows
     _check_pivot_inverse(keep, p, elim)
     for m, v in zip(keep, elim.lines.tolist()):
         assert v[-1] == 1
@@ -394,31 +391,25 @@ def test_modular_nullspace_past_int64_headroom():
 
 
 def _check_pivot_inverse(mats, p, elim):
-    """pivot_inverse of the factors inverts the pivot rows of each
-    member's input (all columns but the last), and inverse_apply agrees
-    with the explicit product."""
+    """inverse_apply of the elimination's inverse solves the pivot rows of
+    each member's input (all columns but the last): A'_P x = v (mod p),
+    checked in Python ints."""
     import numpy as np
 
-    inverse = pivot_inverse(elim.factors, p)
-    cols = elim.factors.shape[2] - 1
+    cols = elim.inverse.shape[1]
     rng = random.Random(9)
     vecs = np.array([[rng.randrange(p) for _ in range(cols)] for _ in mats], dtype=np.int64)
-    applied = inverse_apply(inverse, vecs, p).tolist()
-    for m, rows, low, up, vec, got in zip(mats, elim.rows.tolist(), inverse[0].tolist(),
-                                          inverse[1].tolist(), vecs.tolist(), applied):
+    applied = inverse_apply(elim.inverse, vecs, p).tolist()
+    for m, rows, vec, x in zip(mats, elim.rows.tolist(), vecs.tolist(), applied):
+        assert all(0 <= v < p for v in x)
         pivots = [m[r][:cols] for r in rows[:cols]]
-        full = [[sum(u * x for u, x in zip(urow, col)) % p for col in zip(*low)]
-                for urow in up]
-        for i, row in enumerate(pivots):
-            assert [sum(a * b for a, b in zip(row, col)) % p for col in zip(*full)] == \
-                [int(i == j) for j in range(cols)]
-        assert got == [sum(a * b for a, b in zip(row, vec)) % p for row in full]
+        assert [sum(a * b for a, b in zip(row, x)) % p for row in pivots] == vec
 
 
 def test_pivot_inverse_after_row_swaps():
-    # members whose pivots need row swaps: their factors invert their
+    # members whose pivots need row swaps: their inverse inverts their
     # pivot rows in the order the elimination left them; a member with a
-    # zero column or with full rank ends the elimination without factors
+    # zero column or with full rank ends the elimination without one
     import numpy as np
 
     rng = random.Random(4)
@@ -455,10 +446,8 @@ def test_pivot_inverse_and_inverse_apply_check_their_bound():
     import numpy as np
 
     with pytest.raises(ValueError, match="too large"):
-        inverse_apply(np.zeros((2, 1, 3, 3), dtype=np.int64), np.zeros((1, 3), dtype=np.int64),
+        inverse_apply(np.zeros((1, 3, 3), dtype=np.int64), np.zeros((1, 3), dtype=np.int64),
                       (1 << 31) - 1)
-    with pytest.raises(ValueError, match="too large"):
-        pivot_inverse(np.zeros((1, 4, 4), dtype=np.int64), (1 << 31) - 1)
 
 
 #: the first prime above 2^29 and the largest below 2^30, the largest
@@ -474,39 +463,78 @@ def _mod_product(a, b, p):
     return ((high << 15) + a @ (b & 0x7FFF)) % p
 
 
+def _panel(p):
+    """The panel width at p: 30 at the first prime above 2^29, 7 at the
+    largest prime below 2^30."""
+    return min(_PANEL, (1 << 63) // (p - 1) ** 2 - 1)
+
+
 @pytest.mark.parametrize("p", WIDE_PRIMES)
 @pytest.mark.parametrize("m", [1, 13, 41, 131, 300])
 def test_inverse_apply_equals_int64_product(m, p):
-    # one member at the largest residues, one random; at m = 300 each
-    # product sums past one 256-wide float64 chunk
+    # eta arrays, one member at the largest residues and one random,
+    # applied panel by panel: from m = 13 at the largest prime and m = 41
+    # at the first, a vector crosses more than one panel
     import numpy as np
 
     rng = np.random.default_rng(m)
-    inverse = np.stack([np.full((2, m, m), p - 1), rng.integers(0, p, (2, m, m))], axis=1)
+    inverse = np.stack([np.full((m, m), p - 1), rng.integers(0, p, (m, m))])
     vecs = np.stack([np.full(m, p - 1), rng.integers(0, p, m)])
-    want = vecs[..., None]
-    for factor in inverse:
-        want = _mod_product(factor, want, p)
-    assert np.array_equal(inverse_apply(inverse, vecs, p), want[..., 0])
+    want = vecs.copy()
+    w = _panel(p)
+    for lo in range(0, m, w):
+        hi = min(lo + w, m)
+        saved = want[:, lo:hi, None].copy()
+        want[:, lo:hi] = 0
+        want = (want + _mod_product(inverse[:, :, lo:hi], saved, p)[..., 0]) % p
+    assert np.array_equal(inverse_apply(inverse, vecs, p), want)
+
+
+def _unit_lower_inverse(strict, p: int):
+    """The inverses mod p of unit lower triangular matrices I + N, given
+    the strictly lower part of ``strict`` (G, m, m) as N, with residues in
+    [0, p), by a column sweep: the reference for the product-form inverse
+    of nullspace_mod_np.
+
+    Row c of the inverse is e_c - sum_{j<c} N[c, j] (row j); once it is
+    known, its products with column c of N are taken off the rows below
+    it, which stay unreduced for as many updates as int64 holds.
+    """
+    import numpy as np
+
+    g, m, _ = strict.shape
+    headroom = _headroom(p)
+    inv = np.zeros((g, m, m), dtype=np.int64)
+    inv.reshape(g, -1)[:, ::m + 1] = 1
+    for c in range(m):
+        row = inv[:, c, :c + 1]
+        np.remainder(row, p, out=row)
+        if c and c % headroom == 0:
+            inv[:, c + 1:, :c + 1] %= p
+        inv[:, c + 1:, :c + 1] -= strict[:, c + 1:, c, None] * row[:, None]
+    return inv
 
 
 @pytest.mark.parametrize("p", WIDE_PRIMES)
 @pytest.mark.parametrize("m", [31, 32, 33, 65, 300, 520])
 def test_blocked_inverse_equals_column_sweep(m, p):
-    # the worst case has every strictly lower residue p - 1; a second
-    # member is random, with a random diagonal and upper part, which the
-    # inverse must ignore.  At m = 520 the first split leaves 276 rows
-    # below it, so a product there sums past one 256-wide float64 chunk
+    # the pivot rows of one member are I + N with every strictly lower
+    # residue p - 1, the worst case; a second member's N is random.  Each
+    # has its last column in the span, so it keeps a kernel line, and the
+    # inverse of its pivot rows, applied to the identity columns, must be
+    # the column sweep's
     import numpy as np
 
     rng = np.random.default_rng(m)
     strict = np.stack([np.full((m, m), p - 1), rng.integers(0, p, (m, m))])
-    expect = _unit_lower_inverse(strict, p)
-    got = strict.copy()
-    _lower_inverse(got, p)
-    assert np.array_equal(got, expect)
     unit = np.tril(strict, -1) + np.eye(m, dtype=np.int64)
-    assert (_mod_product(unit, got, p) == np.eye(m, dtype=np.int64)).all()
+    last = _mod_product(unit, rng.integers(0, p, (2, m, 1)), p)
+    elim = nullspace_mod_np(np.concatenate([unit, last], axis=2), p)
+    assert (elim.rows == np.arange(m)).all()
+    eye = np.eye(m, dtype=np.int64)
+    inv = np.stack([inverse_apply(elim.inverse, np.stack([e, e]), p) for e in eye], axis=2)
+    assert np.array_equal(inv, _unit_lower_inverse(strict, p))
+    assert (_mod_product(unit, inv, p) == eye).all()
 
 
 @pytest.mark.parametrize("p", WIDE_PRIMES)
@@ -529,15 +557,12 @@ def test_blocked_inverse_checks_its_bound_without_assert():
     # prime p = 1 (mod 3) above 2^30, one the point solve could be given
     code = textwrap.dedent("""
         import numpy as np
-        from loopsum.modular import (_lower_inverse, _mulmod, cached_primes, inverse_apply,
-                                     nullspace_mod_np, pivot_inverse)
+        from loopsum.modular import _mulmod, cached_primes, inverse_apply, nullspace_mod_np
         q = cached_primes(1, (1 << 30) + 1)[0][0]
-        calls = (lambda: _lower_inverse(np.zeros((1, 33, 33), dtype=np.int64), 1 << 30),
-                 lambda: _mulmod(np.ones((1, 2, 2), dtype=np.int64),
+        calls = (lambda: _mulmod(np.ones((1, 2, 2), dtype=np.int64),
                                  np.ones((1, 2, 2), dtype=np.int64), (1 << 31) - 1),
                  lambda: nullspace_mod_np(np.zeros((2, 5, 5), dtype=np.int64), q),
-                 lambda: pivot_inverse(np.zeros((2, 5, 5), dtype=np.int64), q),
-                 lambda: inverse_apply(np.zeros((2, 2, 4, 4), dtype=np.int64),
+                 lambda: inverse_apply(np.zeros((2, 4, 4), dtype=np.int64),
                                        np.zeros((2, 4), dtype=np.int64), q),
                  lambda: _mulmod(np.ones((1, 2, 2), dtype=np.int64),
                                  np.ones((1, 2, 2), dtype=np.int64), q))
@@ -553,14 +578,15 @@ def test_blocked_inverse_checks_its_bound_without_assert():
     for flags in ([], ["-O"]):
         out = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
                              text=True, check=True, env=env)
-        assert out.stdout == "6\n", flags
+        assert out.stdout == "4\n", flags
 
 
 def _column_sweep(stack, p):
-    """The lockstep elimination column by column, each step updating the
-    whole block below and right of its pivot, and back-substitution for
-    the lines: the reference for nullspace_mod_np, which must give equal
-    lines, rows, factors and pivot-row inverse."""
+    """The lockstep elimination as an LU, column by column, each step
+    updating the whole block below and right of its pivot, and
+    back-substitution for the lines: the reference for the Gauss-Jordan
+    nullspace_mod_np, which must give equal lines and rows.  Returns
+    (lines, rows), or None."""
     import numpy as np
 
     band = 32
@@ -604,7 +630,7 @@ def _column_sweep(stack, p):
         if r and (ncols - 2 - r) % headroom == headroom - 1:
             vec[:, :r] %= p
         vec[:, :r] -= stack[:, :r, r] * vec[:, r, None]
-    return Elimination(vec, stack, rows, pivot_inverse(stack, p))
+    return vec, rows
 
 
 def _with_swaps(rng, nrows, ncols, zeros, p):
@@ -623,17 +649,13 @@ def _with_swaps(rng, nrows, ncols, zeros, p):
     return m
 
 
-def _assert_same_elimination(got, want, p):
+def _assert_same_elimination(got, want, mats, p):
     import numpy as np
 
-    assert np.array_equal(got.lines, want.lines)
-    assert np.array_equal(got.rows, want.rows)
-    ncols = got.factors.shape[2]
-    # below row C - 2 the last column is zero mod p, reduced or not
-    assert np.array_equal(got.factors[:, :ncols - 1], want.factors[:, :ncols - 1])
-    assert np.array_equal(got.factors[:, :, :-1], want.factors[:, :, :-1])
-    assert not (got.factors[:, ncols - 1:, -1] % p).any()
-    assert np.array_equal(got.inverse, want.inverse)
+    lines, rows = want
+    assert np.array_equal(got.lines, lines)
+    assert np.array_equal(got.rows, rows)
+    _check_pivot_inverse(mats, p, got)
 
 
 @pytest.mark.parametrize("p", WIDE_PRIMES)
@@ -645,7 +667,7 @@ def test_blocked_elimination_equals_column_sweep(span, p):
     # pivot in panel 2, and with it in the stack there is no result
     import numpy as np
 
-    w = min(_PANEL, (1 << 63) // (p - 1) ** 2 - 1)
+    w = _panel(p)
     assert w == (30 if p == WIDE_PRIMES[0] else 7)
     ncols = {"w": w, "w+1": w + 1, "w+2": w + 2, "2w+1": 2 * w + 1, "132": 132}[span]
     nrows = ncols + 2 if span == "2w+1" else ncols
@@ -656,7 +678,7 @@ def test_blocked_elimination_equals_column_sweep(span, p):
     stack = np.array([swapped, plain], dtype=np.int64)
     want = _column_sweep(stack.copy(), p)
     got = nullspace_mod_np(stack.copy(), p)
-    _assert_same_elimination(got, want, p)
+    _assert_same_elimination(got, want, [swapped, plain], p)
     assert all(got.rows[0, c] != c for c in zeros)
     assert (got.rows[1] == np.arange(nrows)).all()
     assert (got.lines[:, -1] == 1).all()
@@ -776,15 +798,15 @@ def test_padic_kernel_matches_exact_nullspace(data):
         assert exact == [CycloNum(*v) for v in rest] + [CycloNum(*base)]
 
 
-def _counted(monkeypatch, name, module=groundstate):
-    real = getattr(module, name)
+def _counted(monkeypatch, name):
+    real = getattr(groundstate, name)
     calls = []
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(groundstate, name, counted)
     return calls
 
 
@@ -796,11 +818,11 @@ def test_padic_kernel_negative_coordinates_many_digits(monkeypatch):
     a = [[(rng.randrange(-9, 9), rng.randrange(-9, 9)) for _ in range(3)] for _ in range(4)]
     rows = _system(a, rest, base)
     digits = _counted(monkeypatch, "_solve_digit")
-    inverses = _counted(monkeypatch, "pivot_inverse", modular)
+    eliminations = _counted(monkeypatch, "nullspace_mod_np")
     assert _padic(rows, base) == _exact_line(rows, base)
-    # about 510 bits at 29 bits a digit, from one elimination and one
-    # pivot-row inverse
-    assert len(digits) >= 18 and len(inverses) == 1
+    # about 510 bits at 29 bits a digit, from one elimination, whose
+    # inverse solves every digit after the first
+    assert len(digits) >= 18 and len(eliminations) == 1
 
 
 def test_padic_kernel_just_past_the_first_bound(monkeypatch):
