@@ -144,7 +144,8 @@ def _solve_digit(lines, inverse, rhs, nested, crt, p: int):
     At each embedding w -> g, g^2, the digit is ``nested`` (digit i of
     the nested component there) times the kernel line, plus A'^{-1}
     applied to ``rhs``, the residual mod p on the pivot rows, in every
-    coordinate but the last; digit 0 has no residual.  The two embeddings
+    coordinate but the last (inverse_apply, one exact int64 product per
+    panel of etas); digit 0 has no residual.  The two embeddings
     are then combined by CRT over Z[w]: x = a + b g and y = a + b g^2
     give (g - g^2) a = g y - g^2 x and (g - g^2) b = x - y, which is the
     matrix ``crt``.

@@ -11,10 +11,11 @@ at most 30 columns, and after each panel one exact float64 product
 (``_mulmod``) for the columns right of it, in every row.  The columns it
 leaves behind are the eta columns of the inverse of the pivot rows, so
 one sweep gives the kernel line, with no triangular solve, and the
-inverse that ``inverse_apply`` applies to each later digit of the lift.
-Every mod-p product is exact for p below 2^30, the one bound that
-``_check_prime`` enforces.  Whole arrays are reduced by ``reduce_mod``,
-the floor division form of numpy's %.
+inverse that ``inverse_apply`` applies to each later digit, in int64.
+Every product width here and in ``tmatrix`` is read from one rule,
+``_room``, for p below 2^30, the one bound that ``_check_prime``
+enforces.  Whole arrays are reduced by ``reduce_mod``, the floor
+division form of numpy's %.
 Callers must verify the lifted result exactly; these routines only
 propose candidates.
 
@@ -93,9 +94,14 @@ LIMB_BITS = 30
 DIGIT_BITS = LIMB_BITS // 2
 #: columns per panel of nullspace_mod_np and inverse_apply, at most
 _PANEL = 30
-#: inner width of one float64 product in _mulmod:
-#: 256 * (2^30 - 1) * (2^15 - 1) < 2^53
-_FLOAT_CHUNK = 256
+
+
+def _room(term: int, bits: int) -> int:
+    """How many integers of absolute value at most ``term`` sum to at most
+    2^bits in absolute value: exactly in float64 at bits = 53, and in
+    int64 at bits = 63 when one of them is below ``term``, so int64
+    callers take room - 1 terms on top of one residue or limb."""
+    return (1 << bits) // max(1, term)
 
 
 def _check_prime(p: int) -> None:
@@ -104,12 +110,6 @@ def _check_prime(p: int) -> None:
     exact product here."""
     if p >= 1 << 2 * DIGIT_BITS:
         raise ValueError(f"p = {p} is too large for exact float64 products")
-
-
-def _headroom(p: int) -> int:
-    """How many products of two residues mod p, each at most (p-1)^2,
-    int64 holds."""
-    return (1 << 63) // max(1, (p - 1) ** 2)
 
 
 class Elimination(NamedTuple):
@@ -135,10 +135,10 @@ class Elimination(NamedTuple):
 def _panel_width(p: int) -> int:
     """Columns per panel of nullspace_mod_np and inverse_apply: _PANEL, or
     fewer where int64 could not hold that many products of two residues,
-    each at most (p-1)^2, on top of a residue.  A prime of 2^30 or more
-    raises ValueError (_check_prime)."""
+    each at most (p-1)^2, on top of a residue (_room).  A prime of 2^30 or
+    more raises ValueError (_check_prime)."""
     _check_prime(p)
-    return min(_PANEL, _headroom(p) - 1)
+    return min(_PANEL, _room((p - 1) ** 2, 63) - 1)
 
 
 def nullspace_mod_np(stack, p: int) -> Elimination | None:
@@ -247,29 +247,21 @@ def reduce_mod(x, p: int):
 
 def _mulmod(x, y, p: int):
     """x @ y mod p for stacks of int64 residues, x in [0, p) and y in
-    [0, p], exactly, through float64 products: y splits into two
-    DIGIT_BITS-bit digits side by side, and the inner dimension is summed
-    _FLOAT_CHUNK terms at a time, so every partial sum is an integer below
-    2^53, whatever the inner width.  A prime of 2^30 or more raises
-    ValueError (_check_prime).
+    [0, p], exactly, through one float64 product: y splits into two
+    DIGIT_BITS-bit digits side by side, so the inner width may be
+    _room((p - 1) 2^15, 53), 256 or more for every p < 2^30.  A wider
+    product, or a prime of 2^30 or more (_check_prime), raises ValueError.
     """
     import numpy as np
 
     _check_prime(p)
     inner, cols = y.shape[-2:]
+    if inner > _room((p - 1) << DIGIT_BITS, 53):
+        raise ValueError(f"inner width {inner} is too large for an exact float64 product mod {p}")
     halves = np.empty(y.shape[:-1] + (2 * cols,), dtype=np.float64)
     np.right_shift(y, DIGIT_BITS, out=halves[..., :cols], casting="unsafe")
     np.bitwise_and(y, (1 << DIGIT_BITS) - 1, out=halves[..., cols:], casting="unsafe")
-    xf = x.astype(np.float64)
-    acc = None
-    for lo in range(0, inner, _FLOAT_CHUNK):
-        part = (xf[..., lo:lo + _FLOAT_CHUNK] @ halves[..., lo:lo + _FLOAT_CHUNK, :]).astype(np.int64)
-        # the first chunk is left below 2^53, the later ones reduced, so
-        # the high half reduced and shifted adds to the low half in int64
-        if acc is None:
-            acc = part
-        else:
-            acc += reduce_mod(part, p)
+    acc = (x.astype(np.float64) @ halves).astype(np.int64)
     high = reduce_mod(acc[..., :cols], p)
     high <<= DIGIT_BITS
     high += acc[..., cols:]
@@ -280,16 +272,16 @@ def inverse_apply(inverse, vecs, p: int):
     """A'^{-1} vecs[b] mod p for the Elimination ``inverse`` (B, m, m) and
     residues ``vecs`` of shape (B, m) in [0, p): the panel etas E_1 ... E_K
     applied in order.  E_k changes only the entries in its panel: they are
-    replaced by E_k's panel columns times those entries, through the exact
-    product _mulmod, and added to the others.  A prime of 2^30 or more
-    raises ValueError (_check_prime).
+    replaced by E_k's panel columns times those entries, one int64 product
+    that the panel width keeps exact (_panel_width), added to the others.
+    A prime of 2^30 or more raises ValueError (_check_prime).
     """
     width = _panel_width(p)
     vecs = vecs.copy()
     for lo in range(0, vecs.shape[1], width):
         saved = vecs[:, lo:lo + width, None].copy()
         vecs[:, lo:lo + width] = 0
-        vecs += _mulmod(inverse[:, :, lo:lo + width], saved, p)[..., 0]
+        vecs += (inverse[:, :, lo:lo + width] @ saved)[..., 0]
         reduce_mod(vecs, p)
     return vecs
 

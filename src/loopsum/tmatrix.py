@@ -60,7 +60,7 @@ from .linkpat import (
     phi_embed,
     spin_embed,
 )
-from .modular import DIGIT_BITS, LIMB_BITS, reduce_mod
+from .modular import DIGIT_BITS, LIMB_BITS, _room, reduce_mod
 from .solver import ExactMatrix
 
 
@@ -423,8 +423,9 @@ def _weight_limbs(n: int, zs, t):
 
     A weight is the product of the weights of its two half rows, so only
     the 2 * 2^n half-row weights are Python ints.  Their balanced limbs
-    meet in outer products below 2^60, whose low and high 30 bits
-    accumulate in separate limbs; _balanced_carry normalizes the sums.
+    meet in outer products of at most 3 * 2^58 (_room(3 << 58, 63) = 10),
+    whose low and high 30 bits accumulate in separate limbs;
+    _balanced_carry normalizes the sums.
     """
     import numpy as np
     from math import isqrt
@@ -488,17 +489,18 @@ def _limbs_image(limbs, vmat):
     value.
 
     The digits meet M's limbs in one float64 matmul: a product of a limb
-    and a digit is at most 2^29 * 2^14 in absolute value, so for C <= 1024
-    columns every partial sum is an integer of at most 2^53 and float64
-    holds it exactly; a wider M raises ValueError.  Limb k of M lands on
-    digit 2k of the image, whose positions are summed as Python integers:
-    returns the 2C rows of the image, the a parts and then the b parts.
+    and a digit is at most 2^29 * 2^14 in absolute value, so for C up to
+    modular._room(2^43, 53) = 1024 columns every partial sum is an
+    integer that float64 holds exactly; a wider M raises ValueError.
+    Limb k of M lands on digit 2k of the image, whose positions are summed
+    as Python integers: returns the 2C rows of the image, the a parts and
+    then the b parts.
     """
     import numpy as np
 
     _, nl, cn, _ = limbs.shape
     nd = vmat.shape[1] // 2
-    if cn << (LIMB_BITS - 1 + DIGIT_BITS - 1) > 1 << 53:
+    if cn > _room(1 << (LIMB_BITS - 1 + DIGIT_BITS - 1), 53):
         raise ValueError(f"{cn} columns are too many for an exact float64 matmul")
     prod = limbs.reshape(-1, cn).astype(np.float64, copy=False) @ vmat
     # [part of M, limb of M, row, part of v, digit of v]
@@ -568,12 +570,11 @@ def limbs_lift(limbs, residual, digit, p: int):
 
 def limbs_mod(limbs, p: int):
     """The (a, b) coefficient matrices of kernel_matrix_limbs reduced mod
-    p, shape (2, C, C), for p < 2^31.  Limb k, below 2^29 in absolute
+    p, shape (2, C, C), for p < 2^31.  Limb k, at most 2^29 in absolute
     value, is scaled by 2^(30 k) mod p, and the terms are summed unreduced
-    for as many limbs as int64 holds; reduce_mod takes negative sums to
-    their residues as numpy's % does."""
-    term = (p - 1) << (LIMB_BITS - 1)
-    room = (1 << 63) // term - 1
+    for as many limbs as int64 holds on top of a residue (modular._room);
+    reduce_mod takes negative sums to their residues as numpy's % does."""
+    room = _room((p - 1) << (LIMB_BITS - 1), 63) - 1
     acc = limbs[:, 0].copy()
     for k in range(1, limbs.shape[1]):
         if k % room == 0:

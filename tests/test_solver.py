@@ -15,8 +15,8 @@ from loopsum.cyclo import CycloNum, ONE, ZERO, pair_mul
 from loopsum.groundstate import DegenerateKernelError, _kernel_modular
 from loopsum.modular import (
     _PANEL,
-    _headroom,
     _mulmod,
+    _room,
     cached_primes,
     crt_pair,
     cube_root_mod,
@@ -503,7 +503,7 @@ def _unit_lower_inverse(strict, p: int):
     import numpy as np
 
     g, m, _ = strict.shape
-    headroom = _headroom(p)
+    headroom = _room((p - 1) ** 2, 63)
     inv = np.zeros((g, m, m), dtype=np.int64)
     inv.reshape(g, -1)[:, ::m + 1] = 1
     for c in range(m):
@@ -539,33 +539,44 @@ def test_blocked_inverse_equals_column_sweep(m, p):
 
 @pytest.mark.parametrize("p", WIDE_PRIMES)
 def test_float_product_sums_past_one_chunk(p):
-    # inner width 600 is three float64 chunks of at most 256; x at p - 1
-    # and y at p, the largest values _mulmod takes, give the largest sums
+    # the widest inner width _mulmod allows, 511 at the first prime above
+    # 2^29 and 256 at the largest below 2^30; x at p - 1 and y at p, the
+    # largest values it takes, give the largest sums.  One column more
+    # raises, so no sum can pass 2^53
     import numpy as np
 
+    inner = _room((p - 1) << 15, 53)
+    assert inner == {WIDE_PRIMES[0]: 511, WIDE_PRIMES[1]: 256}[p]
     rng = np.random.default_rng(5)
-    x = np.concatenate([np.full((1, 3, 600), p - 1), rng.integers(0, p, (1, 3, 600))])
-    y = np.concatenate([np.full((1, 600, 4), p), rng.integers(0, p + 1, (1, 600, 4))])
+    x = np.concatenate([np.full((1, 3, inner), p - 1), rng.integers(0, p, (1, 3, inner))])
+    y = np.concatenate([np.full((1, inner, 4), p), rng.integers(0, p + 1, (1, inner, 4))])
     got = _mulmod(x, y, p).tolist()
     assert got == [[[sum(int(a) * int(b) for a, b in zip(row, col)) % p for col in mat_y.T]
                     for row in mat_x] for mat_x, mat_y in zip(x, y)]
+    with pytest.raises(ValueError, match="too large"):
+        _mulmod(np.full((1, 3, inner + 1), p - 1), np.full((1, inner + 1, 4), p), p)
 
 
 def test_blocked_inverse_checks_its_bound_without_assert():
     # p >= 2^30 splits into more than two 15-bit halves: a ValueError,
     # also under python -O, which drops assert statements; q is the first
-    # prime p = 1 (mod 3) above 2^30, one the point solve could be given
+    # prime p = 1 (mod 3) above 2^30, one the point solve could be given.
+    # So is a float64 product wider than its room, 511 columns at the
+    # first prime above 2^29
     code = textwrap.dedent("""
         import numpy as np
         from loopsum.modular import _mulmod, cached_primes, inverse_apply, nullspace_mod_np
         q = cached_primes(1, (1 << 30) + 1)[0][0]
+        p = cached_primes(1, (1 << 29) + 1)[0][0]
         calls = (lambda: _mulmod(np.ones((1, 2, 2), dtype=np.int64),
                                  np.ones((1, 2, 2), dtype=np.int64), (1 << 31) - 1),
                  lambda: nullspace_mod_np(np.zeros((2, 5, 5), dtype=np.int64), q),
                  lambda: inverse_apply(np.zeros((2, 4, 4), dtype=np.int64),
                                        np.zeros((2, 4), dtype=np.int64), q),
                  lambda: _mulmod(np.ones((1, 2, 2), dtype=np.int64),
-                                 np.ones((1, 2, 2), dtype=np.int64), q))
+                                 np.ones((1, 2, 2), dtype=np.int64), q),
+                 lambda: _mulmod(np.ones((1, 2, 512), dtype=np.int64),
+                                 np.ones((1, 512, 2), dtype=np.int64), p))
         raised = 0
         for call in calls:
             try:
@@ -578,7 +589,7 @@ def test_blocked_inverse_checks_its_bound_without_assert():
     for flags in ([], ["-O"]):
         out = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
                              text=True, check=True, env=env)
-        assert out.stdout == "4\n", flags
+        assert out.stdout == "5\n", flags
 
 
 def _column_sweep(stack, p):

@@ -46,7 +46,7 @@ from loopsum.tmatrix import (
     verify_spin_eigenvector,
 )
 from loopsum.groundstate import _PRIME_START, psi_point
-from loopsum.modular import cached_primes
+from loopsum.modular import _panel_width, _room, cached_primes, is_prime
 
 rng = random.Random(123)
 
@@ -641,8 +641,7 @@ def test_limb_width_rule_at_n7():
     import numpy as np
 
     cn = 429
-    width = LIMB_BITS - 1 + DIGIT_BITS - 1
-    assert cn << width <= 1 << 53 and 1024 << width == 1 << 53
+    assert cn <= _room(1 << (LIMB_BITS - 1 + DIGIT_BITS - 1), 53) == 1024
     # limbs one short of the extremes, -(2^29 - 1) in the a part and
     # 2^29 - 1 in the b part, so every entry of M is the same a + b w;
     # digits of the vector near -(2^14 - 1), except in the last entry,
@@ -676,6 +675,31 @@ def test_limb_width_rule_is_not_an_assert():
     cn = 1025
     with pytest.raises(ValueError):
         limbs_vanish(np.zeros((2, 1, cn, cn), dtype=np.int64), [0] * cn, [0] * cn)
+
+
+def test_product_widths_are_pinned(monkeypatch):
+    # the widths that the one rule, modular._room, gives today, so that an
+    # edit to the rule fails here and not in an output: the panels of
+    # nullspace_mod_np and inverse_apply, the scaled limbs limbs_mod sums
+    # between reductions, and the columns of one float64 limb image
+    import numpy as np
+
+    first = cached_primes(1, _PRIME_START)[0][0]
+    last = next(q for q in range((1 << 30) - 1, 0, -1) if q % 3 == 1 and is_prime(q))
+    assert (_panel_width(first), _panel_width(last)) == (30, 7)
+    # limbs_mod reduces after every room limbs and once at the end: one
+    # reduction for room limbs, two for room + 1
+    calls, reduce_mod = [], tmatrix.reduce_mod
+    monkeypatch.setattr(tmatrix, "reduce_mod", lambda x, p: calls.append(p) or reduce_mod(x, p))
+    for p, room in ((first, 30), (2147483629, 7)):
+        for nlimbs, want in ((room, 1), (room + 1, 2)):
+            calls.clear()
+            limbs_mod(np.ones((2, nlimbs, 2, 2), dtype=np.int64), p)
+            assert len(calls) == want, (p, nlimbs)
+    monkeypatch.undo()
+    cn = _room(1 << (LIMB_BITS - 1 + DIGIT_BITS - 1), 53)
+    assert cn == 1024
+    assert limbs_vanish(np.zeros((2, 1, cn, cn), dtype=np.int64), [0] * cn, [0] * cn)
 
 
 def test_setup_stays_numpy_free():
