@@ -17,16 +17,20 @@ embedded column of a link-basis matrix.  The embedding is injective, so
 agreement pins every entry; it is tested at every n <= 4, and
 verify_spin_eigenvector certifies point vectors the same way.
 
-Both tile assemblies read _tile_table, the pattern each of the 2^{2n} row
-configurations makes of each source pattern, built by sweeping the row
-one face at a time through the connectivity states of its open ends
-(_face_steps).
+Both tile assemblies read _tile_table, the row split at face n into two
+half-row tables: the state after faces 1..n that each of their 2^n
+configurations makes of each source pattern, and the pattern that each
+configuration of faces n+1..2n makes of each such state.  One sweep of
+the row, a face at a time through the connectivity states of its open
+ends (_face_steps), builds both.
 
 The tile route exists twice: transfer_link_pairs in plain Python
 (transfer_link and set-up use it, and neither it nor the table builder
-imports numpy), and kernel_matrix_limbs, which sums the same tiles in
-numpy into the exact matrix T - Lambda as balanced int64 limbs; tests
-require the two to agree entrywise.  The modular kernel reduces those
+imports numpy), which multiplies the two half rows as T = B A, and
+kernel_matrix_limbs, which composes the full row from the halves and sums
+its 2^{2n} tiles in numpy into the exact matrix T - Lambda as balanced
+int64 limbs; tests require both to agree entrywise with a row walked
+configuration by configuration.  The modular kernel reduces those
 limbs mod its prime (limbs_mod), computes each p-adic residual
 (r - (T - Lambda) x) / p exactly against them (limbs_lift), and certifies
 its candidate with limbs_vanish, an exact zero test of (T - Lambda) v.
@@ -276,29 +280,38 @@ def _face_steps(n: int) -> list[tuple[list[int], list[int]]]:
 
 @lru_cache(maxsize=None)
 def _tile_table(n: int):
-    """table[src][tiles] = canonical index of the pattern the row
-    configuration ``tiles`` (bit k - 1 set: face k glues) sends src to,
-    stored as compact uint16 arrays (the table dominates memory at n = 7).
+    """The row split at face n, as two half-row tables of uint16 arrays.
 
-    Built by the face sweep of _face_steps: a source's row of states after
-    k faces is a tuple of 2^k state ids, and face k + 1 maps it through
-    the pass lookup, then through the glue lookup appended after it; only
-    the finished row is stored.  The sweep holds 132 states before face 1
-    and at most 429 (= C_7) per level at n = 6, 429 and 1,430 at n = 7, so
-    the lookups are small and nearly all the work is the 2 * 4^n lookups
-    per source.
+    ``first[src][lo]`` is the state after faces 1..n that the
+    configuration ``lo`` of those faces (bit k - 1 set: face k glues) makes
+    of source pattern src; ``second[mid][hi]`` is the canonical index of
+    the pattern that faces n+1..2n in configuration ``hi`` (bit k - 1 set:
+    face n + k glues) make of state ``mid`` after face n.  Row
+    configuration hi * 2^n + lo therefore sends src to
+    second[first[src][lo]][hi].
+
+    Both halves come from one face sweep (_face_steps): a row of states
+    after k faces of a half is a tuple of 2^k state ids, and face k + 1
+    maps it through the pass lookup, then through the glue lookup appended
+    after it.  There are at most C_{n+1} states after face n (429 at
+    n = 6, 1,430 at n = 7), so the halves hold 35,904 entries at n = 6 and
+    237,952 at n = 7, where the full table would hold C_n 4^n (540,672 and
+    7,028,736).
     """
     from array import array
 
-    (pas, glue), *rest = _face_steps(n)
-    table = []
-    for src in range(len(pas)):
-        row = (pas[src], glue[src])
-        for pas_k, glue_k in rest:
-            get = itemgetter(*row)
-            row = get(pas_k) + get(glue_k)
-        table.append(array("H", row))
-    return tuple(table)
+    steps = _face_steps(n)
+    halves = []
+    for (pas, glue), *rest in (steps[:n], steps[n:]):
+        rows = []
+        for x in range(len(pas)):
+            row = (pas[x], glue[x])
+            for pas_k, glue_k in rest:
+                get = itemgetter(*row)
+                row = get(pas_k) + get(glue_k)
+            rows.append(array("H", row))
+        halves.append(tuple(rows))
+    return tuple(halves)
 
 
 def row_weights(zs, t) -> list[tuple]:
@@ -315,23 +328,42 @@ def row_weights(zs, t) -> list[tuple]:
     return w
 
 
+def _summed(keys, weights) -> list[tuple]:
+    """(key, summed weight) for every key in ``keys``, in first-seen order:
+    the weights are (a, b) pairs listed alongside the keys."""
+    acc: dict = {}
+    for k, (a, b) in zip(keys, weights):
+        s = acc.get(k)
+        acc[k] = (a, b) if s is None else (s[0] + a, s[1] + b)
+    return list(acc.items())
+
+
 def transfer_link_pairs(n: int, zs, t) -> list[list[tuple]]:
     """Link-basis transfer matrix as (a, b) coefficient pairs, tile route.
 
-    Plain Python, so importing the package and building small matrices
-    never loads numpy; kernel_matrix_limbs is the numpy route the modular
-    kernel uses."""
+    The row factors at face n as T = B A: A[src] sums the weights of the
+    first n faces by the state they reach (first of _tile_table), B[mid]
+    the weights of the last n by the pattern they end in (second), and
+    T[dst][src] = sum over mid of B[mid][dst] A[src][mid], one product per
+    (src, mid, dst) triple the halves connect (27,429 at n = 6).  Plain
+    Python, so importing the package and building small matrices never
+    loads numpy; kernel_matrix_limbs is the numpy route the modular kernel
+    uses."""
     _expect_parameters(n, zs)
-    table = _tile_table(n)
-    wa, wb = zip(*row_weights(zs, t))
-    cn = len(table)
+    first, second = _tile_table(n)
+    lo_w = row_weights(zs[:n], t)
+    hi_w = row_weights(zs[n:], t)
+    b = [_summed(row, hi_w) for row in second]
+    cn = len(first)
     cols = []
-    for row in table:
+    for row in first:
         ca = [0] * cn
         cb = [0] * cn
-        for dst, a, b in zip(row, wa, wb):
-            ca[dst] += a
-            cb[dst] += b
+        for mid, wa in _summed(row, lo_w):
+            for dst, wb in b[mid]:
+                x, y = pair_mul(wb, wa)
+                ca[dst] += x
+                cb[dst] += y
         cols.append(list(zip(ca, cb)))
     return [list(r) for r in zip(*cols)]
 
@@ -343,8 +375,8 @@ _SCATTER_CHUNK = 1 << 14
 
 @lru_cache(maxsize=None)
 def _tile_scatter(n: int) -> tuple:
-    """The tile table regrouped by destination, in chunks of whole source
-    patterns of about _SCATTER_CHUNK row configurations in all.
+    """The row configurations regrouped by destination, in chunks of whole
+    source patterns of about _SCATTER_CHUNK row configurations in all.
 
     Chunk entry is (order, starts, flat): ``order`` (uint16) lists, one
     source after another, the 2^{2n} row configurations sorted by the
@@ -354,25 +386,34 @@ def _tile_scatter(n: int) -> tuple:
     is ``np.add.reduceat(np.take(W, order, axis=1), starts, axis=1)`` at
     ``flat``: np.take gathers in one pass and converts the uint16 order
     itself, where the fancy index W[:, order] takes about twice as long.
-    Built from _tile_table on first use; about 1.3 MB at n = 6.
+
+    Built on first use from the halves of _tile_table, one chunk at a
+    time, so the full table is never held: one gather composes the
+    chunk's rows, entry hi * 2^n + lo of row src being
+    second[first[src][lo]][hi], and one stable argsort orders its uint16
+    keys (source in chunk) * C + pattern, at most 672 (n = 5), each
+    segment starting where the sorted key changes.  About 1.3 MB at n = 6.
     """
     import numpy as np
 
-    table = _tile_table(n)
-    cn, size = len(table), len(table[0])
-    step = max(1, _SCATTER_CHUNK // size)
+    first, second = (np.frombuffer(b"".join(half), dtype=np.uint16).reshape(len(half), -1)
+                     for half in _tile_table(n))
+    cn, size = len(first), first.shape[1] ** 2
+    by_hi = np.ascontiguousarray(second.T)
+    step = min(cn, max(1, _SCATTER_CHUNK // size))
+    shift = (np.arange(step, dtype=np.uint16) * cn)[:, None]
     chunks = []
-    for lo in range(0, cn, step):
-        orders, starts, flats = [], [], []
-        for src in range(lo, min(lo + step, cn)):
-            dst = np.frombuffer(table[src], dtype=np.uint16)
-            order = np.argsort(dst, kind="stable").astype(np.uint16)
-            ordered = dst[order]
-            first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-            orders.append(order)
-            starts.append(first + (src - lo) * size)
-            flats.append(ordered[first].astype(np.intp) * cn + src)
-        chunks.append((np.concatenate(orders), np.concatenate(starts), np.concatenate(flats)))
+    for s0 in range(0, cn, step):
+        part = first[s0:s0 + step]
+        # rows[hi, s, x] = s * C + second[first[s0 + s][x]][hi]
+        rows = by_hi[:, part] + shift[:len(part)]
+        keys = rows.transpose(1, 0, 2).ravel()
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+        seen = ordered[starts].astype(np.intp)
+        chunks.append(((order & (size - 1)).astype(np.uint16), starts,
+                       seen % cn * cn + seen // cn + s0))
     return tuple(chunks)
 
 
@@ -455,19 +496,24 @@ def _weight_limbs(n: int, zs, t):
 def kernel_matrix_limbs(n: int, zs, t):
     """T - Lambda in numpy, exactly, as balanced int64 limbs.
 
-    zs and t must be integers.  Returns an array of shape (2, L, C, C):
-    the a and b parts of entry [r][c] of transfer_link_pairs, less
-    eigenvalue(t, zs) when r == c, are sum_k limbs[0 or 1, k, r, c] *
-    2^(30 k), with every limb in [-2^29, 2^29).  A limb of the tile sum
-    can reach 2^{29 + 2n}; _balanced_carry, after the eigenvalue is
-    subtracted, brings it back, with one more limb where needed.
+    zs and t must be integral in Z[w]: ints, or Fractions and CycloNums
+    with integral parts; anything else raises TypeError.  Returns an array
+    of shape (2, L, C, C): the a and b parts of entry [r][c] of
+    transfer_link_pairs, less eigenvalue(t, zs) when r == c, are
+    sum_k limbs[0 or 1, k, r, c] * 2^(30 k), with every limb in
+    [-2^29, 2^29).  A limb of the tile sum can reach 2^{29 + 2n};
+    _balanced_carry, after the eigenvalue is subtracted, brings it back,
+    with one more limb where needed.
     """
     import numpy as np
 
     _expect_parameters(n, zs)
+    # plain ints, as psi_point passes them, skip the coercion
+    if any(type(x) is not int for x in (t, *zs)) and integer_pairs([t, *zs])[1] != 1:
+        raise TypeError("kernel_matrix_limbs takes z and t integral in Z[w]")
     # rows of w: (a limb 0, b limb 0, a limb 1, b limb 1, ...)
     w = _weight_limbs(n, zs, t)
-    cn = len(_tile_table(n))
+    cn = len(_tile_table(n)[0])
     out = np.zeros((len(w), cn * cn), dtype=np.int64)
     for order, starts, flat in _tile_scatter(n):
         out[:, flat] = np.add.reduceat(np.take(w, order, axis=1), starts, axis=1)

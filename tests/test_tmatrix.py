@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 import pytest
@@ -249,7 +250,8 @@ def test_eigenvalue_factor_form():
 
 
 # the row walked configuration by configuration: the oracle for the face
-# sweep that builds _tile_table
+# sweep that builds the halves of _tile_table, and the 4^n reference that
+# transfer_link_pairs is checked against
 _PORT_S, _PORT_N, _PORT_W, _PORT_E = 0, 1, 2, 3
 _PASS = {_PORT_S: _PORT_E, _PORT_E: _PORT_S, _PORT_W: _PORT_N, _PORT_N: _PORT_W}
 _GLUE = {_PORT_S: _PORT_W, _PORT_W: _PORT_S, _PORT_N: _PORT_E, _PORT_E: _PORT_N}
@@ -308,9 +310,11 @@ def _walk(n: int, sk: list[int], pattern) -> int:
     return pattern_index(n)[tuple(pairing)]
 
 
+@lru_cache(maxsize=None)
 def tile_table_by_rows(n: int) -> tuple:
-    """_tile_table rebuilt by walking every row configuration against
-    every source pattern."""
+    """table[src][tiles] = the pattern the row configuration ``tiles``
+    makes of source pattern src, found by walking every row configuration
+    against every source pattern: C_n 4^n entries."""
     from array import array
 
     patterns = enumerate_patterns(n)
@@ -324,22 +328,28 @@ def tile_table_by_rows(n: int) -> tuple:
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_tile_table_equals_row_walk(n):
-    got = _tile_table(n)
+    first, second = _tile_table(n)
     expect = tile_table_by_rows(n)
-    assert len(got) == len(expect) == catalan(n)
-    for row, ref in zip(got, expect):
-        assert row.typecode == "H" and row.tobytes() == ref.tobytes()
+    assert len(first) == len(expect) == catalan(n)
+    assert len(second) == len(_face_steps(n)[n][0]) <= catalan(n + 1)
+    for half in (first, second):
+        assert all(row.typecode == "H" and len(row) == 1 << n for row in half)
+    for src, ref in enumerate(expect):
+        row = [second[first[src][lo]][hi] for hi in range(1 << n) for lo in range(1 << n)]
+        assert row == ref.tolist()
 
 
 def test_tile_table_sampled_at_n7():
     n = 7
-    table = _tile_table(n)
+    first, second = _tile_table(n)
     patterns = enumerate_patterns(n)
-    assert len(table) == 429 and all(len(row) == 1 << 14 for row in table)
+    assert len(first) == 429 and len(second) <= 1430
+    assert sum(map(len, first + second)) == 237952
     rnd = random.Random(7)
     for _ in range(2000):
         src, tiles = rnd.randrange(429), rnd.getrandbits(14)
-        assert table[src][tiles] == _walk(n, _row_skeleton(n, tiles), patterns[src])
+        got = second[first[src][tiles & 127]][tiles >> 7]
+        assert got == _walk(n, _row_skeleton(n, tiles), patterns[src])
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -419,6 +429,43 @@ def test_numpy_assembly_equals_tile_route(n):
         parts = wl.reshape(-1, 2, wl.shape[1]).astype(object)
         values = sum(parts[k] << (LIMB_BITS * k) for k in range(len(parts)))
         assert list(zip(*values.tolist())) == row_weights(zs, t), kind
+
+
+def pairs_by_rows(n, zs, t) -> list[list[tuple]]:
+    """transfer_link_pairs from the 4^n reference: row_weights(zs, t)
+    summed by destination over tile_table_by_rows."""
+    cn = catalan(n)
+    out = [[(0, 0)] * cn for _ in range(cn)]
+    weights = row_weights(zs, t)
+    for src, row in enumerate(tile_table_by_rows(n)):
+        for dst, (a, b) in zip(row, weights):
+            x, y = out[dst][src]
+            out[dst][src] = (x + a, y + b)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_transfer_pairs_equal_row_walk_sum(n):
+    # both tile routes read the halves of _tile_table; this oracle shares
+    # nothing with them but row_weights
+    points = dict(_limb_points(n))
+    points["fraction"] = ([Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(2 * n)],
+                          Fraction(-2, 3))
+    points["cyclo"] = ([CycloNum(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(2 * n)],
+                       CycloNum(Fraction(1, 2), -1))
+    for kind, (zs, t) in points.items():
+        assert transfer_link_pairs(n, zs, t) == pairs_by_rows(n, zs, t), kind
+
+
+def test_kernel_limbs_take_integral_points_only():
+    # a non-integral part used to fail deep inside the limb split
+    for zs, t in (([Fraction(1, 2), 2, 3, 4], 1), ([1, 2, 3, 4], Fraction(1, 3)),
+                  ([1, 2, 3, 4], CycloNum(1, Fraction(1, 2)))):
+        with pytest.raises(TypeError, match="integral in Z\\[w\\]"):
+            kernel_matrix_limbs(2, zs, t)
+    # values integral in Z[w] stay accepted, whatever their type
+    zs, t = [Fraction(2), 2, 3, CycloNum(1, 1)], CycloNum(1, 1)
+    assert limbs_exact(kernel_matrix_limbs(2, zs, t)) == kernel_pairs(2, zs, t)
 
 
 @settings(max_examples=200, deadline=None)
