@@ -124,7 +124,7 @@ class PointVector:
     values: tuple
 
 
-#: the first prime tried, just above 2^29: modular._check_prime bounds p below 2^30
+#: the first prime tried, just above 2^29: modular._panel_width bounds p below 2^30
 _PRIME_START = (1 << 29) + 1
 #: base-p digits lifted per kernel solve, about 29 bits each
 _MAX_DIGITS = 64

@@ -7,15 +7,15 @@ together as one stack by ``nullspace_mod_np``, in lockstep: every member
 has a kernel of one line with a nonzero last coordinate, found with its
 pivots on the diagonal, or the elimination gives up.  It is a blocked
 Gauss-Jordan elimination in product form: column steps within panels of
-at most 30 columns, and after each panel one exact float64 product
-(``_mulmod``) for the columns right of it, in every row.  The columns it
-leaves behind are the eta columns of the inverse of the pivot rows, so
-one sweep gives the kernel line, with no triangular solve, and the
-inverse that ``inverse_apply`` applies to each later digit, in int64.
-Every product width here and in ``tmatrix`` is read from one rule,
-``_room``, for p below 2^30, the one bound that ``_check_prime``
-enforces.  Whole arrays are reduced by ``reduce_mod``, the floor
-division form of numpy's %.
+at most 30 columns, and after each panel its eta matrix applied to the
+columns right of it.  The columns it leaves behind are the eta columns
+of the inverse of the pivot rows, so one sweep gives the kernel line,
+with no triangular solve, and the inverse that ``inverse_apply``
+applies to each later digit.  Both apply etas through ``_eta_apply``,
+one int64 product per panel that ``_panel_width`` keeps exact, for p
+below 2^30; no product here is float64.  Every product width here and
+in ``tmatrix`` is read from one rule, ``_room``.  Whole arrays are
+reduced by ``reduce_mod``, the floor division form of numpy's %.
 Callers must verify the lifted result exactly; these routines only
 propose candidates.
 
@@ -88,9 +88,9 @@ def cube_root_mod(p: int) -> int:
 #: bits per limb of tmatrix.kernel_matrix_limbs: a sum of 2^{2n} limbs
 #: below 2^30 in absolute value stays inside int64 for every n <= 16
 LIMB_BITS = 30
-#: bits per digit, half a limb: a residue splits into two digits in
-#: _mulmod, and limb k of tmatrix.limbs_vanish's matrix lands on digit 2k
-#: of its image
+#: bits per digit, half a limb: tmatrix.limbs_lift splits each balanced
+#: base-p digit of the lift into two, and limb k of a matrix lands on
+#: digit 2k of its image
 DIGIT_BITS = LIMB_BITS // 2
 #: columns per panel of nullspace_mod_np and inverse_apply, at most
 _PANEL = 30
@@ -102,14 +102,6 @@ def _room(term: int, bits: int) -> int:
     int64 at bits = 63 when one of them is below ``term``, so int64
     callers take room - 1 terms on top of one residue or limb."""
     return (1 << bits) // max(1, term)
-
-
-def _check_prime(p: int) -> None:
-    """Raise ValueError for a prime of 2^30 or more, whose residues do not
-    split into two DIGIT_BITS-bit digits: the one bound on p of every
-    exact product here."""
-    if p >= 1 << 2 * DIGIT_BITS:
-        raise ValueError(f"p = {p} is too large for exact float64 products")
 
 
 class Elimination(NamedTuple):
@@ -135,10 +127,29 @@ class Elimination(NamedTuple):
 def _panel_width(p: int) -> int:
     """Columns per panel of nullspace_mod_np and inverse_apply: _PANEL, or
     fewer where int64 could not hold that many products of two residues,
-    each at most (p-1)^2, on top of a residue (_room).  A prime of 2^30 or
-    more raises ValueError (_check_prime)."""
-    _check_prime(p)
+    each at most (p-1)^2, on top of a residue (_room).
+
+    A prime of 2^30 or more raises ValueError, the one bound on p of the
+    point solve: the lift's balanced base-p digits must stay below 2^29
+    in absolute value, because tmatrix.limbs_lift splits each of them
+    into two balanced DIGIT_BITS-bit halves."""
+    if p >= 1 << 2 * DIGIT_BITS:
+        raise ValueError(f"p = {p} is too large for two {DIGIT_BITS}-bit digits")
     return min(_PANEL, _room((p - 1) ** 2, 63) - 1)
+
+
+def _eta_apply(cols, x, lo: int, p: int) -> None:
+    """x <- E x mod p in place, for the eta matrix E that is the identity
+    with columns lo .. lo + w - 1 replaced by ``cols`` (B, R, w), applied
+    to the residues x (B, R, k) in [0, p): rows lo .. lo + w - 1 of x are
+    saved and zeroed, and every row adds ``cols`` times the saved rows.
+    With ``cols`` in [0, p) too and w at most _panel_width(p), that is w
+    products of two residues on top of a residue, which int64 holds."""
+    w = cols.shape[-1]
+    saved = x[:, lo:lo + w].copy()
+    x[:, lo:lo + w] = 0
+    x += cols @ saved
+    reduce_mod(x, p)
 
 
 def nullspace_mod_np(stack, p: int) -> Elimination | None:
@@ -167,10 +178,10 @@ def nullspace_mod_np(stack, p: int) -> Elimination | None:
     takes a_ic times the pivot row off, with -a_ic/a_cc stored at (i, c),
     the eta column of step c.  The panel's columns start reduced and take
     one product of two residues per step, at most w in all on top of a
-    residue, which int64 holds.  After the panel its
-    rows' columns to the right, untouched so far, are the right factor:
-    they are copied out and zeroed, and every row adds its panel columns
-    times that copy, one exact float64 product (_mulmod), then is reduced.
+    residue, which int64 holds.  After the panel, reduced, its eta matrix
+    is applied to the columns right of it, untouched so far (_eta_apply):
+    its rows there are copied out and zeroed, and every row adds its
+    panel columns times that copy, one int64 product, then is reduced.
     Columns left of a panel are never touched again, so they keep the
     eta columns.  The last panel runs to the last column, so an
     elimination of at most w + 1 columns is the plain column sweep, and
@@ -215,11 +226,7 @@ def nullspace_mod_np(stack, p: int) -> Elimination | None:
             stack[:, c, lo:end] = pivot
         reduce_mod(stack[:, :, lo:hi], p)
         if end < ncols:
-            right = stack[:, lo:hi, end:].copy()
-            stack[:, lo:hi, end:] = 0
-            trail = stack[:, :, end:]
-            trail += _mulmod(stack[:, :, lo:hi], right, p)
-            reduce_mod(trail, p)
+            _eta_apply(stack[:, :, lo:hi], stack[:, :, end:], lo, p)
     # the last column: a pivot there means full rank, none means the last
     # coordinate is the only free one
     if (stack[:, m:, -1] % p).any():
@@ -245,44 +252,16 @@ def reduce_mod(x, p: int):
     return x
 
 
-def _mulmod(x, y, p: int):
-    """x @ y mod p for stacks of int64 residues, x in [0, p) and y in
-    [0, p], exactly, through one float64 product: y splits into two
-    DIGIT_BITS-bit digits side by side, so the inner width may be
-    _room((p - 1) 2^15, 53), 256 or more for every p < 2^30.  A wider
-    product, or a prime of 2^30 or more (_check_prime), raises ValueError.
-    """
-    import numpy as np
-
-    _check_prime(p)
-    inner, cols = y.shape[-2:]
-    if inner > _room((p - 1) << DIGIT_BITS, 53):
-        raise ValueError(f"inner width {inner} is too large for an exact float64 product mod {p}")
-    halves = np.empty(y.shape[:-1] + (2 * cols,), dtype=np.float64)
-    np.right_shift(y, DIGIT_BITS, out=halves[..., :cols], casting="unsafe")
-    np.bitwise_and(y, (1 << DIGIT_BITS) - 1, out=halves[..., cols:], casting="unsafe")
-    acc = (x.astype(np.float64) @ halves).astype(np.int64)
-    high = reduce_mod(acc[..., :cols], p)
-    high <<= DIGIT_BITS
-    high += acc[..., cols:]
-    return reduce_mod(high, p)
-
-
 def inverse_apply(inverse, vecs, p: int):
     """A'^{-1} vecs[b] mod p for the Elimination ``inverse`` (B, m, m) and
     residues ``vecs`` of shape (B, m) in [0, p): the panel etas E_1 ... E_K
-    applied in order.  E_k changes only the entries in its panel: they are
-    replaced by E_k's panel columns times those entries, one int64 product
-    that the panel width keeps exact (_panel_width), added to the others.
-    A prime of 2^30 or more raises ValueError (_check_prime).
+    applied in order, each by _eta_apply, the same product as the
+    elimination's updates.  A prime of 2^30 or more raises ValueError (_panel_width).
     """
     width = _panel_width(p)
     vecs = vecs.copy()
     for lo in range(0, vecs.shape[1], width):
-        saved = vecs[:, lo:lo + width, None].copy()
-        vecs[:, lo:lo + width] = 0
-        vecs += (inverse[:, :, lo:lo + width] @ saved)[..., 0]
-        reduce_mod(vecs, p)
+        _eta_apply(inverse[:, :, lo:lo + width], vecs[..., None], lo, p)
     return vecs
 
 

@@ -216,10 +216,6 @@ class MPoly:
             )
         return self.terms.get(e, ZERO)
 
-    def total_degree(self) -> int:
-        """Max total degree over terms; 0 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=0)
-
     def degree_in(self, var: int) -> int:
         return max((e[var] for e in self.terms), default=0)
 

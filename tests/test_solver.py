@@ -15,7 +15,7 @@ from loopsum.cyclo import CycloNum, ONE, ZERO, pair_mul
 from loopsum.groundstate import DegenerateKernelError, _kernel_modular
 from loopsum.modular import (
     _PANEL,
-    _mulmod,
+    _eta_apply,
     _room,
     cached_primes,
     crt_pair,
@@ -451,14 +451,15 @@ def test_pivot_inverse_and_inverse_apply_check_their_bound():
 
 
 #: the first prime above 2^29 and the largest below 2^30, the largest
-#: _check_prime allows
+#: _panel_width allows
 WIDE_PRIMES = (cached_primes(1, (1 << 29) + 1)[0][0],
                next(q for q in range((1 << 30) - 1, 0, -1) if is_prime(q)))
 
 
 def _mod_product(a, b, p):
     """a @ b mod p for int64 residues below 2^30, in int64 on 15-bit halves
-    of b: no float product, so independent of _mulmod."""
+    of b: every partial sum stays below 2^55 for inner widths up to 2^10,
+    so unlike _eta_apply it does not rest on the panel width."""
     high = (a @ (b >> 15)) % p
     return ((high << 15) + a @ (b & 0x7FFF)) % p
 
@@ -474,20 +475,25 @@ def _panel(p):
 def test_inverse_apply_equals_int64_product(m, p):
     # eta arrays, one member at the largest residues and one random,
     # applied panel by panel: from m = 13 at the largest prime and m = 41
-    # at the first, a vector crosses more than one panel
+    # at the first, a vector crosses more than one panel.  The block of
+    # k = 3 columns is the elimination's trailing update; the first
+    # member, every eta and entry at p - 1, makes its largest sums
     import numpy as np
 
     rng = np.random.default_rng(m)
     inverse = np.stack([np.full((m, m), p - 1), rng.integers(0, p, (m, m))])
-    vecs = np.stack([np.full(m, p - 1), rng.integers(0, p, m)])
-    want = vecs.copy()
+    block = np.stack([np.full((m, 3), p - 1), rng.integers(0, p, (m, 3))])
+    want = block.copy()
+    got = block.copy()
     w = _panel(p)
     for lo in range(0, m, w):
         hi = min(lo + w, m)
-        saved = want[:, lo:hi, None].copy()
+        saved = want[:, lo:hi].copy()
         want[:, lo:hi] = 0
-        want = (want + _mod_product(inverse[:, :, lo:hi], saved, p)[..., 0]) % p
-    assert np.array_equal(inverse_apply(inverse, vecs, p), want)
+        want = (want + _mod_product(inverse[:, :, lo:hi], saved, p)) % p
+        _eta_apply(inverse[:, :, lo:hi], got, lo, p)
+    assert np.array_equal(got, want)
+    assert np.array_equal(inverse_apply(inverse, block[..., 0], p), want[..., 0])
 
 
 def _unit_lower_inverse(strict, p: int):
@@ -537,46 +543,17 @@ def test_blocked_inverse_equals_column_sweep(m, p):
     assert (_mod_product(unit, inv, p) == eye).all()
 
 
-@pytest.mark.parametrize("p", WIDE_PRIMES)
-def test_float_product_sums_past_one_chunk(p):
-    # the widest inner width _mulmod allows, 511 at the first prime above
-    # 2^29 and 256 at the largest below 2^30; x at p - 1 and y at p, the
-    # largest values it takes, give the largest sums.  One column more
-    # raises, so no sum can pass 2^53
-    import numpy as np
-
-    inner = _room((p - 1) << 15, 53)
-    assert inner == {WIDE_PRIMES[0]: 511, WIDE_PRIMES[1]: 256}[p]
-    rng = np.random.default_rng(5)
-    x = np.concatenate([np.full((1, 3, inner), p - 1), rng.integers(0, p, (1, 3, inner))])
-    y = np.concatenate([np.full((1, inner, 4), p), rng.integers(0, p + 1, (1, inner, 4))])
-    got = _mulmod(x, y, p).tolist()
-    assert got == [[[sum(int(a) * int(b) for a, b in zip(row, col)) % p for col in mat_y.T]
-                    for row in mat_x] for mat_x, mat_y in zip(x, y)]
-    with pytest.raises(ValueError, match="too large"):
-        _mulmod(np.full((1, 3, inner + 1), p - 1), np.full((1, inner + 1, 4), p), p)
-
-
 def test_blocked_inverse_checks_its_bound_without_assert():
     # p >= 2^30 splits into more than two 15-bit halves: a ValueError,
     # also under python -O, which drops assert statements; q is the first
-    # prime p = 1 (mod 3) above 2^30, one the point solve could be given.
-    # So is a float64 product wider than its room, 511 columns at the
-    # first prime above 2^29
+    # prime p = 1 (mod 3) above 2^30, one the point solve could be given
     code = textwrap.dedent("""
         import numpy as np
-        from loopsum.modular import _mulmod, cached_primes, inverse_apply, nullspace_mod_np
+        from loopsum.modular import cached_primes, inverse_apply, nullspace_mod_np
         q = cached_primes(1, (1 << 30) + 1)[0][0]
-        p = cached_primes(1, (1 << 29) + 1)[0][0]
-        calls = (lambda: _mulmod(np.ones((1, 2, 2), dtype=np.int64),
-                                 np.ones((1, 2, 2), dtype=np.int64), (1 << 31) - 1),
-                 lambda: nullspace_mod_np(np.zeros((2, 5, 5), dtype=np.int64), q),
+        calls = (lambda: nullspace_mod_np(np.zeros((2, 5, 5), dtype=np.int64), q),
                  lambda: inverse_apply(np.zeros((2, 4, 4), dtype=np.int64),
-                                       np.zeros((2, 4), dtype=np.int64), q),
-                 lambda: _mulmod(np.ones((1, 2, 2), dtype=np.int64),
-                                 np.ones((1, 2, 2), dtype=np.int64), q),
-                 lambda: _mulmod(np.ones((1, 2, 512), dtype=np.int64),
-                                 np.ones((1, 512, 2), dtype=np.int64), p))
+                                       np.zeros((2, 4), dtype=np.int64), q))
         raised = 0
         for call in calls:
             try:
@@ -589,7 +566,7 @@ def test_blocked_inverse_checks_its_bound_without_assert():
     for flags in ([], ["-O"]):
         out = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
                              text=True, check=True, env=env)
-        assert out.stdout == "5\n", flags
+        assert out.stdout == "2\n", flags
 
 
 def _column_sweep(stack, p):
