@@ -22,7 +22,8 @@ Hot loops skip CycloNum objects altogether and work on integer pairs
 (a, b) for a + b w: integer_pairs clears the denominators of a list of
 scalars, pair_mul multiplies two pairs, pair_qdiff forms q x - q^{-1} y,
 and from_pair turns the result back into one CycloNum.  accumulate is the
-one sparse accumulation: it adds into a dict entry and drops a zero sum.
+one sparse accumulation of CycloNum values: it adds into a dict entry and
+drops a zero sum (mpoly.add_all sums integer pairs instead).
 """
 
 from __future__ import annotations
@@ -187,8 +188,11 @@ def as_cyclo(x) -> CycloNum:
 
 def integer_pairs(values) -> tuple[list[tuple[int, int]], int]:
     """Scalars (anything as_cyclo takes) as integer pairs over one common
-    denominator d > 0: value k is (a_k + b_k w) / d."""
+    denominator d > 0: value k is (a_k + b_k w) / d; d = 1, with the
+    parts returned as they are, when every part is an int."""
     parts = [(x.a, x.b) for x in map(as_cyclo, values)]
+    if all(type(a) is int is type(b) for a, b in parts):
+        return parts, 1
     d = lcm(*(x.denominator for pair in parts for x in pair))
     return [(a.numerator * (d // a.denominator), b.numerator * (d // b.denominator))
             for a, b in parts], d

@@ -57,7 +57,7 @@ from .linkpat import (
     sequence_decomposition,
 )
 from .modular import cached_primes, inverse_apply, nullspace_mod_np, reduce_mod
-from .mpoly import HomogenizationMismatchError, MPoly, add_all, product
+from .mpoly import HomogenizationMismatchError, MPoly, add_all, eval_all, product
 from .report import CheckReport
 from .tmatrix import (
     e_link_matrix,
@@ -337,7 +337,7 @@ class Groundstate:
         return add_all(2 * self.n, self.components)
 
     def values_at(self, zs) -> list[CycloNum]:
-        return [c.eval(list(zs)) for c in self.components]
+        return eval_all(self.components, list(zs))
 
     def to_json(self) -> dict:
         return {

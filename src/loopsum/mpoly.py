@@ -8,6 +8,13 @@ Validation happens at the boundary: MPoly(...) checks the input of zero,
 constant, variable and from_json; results built here from valid terms skip
 it through MPoly._raw, and their coefficient sums drop zeros (accumulate).
 
+Exact evaluation has one path, eval_all: exponent vectors split into a
+low and a high half, each distinct half is evaluated once per point for
+all polynomials of the call, and terms are summed per low half before
+one multiplication by its value (a two-level Horner scheme).  The sums
+are integer pairs over one denominator, so the value is exact; add_all
+likewise sums integer pairs over one common denominator.
+
 Tensor-grid interpolation applies each axis's inverse Vandermonde matrix,
 scaled to integers, to integer values over one common denominator; with
 (bound+1) distinct nodes per variable the result is the unique polynomial
@@ -170,43 +177,10 @@ class MPoly:
     # -- queries ---------------------------------------------------------
 
     def eval(self, point: Sequence) -> CycloNum:
-        """Exact value at a point of CycloNum (or rational) coordinates.
-
-        The sum runs in integer pairs (a, b) for a + b*w: the point's
-        coordinates share one denominator d and the coefficients one
-        denominator e, each term of degree k is made up to the top degree
-        with d^(top - k), and a single CycloNum is built at the end.
-        """
-        if len(point) != self.nvars:
-            raise ArityMismatchError(
-                f"point has {len(point)} coordinates, expected {self.nvars}"
-            )
-        pt, d = integer_pairs(point)
-        if not self.terms:
-            return ZERO
-        coeffs, e = integer_pairs(self.terms.values())
-        # power tables of (a, b) pairs keep repeated exponents cheap
-        maxe = [max(k) for k in zip(*self.terms)]
-        pows = []
-        for x, top in zip(pt, maxe):
-            row = [(1, 0)]
-            for _ in range(top):
-                row.append(pair_mul(row[-1], x))
-            pows.append(row)
-        degrees = {sum(k) for k in self.terms}
-        top = max(degrees)
-        pad = {k: d ** (top - k) for k in degrees}
-        sa = sb = 0
-        for exps, (a, b) in zip(self.terms, coeffs):
-            for row, k in zip(pows, exps):
-                if k:
-                    xa, xb = row[k]
-                    bd = b * xb
-                    a, b = a * xa - bd, a * xb + b * xa - bd
-            f = pad[sum(exps)]
-            sa += a * f
-            sb += b * f
-        return from_pair((sa, sb), e * d ** top)
+        """Exact value at a point of CycloNum (or rational) coordinates,
+        from the one evaluator eval_all (halves of each exponent vector
+        evaluated once, sums in integer pairs, one exact division)."""
+        return eval_all([self], point)[0]
 
     def coeff_of(self, exps: Sequence[int]) -> CycloNum:
         e = tuple(exps)
@@ -356,15 +330,102 @@ def product(nvars: int, factors: Iterable[MPoly]) -> MPoly:
     return acc
 
 
+def eval_all(polys: Sequence[MPoly], point: Sequence) -> list[CycloNum]:
+    """The exact value of each of polys at one point of CycloNum (or
+    rational) coordinates, every poly in len(point) variables.
+
+    Each exponent vector splits at h = nvars // 2 into a low half (the
+    first h variables) and a high half.  The value of each distinct half
+    is computed once per call, from one power table per variable, and
+    shared by every poly; a term multiplies its coefficient by its high
+    half's value and adds into a group keyed by its low half, and each
+    group is multiplied once by its low half's value.
+
+    Everything runs in integer pairs (a, b) for a + b*w: the coordinates
+    share one denominator d and a poly's coefficients one denominator e.
+    A half of degree k in a half of width m is made up to degree top*m
+    with d^(top*m - k), top the largest exponent of any variable, so every
+    term sits over e * d^(top*nvars) and one exact division (from_pair)
+    per poly ends it.
+    """
+    nvars = len(point)
+    for p in polys:
+        if p.nvars != nvars:
+            raise ArityMismatchError(f"point has {nvars} coordinates, expected {p.nvars}")
+    pt, d = integer_pairs(point)
+    h = nvars // 2
+    top = max((max(map(max, p.terms)) for p in polys if p.terms and nvars), default=0)
+    pows = [list(itertools.accumulate(itertools.repeat(x, top), pair_mul, initial=(1, 0)))
+            for x in pt]
+    pads = [d ** k for k in range(top * (nvars - h) + 1)]
+
+    def half_value(exps: tuple, first: int, memo: dict) -> tuple[int, int]:
+        v = (pads[top * len(exps) - sum(exps)], 0)
+        for row, k in zip(pows[first:], exps):
+            if k:
+                v = pair_mul(v, row[k])
+        memo[exps] = v
+        return v
+
+    his: dict[tuple, tuple[int, int]] = {}
+    los: dict[tuple, tuple[int, int]] = {}
+    out = []
+    for p in polys:
+        if not p.terms:
+            out.append(ZERO)
+            continue
+        coeffs, e = integer_pairs(p.terms.values())
+        groups: dict[tuple, list[int]] = {}
+        for exps, (a, b) in zip(p.terms, coeffs):
+            key = exps[h:]
+            xa, xb = his.get(key) or half_value(key, h, his)
+            bd = b * xb
+            a, b = a * xa - bd, a * xb + b * xa - bd
+            key = exps[:h]
+            g = groups.get(key)
+            if g is None:
+                groups[key] = [a, b]
+            else:
+                g[0] += a
+                g[1] += b
+        sa = sb = 0
+        for key, g in groups.items():
+            a, b = pair_mul(g, los.get(key) or half_value(key, 0, los))
+            sa += a
+            sb += b
+        out.append(from_pair((sa, sb), e * d ** (top * nvars)))
+    return out
+
+
 def add_all(nvars: int, polys: Iterable[MPoly]) -> MPoly:
-    """The sum of polys, all in nvars variables, accumulated in one dict."""
-    terms: dict[tuple[int, ...], CycloNum] = {}
+    """The sum of polys, all in nvars variables.
+
+    The sums run in integer pairs over one common denominator, which
+    grows (rescaling the sums so far) only when a poly's coefficients
+    need a new factor; a CycloNum is built only for each nonzero sum."""
+    sums: dict[tuple[int, ...], list[int]] = {}
+    den = 1
     for p in polys:
         if p.nvars != nvars:
             raise ArityMismatchError(f"variable counts differ: {nvars} vs {p.nvars}")
-        for e, c in p.terms.items():
-            accumulate(terms, e, c)
-    return MPoly._raw(nvars, terms)
+        pairs, e = integer_pairs(p.terms.values())
+        if den % e:
+            up = e // math.gcd(den, e)
+            for s in sums.values():
+                s[0] *= up
+                s[1] *= up
+            den *= up
+        if e != den:
+            f = den // e
+            pairs = [(a * f, b * f) for a, b in pairs]
+        for k, (a, b) in zip(p.terms, pairs):
+            s = sums.get(k)
+            if s is None:
+                sums[k] = [a, b]
+            else:
+                s[0] += a
+                s[1] += b
+    return MPoly._raw(nvars, {k: from_pair(s, den) for k, s in sums.items() if s[0] or s[1]})
 
 
 def _vandermonde_inverse(xs: Sequence[Fraction]) -> tuple[list[list[int]], int]:

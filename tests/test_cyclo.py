@@ -1,11 +1,12 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopsum.cyclo import (CycloNum, OMEGA, ONE, Q, Q_INV, ZERO, ZETA, from_pair, integer_pairs,
-                           sixth_root)
+from loopsum.cyclo import (CycloNum, OMEGA, ONE, Q, Q_INV, ZERO, ZETA, as_cyclo, from_pair,
+                           integer_pairs, sixth_root)
 from loopsum.groundstate import psi_point
 from loopsum.mpoly import MPoly
 from loopsum.schur import Partition, schur_eval
@@ -118,6 +119,17 @@ def test_parts_are_ints_exactly_when_integral(x, y, k, pa, pb, den):
         results.append(x**k)
     for r in results:
         _stored_by_rule(r)
+
+
+@settings(max_examples=80)
+@given(st.lists(st.one_of(st.integers(-9, 9), fractions, cyclos), max_size=6))
+def test_integer_pairs_least_common_denominator(xs):
+    pairs, d = integer_pairs(xs)
+    # all-int inputs take d = 1 without the lcm pass, and still agree
+    assert d == math.lcm(*(Fraction(part).denominator for x in map(as_cyclo, xs)
+                           for part in (x.a, x.b)))
+    assert [from_pair(p, d) for p in pairs] == xs
+    assert all(type(a) is int is type(b) for a, b in pairs)
 
 
 def test_hashable_and_equal_across_forms():

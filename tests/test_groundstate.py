@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from grid_oracle import psi_grid_values, reconstruct_homogeneous
+from test_mpoly import _eval_term_by_term
 from loopsum import groundstate
 from loopsum.cyclo import CycloNum, Q, Q_INV
 from loopsum.golden import golden_groundstate
@@ -382,6 +383,14 @@ def test_sum_components_symmetric_and_schur():
     assert w == schur_symbolic(2)
     zs = rng.sample(range(1, 30), 4)
     assert w.eval(zs) == z_partition_function(2, zs)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_values_at_matches_term_by_term(n):
+    g = psi_symbolic(n)
+    for zs in ([Fraction(3 + 2 * k, 7) for k in range(2 * n)],
+               [CycloNum(k + 1, Fraction(-k, 2)) for k in range(2 * n)]):
+        assert g.values_at(zs) == [_eval_term_by_term(c, zs) for c in g.components]
 
 
 def test_eigen_residual_off_grid():

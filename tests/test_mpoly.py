@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grid_oracle import homogenize
@@ -14,6 +14,7 @@ from loopsum.mpoly import (
     HomogenizationMismatchError,
     MPoly,
     add_all,
+    eval_all,
     interpolate_grid,
 )
 
@@ -242,26 +243,54 @@ fractional_coeffs = st.builds(
     st.fractions(min_value=-9, max_value=9, max_denominator=7),
     st.fractions(min_value=-9, max_value=9, max_denominator=7),
 )
-fractional_points = st.lists(
-    st.one_of(
-        st.fractions(min_value=-9, max_value=9, max_denominator=6),
-        st.integers(min_value=-9, max_value=9),
-        fractional_coeffs,
-    ),
-    min_size=3,
-    max_size=3,
+coordinates = st.one_of(
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+    st.integers(min_value=-9, max_value=9),
+    fractional_coeffs,
 )
+
+
+@st.composite
+def poly_and_point(draw):
+    # nvars 1 leaves the low half empty; 3 and 5 split unevenly
+    nvars = draw(st.sampled_from([1, 2, 3, 4, 5]))
+    exps = st.tuples(*[st.integers(min_value=0, max_value=3)] * nvars)
+    p = MPoly(nvars, draw(st.dictionaries(exps, fractional_coeffs, max_size=6)))
+    return p, draw(st.lists(coordinates, min_size=nvars, max_size=nvars))
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_and_point())
+@example((MPoly.zero(4), [Fraction(1, 2), 0, q, 3]))
+@example((MPoly(1, {(0,): 2, (3,): CycloNum(1, -1)}), [0]))
+@example((MPoly(5, {(0, 0, 0, 0, 0): Fraction(1, 2), (2, 0, 0, 1, 3): CycloNum(1, Fraction(-2, 3)),
+                    (0, 0, 3, 0, 0): -1, (0, 1, 0, 0, 0): q}),
+          [Fraction(1, 2), 0, q, -3, Fraction(5, 3)]))
+def test_eval_matches_term_by_term(case):
+    # zero polys, mixed degrees (the folded pads), 0^0 = 1, fractional
+    # coefficients, rational and Q(w) coordinates, every split of the halves
+    p, point = case
+    assert p.eval(point) == _eval_term_by_term(p, point)
+    assert eval_all([p, -p, p * 2], point) == [p.eval(point), -p.eval(point), p.eval(point) * 2]
+
+
+polys3 = st.dictionaries(st.tuples(*[st.integers(min_value=0, max_value=2)] * 3),
+                         fractional_coeffs, max_size=5).map(lambda t: MPoly(3, t))
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    st.dictionaries(st.tuples(*[st.integers(min_value=0, max_value=3)] * 3),
-                    fractional_coeffs, max_size=6).map(lambda t: MPoly(3, t)),
-    fractional_points,
-)
-def test_eval_matches_term_by_term(p, point):
-    # mixed degrees, fractional coefficients, rational and Q(w) coordinates
-    assert p.eval(point) == _eval_term_by_term(p, point)
+@given(st.lists(polys3, max_size=4))
+@example([MPoly(3, {(1, 0, 0): 2}), MPoly(3, {(1, 0, 0): Fraction(1, 3), (0, 0, 1): Fraction(5, 6)})])
+def test_add_all_matches_cyclonum_sum(polys):
+    expected: dict = {}
+    for p in polys:
+        for e, c in p.terms.items():
+            expected[e] = expected.get(e, ZERO) + c
+    total = add_all(3, (p for p in polys))
+    assert total.terms == {e: c for e, c in expected.items() if c}
+    assert _valid(total)
+    # every term cancels, whatever the order of the denominators
+    assert add_all(3, iter([-total] + polys)) == MPoly.zero(3)
 
 
 def _newton_interpolate(values, grid):
