@@ -278,9 +278,7 @@ def cmd_check_all(args) -> int:
             report = CheckReport(f"aba-residual(n={min(n, 2)})")
             out = aba_residual(min(n, 2), _sample_distinct(rng, 2 * min(n, 2)))
             report.add(
-                out["residual"] < 1e-9
-                and out["eigenvalue_error"] < 1e-9
-                and out["subspace_angle"] < 1e-9,
+                out["residual"] == out["eigenvalue_error"] == out["subspace_angle"] == 0,
                 **out,
             )
             return report

@@ -152,10 +152,6 @@ class CycloNum:
 
     # -- conversions ---------------------------------------------------
 
-    def __complex__(self) -> complex:
-        w = complex(-0.5, 0.75**0.5)
-        return float(self.a) + float(self.b) * w
-
     def to_strings(self) -> list[str]:
         """JSON form: the pair [str(a), str(b)] with '/' separated fractions."""
         return [str(self.a), str(self.b)]

@@ -31,7 +31,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Optional, Sequence
 
 from .cyclo import (
@@ -297,11 +296,10 @@ def psi_point(
     schedule = [_rational(t)] if t is not None else (Fraction(k) for k in range(1, 13))
     last: Optional[Exception] = None
     for tt in schedule:
-        scale = lcm(*(x.denominator for x in z), tt.denominator)
-        zs_int = [x.numerator * (scale // x.denominator) for x in z]
+        rationals, scale = integer_pairs([tt, *z])
+        t_int, *zs_int = (a for a, _ in rationals)
         base = base_component_value(n, zs_int)
         try:
-            t_int = tt.numerator * (scale // tt.denominator)
             pairs = _kernel_modular(kernel_matrix_limbs(n, zs_int, t_int),
                                     (int(base.a), int(base.b)))
             values = [from_pair(pair, scale ** (n * (n - 1))) for pair in pairs]

@@ -21,9 +21,9 @@ The companion objects live in one auxiliary variable t: the degree-3n
 polynomial F_n(t) whose roots are q z_i together with the Bethe roots,
 its cube-root-of-unity identity F(t) + q^2 F(q t) + q F(q^2 t) = 0
 (equivalently a_{3k+1} = 0), the quotient Q_n(t), and the T-Q relation
-with eigenvalue prod_i (q t - q^{-1} z_i).  One deliberately quarantined
-floating-point routine cross-checks the algebraic-Bethe-ansatz vector
-numerically.
+with eigenvalue prod_i (q t - q^{-1} z_i).  The algebraic-Bethe-ansatz
+vector over the roots of Q is built exactly, through the spin route's one
+monodromy, in the splitting algebra of Q (aba_residual).
 """
 
 from __future__ import annotations
@@ -39,14 +39,17 @@ from .cyclo import (
     Q_INV,
     ZERO,
     _rational,
+    accumulate,
     as_cyclo,
     from_pair,
     integer_pairs,
     pair_mul,
 )
+from .groundstate import psi_point
 from .mpoly import MPoly
 from .report import CheckReport
 from .solver import ExactMatrix, NonzeroRemainderError, det
+from .tmatrix import eigenvalue, embed, monodromy_apply, transfer_apply_spin
 
 
 class DegenerateDenominatorError(ValueError):
@@ -364,79 +367,76 @@ def _alternant_in_t(w: list[CycloNum], exps: list[int]) -> list[CycloNum]:
 
 
 # ---------------------------------------------------------------------------
-# quarantined floating-point check of the algebraic Bethe ansatz
+# exact algebraic-Bethe-ansatz vector over the splitting algebra of Q(t)
 # ---------------------------------------------------------------------------
 
 
+def _reduce(p: MPoly, rests: list[MPoly]) -> MPoly:
+    """p modulo the tower, top variable first: rests[k] = t_k^d - Q_k, d = n - k
+    the degree of Q_k in t_k (k from 0), stands in for t_k^d until no exponent
+    of t_k reaches d; it has no higher variable, so no step undoes another."""
+    n = len(rests)
+    for k in reversed(range(n)):
+        d = n - k
+        while high := {e: c for e, c in p.terms.items() if e[k] >= d}:
+            low = {e: c for e, c in p.terms.items() if e[k] < d}
+            shifted = {e[:k] + (e[k] - d,) + e[k + 1:]: c for e, c in high.items()}
+            p = MPoly._raw(n, low) + MPoly._raw(n, shifted) * rests[k]
+    return p
+
+
 def aba_residual(n: int, zs: Sequence) -> dict:
-    """Numerically build prod_i B(t_i) |up...up> from the Bethe roots and
-    report floating residuals: the eigenvector equation, the eigenvalue
-    against prod_i (q t - q^{-1} z_i), and the angle to the embedded
-    link-pattern subspace.
+    """Build psi = B(t_1)...B(t_n)|up...up> over the Bethe roots t_k of
+    Q(t) exactly, and count its failures, each 0 for a Bethe vector.
 
-    This is the only floating-point computation in the package.
+    No root is computed: t_k is the class of t_k in the universal
+    splitting algebra of Q (Ekedahl & Laksov), the quotient of
+    Q(w)[t_1..t_n] by the tower Q_1 = Q(t_1), Q_{k+1} = the divided
+    difference of Q_k in t_k, t_{k+1}.  The B(t_k) commute, so every
+    coordinate of psi is symmetric in the roots and reduces to a constant.
+    The tower uses the monic integral D^n Q(s/D) and the parameters D z,
+    D a common denominator, which scales psi, T and Lambda by powers of D.
+
+    ``residual`` counts the coordinates with T(u) psi != Lambda(u) psi at
+    u = -1; ``eigenvalue_error`` the coordinates outside Q(w), plus one if
+    psi = 0; ``subspace_angle`` the coordinates where psi is not a nonzero
+    multiple of the embedded psi_point vector.
     """
-    import numpy as np
-
-    from .linkpat import enumerate_patterns, spin_embed
-
     if n > 3:
-        raise ValueError("numeric check capped at n = 3")
-    m = 2 * n
-    q = complex(-0.5, 0.75**0.5)
-    z = [complex(as_cyclo(x)) for x in zs]
+        raise ValueError("exact Bethe-vector check capped at n = 3")
+    qq = q_poly(n, zs)
+    pairs, d = integer_pairs([*(c / qq[-1] for c in qq[:-1]), *zs])
+    zd = [from_pair(p) for p in pairs[n:]]
+    t = [MPoly.variable(n, k) for k in range(n)]
+    qk = sum((from_pair(p) * d ** (n - 1 - j) * t[0] ** j for j, p in enumerate(pairs[:n])),
+             t[0] ** n)
+    rests = [t[0] ** n - qk]
+    for k in range(1, n):
+        qk = qk.divided_difference(k - 1, k)
+        rests.append(t[k] ** (n - k) - qk)
 
-    roots = np.roots([complex(c) for c in reversed(q_poly(n, zs))])
+    vec: dict = {0: ONE}
+    for tk in t:
+        image = monodromy_apply(zd, tk, vec, aux=1)
+        vec = {bits: _reduce(c, rests) for (bits, a), c in image.items() if a == 0}
+    const = (0,) * n
+    outside = sum(1 for c in vec.values() if c.terms.keys() - {const})
+    psi = {bits: c.terms[const] for bits, c in vec.items() if const in c.terms}
 
-    def blocks(t):
-        A = np.zeros((1, 1), dtype=complex)
-        A[0, 0] = 1.0
-        B = np.zeros((1, 1), dtype=complex)
-        C = np.zeros((1, 1), dtype=complex)
-        D = np.eye(1, dtype=complex)
-        for k in range(1, m + 1):
-            zk = z[k - 1]
-            u, v = q * zk - t / q, zk - t
-            bz, bt = (q - 1 / q) * zk, (q - 1 / q) * t
-            # 2x2 locals acting on the new site (bit k-1)
-            la = np.array([[u, 0], [0, v]])
-            lb = np.array([[0, 0], [bz, 0]])
-            lc = np.array([[0, bt], [0, 0]])
-            ld = np.array([[v, 0], [0, u]])
-            nA = np.kron(la, A) + np.kron(lb, C)
-            nB = np.kron(la, B) + np.kron(lb, D)
-            nC = np.kron(lc, A) + np.kron(ld, C)
-            nD = np.kron(lc, B) + np.kron(ld, D)
-            A, B, C, D = nA, nB, nC, nD
-        return A, B, C, D
+    u = -1
+    diff = transfer_apply_spin(zd, u, psi)
+    lam = eigenvalue(u, zd)
+    for bits, c in psi.items():
+        accumulate(diff, bits, -lam * c)
 
-    state = np.zeros(1 << m, dtype=complex)
-    state[0] = 1.0
-    for t in roots:
-        _, B, _, _ = blocks(t)
-        state = B @ state
-
-    t_test = 1.31  # generic evaluation parameter for the residual
-    A, _, _, D = blocks(t_test)
-    tv = (-q) * (A @ state) + (-1 / q) * (D @ state)
-    lam = np.prod([q * t_test - zk / q for zk in z])
-    res = np.linalg.norm(tv - lam * state) / max(np.linalg.norm(tv), 1e-300)
-    rayleigh = np.vdot(state, tv) / np.vdot(state, state)
-    eig_err = abs(rayleigh - lam) / abs(lam)
-
-    emb = []
-    for p in enumerate_patterns(n):
-        col = np.zeros(1 << m, dtype=complex)
-        for bits, c in spin_embed(p).items():
-            col[bits] = complex(c)
-        emb.append(col)
-    E = np.stack(emb, axis=1)
-    coeffs, *_ = np.linalg.lstsq(E, state, rcond=None)
-    angle = np.linalg.norm(E @ coeffs - state) / np.linalg.norm(state)
-
+    ref = embed(n, psi_point(n, zs).values)
+    b0 = min(ref)
+    p0, r0 = psi.get(b0, ZERO), ref[b0]
+    off = sum(1 for b in ref.keys() | psi.keys()
+              if psi.get(b, ZERO) * r0 != ref.get(b, ZERO) * p0)
     return {
         "n": n,
-        "residual": float(res),
-        "eigenvalue_error": float(eig_err),
-        "subspace_angle": float(angle),
+        "residual": len(diff),
+        "eigenvalue_error": outside + int(not psi),
+        "subspace_angle": off + int(not p0),
     }

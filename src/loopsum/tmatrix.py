@@ -77,9 +77,10 @@ def r_matrix_spin(z, t) -> list[list[CycloNum]]:
     """The 4x4 vertex weight matrix acting on (site) x (auxiliary).
 
     Basis order: up-up, up-down, down-up, down-down, the site factor first.
+    t may be a scalar or a polynomial (an MPoly in Bethe-root variables);
+    either way it only meets CycloNum operators, so a float raises TypeError.
     """
     z = as_cyclo(z)
-    t = as_cyclo(t)
     a = Q * z - Q_INV * t
     b = z - t
     cz = (Q - Q_INV) * z
@@ -104,7 +105,8 @@ def monodromy_apply(zs, t, vec: dict[int, CycloNum], aux: int) -> dict:
     """Apply the monodromy to vec tensor |aux>, streaming site by site.
 
     Returns a dict keyed (bits, aux_out).  Keeping only aux_out == aux
-    yields A.vec (aux=0) or D.vec (aux=1).
+    yields A.vec (aux=0) or D.vec (aux=1); aux=1 keeping aux_out == 0
+    yields B.vec, the creation operator of the Bethe ansatz.
     """
     state: dict[tuple[int, int], CycloNum] = {(bits, aux): c for bits, c in vec.items()}
     for k, z in enumerate(zs, start=1):

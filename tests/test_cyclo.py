@@ -81,11 +81,6 @@ def test_power_negative_exponent():
     assert x**-2 == (x * x).inverse()
 
 
-def test_complex_embedding():
-    z = complex(OMEGA)
-    assert abs(z - complex(-0.5, 0.75**0.5)) < 1e-15
-
-
 def test_to_strings_same_for_int_and_fraction_parts():
     assert CycloNum(Fraction(4, 2), Fraction(-3)).to_strings() == ["2", "-3"]
     assert CycloNum(2, -3).to_strings() == ["2", "-3"]

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from grid_oracle import reconstruct_homogeneous
-from loopsum import schur
+from loopsum import schur, tmatrix
 from loopsum.asm import asm_product_formula
+from loopsum.cli import main
 from loopsum.cyclo import CycloNum, ONE, Q
 from loopsum.schur import (
     Partition,
@@ -240,11 +241,41 @@ def test_kostka_expansion_equals_grid_rebuild(n):
 
 
 def test_aba_residuals():
-    for n, zs in ((1, [2, 3]), (2, [1, 2, 3, 5])):
+    for n, zs in ((1, [2, 3]), (2, [1, 2, 3, 5]), (3, [1, 2, 3, 5, 7, 11])):
         out = aba_residual(n, zs)
-        assert out["residual"] < 1e-9
-        assert out["eigenvalue_error"] < 1e-9
-        assert out["subspace_angle"] < 1e-9
+        for field in ("residual", "eigenvalue_error", "subspace_angle"):
+            assert out[field] == 0 and type(out[field]) is int, (n, field, out)
+
+
+def _bend_q(monkeypatch):
+    q_poly = schur.q_poly
+
+    def bent(n, zs):
+        q = q_poly(n, zs)
+        return [q[0] + 1, *q[1:]]
+
+    monkeypatch.setattr(schur, "q_poly", bent)
+
+
+def _bend_weight(monkeypatch):
+    r_matrix_spin = tmatrix.r_matrix_spin
+
+    def bent(z, t):
+        r = r_matrix_spin(z, t)
+        r[1][2] = -r[1][2]  # the weight (q - q^{-1}) t
+        return r
+
+    monkeypatch.setattr(tmatrix, "r_matrix_spin", bent)
+
+
+@pytest.mark.parametrize("bend", [_bend_q, _bend_weight])
+def test_aba_residual_counts_a_perturbation(bend, monkeypatch, capsys):
+    bend(monkeypatch)
+    for n, zs in ((1, [2, 3]), (2, [1, 2, 3, 5]), (3, [1, 2, 3, 5, 7, 11])):
+        out = aba_residual(n, zs)
+        assert out["residual"] + out["eigenvalue_error"] + out["subspace_angle"], (n, out)
+    assert main(["check-all", "2", "--seed", "3"]) == 1
+    assert "[FAIL] aba-residual(n=2)" in capsys.readouterr().out
 
 
 def test_aba_residual_takes_exact_values_only():
