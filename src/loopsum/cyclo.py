@@ -21,9 +21,10 @@ included, goes through one of the two.
 Hot loops skip CycloNum objects altogether and work on integer pairs
 (a, b) for a + b w: integer_pairs clears the denominators of a list of
 scalars, pair_mul multiplies two pairs, pair_qdiff forms q x - q^{-1} y,
-and from_pair turns the result back into one CycloNum.  accumulate is the
-one sparse accumulation of CycloNum values: it adds into a dict entry and
-drops a zero sum (mpoly.add_all sums integer pairs instead).
+and from_pair turns the result back into one CycloNum.  accumulate adds
+into a dict entry and drops a zero sum; it serves only the sparse vectors
+of tmatrix and schur (CycloNum entries, MPoly ones in the exact Bethe
+vector): MPoly stores integer pairs and sums them itself.
 """
 
 from __future__ import annotations

@@ -1,12 +1,16 @@
 """Sparse multivariate polynomials over Q(w), with exact tensor-grid interpolation.
 
 Exponent vectors are tuples of small non-negative ints, one entry per
-variable; coefficients are CycloNum and never stored when zero.  Terms are
-serialized in graded-lexicographic order so JSON output is canonical.
+variable.  ``terms`` maps each to an integer pair (a, b), never (0, 0),
+for the coefficient (a + b w) / den; ``den`` > 0 is in lowest terms (1
+for Psi_n and s_{Y_n}), so equal polynomials store equal fields.  Every
+operation works on the pairs; only coeff_of, items(), values, to_json and
+__str__ build CycloNum.  JSON lists terms in graded-lexicographic order.
 
-Validation happens at the boundary: MPoly(...) checks the input of zero,
-constant, variable and from_json; results built here from valid terms skip
-it through MPoly._raw, and their coefficient sums drop zeros (accumulate).
+Validation happens at the boundary: MPoly(...) checks and coerces the
+input of zero, constant, variable and from_json; results built here from
+valid terms skip it through MPoly._raw, which only brings den to lowest
+terms, and their sums drop (0, 0) pairs.
 
 Exact evaluation has one path, eval_all: exponent vectors split into a
 low and a high half, each distinct half is evaluated once per point for
@@ -28,11 +32,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .cyclo import (CycloNum, ONE, ZERO, _rational, accumulate, as_cyclo, from_pair,
-                    integer_pairs, pair_mul)
+from .cyclo import CycloNum, ONE, _rational, as_cyclo, from_pair, integer_pairs, pair_mul
 
 
 class ArityMismatchError(ValueError):
@@ -48,37 +52,39 @@ class HomogenizationMismatchError(RuntimeError):
 
 
 class MPoly:
-    """A sparse polynomial in ``nvars`` variables over Q(w)."""
+    """A sparse polynomial in ``nvars`` variables over Q(w): terms maps
+    exponent tuples to integer pairs (a, b) for (a + b w) / den."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "den")
 
-    def __init__(self, nvars: int, terms: Optional[Mapping[tuple, CycloNum]] = None):
-        clean: dict[tuple[int, ...], CycloNum] = {}
-        if terms:
-            for exps, coeff in terms.items():
-                e = tuple(exps)
-                if len(e) != nvars:
-                    raise ArityMismatchError(
-                        f"exponent vector {e} has length {len(e)}, expected {nvars}"
-                    )
-                if any(x < 0 for x in e):
-                    raise ValueError(f"negative exponent in {e}")
-                c = as_cyclo(coeff)
-                if c:
-                    clean[e] = c
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+    def __init__(self, nvars: int, terms: Optional[Mapping[tuple, object]] = None):
+        items = list((terms or {}).items())
+        for e, _ in items:
+            if len(e) != nvars:
+                raise ArityMismatchError(
+                    f"exponent vector {tuple(e)} has length {len(e)}, expected {nvars}"
+                )
+            if any(x < 0 for x in e):
+                raise ValueError(f"negative exponent in {tuple(e)}")
+        pairs, den = integer_pairs(c for _, c in items)
+        clean = {tuple(e): p for (e, _), p in zip(items, pairs) if p[0] or p[1]}
+        for name, value in zip(self.__slots__, (nvars, clean, den)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
 
     @classmethod
-    def _raw(cls, nvars: int, terms: dict) -> "MPoly":
+    def _raw(cls, nvars: int, terms: dict, den: int = 1) -> "MPoly":
         """Wrap terms that are already valid: tuple exponents of length
-        nvars, CycloNum coefficients, no zeros.  The dict is not copied."""
+        nvars, nonzero integer pairs over den > 0.  The dict is not copied;
+        a factor that den shares with every part is divided out."""
+        g = math.gcd(den, *itertools.chain(*terms.values())) if den != 1 else 1
+        if g != 1:
+            terms = {e: (a // g, b // g) for e, (a, b) in terms.items()}
         out = cls.__new__(cls)
-        object.__setattr__(out, "nvars", nvars)
-        object.__setattr__(out, "terms", terms)
+        for name, value in zip(cls.__slots__, (nvars, terms, den // g)):
+            object.__setattr__(out, name, value)
         return out
 
     # -- constructors --------------------------------------------------
@@ -110,16 +116,13 @@ class MPoly:
     def __add__(self, other) -> "MPoly":
         if not isinstance(other, MPoly):
             other = MPoly.constant(self.nvars, other)
-        self._check_arity(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            accumulate(terms, e, c)
-        return MPoly._raw(self.nvars, terms)
+        return add_all(self.nvars, (self, other))
 
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        return MPoly._raw(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MPoly._raw(self.nvars, {e: (-a, -b) for e, (a, b) in self.terms.items()},
+                          self.den)
 
     def __sub__(self, other) -> "MPoly":
         return self + (-other)
@@ -129,21 +132,27 @@ class MPoly:
 
     def __mul__(self, other) -> "MPoly":
         if not isinstance(other, MPoly):
-            c = as_cyclo(other)
-            if not c:
+            [(c, d)], den = integer_pairs([other])
+            if not (c or d):
                 return MPoly.zero(self.nvars)
             # a product of nonzero field elements is nonzero
-            return MPoly._raw(self.nvars, {e: k * c for e, k in self.terms.items()})
+            return MPoly._raw(self.nvars, {e: (a * c - b * d, a * d + b * c - b * d)
+                                           for e, (a, b) in self.terms.items()},
+                              self.den * den)
         self._check_arity(other)
-        if len(self.terms) > len(other.terms):
-            big, small = self.terms, other.terms
-        else:
-            big, small = other.terms, self.terms
-        acc: dict[tuple[int, ...], CycloNum] = {}
-        for e1, c1 in small.items():
-            for e2, c2 in big.items():
-                accumulate(acc, tuple(map(sum, zip(e1, e2))), c1 * c2)
-        return MPoly._raw(self.nvars, acc)
+        big, small = self.terms, other.terms
+        if len(big) < len(small):
+            big, small = small, big
+        acc: dict[tuple[int, ...], tuple[int, int]] = {}
+        for e1, (a, b) in small.items():
+            for e2, (c, d) in big.items():
+                e = tuple(map(operator.add, e1, e2))
+                bd = b * d
+                x, y = a * c - bd, a * d + b * c - bd
+                s = acc.get(e)
+                acc[e] = (x, y) if s is None else (s[0] + x, s[1] + y)
+        return MPoly._raw(self.nvars, {e: s for e, s in acc.items() if s[0] or s[1]},
+                          self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -169,7 +178,7 @@ class MPoly:
                 other = MPoly.constant(self.nvars, other)
             except TypeError:
                 return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return (self.nvars, self.den, self.terms) == (other.nvars, other.den, other.terms)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -188,7 +197,12 @@ class MPoly:
             raise ArityMismatchError(
                 f"exponent vector has length {len(e)}, expected {self.nvars}"
             )
-        return self.terms.get(e, ZERO)
+        return from_pair(self.terms.get(e, (0, 0)), self.den)
+
+    def items(self) -> Iterator[tuple[tuple[int, ...], CycloNum]]:
+        """(exponent vector, CycloNum coefficient) for every stored term."""
+        for e, pair in self.terms.items():
+            yield e, from_pair(pair, self.den)
 
     def degree_in(self, var: int) -> int:
         return max((e[var] for e in self.terms), default=0)
@@ -224,7 +238,7 @@ class MPoly:
             for k, ek in zip(perm, e):
                 ne[k] = ek
             terms[tuple(ne)] = c
-        return MPoly._raw(nvars, terms)
+        return MPoly._raw(nvars, terms, self.den)
 
     def swap_args(self, i: int, j: int) -> "MPoly":
         perm = list(range(self.nvars))
@@ -240,32 +254,43 @@ class MPoly:
         """
         if i == j:
             raise ValueError("divided difference needs two distinct variables")
-        terms: dict[tuple[int, ...], CycloNum] = {}
-        for e, c in self.terms.items():
+        terms: dict[tuple[int, ...], tuple[int, int]] = {}
+        for e, (x, y) in self.terms.items():
             a, b = e[i], e[j]
-            c = c if a > b else -c
+            if a < b:
+                x, y = -x, -y
             ne = list(e)
             for k in range(abs(a - b)):
                 ne[i], ne[j] = min(a, b) + k, max(a, b) - 1 - k
-                accumulate(terms, tuple(ne), c)
-        return MPoly._raw(self.nvars, terms)
+                key = tuple(ne)
+                s = terms.get(key)
+                terms[key] = (x, y) if s is None else (s[0] + x, s[1] + y)
+        return MPoly._raw(self.nvars, {e: s for e, s in terms.items() if s[0] or s[1]},
+                          self.den)
 
     def specialize_ratio(self, var: int, target: int, scale) -> "MPoly":
-        """Substitute z_var := scale * z_target (exact; var becomes unused)."""
+        """Substitute z_var := scale * z_target (exact; var becomes unused).
+
+        With scale = s / d, a term with z_var^k takes s^k d^(top - k) over
+        the common denominator d^top, top the degree in z_var."""
         if var == target:
             raise ValueError("substitution variable must differ from target")
-        s = as_cyclo(scale)
-        powers = [ONE]
-        for _ in range(self.degree_in(var)):
-            powers.append(powers[-1] * s)
-        terms: dict[tuple[int, ...], CycloNum] = {}
+        [pair], d = integer_pairs([scale])
+        top = self.degree_in(var)
+        powers = [(a * d ** (top - k), b * d ** (top - k)) for k, (a, b) in enumerate(
+            itertools.accumulate(itertools.repeat(pair, top), pair_mul, initial=(1, 0)))]
+        terms: dict[tuple[int, ...], tuple[int, int]] = {}
         for e, c in self.terms.items():
             k = e[var]
             ne = list(e)
             ne[var] = 0
             ne[target] += k
-            accumulate(terms, tuple(ne), c * powers[k] if k else c)
-        return MPoly._raw(self.nvars, terms)
+            key = tuple(ne)
+            x, y = pair_mul(c, powers[k])
+            s = terms.get(key)
+            terms[key] = (x, y) if s is None else (s[0] + x, s[1] + y)
+        return MPoly._raw(self.nvars, {e: s for e, s in terms.items() if s[0] or s[1]},
+                          self.den * d ** top)
 
     def reversed_reciprocal(self, per_var_degree: int) -> "MPoly":
         """prod_k z_k^d * P(1/z_last, ..., 1/z_first) for d = per_var_degree.
@@ -280,13 +305,13 @@ class MPoly:
                 raise ValueError("exponent exceeds the stated per-variable degree")
             ne = tuple(per_var_degree - e[n - 1 - k] for k in range(n))
             terms[ne] = c
-        return MPoly._raw(n, terms)
+        return MPoly._raw(n, terms, self.den)
 
     # -- serialization ----------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], CycloNum]]:
         """Terms in graded-lexicographic order (canonical)."""
-        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
+        return sorted(self.items(), key=lambda t: (sum(t[0]), t[0]))
 
     def to_json(self) -> dict:
         return {
@@ -342,9 +367,9 @@ def eval_all(polys: Sequence[MPoly], point: Sequence) -> list[CycloNum]:
     group is multiplied once by its low half's value.
 
     Everything runs in integer pairs (a, b) for a + b*w: the coordinates
-    share one denominator d and a poly's coefficients one denominator e.
-    A half of degree k in a half of width m is made up to degree top*m
-    with d^(top*m - k), top the largest exponent of any variable, so every
+    share one denominator d and a poly's coefficients its den e.  A half
+    of degree k in a half of width m is made up to degree top*m with
+    d^(top*m - k), top the largest exponent of any variable, so every
     term sits over e * d^(top*nvars) and one exact division (from_pair)
     per poly ends it.
     """
@@ -371,12 +396,8 @@ def eval_all(polys: Sequence[MPoly], point: Sequence) -> list[CycloNum]:
     los: dict[tuple, tuple[int, int]] = {}
     out = []
     for p in polys:
-        if not p.terms:
-            out.append(ZERO)
-            continue
-        coeffs, e = integer_pairs(p.terms.values())
         groups: dict[tuple, list[int]] = {}
-        for exps, (a, b) in zip(p.terms, coeffs):
+        for exps, (a, b) in p.terms.items():
             key = exps[h:]
             xa, xb = his.get(key) or half_value(key, h, his)
             bd = b * xb
@@ -393,7 +414,7 @@ def eval_all(polys: Sequence[MPoly], point: Sequence) -> list[CycloNum]:
             a, b = pair_mul(g, los.get(key) or half_value(key, 0, los))
             sa += a
             sb += b
-        out.append(from_pair((sa, sb), e * d ** (top * nvars)))
+        out.append(from_pair((sa, sb), p.den * d ** (top * nvars)))
     return out
 
 
@@ -401,31 +422,24 @@ def add_all(nvars: int, polys: Iterable[MPoly]) -> MPoly:
     """The sum of polys, all in nvars variables.
 
     The sums run in integer pairs over one common denominator, which
-    grows (rescaling the sums so far) only when a poly's coefficients
-    need a new factor; a CycloNum is built only for each nonzero sum."""
-    sums: dict[tuple[int, ...], list[int]] = {}
+    grows (rescaling the sums so far) only when a poly's den needs a new
+    factor."""
+    sums: dict[tuple[int, ...], tuple[int, int]] = {}
     den = 1
     for p in polys:
         if p.nvars != nvars:
             raise ArityMismatchError(f"variable counts differ: {nvars} vs {p.nvars}")
-        pairs, e = integer_pairs(p.terms.values())
-        if den % e:
-            up = e // math.gcd(den, e)
-            for s in sums.values():
-                s[0] *= up
-                s[1] *= up
+        if den % p.den:
+            up = p.den // math.gcd(den, p.den)
+            sums = {k: (a * up, b * up) for k, (a, b) in sums.items()}
             den *= up
-        if e != den:
-            f = den // e
-            pairs = [(a * f, b * f) for a, b in pairs]
-        for k, (a, b) in zip(p.terms, pairs):
+        f = den // p.den
+        for k, (a, b) in p.terms.items():
+            if f != 1:
+                a, b = a * f, b * f
             s = sums.get(k)
-            if s is None:
-                sums[k] = [a, b]
-            else:
-                s[0] += a
-                s[1] += b
-    return MPoly._raw(nvars, {k: from_pair(s, den) for k, s in sums.items() if s[0] or s[1]})
+            sums[k] = (a, b) if s is None else (s[0] + a, s[1] + b)
+    return MPoly._raw(nvars, {k: s for k, s in sums.items() if s[0] or s[1]}, den)
 
 
 def _vandermonde_inverse(xs: Sequence[Fraction]) -> tuple[list[list[int]], int]:
@@ -479,5 +493,5 @@ def interpolate_grid(values: Sequence, grid: Sequence[Sequence]) -> MPoly:
         tensor = np.tensordot(tensor, np.array(m, dtype=object), axes=([1], [1]))
         den *= d
     exponents = itertools.product(*(range(d) for d in dims))
-    return MPoly._raw(nvars, {e: from_pair((a, b), den) for e, a, b in
-                              zip(exponents, *tensor.reshape(2, -1).tolist()) if a or b})
+    return MPoly._raw(nvars, {e: (a, b) for e, a, b in
+                              zip(exponents, *tensor.reshape(2, -1).tolist()) if a or b}, den)

@@ -168,7 +168,7 @@ def schur_symbolic(n: int, threads: int | None = None) -> MPoly:
     if n not in _SCHUR_CACHE:
         shape, degree = y_partition(n).parts, n * (n - 1)
         memo: dict = {}
-        coeffs: dict[tuple, CycloNum] = {}
+        coeffs: dict[tuple, tuple[int, int]] = {}
         terms = {}
         for head in product(range(n), repeat=2 * n - 1):
             last = degree - sum(head)
@@ -178,8 +178,8 @@ def schur_symbolic(n: int, threads: int | None = None) -> MPoly:
             key = tuple(sorted(alpha, reverse=True))
             if key not in coeffs:
                 content = tuple(a for a in key if a)
-                coeffs[key] = CycloNum(_kostka(shape, content, memo))
-            if coeffs[key]:
+                coeffs[key] = (_kostka(shape, content, memo), 0)
+            if coeffs[key][0]:
                 terms[alpha] = coeffs[key]
         _SCHUR_CACHE[n] = MPoly._raw(2 * n, terms)
     return _SCHUR_CACHE[n]
@@ -381,7 +381,7 @@ def _reduce(p: MPoly, rests: list[MPoly]) -> MPoly:
         while high := {e: c for e, c in p.terms.items() if e[k] >= d}:
             low = {e: c for e, c in p.terms.items() if e[k] < d}
             shifted = {e[:k] + (e[k] - d,) + e[k + 1:]: c for e, c in high.items()}
-            p = MPoly._raw(n, low) + MPoly._raw(n, shifted) * rests[k]
+            p = MPoly._raw(n, low, p.den) + MPoly._raw(n, shifted, p.den) * rests[k]
     return p
 
 
@@ -421,7 +421,7 @@ def aba_residual(n: int, zs: Sequence) -> dict:
         vec = {bits: _reduce(c, rests) for (bits, a), c in image.items() if a == 0}
     const = (0,) * n
     outside = sum(1 for c in vec.values() if c.terms.keys() - {const})
-    psi = {bits: c.terms[const] for bits, c in vec.items() if const in c.terms}
+    psi = {bits: c.coeff_of(const) for bits, c in vec.items() if const in c.terms}
 
     u = -1
     diff = transfer_apply_spin(zd, u, psi)

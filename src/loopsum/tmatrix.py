@@ -65,6 +65,7 @@ from .linkpat import (
     spin_embed,
 )
 from .modular import DIGIT_BITS, LIMB_BITS, _room, reduce_mod
+from .mpoly import MPoly
 from .solver import ExactMatrix
 
 
@@ -78,9 +79,10 @@ def r_matrix_spin(z, t) -> list[list[CycloNum]]:
 
     Basis order: up-up, up-down, down-up, down-down, the site factor first.
     t may be a scalar or a polynomial (an MPoly in Bethe-root variables);
-    either way it only meets CycloNum operators, so a float raises TypeError.
+    any other t goes through as_cyclo, so a float or numpy int is a TypeError.
     """
     z = as_cyclo(z)
+    t = t if isinstance(t, MPoly) else as_cyclo(t)
     a = Q * z - Q_INV * t
     b = z - t
     cz = (Q - Q_INV) * z

@@ -24,7 +24,7 @@ def homogenize(poly: MPoly, total_degree: int) -> MPoly:
     if any(sum(e) > total_degree for e in poly.terms):
         raise HomogenizationMismatchError(f"a term exceeds total degree {total_degree}")
     return MPoly(poly.nvars + 1,
-                 {e + (total_degree - sum(e),): c for e, c in poly.terms.items()})
+                 {e + (total_degree - sum(e),): c for e, c in poly.items()})
 
 
 def reconstruct_homogeneous(evaluate, n: int) -> list:

@@ -1,0 +1,46 @@
+"""MPoly's product, divided difference and ratio specialization as one
+CycloNum operation per term (pair), kept as a test oracle.
+
+MPoly stores integer pairs over one denominator; these loops work on
+{exponent tuple: CycloNum} dicts, as MPoly.items() yields them, and
+return such a dict without zero coefficients.
+"""
+
+from loopsum.cyclo import ONE, accumulate, as_cyclo
+
+
+def mul(x: dict, y: dict) -> dict:
+    acc: dict = {}
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            accumulate(acc, tuple(map(sum, zip(e1, e2))), c1 * c2)
+    return acc
+
+
+def divided_difference(p: dict, i: int, j: int) -> dict:
+    """(p with z_i and z_j swapped - p) / (z_j - z_i), term by term."""
+    terms: dict = {}
+    for e, c in p.items():
+        a, b = e[i], e[j]
+        c = c if a > b else -c
+        ne = list(e)
+        for k in range(abs(a - b)):
+            ne[i], ne[j] = min(a, b) + k, max(a, b) - 1 - k
+            accumulate(terms, tuple(ne), c)
+    return terms
+
+
+def specialize_ratio(p: dict, var: int, target: int, scale) -> dict:
+    """p with z_var := scale * z_target."""
+    s = as_cyclo(scale)
+    powers = [ONE]
+    for _ in range(max((e[var] for e in p), default=0)):
+        powers.append(powers[-1] * s)
+    terms: dict = {}
+    for e, c in p.items():
+        k = e[var]
+        ne = list(e)
+        ne[var] = 0
+        ne[target] += k
+        accumulate(terms, tuple(ne), c * powers[k])
+    return terms

@@ -29,6 +29,8 @@ def test_record_keeps_the_benchmark_lines(tmp_path, monkeypatch, capsys):
 
     def run(cmd, **kwargs):
         calls.append((cmd, kwargs["cwd"]))
+        if cmd[0] == "git":
+            return subprocess.CompletedProcess(cmd, 0, "", "")
         return subprocess.CompletedProcess(cmd, 0, stdout + "\n", "")
 
     monkeypatch.setattr(bench_record.subprocess, "run", run)
@@ -38,8 +40,32 @@ def test_record_keeps_the_benchmark_lines(tmp_path, monkeypatch, capsys):
     record = json.loads((tmp_path / "BENCH_pr0.json").read_text())
     assert record["facts"] == facts and record["result"] == result
     assert (record["src_lines"], record["tests_lines"]) == (2, 1)
+    assert record["tree_clean"] is True
     assert record["cpus"] >= 1 and record["python"] and record["numpy"]
     assert "wrote BENCH_pr0.json" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("status, clean", [((0, ""), True), ((0, " M src/a.py\n"), False),
+                                           ((128, ""), None)])
+def test_record_says_whether_src_and_tests_match_the_commit(status, clean, tmp_path,
+                                                           monkeypatch):
+    # an edited src/ or tests/ is not the tree facts.commit names; outside
+    # a git checkout nothing is known
+    monkeypatch.setattr(bench_record, "ROOT", _tree(tmp_path))
+    result = {"correct": True, "attempted": 1, "failed": 0, "metrics": {}}
+    stdout = "\n".join([json.dumps({"facts": {"commit": "abc"}}), json.dumps(result)])
+    git = []
+
+    def run(cmd, **kwargs):
+        if cmd[0] != "git":
+            return subprocess.CompletedProcess(cmd, 0, stdout + "\n", "")
+        git.append(cmd)
+        return subprocess.CompletedProcess(cmd, status[0], status[1], "")
+
+    monkeypatch.setattr(bench_record.subprocess, "run", run)
+    assert bench_record.main(["--label", "x"]) == 0
+    assert git == [["git", "status", "--porcelain", "--", "src", "tests"]]
+    assert json.loads((tmp_path / "BENCH_x.json").read_text())["tree_clean"] is clean
 
 
 @pytest.mark.parametrize("label", ["", "a b", "../x", "a/b"])

@@ -342,7 +342,7 @@ def test_perturbed_exchange_step_is_caught(monkeypatch):
     divided_difference = MPoly.divided_difference
 
     def drop_a_term(self, i, j):
-        terms = dict(divided_difference(self, i, j).terms)
+        terms = dict(divided_difference(self, i, j).items())
         terms.pop(min(terms))
         return MPoly(self.nvars, terms)
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mpoly_oracle
 from grid_oracle import homogenize
 from loopsum.cyclo import CycloNum, OMEGA as q, ONE, ZERO, as_cyclo
 from loopsum.mpoly import (
@@ -96,9 +97,15 @@ def test_permute_and_swap():
     assert p.permute_args([2, 0, 1]) == z(3, 2) * z(3, 0) ** 2
 
 
+def _canonical(r: MPoly) -> bool:
+    # den > 0 and in lowest terms, and no stored (0, 0) pair: otherwise
+    # equal polynomials would compare unequal
+    parts = [x for pair in r.terms.values() for x in pair]
+    return r.den > 0 and math.gcd(r.den, *parts) == 1 and (0, 0) not in r.terms.values()
+
+
 def _valid(r: MPoly) -> bool:
-    # a stored zero would make equal polynomials compare unequal
-    return all(r.terms.values()) and r == MPoly(r.nvars, r.terms)
+    return _canonical(r) and r == MPoly(r.nvars, dict(r.items()))
 
 
 @settings(max_examples=60, deadline=None)
@@ -231,7 +238,7 @@ def test_eval_is_ring_homomorphism(p, point):
 
 def _eval_term_by_term(p, point):
     total = ZERO
-    for e, c in p.terms.items():
+    for e, c in p.items():
         for x, k in zip(point, e):
             c = c * as_cyclo(x) ** k
         total = total + c
@@ -274,6 +281,43 @@ def test_eval_matches_term_by_term(case):
     assert eval_all([p, -p, p * 2], point) == [p.eval(point), -p.eval(point), p.eval(point) * 2]
 
 
+@st.composite
+def oracle_case(draw):
+    # fractional coefficients with w-parts, two distinct slots, and a
+    # rational or Q(w) scale with a denominator
+    nvars = draw(st.sampled_from([2, 3, 4]))
+    exps = st.tuples(*[st.integers(min_value=0, max_value=3)] * nvars)
+    x, y = (MPoly(nvars, draw(st.dictionaries(exps, fractional_coeffs, max_size=5)))
+            for _ in range(2))
+    i, j = draw(st.permutations(range(nvars)))[:2]
+    scale = draw(st.one_of(st.fractions(min_value=-9, max_value=9, max_denominator=7),
+                           fractional_coeffs))
+    return x, y, i, j, scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_case())
+@example((MPoly(2, {(2, 0): CycloNum(Fraction(1, 2), Fraction(-3, 4)), (0, 1): Fraction(5, 6)}),
+          MPoly(2, {(1, 1): CycloNum(Fraction(2, 3), 1), (0, 0): Fraction(-1, 4)}),
+          0, 1, Fraction(-3, 2)))
+def test_pair_storage_matches_cyclonum_oracle(case):
+    x, y, i, j, scale = case
+    cx, cy = dict(x.items()), dict(y.items())
+    product, dd = x * y, x.divided_difference(i, j)
+    spec, scaled = x.specialize_ratio(i, j, scale), x * scale
+    assert dict(product.items()) == mpoly_oracle.mul(cx, cy)
+    assert dict(dd.items()) == mpoly_oracle.divided_difference(cx, i, j)
+    assert dict(spec.items()) == mpoly_oracle.specialize_ratio(cx, i, j, scale)
+    assert dict(scaled.items()) == {e: c * scale for e, c in cx.items() if c * scale}
+    for r in (x, y, product, dd, spec, scaled, x + y, -x):
+        assert _canonical(r)
+        half = r * Fraction(1, 2)
+        assert _canonical(half)
+        back = half * 2
+        assert (back.terms, back.den) == (r.terms, r.den)
+        assert MPoly.from_json(r.to_json()) == r
+
+
 polys3 = st.dictionaries(st.tuples(*[st.integers(min_value=0, max_value=2)] * 3),
                          fractional_coeffs, max_size=5).map(lambda t: MPoly(3, t))
 
@@ -284,10 +328,10 @@ polys3 = st.dictionaries(st.tuples(*[st.integers(min_value=0, max_value=2)] * 3)
 def test_add_all_matches_cyclonum_sum(polys):
     expected: dict = {}
     for p in polys:
-        for e, c in p.terms.items():
+        for e, c in p.items():
             expected[e] = expected.get(e, ZERO) + c
     total = add_all(3, (p for p in polys))
-    assert total.terms == {e: c for e, c in expected.items() if c}
+    assert dict(total.items()) == {e: c for e, c in expected.items() if c}
     assert _valid(total)
     # every term cancels, whatever the order of the denominators
     assert add_all(3, iter([-total] + polys)) == MPoly.zero(3)

@@ -66,6 +66,16 @@ def test_r_matrix_entry_updown_downup():
     assert r[2][1] == (Q - Q_INV) * CycloNum(7, 0)  # the z entry
 
 
+def test_r_matrix_refuses_a_numpy_integer_t():
+    # numpy's reflected operators would otherwise take np.int64 as a scalar
+    import numpy as np
+
+    with pytest.raises(TypeError):
+        r_matrix_spin(2, np.int64(3))
+    with pytest.raises(TypeError):
+        r_matrix_spin(2, 3.0)
+
+
 def test_spin_unitarity():
     z, w = CycloNum(2, 0), CycloNum(3, 0)
     prod = ExactMatrix(rcheck_spin(z, w)) @ ExactMatrix(rcheck_spin(w, z))

@@ -2,8 +2,10 @@
 
 Runs ``perfbench/run.py --workload all --trace 0`` as it stands, in a
 fresh interpreter, and stores its facts line and its result line next to
-the line counts of ``src/`` and ``tests/``, the CPU count, and the Python
-and numpy versions of the interpreter that ran it:
+the line counts of ``src/`` and ``tests/``, whether those two trees match
+the commit the facts name (``tree_clean``: ``git status --porcelain`` is
+empty for them; null outside a git checkout), the CPU count, and the
+Python and numpy versions of the interpreter that ran it:
 
     python3 tools/bench_record.py --label baseline
 
@@ -29,6 +31,12 @@ COMMAND = ["perfbench/run.py", "--workload", "all", "--trace", "0"]
 
 def line_count(top: Path) -> int:
     return sum(p.read_bytes().count(b"\n") for p in sorted(top.rglob("*.py")))
+
+
+def tree_clean(root: Path) -> bool | None:
+    got = subprocess.run(["git", "status", "--porcelain", "--", "src", "tests"],
+                         cwd=root, capture_output=True, text=True)
+    return None if got.returncode else not got.stdout.strip()
 
 
 def main(argv=None) -> int:
@@ -57,6 +65,7 @@ def main(argv=None) -> int:
         "exit_code": run.returncode,
         "src_lines": line_count(ROOT / "src"),
         "tests_lines": line_count(ROOT / "tests"),
+        "tree_clean": tree_clean(ROOT),
         "cpus": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
