@@ -18,9 +18,10 @@ Y_n = (n-1, n-1, n-2, n-2, ..., 1, 1); it obeys the recursion
 which, with symmetry and the degree bounds, pins it completely.
 
 The companion objects live in one auxiliary variable t: the degree-3n
-polynomial F_n(t) whose roots are q z_i together with the Bethe roots,
-its cube-root-of-unity identity F(t) + q^2 F(q t) + q F(q^2 t) = 0
-(equivalently a_{3k+1} = 0), the quotient Q_n(t), and the T-Q relation
+alternant F_n(t) whose roots are q z_i together with the Bethe roots, its
+cube-root-of-unity identity F(t) + q^2 F(q t) + q F(q^2 t) = 0
+(equivalently a_{3k+1} = 0), the Schur ratio
+Q_n(t) = s_{Y_{n+1}}(w, t) / s_{Y~_n}(w) at w = q z, and the T-Q relation
 with eigenvalue prod_i (q t - q^{-1} z_i).  The algebraic-Bethe-ansatz
 vector over the roots of Q is built exactly, through the spin route's one
 monodromy, in the splitting algebra of Q (aba_residual).
@@ -48,7 +49,7 @@ from .cyclo import (
 from .groundstate import psi_point
 from .mpoly import MPoly
 from .report import CheckReport
-from .solver import ExactMatrix, NonzeroRemainderError, det
+from .solver import ExactMatrix, det
 from .tmatrix import eigenvalue, embed, monodromy_apply, transfer_apply_spin
 
 
@@ -229,56 +230,37 @@ def poly_mul(a: list[CycloNum], b: list[CycloNum]) -> list[CycloNum]:
     return out
 
 
-def poly_divmod(num: list[CycloNum], den: list[CycloNum]):
-    num = list(num)
-    dn = len(den) - 1
-    while den and not den[-1]:
-        den = den[:-1]
-        dn -= 1
-    lead_inv = den[-1].inverse()
-    quot = [ZERO] * max(len(num) - dn, 0)
-    for k in range(len(num) - dn - 1, -1, -1):
-        c = num[k + dn] * lead_inv
-        if c:
-            quot[k] = c
-            for j, d in enumerate(den):
-                num[k + j] = num[k + j] - c * d
-    while num and not num[-1]:
-        num.pop()
-    return quot, num
-
-
 def f_poly(n: int, zs: Sequence) -> list[CycloNum]:
     """The monic degree-3n polynomial in t with roots q z_i and the Bethe
-    roots, from the determinant ratio over the powers not equal to
-    1 mod 3.
+    roots: the alternant det[w_i^e ; t^e] at w = q z over the powers e <= 3n
+    not equal to 1 mod 3, divided by its own t^{3n} coefficient, the minor
+    over the powers below 3n.  That minor is +-Vandermonde(w) s_{Y~_n}(w).
 
     Coefficients ascend; entry 3k+1 vanishes for k < n.
     """
     if len(zs) != 2 * n:
         raise ValueError(f"expected {2 * n} arguments")
     w = [Q * as_cyclo(z) for z in zs]
-    exps_num = [e for e in range(3 * n + 1) if e % 3 != 1]
-    exps_den = [e for e in range(3 * n) if e % 3 != 1]
-    den = det(ExactMatrix([[wi**e for e in exps_den] for wi in w]))
+    coeffs = _alternant_in_t(w, [e for e in range(3 * n + 1) if e % 3 != 1])
+    den = coeffs[-1]
     if not den:
         raise DegenerateDenominatorError("denominator determinant vanished")
-    coeffs = [c / den for c in _alternant_in_t(w, exps_num)]
-    if coeffs[-1] != ONE:
-        raise NonzeroRemainderError("leading coefficient is not 1")
-    return coeffs
+    return [c / den for c in coeffs]
 
 
 def q_poly(n: int, zs: Sequence) -> list[CycloNum]:
-    """The Bethe-root polynomial: f_poly divided by prod_i (t - q z_i)."""
-    f = f_poly(n, zs)
-    den = [ONE]
-    for z in zs:
-        den = poly_mul(den, [-(Q * as_cyclo(z)), ONE])
-    quot, rem = poly_divmod(f, den)
-    if rem:
-        raise NonzeroRemainderError("root-product division left a remainder")
-    return quot
+    """The monic Bethe-root polynomial as a ratio of Schur functions,
+    Q(t) = s_{Y_{n+1}}(w, t) / s_{Y~_n}(w) at w = q z, with coefficient k
+    the skew value s_{Y_{n+1}/(k)}(w) (Macdonald I.5.10).  For distinct z it
+    is f_poly divided by prod_i (t - q z_i); it needs no distinct z."""
+    if len(zs) != 2 * n:
+        raise ValueError(f"expected {2 * n} arguments")
+    w = [Q * as_cyclo(z) for z in zs]
+    den = schur_eval(y_tilde_partition(n), w)
+    if not den:
+        raise DegenerateDenominatorError("s_{Y~_n}(q z) vanished")
+    lam = y_partition(n + 1)
+    return [schur_eval(lam, w, Partition([k])) / den for k in range(n + 1)]
 
 
 def _scale_argument(coeffs: list[CycloNum], s: CycloNum) -> list[CycloNum]:
@@ -316,9 +298,9 @@ def check_tq(n: int, zs: Sequence) -> CheckReport:
                 - q^{-1} prod_i (t - z_i) q^n Q(q t)
 
     where the two shifted products of Bethe-root factors have been
-    rewritten through Q itself.  A second case checks Q against the Schur
-    ratio s_{Y_{n+1}}(w, t) / s_{Y~_n}(w) at w = q z, built by skew
-    Jacobi-Trudi; it shares no code with the alternant behind f_poly.
+    rewritten through Q itself.  A second case checks the Schur ratio Q
+    against the alternant: Q(t) prod_i (t - q z_i) = f_poly.  The two share
+    no code; the alternant needs distinct z.
     """
     report = CheckReport(f"t-q(n={n})")
     qq = q_poly(n, zs)
@@ -327,11 +309,13 @@ def check_tq(n: int, zs: Sequence) -> CheckReport:
     tpoly = [ONE]
     p1 = [ONE]
     p2 = [ONE]
+    roots = [ONE]
     for z in zs:
         z = as_cyclo(z)
         tpoly = poly_mul(tpoly, [-(Q_INV * z), Q])
         p1 = poly_mul(p1, [-(Q * z), Q_INV])
         p2 = poly_mul(p2, [-z, ONE])
+        roots = poly_mul(roots, [-(Q * z), ONE])
     lhs = poly_mul(tpoly, qq)
     q2n = Q ** (2 * n)
     qn = Q**n
@@ -339,17 +323,7 @@ def check_tq(n: int, zs: Sequence) -> CheckReport:
     rhs_b = [(-Q_INV) * qn * c for c in poly_mul(p2, _scale_argument(qq, Q))]
     ok = all(l == a + b for l, a, b in zip(lhs, rhs_a, rhs_b, strict=True))
     report.add(ok, kind="functional-equation")
-
-    # the quotient also equals a ratio of Schur functions,
-    # Q(t) s_{Y~_n}(w) = s_{Y_{n+1}}(w, t) = sum_k s_{Y_{n+1}/(k)}(w) t^k
-    # (Macdonald I.5.10), one skew Jacobi-Trudi value per power of t
-    w = [Q * as_cyclo(z) for z in zs]
-    denom = schur_eval(y_tilde_partition(n), w)
-    if denom:
-        lam = y_partition(n + 1)
-        ratio = [schur_eval(lam, w, Partition([k])) for k in range(n + 1)]
-        ok = all(a == c * denom for a, c in zip(ratio, qq, strict=True))
-        report.add(ok, kind="schur-ratio")
+    report.add(poly_mul(qq, roots) == f_poly(n, zs), kind="schur-ratio")
     return report
 
 
@@ -405,7 +379,7 @@ def aba_residual(n: int, zs: Sequence) -> dict:
     if n > 3:
         raise ValueError("exact Bethe-vector check capped at n = 3")
     qq = q_poly(n, zs)
-    pairs, d = integer_pairs([*(c / qq[-1] for c in qq[:-1]), *zs])
+    pairs, d = integer_pairs([*qq[:-1], *zs])
     zd = [from_pair(p) for p in pairs[n:]]
     t = [MPoly.variable(n, k) for k in range(n)]
     qk = sum((from_pair(p) * d ** (n - 1 - j) * t[0] ** j for j, p in enumerate(pairs[:n])),

@@ -68,6 +68,25 @@ def test_record_says_whether_src_and_tests_match_the_commit(status, clean, tmp_p
     assert json.loads((tmp_path / "BENCH_x.json").read_text())["tree_clean"] is clean
 
 
+def test_record_names_the_directory_it_ran_from(tmp_path, monkeypatch):
+    # setup_s moves with the directory a tree sits in, so two records of
+    # one tree say where each ran
+    result = {"correct": True, "attempted": 1, "failed": 0, "metrics": {}}
+    stdout = "\n".join([json.dumps({"facts": {}}), json.dumps(result)])
+    monkeypatch.setattr(bench_record.subprocess, "run", lambda cmd, **kwargs:
+                        subprocess.CompletedProcess(cmd, 0, stdout + "\n", ""))
+    roots = []
+    for name in ("a", "b"):
+        root = tmp_path / name
+        root.mkdir()
+        monkeypatch.setattr(bench_record, "ROOT", _tree(root))
+        monkeypatch.chdir(root / "src")
+        assert bench_record.main(["--label", "x"]) == 0
+        roots.append(json.loads((root / "BENCH_x.json").read_text())["root"])
+    assert roots == [str((tmp_path / name).resolve()) for name in ("a", "b")]
+    assert all(Path(r).is_absolute() for r in roots)
+
+
 @pytest.mark.parametrize("label", ["", "a b", "../x", "a/b"])
 def test_bad_label_exits_2_without_running(label, tmp_path, monkeypatch):
     monkeypatch.setattr(bench_record, "ROOT", _tree(tmp_path))

@@ -10,13 +10,13 @@ from loopsum.asm import asm_product_formula
 from loopsum.cli import main
 from loopsum.cyclo import CycloNum, ONE, Q
 from loopsum.schur import (
+    DegenerateDenominatorError,
     Partition,
     aba_residual,
     check_f_identity,
     check_tq,
     check_z_recursion,
     f_poly,
-    poly_divmod,
     poly_eval,
     poly_mul,
     q_poly,
@@ -104,8 +104,8 @@ def test_skew_values():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_skew_route_adds_one_variable(n):
-    # sum_k s_{lam/(k)}(w) t^k = s_lam(w, t), the expansion check_tq's
-    # Schur-ratio case uses; repeated w values are fine on both sides
+    # sum_k s_{lam/(k)}(w) t^k = s_lam(w, t), the expansion behind q_poly's
+    # Schur ratio; repeated w values are fine on both sides
     lam = y_partition(n)
     points = random.Random(300 + n)
     distinct = [Q * CycloNum(Fraction(a, 3), 0)
@@ -146,8 +146,7 @@ def test_poly_helpers():
     a = [CycloNum(1, 0), CycloNum(2, 0)]  # 1 + 2t
     b = [CycloNum(-3, 0), ONE]  # t - 3
     prod = poly_mul(a, b)
-    quot, rem = poly_divmod(prod, b)
-    assert quot == a and rem == []
+    assert prod == [CycloNum(-3, 0), CycloNum(-5, 0), CycloNum(2, 0)]
     assert poly_eval(prod, CycloNum(3, 0)) == CycloNum(0, 0)
 
 
@@ -174,6 +173,64 @@ def test_q_poly_degree():
     for n in (1, 2, 3):
         zs = rng.sample(range(2, 30), 2 * n)
         assert len(q_poly(n, zs)) == n + 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_schur_ratio_times_roots_is_the_alternant(n):
+    # Q(t) prod_i (t - q z_i) = F(t) at distinct points: the Schur ratio and
+    # the alternant share no code
+    points = random.Random(400 + n)
+    for _ in range(2):
+        zs = [Fraction(a, 3) for a in points.sample(range(1, 60), 2 * n)]
+        roots = [ONE]
+        for z in zs:
+            roots = poly_mul(roots, [-(Q * CycloNum(z, 0)), ONE])
+        assert poly_mul(q_poly(n, zs), roots) == f_poly(n, zs), zs
+
+
+def test_q_and_f_guard_their_inputs():
+    for fn in (q_poly, f_poly):
+        with pytest.raises(ValueError, match="expected 4 arguments"):
+            fn(2, [1, 2, 3])
+        # s_(1)(q z) = q (z_1 + z_2) = 0, and F's denominator with it
+        with pytest.raises(DegenerateDenominatorError):
+            fn(1, [1, -1])
+
+
+def test_repeated_z_has_a_schur_ratio_but_no_alternant():
+    # the Schur ratio needs no distinct z: at z = (2, 2), Q(t) = t + q, and
+    # the Bethe vector over its root passes; F's Vandermonde vanishes, so
+    # f_poly, and with it check_tq, raises
+    assert q_poly(1, [2, 2]) == [Q, ONE]
+    assert aba_residual(1, [2, 2]) == {
+        "n": 1, "residual": 0, "eigenvalue_error": 0, "subspace_angle": 0}
+    for call in (f_poly, check_tq):
+        with pytest.raises(DegenerateDenominatorError):
+            call(1, [2, 2])
+
+
+def _cases(report) -> dict:
+    return {case["kind"]: case["pass"] for case in report.cases}
+
+
+def test_bent_f_fails_the_identity_and_the_schur_ratio(monkeypatch):
+    f_poly = schur.f_poly
+
+    def bent(n, zs):
+        f = f_poly(n, zs)
+        return [f[0], f[1] + 1, *f[2:]]
+
+    monkeypatch.setattr(schur, "f_poly", bent)
+    zs = [1, 2, 3, 5, 7, 11]
+    assert not check_f_identity(3, zs).passed
+    assert _cases(check_tq(3, zs)) == {
+        "degree": True, "functional-equation": True, "schur-ratio": False}
+
+
+def test_bent_q_fails_the_functional_equation(monkeypatch):
+    _bend_q(monkeypatch)
+    assert _cases(check_tq(3, [1, 2, 3, 5, 7, 11])) == {
+        "degree": True, "functional-equation": False, "schur-ratio": False}
 
 
 def test_schur_symbolic_small():

@@ -4,8 +4,10 @@ Runs ``perfbench/run.py --workload all --trace 0`` as it stands, in a
 fresh interpreter, and stores its facts line and its result line next to
 the line counts of ``src/`` and ``tests/``, whether those two trees match
 the commit the facts name (``tree_clean``: ``git status --porcelain`` is
-empty for them; null outside a git checkout), the CPU count, and the
-Python and numpy versions of the interpreter that ran it:
+empty for them; null outside a git checkout), the absolute directory it
+ran from (``root``: the same tree reads a different ``setup_s`` from a
+different directory), the CPU count, and the Python and numpy versions of
+the interpreter that ran it:
 
     python3 tools/bench_record.py --label baseline
 
@@ -66,6 +68,7 @@ def main(argv=None) -> int:
         "src_lines": line_count(ROOT / "src"),
         "tests_lines": line_count(ROOT / "tests"),
         "tree_clean": tree_clean(ROOT),
+        "root": str(ROOT.resolve()),
         "cpus": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
