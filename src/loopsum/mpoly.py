@@ -4,8 +4,9 @@ Exponent vectors are tuples of small non-negative ints, one entry per
 variable.  ``terms`` maps each to an integer pair (a, b), never (0, 0),
 for the coefficient (a + b w) / den; ``den`` > 0 is in lowest terms (1
 for Psi_n and s_{Y_n}), so equal polynomials store equal fields.  Every
-operation works on the pairs; only coeff_of, items(), values, to_json and
-__str__ build CycloNum.  JSON lists terms in graded-lexicographic order.
+operation works on the pairs; only coeff_of, items() and values build
+CycloNum.  to_json and __str__ format each pair over den straight to
+strings, and list terms in graded-lexicographic order.
 
 Validation happens at the boundary: MPoly(...) checks and coerces the
 input of zero, constant, variable and from_json; results built here from
@@ -309,16 +310,20 @@ class MPoly:
 
     # -- serialization ----------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], CycloNum]]:
-        """Terms in graded-lexicographic order (canonical)."""
-        return sorted(self.items(), key=lambda t: (sum(t[0]), t[0]))
+    def _canonical_terms(self) -> Iterator[tuple[tuple[int, ...], list[str]]]:
+        """(exponent vector, [a, b]) per term in graded-lexicographic order
+        (canonical), a and b the parts of (a + b w) / den as strings with
+        '/' separated fractions, formatted straight from the pairs."""
+        den, terms = self.den, self.terms
+        part = str if den == 1 else (lambda x: str(Fraction(x, den)))
+        for _, e in sorted(zip(map(sum, terms), terms)):
+            a, b = terms[e]
+            yield e, [part(a), part(b)]
 
     def to_json(self) -> dict:
         return {
             "nvars": self.nvars,
-            "terms": [
-                {"exp": list(e), "coeff": c.to_strings()} for e, c in self.sorted_terms()
-            ],
+            "terms": [{"exp": list(e), "coeff": c} for e, c in self._canonical_terms()],
         }
 
     @classmethod
@@ -338,7 +343,8 @@ class MPoly:
         if not self.terms:
             return "0"
         bits = []
-        for e, c in self.sorted_terms():
+        for e, (a, b) in self._canonical_terms():
+            c = a if b == "0" else f"{b}*w" if a == "0" else f"{a} + {b}*w"
             mono = "*".join(
                 f"z{v + 1}" + (f"^{k}" if k > 1 else "")
                 for v, k in enumerate(e)

@@ -162,26 +162,32 @@ def _kostka(shape: tuple, content: tuple, memo: dict) -> int:
 def schur_symbolic(n: int, threads: int | None = None) -> MPoly:
     """s_{Y_n} as an exact polynomial in 2n variables, memoized per n: the
     sum of K_{Y_n, sort(alpha)} z^alpha over the exponent vectors alpha of
-    degree n(n-1) with entries at most n-1, one Kostka number per sorted
-    content.  Nothing is sampled; ``threads`` is accepted and ignored."""
+    degree n(n-1) with entries at most n-1, nonzero terms only.  Each alpha
+    joins a low half lo in range(n)^n to a high half of degree n(n-1) -
+    |lo|; a half's content code sum_v (2n+1)^half_v adds over the halves
+    and names the content of alpha (no value occurs 2n+1 times), so there
+    is one Kostka number per code.  Nothing is sampled; ``threads`` is
+    accepted and ignored."""
     from itertools import product
 
     if n not in _SCHUR_CACHE:
-        shape, degree = y_partition(n).parts, n * (n - 1)
+        shape, degree, base = y_partition(n).parts, n * (n - 1), 2 * n + 1
+        halves = [(h, sum(base**v for v in h), sum(h)) for h in product(range(n), repeat=n)]
+        by_degree: list[list] = [[] for _ in range(degree + 1)]
+        for h, code, d in halves:
+            by_degree[d].append((h, code))
         memo: dict = {}
-        coeffs: dict[tuple, tuple[int, int]] = {}
+        coeffs: dict[int, tuple] = {}  # content code -> (K, 0), or () where K = 0
         terms = {}
-        for head in product(range(n), repeat=2 * n - 1):
-            last = degree - sum(head)
-            if not 0 <= last < n:
-                continue
-            alpha = head + (last,)
-            key = tuple(sorted(alpha, reverse=True))
-            if key not in coeffs:
-                content = tuple(a for a in key if a)
-                coeffs[key] = (_kostka(shape, content, memo), 0)
-            if coeffs[key][0]:
-                terms[alpha] = coeffs[key]
+        for lo, lo_code, d in halves:
+            for hi, hi_code in by_degree[degree - d]:
+                code = lo_code + hi_code
+                c = coeffs.get(code)
+                if c is None:
+                    k = _kostka(shape, tuple(sorted(filter(None, lo + hi), reverse=True)), memo)
+                    c = coeffs[code] = (k, 0) if k else ()
+                if c:
+                    terms[lo + hi] = c
         _SCHUR_CACHE[n] = MPoly._raw(2 * n, terms)
     return _SCHUR_CACHE[n]
 

@@ -1,5 +1,6 @@
 """MPoly's product, divided difference and ratio specialization as one
-CycloNum operation per term (pair), kept as a test oracle.
+CycloNum operation per term (pair), and its canonical JSON and str through
+one CycloNum per term, kept as a test oracle.
 
 MPoly stores integer pairs over one denominator; these loops work on
 {exponent tuple: CycloNum} dicts, as MPoly.items() yields them, and
@@ -44,3 +45,25 @@ def specialize_ratio(p: dict, var: int, target: int, scale) -> dict:
         ne[target] += k
         accumulate(terms, tuple(ne), c * powers[k])
     return terms
+
+
+def sorted_terms(p: dict) -> list:
+    """The (exponent, CycloNum) terms in graded-lexicographic order."""
+    return sorted(p.items(), key=lambda t: (sum(t[0]), t[0]))
+
+
+def to_json(nvars: int, p: dict) -> dict:
+    return {
+        "nvars": nvars,
+        "terms": [{"exp": list(e), "coeff": c.to_strings()} for e, c in sorted_terms(p)],
+    }
+
+
+def to_str(p: dict) -> str:
+    if not p:
+        return "0"
+    bits = []
+    for e, c in sorted_terms(p):
+        mono = "*".join(f"z{v + 1}" + (f"^{k}" if k > 1 else "") for v, k in enumerate(e) if k)
+        bits.append(f"({c})" + (f"*{mono}" if mono else ""))
+    return " + ".join(bits)

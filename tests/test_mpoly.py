@@ -178,6 +178,34 @@ def test_json_roundtrip_and_term_order():
     assert MPoly.from_json(data) == p
 
 
+rational_parts = st.builds(
+    Fraction, st.integers(min_value=-20, max_value=20), st.integers(min_value=1, max_value=6)
+)
+
+
+@st.composite
+def rational_polys(draw):
+    """Polys in 1-4 variables of mixed total degrees whose parts are
+    negative, Fractions, zero or w-parts, so den is often not 1."""
+    nvars = draw(st.integers(min_value=1, max_value=4))
+    exps = st.tuples(*[st.integers(min_value=0, max_value=3)] * nvars)
+    coeffs = st.builds(CycloNum, rational_parts, rational_parts)
+    return MPoly(nvars, draw(st.dictionaries(exps, coeffs, max_size=8)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_polys())
+@example(MPoly.zero(3))
+@example(MPoly(2, {(1, 0): Fraction(1, 2), (0, 2): CycloNum(0, -3), (0, 0): CycloNum(4, 2)}))
+def test_to_json_and_str_match_the_cyclonum_serializer(p):
+    # to_json and str format the integer pairs over den directly; the
+    # oracle builds one CycloNum per term
+    terms = dict(p.items())
+    assert p.to_json() == mpoly_oracle.to_json(p.nvars, terms)
+    assert str(p) == mpoly_oracle.to_str(terms)
+    assert MPoly.from_json(p.to_json()) == p
+
+
 def test_interpolate_constant():
     nodes = [[Fraction(0), Fraction(1)]] * 2
     vals = [CycloNum(7, 0)] * 4

@@ -246,6 +246,38 @@ def test_schur_symbolic_cached_per_n_only():
     assert schur_symbolic(2, threads=1) is schur_symbolic(2, threads=2)
 
 
+def _schur_by_heads(n: int) -> tuple[dict, int]:
+    """The terms and den of s_{Y_n} by walking all n^(2n-1) heads of an
+    exponent vector, the last entry fixed by the degree n(n-1), and sorting
+    each vector for its content: the oracle for schur_symbolic's build from
+    two halves."""
+    from itertools import product
+
+    shape, degree = y_partition(n).parts, n * (n - 1)
+    memo: dict = {}
+    coeffs: dict[tuple, tuple[int, int]] = {}
+    terms = {}
+    for head in product(range(n), repeat=2 * n - 1):
+        last = degree - sum(head)
+        if not 0 <= last < n:
+            continue
+        alpha = head + (last,)
+        key = tuple(sorted(alpha, reverse=True))
+        if key not in coeffs:
+            content = tuple(a for a in key if a)
+            coeffs[key] = (schur._kostka(shape, content, memo), 0)
+        if coeffs[key][0]:
+            terms[alpha] = coeffs[key]
+    return terms, 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_schur_symbolic_matches_head_enumeration(n):
+    s = schur_symbolic(n)
+    assert (s.terms, s.den) == _schur_by_heads(n)
+    assert all(a and not b for a, b in s.terms.values())
+
+
 @pytest.fixture(scope="module")
 def kostka():
     yield {n: schur_symbolic(n) for n in range(2, 6)}
