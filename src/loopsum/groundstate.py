@@ -435,7 +435,7 @@ def psi_symbolic(n: int) -> Groundstate:
 def within_degree_bounds(comp: MPoly, n: int) -> bool:
     """True iff comp is homogeneous of total degree n(n-1) with degree at
     most n-1 in each variable, the bounds of every component of Psi_n."""
-    return comp.is_homogeneous() == n * (n - 1) and max(map(max, comp.terms), default=0) <= n - 1
+    return comp.is_homogeneous() == n * (n - 1) and comp.exponents_below(n)
 
 
 def _validate_symbolic(g: Groundstate) -> None:

@@ -1,17 +1,26 @@
 """Sparse multivariate polynomials over Q(w), with exact tensor-grid interpolation.
 
-Exponent vectors are tuples of small non-negative ints, one entry per
-variable.  ``terms`` maps each to an integer pair (a, b), never (0, 0),
-for the coefficient (a + b w) / den; ``den`` > 0 is in lowest terms (1
-for Psi_n and s_{Y_n}), so equal polynomials store equal fields.  Every
+``terms`` maps each packed exponent vector to an integer pair (a, b), never
+(0, 0), for the coefficient (a + b w) / den; ``den`` > 0 is in lowest terms
+(1 for Psi_n and s_{Y_n}), so equal polynomials store equal fields.  Every
 operation works on the pairs; only coeff_of, items() and values build
 CycloNum.  to_json and __str__ format each pair over den straight to
 strings, and list terms in graded-lexicographic order.
 
+Storage (packed exponent vectors, Monagan & Pearce): vector e has the key
+int.from_bytes(bytes(e), "big"), the first variable in the top byte, key 0
+the constant.  No exponent exceeds 127, so the top bit of every byte, its
+guard bit, is clear: a monomial product adds two keys with no carry between
+variables, key order is lexicographic order, and key.to_bytes(nvars, "big")
+is the vector.  Products, powers and specialize_ratio check the guard bits
+of their keys once and raise OverflowError where an exponent reaches 128,
+never wrapping into the next variable; nothing else raises an exponent.
+
 Validation happens at the boundary: MPoly(...) checks and coerces the
-input of zero, constant, variable and from_json; results built here from
-valid terms skip it through MPoly._raw, which only brings den to lowest
-terms, and their sums drop (0, 0) pairs.
+input of zero, constant and from_json (TypeError for a non-integral
+exponent, ValueError outside 0..127); variable checks its index, and
+results built here from valid terms skip the check through MPoly._raw,
+which only brings den to lowest terms, and their sums drop (0, 0) pairs.
 
 Exact evaluation has one path, eval_all: exponent vectors split into a
 low and a high half, each distinct half is evaluated once per point for
@@ -31,13 +40,14 @@ from the nested one with divided_difference and permute_args.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .cyclo import CycloNum, ONE, _rational, as_cyclo, from_pair, integer_pairs, pair_mul
+from .cyclo import CycloNum, _rational, as_cyclo, from_pair, integer_pairs, pair_mul
 
 
 class ArityMismatchError(ValueError):
@@ -52,23 +62,32 @@ class HomogenizationMismatchError(RuntimeError):
     """A reconstructed component violates its degree bounds or identities."""
 
 
+def _key(exps: Sequence[int], nvars: int) -> int:
+    """The packed key of a validated exponent vector."""
+    e = tuple(map(operator.index, exps))
+    if len(e) != nvars:
+        raise ArityMismatchError(f"exponent vector {e} has length {len(e)}, expected {nvars}")
+    if not all(0 <= x <= 127 for x in e):
+        raise ValueError(f"exponent outside 0..127 in {e}")
+    return int.from_bytes(bytes(e), "big")
+
+
+def _guard_bits(nvars: int, keys: Iterable[int]) -> int:
+    """The guard bits set in any key of keys: nonzero iff an exponent is 128+."""
+    return functools.reduce(operator.or_, keys, 0) & int.from_bytes(b"\x80" * nvars, "big")
+
+
 class MPoly:
     """A sparse polynomial in ``nvars`` variables over Q(w): terms maps
-    exponent tuples to integer pairs (a, b) for (a + b w) / den."""
+    packed exponent keys to integer pairs (a, b) for (a + b w) / den."""
 
     __slots__ = ("nvars", "terms", "den")
 
     def __init__(self, nvars: int, terms: Optional[Mapping[tuple, object]] = None):
         items = list((terms or {}).items())
-        for e, _ in items:
-            if len(e) != nvars:
-                raise ArityMismatchError(
-                    f"exponent vector {tuple(e)} has length {len(e)}, expected {nvars}"
-                )
-            if any(x < 0 for x in e):
-                raise ValueError(f"negative exponent in {tuple(e)}")
+        keys = [_key(e, nvars) for e, _ in items]
         pairs, den = integer_pairs(c for _, c in items)
-        clean = {tuple(e): p for (e, _), p in zip(items, pairs) if p[0] or p[1]}
+        clean = {k: p for k, p in zip(keys, pairs) if p[0] or p[1]}
         for name, value in zip(self.__slots__, (nvars, clean, den)):
             object.__setattr__(self, name, value)
 
@@ -77,8 +96,8 @@ class MPoly:
 
     @classmethod
     def _raw(cls, nvars: int, terms: dict, den: int = 1) -> "MPoly":
-        """Wrap terms that are already valid: tuple exponents of length
-        nvars, nonzero integer pairs over den > 0.  The dict is not copied;
+        """Wrap terms that are already valid: keys of nvars exponents below
+        128, nonzero integer pairs over den > 0.  The dict is not copied;
         a factor that den shares with every part is divided out."""
         g = math.gcd(den, *itertools.chain(*terms.values())) if den != 1 else 1
         if g != 1:
@@ -102,9 +121,7 @@ class MPoly:
     def variable(cls, nvars: int, index: int) -> "MPoly":
         if not 0 <= index < nvars:
             raise ArityMismatchError(f"variable index {index} out of range")
-        e = [0] * nvars
-        e[index] = 1
-        return cls(nvars, {tuple(e): ONE})
+        return cls._raw(nvars, {1 << 8 * (nvars - 1 - index): (1, 0)})
 
     # -- ring operations -----------------------------------------------
 
@@ -144,14 +161,16 @@ class MPoly:
         big, small = self.terms, other.terms
         if len(big) < len(small):
             big, small = small, big
-        acc: dict[tuple[int, ...], tuple[int, int]] = {}
+        acc: dict[int, tuple[int, int]] = {}
         for e1, (a, b) in small.items():
             for e2, (c, d) in big.items():
-                e = tuple(map(operator.add, e1, e2))
+                e = e1 + e2
                 bd = b * d
                 x, y = a * c - bd, a * d + b * c - bd
                 s = acc.get(e)
                 acc[e] = (x, y) if s is None else (s[0] + x, s[1] + y)
+        if _guard_bits(self.nvars, acc):
+            raise OverflowError("an exponent of the product reached 128")
         return MPoly._raw(self.nvars, {e: s for e, s in acc.items() if s[0] or s[1]},
                           self.den * other.den)
 
@@ -193,24 +212,36 @@ class MPoly:
         return eval_all([self], point)[0]
 
     def coeff_of(self, exps: Sequence[int]) -> CycloNum:
-        e = tuple(exps)
-        if len(e) != self.nvars:
-            raise ArityMismatchError(
-                f"exponent vector has length {len(e)}, expected {self.nvars}"
-            )
-        return from_pair(self.terms.get(e, (0, 0)), self.den)
+        return from_pair(self.terms.get(_key(exps, self.nvars), (0, 0)), self.den)
 
     def items(self) -> Iterator[tuple[tuple[int, ...], CycloNum]]:
-        """(exponent vector, CycloNum coefficient) for every stored term."""
-        for e, pair in self.terms.items():
-            yield e, from_pair(pair, self.den)
+        """(exponent tuple, CycloNum coefficient) for every stored term."""
+        for e, pair in zip(self._exponent_bytes(), self.terms.values()):
+            yield tuple(e), from_pair(pair, self.den)
+
+    def _exponent_bytes(self) -> Iterator[bytes]:
+        """Each term's exponent vector as bytes, in the order of terms."""
+        return map(int.to_bytes, self.terms, itertools.repeat(self.nvars),
+                   itertools.repeat("big"))
+
+    def _shift(self, var: int) -> int:  # the bit offset of z_var's byte in a key
+        if not 0 <= var < self.nvars:
+            raise ArityMismatchError(f"variable index {var} out of range")
+        return 8 * (self.nvars - 1 - var)
 
     def degree_in(self, var: int) -> int:
-        return max((e[var] for e in self.terms), default=0)
+        s = self._shift(var)
+        return max(map((127 << s).__and__, self.terms), default=0) >> s
+
+    def exponents_below(self, bound: int) -> bool:
+        """True iff every exponent is below bound, 1 <= bound <= 128: adding
+        128 - bound to every byte sets its guard bit iff it holds bound or more."""
+        lift = int.from_bytes(bytes([128 - bound]) * self.nvars, "big")
+        return not _guard_bits(self.nvars, map(lift.__add__, self.terms))
 
     def is_homogeneous(self) -> Optional[int]:
         """Common total degree of all terms, or None if degrees are mixed."""
-        degs = {sum(e) for e in self.terms}
+        degs = set(map(sum, self._exponent_bytes()))
         if not degs:
             return 0
         if len(degs) == 1:
@@ -233,18 +264,19 @@ class MPoly:
             raise ArityMismatchError(
                 f"{perm} does not map {self.nvars} variables injectively into {nvars}"
             )
-        terms = {}
-        for e, c in self.terms.items():
-            ne = [0] * nvars
-            for k, ek in zip(perm, e):
-                ne[k] = ek
-            terms[tuple(ne)] = c
-        return MPoly._raw(nvars, terms, self.den)
+        # byte 0 of each view, one byte wider than the key, is the zero exponent
+        # of every variable no slot names, and keeps get's result a tuple
+        slot = {v: k + 1 for k, v in enumerate(perm)}
+        get = operator.itemgetter(0, *(slot.get(v, 0) for v in range(nvars)))
+        width = self.nvars + 1
+        return MPoly._raw(nvars, {int.from_bytes(bytes(get(e.to_bytes(width, "big"))), "big"): c
+                                  for e, c in self.terms.items()}, self.den)
 
     def swap_args(self, i: int, j: int) -> "MPoly":
-        perm = list(range(self.nvars))
-        perm[i], perm[j] = perm[j], perm[i]
-        return self.permute_args(perm)
+        si, sj = self._shift(i), self._shift(j)
+        step = (1 << sj) - (1 << si)  # moves one unit from z_i to z_j
+        return MPoly._raw(self.nvars, {e + ((e >> si & 127) - (e >> sj & 127)) * step: c
+                                       for e, c in self.terms.items()}, self.den)
 
     def divided_difference(self, i: int, j: int) -> "MPoly":
         """(P with z_i and z_j swapped - P) / (z_j - z_i), exact.
@@ -255,15 +287,16 @@ class MPoly:
         """
         if i == j:
             raise ValueError("divided difference needs two distinct variables")
-        terms: dict[tuple[int, ...], tuple[int, int]] = {}
+        si, sj = self._shift(i), self._shift(j)
+        step = (1 << si) - (1 << sj)  # moves one unit from z_j to z_i
+        terms: dict[int, tuple[int, int]] = {}
         for e, (x, y) in self.terms.items():
-            a, b = e[i], e[j]
+            a, b = e >> si & 127, e >> sj & 127
             if a < b:
                 x, y = -x, -y
-            ne = list(e)
-            for k in range(abs(a - b)):
-                ne[i], ne[j] = min(a, b) + k, max(a, b) - 1 - k
-                key = tuple(ne)
+            lo, hi = min(a, b), max(a, b)
+            start = e + ((lo - a) << si) + ((hi - 1 - b) << sj)
+            for key in range(start, start + (hi - lo) * step, step):
                 s = terms.get(key)
                 terms[key] = (x, y) if s is None else (s[0] + x, s[1] + y)
         return MPoly._raw(self.nvars, {e: s for e, s in terms.items() if s[0] or s[1]},
@@ -277,19 +310,20 @@ class MPoly:
         if var == target:
             raise ValueError("substitution variable must differ from target")
         [pair], d = integer_pairs([scale])
+        sv, st = self._shift(var), self._shift(target)
+        step = (1 << st) - (1 << sv)  # moves one unit from z_var to z_target
         top = self.degree_in(var)
         powers = [(a * d ** (top - k), b * d ** (top - k)) for k, (a, b) in enumerate(
             itertools.accumulate(itertools.repeat(pair, top), pair_mul, initial=(1, 0)))]
-        terms: dict[tuple[int, ...], tuple[int, int]] = {}
+        terms: dict[int, tuple[int, int]] = {}
         for e, c in self.terms.items():
-            k = e[var]
-            ne = list(e)
-            ne[var] = 0
-            ne[target] += k
-            key = tuple(ne)
+            k = e >> sv & 127
+            key = e + k * step
             x, y = pair_mul(c, powers[k])
             s = terms.get(key)
             terms[key] = (x, y) if s is None else (s[0] + x, s[1] + y)
+        if _guard_bits(self.nvars, terms):
+            raise OverflowError(f"an exponent of z_{target} reached 128")
         return MPoly._raw(self.nvars, {e: s for e, s in terms.items() if s[0] or s[1]},
                           self.den * d ** top)
 
@@ -299,26 +333,28 @@ class MPoly:
         Exact whenever every exponent is <= d, which is what the degree
         bound guarantees for groundstate components.
         """
-        n = self.nvars
-        terms = {}
-        for e, c in self.terms.items():
-            if any(x > per_var_degree for x in e):
-                raise ValueError("exponent exceeds the stated per-variable degree")
-            ne = tuple(per_var_degree - e[n - 1 - k] for k in range(n))
-            terms[ne] = c
+        d, n = per_var_degree, self.nvars
+        # the little-endian view is the reversed vector; x > d (and any x
+        # for d > 127) maps to a guard bit
+        table = bytes(d - x if x <= d < 128 else 128 for x in range(256))
+        terms = {int.from_bytes(e.to_bytes(n, "little").translate(table), "big"): c
+                 for e, c in self.terms.items()}
+        if _guard_bits(n, terms):
+            raise ValueError("exponent exceeds the stated per-variable degree")
         return MPoly._raw(n, terms, self.den)
 
     # -- serialization ----------------------------------------------------
 
-    def _canonical_terms(self) -> Iterator[tuple[tuple[int, ...], list[str]]]:
-        """(exponent vector, [a, b]) per term in graded-lexicographic order
+    def _canonical_terms(self) -> Iterator[tuple[bytes, list[str]]]:
+        """(exponent bytes, [a, b]) per term in graded-lexicographic order
         (canonical), a and b the parts of (a + b w) / den as strings with
         '/' separated fractions, formatted straight from the pairs."""
         den, terms = self.den, self.terms
         part = str if den == 1 else (lambda x: str(Fraction(x, den)))
-        for _, e in sorted(zip(map(sum, terms), terms)):
+        views = list(self._exponent_bytes())
+        for _, e, view in sorted(zip(map(sum, views), terms, views)):
             a, b = terms[e]
-            yield e, [part(a), part(b)]
+            yield view, [part(a), part(b)]
 
     def to_json(self) -> dict:
         return {
@@ -328,13 +364,10 @@ class MPoly:
 
     @classmethod
     def from_json(cls, data: dict) -> "MPoly":
-        return cls(
-            data["nvars"],
-            {
-                tuple(t["exp"]): CycloNum.from_strings(t["coeff"])
-                for t in data["terms"]
-            },
-        )
+        terms = {tuple(t["exp"]): CycloNum.from_strings(t["coeff"]) for t in data["terms"]}
+        if len(terms) != len(data["terms"]):
+            raise ValueError("an exponent vector is repeated")
+        return cls(data["nvars"], terms)
 
     def __repr__(self) -> str:
         return f"MPoly(nvars={self.nvars}, nterms={len(self.terms)})"
@@ -365,17 +398,18 @@ def eval_all(polys: Sequence[MPoly], point: Sequence) -> list[CycloNum]:
     """The exact value of each of polys at one point of CycloNum (or
     rational) coordinates, every poly in len(point) variables.
 
-    Each exponent vector splits at h = nvars // 2 into a low half (the
-    first h variables) and a high half.  The value of each distinct half
-    is computed once per call, from one power table per variable, and
-    shared by every poly; a term multiplies its coefficient by its high
-    half's value and adds into a group keyed by its low half, and each
-    group is multiplied once by its low half's value.
+    Each key splits at h = nvars // 2 into a low half (the first h
+    variables, key >> 8 (nvars - h)) and a high half (the other bits).  The
+    value of each distinct half is computed once per call, from one power
+    table per variable, and shared by every poly; a term multiplies its
+    coefficient by its high half's value and adds into a group keyed by its
+    low half, and each group is multiplied once by its low half's value.
 
     Everything runs in integer pairs (a, b) for a + b*w: the coordinates
     share one denominator d and a poly's coefficients its den e.  A half
     of degree k in a half of width m is made up to degree top*m with
-    d^(top*m - k), top the largest exponent of any variable, so every
+    d^(top*m - k), top at least the largest exponent of any variable (the
+    largest byte of the OR of all keys, one pass at C speed), so every
     term sits over e * d^(top*nvars) and one exact division (from_pair)
     per poly ends it.
     """
@@ -385,30 +419,34 @@ def eval_all(polys: Sequence[MPoly], point: Sequence) -> list[CycloNum]:
             raise ArityMismatchError(f"point has {nvars} coordinates, expected {p.nvars}")
     pt, d = integer_pairs(point)
     h = nvars // 2
-    top = max((max(map(max, p.terms)) for p in polys if p.terms and nvars), default=0)
+    shift = 8 * (nvars - h)
+    mask = (1 << shift) - 1
+    top = max(functools.reduce(operator.or_, itertools.chain.from_iterable(
+        p.terms for p in polys), 0).to_bytes(nvars, "big"), default=0)
     pows = [list(itertools.accumulate(itertools.repeat(x, top), pair_mul, initial=(1, 0)))
             for x in pt]
     pads = [d ** k for k in range(top * (nvars - h) + 1)]
 
-    def half_value(exps: tuple, first: int, memo: dict) -> tuple[int, int]:
-        v = (pads[top * len(exps) - sum(exps)], 0)
+    def half_value(key: int, first: int, width: int, memo: dict) -> tuple[int, int]:
+        exps = key.to_bytes(width, "big")
+        v = (pads[top * width - sum(exps)], 0)
         for row, k in zip(pows[first:], exps):
             if k:
                 v = pair_mul(v, row[k])
-        memo[exps] = v
+        memo[key] = v
         return v
 
-    his: dict[tuple, tuple[int, int]] = {}
-    los: dict[tuple, tuple[int, int]] = {}
+    his: dict[int, tuple[int, int]] = {}
+    los: dict[int, tuple[int, int]] = {}
     out = []
     for p in polys:
-        groups: dict[tuple, list[int]] = {}
-        for exps, (a, b) in p.terms.items():
-            key = exps[h:]
-            xa, xb = his.get(key) or half_value(key, h, his)
+        groups: dict[int, list[int]] = {}
+        for key, (a, b) in p.terms.items():
+            hi = key & mask
+            xa, xb = his.get(hi) or half_value(hi, h, nvars - h, his)
             bd = b * xb
             a, b = a * xa - bd, a * xb + b * xa - bd
-            key = exps[:h]
+            key >>= shift
             g = groups.get(key)
             if g is None:
                 groups[key] = [a, b]
@@ -417,7 +455,7 @@ def eval_all(polys: Sequence[MPoly], point: Sequence) -> list[CycloNum]:
                 g[1] += b
         sa = sb = 0
         for key, g in groups.items():
-            a, b = pair_mul(g, los.get(key) or half_value(key, 0, los))
+            a, b = pair_mul(g, los.get(key) or half_value(key, 0, h, los))
             sa += a
             sb += b
         out.append(from_pair((sa, sb), p.den * d ** (top * nvars)))
@@ -430,7 +468,7 @@ def add_all(nvars: int, polys: Iterable[MPoly]) -> MPoly:
     The sums run in integer pairs over one common denominator, which
     grows (rescaling the sums so far) only when a poly's den needs a new
     factor."""
-    sums: dict[tuple[int, ...], tuple[int, int]] = {}
+    sums: dict[int, tuple[int, int]] = {}
     den = 1
     for p in polys:
         if p.nvars != nvars:
@@ -483,6 +521,8 @@ def interpolate_grid(values: Sequence, grid: Sequence[Sequence]) -> MPoly:
         nodes.append(axis)
     nvars = len(nodes)
     dims = [len(ax) for ax in nodes]
+    if max(dims, default=1) > 128:
+        raise ValueError("more than 128 nodes on an axis: an exponent would exceed 127")
     pairs, den = integer_pairs(values)
     if len(pairs) != math.prod(dims):
         raise ValueError(f"{len(pairs)} values for a grid of {math.prod(dims)} points")
@@ -498,6 +538,7 @@ def interpolate_grid(values: Sequence, grid: Sequence[Sequence]) -> MPoly:
         m, d = inverses[tuple(xs)]
         tensor = np.tensordot(tensor, np.array(m, dtype=object), axes=([1], [1]))
         den *= d
-    exponents = itertools.product(*(range(d) for d in dims))
+    keys = map(int.from_bytes, map(bytes, itertools.product(*map(range, dims))),
+               itertools.repeat("big"))
     return MPoly._raw(nvars, {e: (a, b) for e, a, b in
-                              zip(exponents, *tensor.reshape(2, -1).tolist()) if a or b}, den)
+                              zip(keys, *tensor.reshape(2, -1).tolist()) if a or b}, den)

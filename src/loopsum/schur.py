@@ -166,28 +166,29 @@ def schur_symbolic(n: int, threads: int | None = None) -> MPoly:
     joins a low half lo in range(n)^n to a high half of degree n(n-1) -
     |lo|; a half's content code sum_v (2n+1)^half_v adds over the halves
     and names the content of alpha (no value occurs 2n+1 times), so there
-    is one Kostka number per code.  Nothing is sampled; ``threads`` is
-    accepted and ignored."""
+    is one Kostka number per code; alpha's MPoly key is lo's key shifted
+    past hi's n bytes.  Nothing is sampled; ``threads`` is ignored."""
     from itertools import product
 
     if n not in _SCHUR_CACHE:
         shape, degree, base = y_partition(n).parts, n * (n - 1), 2 * n + 1
-        halves = [(h, sum(base**v for v in h), sum(h)) for h in product(range(n), repeat=n)]
+        halves = [(h, int.from_bytes(bytes(h), "big"), sum(base**v for v in h), sum(h))
+                  for h in product(range(n), repeat=n)]
         by_degree: list[list] = [[] for _ in range(degree + 1)]
-        for h, code, d in halves:
-            by_degree[d].append((h, code))
+        for h, key, code, d in halves:
+            by_degree[d].append((h, key, code))
         memo: dict = {}
         coeffs: dict[int, tuple] = {}  # content code -> (K, 0), or () where K = 0
         terms = {}
-        for lo, lo_code, d in halves:
-            for hi, hi_code in by_degree[degree - d]:
+        for lo, lo_key, lo_code, d in halves:
+            for hi, hi_key, hi_code in by_degree[degree - d]:
                 code = lo_code + hi_code
                 c = coeffs.get(code)
                 if c is None:
                     k = _kostka(shape, tuple(sorted(filter(None, lo + hi), reverse=True)), memo)
                     c = coeffs[code] = (k, 0) if k else ()
                 if c:
-                    terms[lo + hi] = c
+                    terms[lo_key << 8 * n | hi_key] = c
         _SCHUR_CACHE[n] = MPoly._raw(2 * n, terms)
     return _SCHUR_CACHE[n]
 
@@ -357,10 +358,10 @@ def _reduce(p: MPoly, rests: list[MPoly]) -> MPoly:
     of t_k reaches d; it has no higher variable, so no step undoes another."""
     n = len(rests)
     for k in reversed(range(n)):
-        d = n - k
-        while high := {e: c for e, c in p.terms.items() if e[k] >= d}:
-            low = {e: c for e, c in p.terms.items() if e[k] < d}
-            shifted = {e[:k] + (e[k] - d,) + e[k + 1:]: c for e, c in high.items()}
+        d, field = (n - k) << 8 * (n - 1 - k), 127 << 8 * (n - 1 - k)  # t_k's byte of a key
+        while high := {e: c for e, c in p.terms.items() if e & field >= d}:
+            low = {e: c for e, c in p.terms.items() if e & field < d}
+            shifted = {e - d: c for e, c in high.items()}
             p = MPoly._raw(n, low, p.den) + MPoly._raw(n, shifted, p.den) * rests[k]
     return p
 
@@ -399,9 +400,8 @@ def aba_residual(n: int, zs: Sequence) -> dict:
     for tk in t:
         image = monodromy_apply(zd, tk, vec, aux=1)
         vec = {bits: _reduce(c, rests) for (bits, a), c in image.items() if a == 0}
-    const = (0,) * n
-    outside = sum(1 for c in vec.values() if c.terms.keys() - {const})
-    psi = {bits: c.coeff_of(const) for bits, c in vec.items() if const in c.terms}
+    outside = sum(1 for c in vec.values() if c.terms.keys() - {0})  # key 0: the constant
+    psi = {bits: c.coeff_of((0,) * n) for bits, c in vec.items() if 0 in c.terms}
 
     u = -1
     diff = transfer_apply_spin(zd, u, psi)

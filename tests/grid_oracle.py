@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from loopsum.groundstate import psi_point
 from loopsum.mpoly import HomogenizationMismatchError, MPoly, interpolate_grid
+from mpoly_oracle import unpacked
 
 
 def psi_grid_values(n: int, point: tuple) -> list:
@@ -21,7 +22,7 @@ def psi_grid_values(n: int, point: tuple) -> list:
 
 def homogenize(poly: MPoly, total_degree: int) -> MPoly:
     """poly with a new last variable that raises every term to total_degree."""
-    if any(sum(e) > total_degree for e in poly.terms):
+    if any(sum(e) > total_degree for e in unpacked(poly)):
         raise HomogenizationMismatchError(f"a term exceeds total degree {total_degree}")
     return MPoly(poly.nvars + 1,
                  {e + (total_degree - sum(e),): c for e, c in poly.items()})

@@ -1,13 +1,54 @@
-"""MPoly's product, divided difference and ratio specialization as one
-CycloNum operation per term (pair), and its canonical JSON and str through
-one CycloNum per term, kept as a test oracle.
+"""MPoly's ring operations, structural maps and evaluation as one CycloNum
+operation per term on exponent tuples, and its canonical JSON and str
+through one CycloNum per term, kept as a test oracle.
 
-MPoly stores integer pairs over one denominator; these loops work on
-{exponent tuple: CycloNum} dicts, as MPoly.items() yields them, and
-return such a dict without zero coefficients.
+MPoly stores integer pairs over one denominator under packed exponent
+keys; these loops work on {exponent tuple: CycloNum} dicts, as
+MPoly.items() yields them, and return such a dict without zero
+coefficients.  unpacked decodes the keys of MPoly.terms by the storage
+rule alone (one byte per variable, first variable most significant).
 """
 
-from loopsum.cyclo import ONE, accumulate, as_cyclo
+from loopsum.cyclo import ONE, ZERO, accumulate, as_cyclo
+
+
+def unpacked(p) -> dict:
+    """p.terms with each packed key decoded to its exponent tuple."""
+    return {tuple(k.to_bytes(p.nvars, "big")): pair for k, pair in p.terms.items()}
+
+
+def add_all(polys) -> dict:
+    acc: dict = {}
+    for p in polys:
+        for e, c in p.items():
+            accumulate(acc, e, c)
+    return acc
+
+
+def permute_args(p: dict, perm, nvars: int) -> dict:
+    """The exponent on slot k moves to variable perm[k]."""
+    out = {}
+    for e, c in p.items():
+        ne = [0] * nvars
+        for k, x in zip(perm, e):
+            ne[k] = x
+        out[tuple(ne)] = c
+    return out
+
+
+def reversed_reciprocal(p: dict, d: int) -> dict:
+    if any(x > d for e in p for x in e):
+        raise ValueError("exponent exceeds the stated per-variable degree")
+    return {tuple(d - x for x in reversed(e)): c for e, c in p.items()}
+
+
+def evaluate(p: dict, point) -> object:
+    total = ZERO
+    for e, c in p.items():
+        for x, k in zip(point, e):
+            c = c * as_cyclo(x) ** k
+        total = total + c
+    return total
 
 
 def mul(x: dict, y: dict) -> dict:

@@ -6,6 +6,7 @@ the quarantined floating-point Bethe-ansatz residual (criterion 7).
 
 import random
 
+from mpoly_oracle import unpacked
 from loopsum.asm import (
     asm_product_formula,
     check_dwbc_oracle,
@@ -117,7 +118,7 @@ def test_criterion_5_degrees():
                 d = comp.degree_in(v)
                 maxdeg = max(maxdeg, d)
                 ok &= d <= n - 1
-            ok &= max(map(sum, comp.terms), default=0) <= bound
+            ok &= max(map(sum, unpacked(comp)), default=0) <= bound
         if n >= 2:
             ok &= maxdeg == n - 1
     _criterion(5, "homogeneous degree n(n-1), per-variable degree n-1", ok)

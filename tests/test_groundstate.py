@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from grid_oracle import psi_grid_values, reconstruct_homogeneous
-from test_mpoly import _eval_term_by_term
+from mpoly_oracle import evaluate
 from loopsum import groundstate
 from loopsum.cyclo import CycloNum, Q, Q_INV
 from loopsum.golden import golden_groundstate
@@ -364,6 +364,25 @@ def test_validate_symbolic_degree_guards():
             groundstate._validate_symbolic(Groundstate(2, g.patterns, tuple(comps)))
 
 
+def _spread(total: int, cap: int, width: int) -> tuple:
+    """An exponent vector of the given total with entries at most cap."""
+    return tuple(min(cap, max(0, total - cap * v)) for v in range(width))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_within_degree_bounds_refuses_one_bad_term(n):
+    # one exponent of n at the right total degree, or one term of total
+    # degree n(n-1) + 1 with every exponent at most n - 1, fails the bound
+    m, deg = 2 * n, n * (n - 1)
+    comp = psi_symbolic(n).components[0]
+    assert groundstate.within_degree_bounds(comp, n)
+    high = (n,) + _spread(deg - n, n - 1, m - 1)
+    heavy = _spread(deg + 1, n - 1, m)
+    assert sum(high) == deg and max(heavy) == n - 1 and sum(heavy) == deg + 1
+    for bad in (high, heavy):
+        assert not groundstate.within_degree_bounds(comp + MPoly(m, {bad: 1}), n)
+
+
 def test_symbolic_degree_bounds():
     for n in (2, 3):
         g = psi_symbolic(n)
@@ -390,7 +409,7 @@ def test_values_at_matches_term_by_term(n):
     g = psi_symbolic(n)
     for zs in ([Fraction(3 + 2 * k, 7) for k in range(2 * n)],
                [CycloNum(k + 1, Fraction(-k, 2)) for k in range(2 * n)]):
-        assert g.values_at(zs) == [_eval_term_by_term(c, zs) for c in g.components]
+        assert g.values_at(zs) == [evaluate(dict(c.items()), zs) for c in g.components]
 
 
 def test_eigen_residual_off_grid():

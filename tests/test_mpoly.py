@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import mpoly_oracle
 from grid_oracle import homogenize
-from loopsum.cyclo import CycloNum, OMEGA as q, ONE, ZERO, as_cyclo
+from loopsum.cyclo import CycloNum, OMEGA as q, ONE, ZERO, as_cyclo, from_pair
 from loopsum.mpoly import (
     ArityMismatchError,
     DuplicateNodeError,
@@ -87,7 +87,7 @@ def test_specialize_ratio_matches_evaluation(p, s):
     # z_2 := s z_0, checked by evaluating at a point where it holds
     pt = [CycloNum(Fraction(2, 3), 1), CycloNum(5, -1)]
     spec = p.specialize_ratio(2, 0, s)
-    assert all(e[2] == 0 for e in spec.terms)
+    assert all(e[2] == 0 for e in mpoly_oracle.unpacked(spec))
     assert spec.eval(pt + [7]) == p.eval(pt + [s * pt[0]])
 
 
@@ -264,15 +264,6 @@ def test_eval_is_ring_homomorphism(p, point):
     assert q2.eval(point) == p.eval(point) * p.eval(point) + p.eval(point)
 
 
-def _eval_term_by_term(p, point):
-    total = ZERO
-    for e, c in p.items():
-        for x, k in zip(point, e):
-            c = c * as_cyclo(x) ** k
-        total = total + c
-    return total
-
-
 fractional_coeffs = st.builds(
     CycloNum,
     st.fractions(min_value=-9, max_value=9, max_denominator=7),
@@ -305,7 +296,7 @@ def test_eval_matches_term_by_term(case):
     # zero polys, mixed degrees (the folded pads), 0^0 = 1, fractional
     # coefficients, rational and Q(w) coordinates, every split of the halves
     p, point = case
-    assert p.eval(point) == _eval_term_by_term(p, point)
+    assert p.eval(point) == mpoly_oracle.evaluate(dict(p.items()), point)
     assert eval_all([p, -p, p * 2], point) == [p.eval(point), -p.eval(point), p.eval(point) * 2]
 
 
@@ -363,6 +354,117 @@ def test_add_all_matches_cyclonum_sum(polys):
     assert _valid(total)
     # every term cancels, whatever the order of the denominators
     assert add_all(3, iter([-total] + polys)) == MPoly.zero(3)
+
+
+
+# -- packed exponent keys ------------------------------------------------------
+
+
+def _decoded(r: MPoly) -> dict:
+    """r's terms decoded by the storage rule alone, not through items()."""
+    assert all(k & int.from_bytes(b"\x80" * r.nvars, "big") == 0 for k in r.terms)
+    assert all(k < 1 << 8 * r.nvars for k in r.terms)
+    return {e: from_pair(pair, r.den) for e, pair in mpoly_oracle.unpacked(r).items()}
+
+
+@st.composite
+def packed_case(draw):
+    # 0 to 10 variables; exponents up to 127, or small enough that no
+    # product overflows
+    nvars = draw(st.integers(min_value=0, max_value=10))
+    top = draw(st.sampled_from([3, 63, 127]))
+    exps = st.tuples(*[st.integers(min_value=0, max_value=top)] * nvars)
+    polys = [MPoly(nvars, draw(st.dictionaries(exps, fractional_coeffs, max_size=5)))
+             for _ in range(3)]
+    return nvars, polys
+
+
+@settings(max_examples=100, deadline=None)
+@given(packed_case(), st.data())
+@example((1, [MPoly(1, {(100,): 1}), MPoly(1, {(27,): 2}), MPoly.zero(1)]), None)
+def test_packed_keys_match_the_tuple_reference(case, data):
+    nvars, (x, y, w) = case
+    cx, cy, cw = (dict(p.items()) for p in (x, y, w))
+    for p, c in ((x, cx), (y, cy), (w, cw)):
+        assert _decoded(p) == c
+        assert p.to_json() == mpoly_oracle.to_json(nvars, c)
+        assert MPoly.from_json(p.to_json()) == p
+    if any(a + b > 127 for e1 in cx for e2 in cy for a, b in zip(e1, e2)):
+        with pytest.raises(OverflowError):
+            x * y
+    else:
+        assert _decoded(x * y) == mpoly_oracle.mul(cx, cy)
+    assert _decoded(add_all(nvars, [x, y, w])) == mpoly_oracle.add_all([cx, cy, cw])
+    width = nvars if data is None else data.draw(st.integers(min_value=nvars, max_value=10))
+    perm = list(range(nvars)) if data is None else data.draw(st.permutations(range(width)))[:nvars]
+    assert _decoded(x.permute_args(perm, width)) == mpoly_oracle.permute_args(cx, perm, width)
+    d = 127 if data is None else data.draw(st.integers(min_value=0, max_value=127))
+    if any(k > d for e in cx for k in e):
+        with pytest.raises(ValueError):
+            x.reversed_reciprocal(d)
+    else:
+        assert _decoded(x.reversed_reciprocal(d)) == mpoly_oracle.reversed_reciprocal(cx, d)
+    if data is not None:
+        point = data.draw(st.lists(coordinates, min_size=nvars, max_size=nvars))
+        assert eval_all([x, w], point) == [mpoly_oracle.evaluate(c, point) for c in (cx, cw)]
+    if nvars >= 2:
+        i, j = (0, 1) if data is None else data.draw(st.permutations(range(nvars)))[:2]
+        assert _decoded(x.divided_difference(i, j)) == mpoly_oracle.divided_difference(cx, i, j)
+        assert _decoded(x.swap_args(i, j)) == mpoly_oracle.permute_args(
+            cx, [j if k == i else i if k == j else k for k in range(nvars)], nvars)
+        if any(e[i] + e[j] > 127 for e in cx):
+            with pytest.raises(OverflowError):
+                x.specialize_ratio(i, j, Fraction(-3, 2))
+        else:
+            assert _decoded(x.specialize_ratio(i, j, Fraction(-3, 2))) == \
+                mpoly_oracle.specialize_ratio(cx, i, j, Fraction(-3, 2))
+
+
+def test_guard_bit_stops_an_exponent_at_127():
+    # an exponent of 128 raises; it never carries into the next variable
+    x, y = z(2, 0), z(2, 1)
+    assert (x ** 100 * x ** 27).coeff_of([127, 0]) == ONE
+    assert x ** 127 * y ** 127 == MPoly(2, {(127, 127): 1})
+    with pytest.raises(OverflowError):
+        x ** 100 * x ** 28
+    with pytest.raises(OverflowError):
+        y ** 128
+    with pytest.raises(OverflowError):
+        (y ** 100 * x ** 28 + x).specialize_ratio(1, 0, 2)
+    assert (y ** 99 * x ** 28 + x).specialize_ratio(1, 0, 2) == x ** 127 * 2 ** 99 + x
+
+
+@pytest.mark.parametrize("exps, error", [
+    ((128, 0), ValueError), ((0, -1), ValueError), ((1.5, 0), TypeError),
+    ((1, 0, 0), ArityMismatchError),
+])
+def test_exponents_are_validated_at_the_boundary(exps, error):
+    with pytest.raises(error):
+        MPoly(2, {exps: 1})
+    with pytest.raises(error):
+        MPoly.from_json({"nvars": 2, "terms": [{"exp": list(exps), "coeff": ["1", "0"]}]})
+    with pytest.raises(error):
+        z(2, 0).coeff_of(exps)
+
+
+def test_integral_exponents_of_any_int_type_are_accepted():
+    import numpy as np
+
+    p = MPoly(2, {(np.int64(2), True): 3})
+    assert p == MPoly(2, {(2, 1): 3}) and p.to_json()["terms"][0]["exp"] == [2, 1]
+
+
+def test_from_json_rejects_a_repeated_exponent():
+    data = z(2, 0).to_json()
+    data["terms"].append({"exp": [1, 0], "coeff": ["2", "0"]})
+    with pytest.raises(ValueError, match="repeated"):
+        MPoly.from_json(data)
+
+
+def test_interpolate_grid_refuses_exponents_above_127():
+    nodes = [[Fraction(k) for k in range(129)]]
+    with pytest.raises(ValueError, match="128"):
+        interpolate_grid([ONE] * 129, nodes)
 
 
 def _newton_interpolate(values, grid):
