@@ -10,13 +10,8 @@ The polynomial components are built from the nested one without
 sampling: rotation covariance and the exchange relation at the little
 arches determine every other component (psi_symbolic), and the result is
 validated against its degree bounds and an exact off-grid eigen residual.
-Values at a point come from a kernel solve (psi_point), which runs
-modularly at the point scaled to integers, where the vector normalized on
-the nested pattern is integral: one prime's elimination gives its first
-base-p digit and p-adic lifting the rest, and balanced digits make the
-result its symmetric residue.  Every returned vector is certified by an
-exact residual check and its nested component, so no probabilistic step
-survives in the results.
+Values at a point (psi_point) are the certified kernel vector of
+modular.kernel_vector at the point scaled to integers.
 
 The check_* functions verify the structural identities the vector must
 satisfy: vanishing/recursion under z_{i+1} = q^2 z_i, the exchange
@@ -55,16 +50,13 @@ from .linkpat import (
     rotate,
     sequence_decomposition,
 )
-from .modular import cached_primes, inverse_apply, nullspace_mod_np, reduce_mod
+from .modular import DegenerateKernelError, kernel_vector
 from .mpoly import HomogenizationMismatchError, MPoly, add_all, eval_all, product
 from .report import CheckReport
 from .tmatrix import (
     e_link_matrix,
     eigenvalue,
     kernel_matrix_limbs,
-    limbs_lift,
-    limbs_mod,
-    limbs_vanish,
     transfer_link,
     verify_spin_eigenvector,
 )
@@ -72,10 +64,6 @@ from .tmatrix import (
 #: q^2 equals q^{-1} at the cubic root of unity; the recursion locus is
 #: z_{i+1} = q^2 z_i.
 QSQ = Q_INV
-
-
-class DegenerateKernelError(RuntimeError):
-    """The kernel of T - Lambda is not one-dimensional at this (z, t)."""
 
 
 # ---------------------------------------------------------------------------
@@ -123,152 +111,6 @@ class PointVector:
     values: tuple
 
 
-#: the first prime tried, just above 2^29: modular._panel_width bounds p below 2^30
-_PRIME_START = (1 << 29) + 1
-#: base-p digits lifted per kernel solve, about 29 bits each
-_MAX_DIGITS = 64
-#: primes tried per kernel solve, skipped ones included
-_MAX_PRIMES = 128
-
-
-def _balanced(x: int, p: int) -> int:
-    """The representative of x mod p in (-p/2, p/2]."""
-    r = x % p
-    return r - p if 2 * r > p else r
-
-
-def _solve_digit(lines, inverse, rhs, nested, crt, p: int):
-    """Digit i of the kernel vector as balanced (a, b) parts, shape (2, C).
-
-    At each embedding w -> g, g^2, the digit is ``nested`` (digit i of
-    the nested component there) times the kernel line, plus A'^{-1}
-    applied to ``rhs``, the residual mod p on the pivot rows, in every
-    coordinate but the last (inverse_apply, one exact int64 product per
-    panel of etas); digit 0 has no residual.  The two embeddings
-    are then combined by CRT over Z[w]: x = a + b g and y = a + b g^2
-    give (g - g^2) a = g y - g^2 x and (g - g^2) b = x - y, which is the
-    matrix ``crt``.
-    """
-    emb = nested[:, None] * lines
-    if rhs is not None:
-        emb[:, :-1] += inverse_apply(inverse, rhs, p)
-    half = p // 2
-    # two products of residues, below 2^61
-    return (crt @ (emb % p) + half) % p - half
-
-
-def _lift(limbs, base, p: int, ws, elim):
-    """The kernel vector of T - Lambda whose last coordinate is base, by
-    p-adic lifting from the elimination ``elim`` of the embeddings
-    w -> g, g^2 mod p, given as ``ws`` = (g, g^2 mod p), or None when p
-    cannot serve.
-
-    The vector v = sum_i x_i p^i has balanced base-p digits x_i, Z[w]
-    vectors with parts in (-p/2, p/2]; the last coordinate of x_i is digit
-    i of base.  With the residual r_0 = 0 and r_{i+1} = (r_i - M x_i) / p,
-    where M = T - Lambda, M x_i = r_i holds mod p, and its pivot rows fix
-    every other coordinate of x_i (_solve_digit).  limbs_lift computes
-    r_{i+1} exactly; when p does not divide it, this returns None.  Every
-    digit after the first is solved with the pivot-row inverse that the
-    elimination left behind with the kernel lines, ``elim.inverse``, the
-    eta columns of its Gauss-Jordan steps, on the same pivot rows
-    ``elim.rows``.
-
-    The residuals are exact, so the first k digits v_k satisfy
-    M v_k = -p^k r_k, and the lift stops at the first k where base has
-    no digits left and r_k = 0 (Dixon's stopping rule), or raises
-    DegenerateKernelError past _MAX_DIGITS digits.  v_k is then certified
-    once: base in the last coordinate, and the exact residual against the
-    same limbs (limbs_vanish).  A failed certificate returns None.  The
-    certificate forms M v_k with the same product _limbs_image that
-    limbs_lift uses, so it is not independent of that product; what it
-    checks apart from the residual steps is the reassembly of the digits
-    into va, vb, the quotient and divisibility bookkeeping of every step,
-    and the nested coordinate.
-    """
-    import numpy as np
-
-    inv_diff = pow(ws[0] - ws[1], -1, p)
-    crt = np.array([[-ws[1] * inv_diff % p, ws[0] * inv_diff % p], [inv_diff, p - inv_diff]],
-                   dtype=np.int64)
-    cn = elim.lines.shape[1]
-    # the limbs as float64 once, for every residual and certificate
-    limbs = limbs.astype(np.float64)
-    # the pivot rows of the residual at both embeddings
-    pivots = elim.rows[:, :-1] + np.array([[0], [cn]])
-    at_w = np.array(ws, dtype=np.int64)[:, None]
-    digits = []
-    residual = rhs = None
-    rest = list(base)
-    while True:
-        if len(digits) == _MAX_DIGITS:
-            raise DegenerateKernelError(f"kernel vector needs more than {_MAX_DIGITS} digits")
-        ea, eb = (_balanced(x, p) for x in rest)
-        rest = [(rest[0] - ea) // p, (rest[1] - eb) // p]
-        if digits:
-            res = np.array([x % p for x in residual], dtype=np.int64).reshape(2, cn)
-            rhs = np.take((res[0] + res[1] * at_w) % p, pivots)
-        nested = np.array([(ea + eb * w) % p for w in ws], dtype=np.int64)
-        digits.append(_solve_digit(elim.lines, elim.inverse, rhs, nested, crt, p))
-        residual = limbs_lift(limbs, residual, digits[-1], p)
-        if residual is None:
-            return None
-        if rest == [0, 0] and not any(residual):
-            break
-    high, *lower = [d.tolist() for d in reversed(digits)]
-    va, vb = high
-    for da, db in lower:
-        va = [x * p + y for x, y in zip(va, da)]
-        vb = [x * p + y for x, y in zip(vb, db)]
-    if (va[-1], vb[-1]) == base and limbs_vanish(limbs, va, vb):
-        return list(zip(va, vb))
-    return None
-
-
-def _kernel_modular(limbs, base: tuple[int, int]) -> list[tuple[int, int]]:
-    """The integer kernel vector of M = T - Lambda whose last coordinate is
-    base, as (a, b) pairs, by p-adic lifting from one prime.
-
-    ``limbs`` is M in kernel_matrix_limbs form.  At an integer point the
-    last coordinate is the fully nested pattern's, base is its closed
-    form, and every component is an integer in Z[w], so a symmetric
-    residue recovers them.  One prime p just above 2^29 serves the whole
-    solve: a stack of two members, the embeddings w -> g, g^2 of the limbs
-    reduced mod p, is eliminated by a single nullspace_mod_np call, and
-    _lift takes the kernel lines it finds, digit 0 of the vector, to as
-    many base-p digits as the vector needs; every returned vector has
-    passed the exact certificate.  A prime at which base vanishes under
-    either embedding cannot scale the kernel line to it and is skipped.
-
-    An elimination without a kernel line at both embeddings, a residual
-    that p does not divide, or a failed certificate is a strike, and the
-    next prime is tried.  With base nonzero mod p, no line means a kernel
-    mod p larger than one line, which can only be larger than the exact
-    one, so two strikes mean that the exact kernel is not one line and
-    raise DegenerateKernelError.  At most _MAX_PRIMES primes are tried,
-    skipped ones included.
-    """
-    import numpy as np
-
-    strikes = 0
-    for tried in range(_MAX_PRIMES):
-        p, g = cached_primes(tried + 1, _PRIME_START)[tried]
-        ws = (g, g * g % p)
-        if not all((base[0] + base[1] * w) % p for w in ws):
-            continue
-        amat, bmat = limbs_mod(limbs, p)
-        # a + b w at both embeddings of w: products of residues below 2^30
-        # stay inside int64
-        elim = nullspace_mod_np(reduce_mod(bmat * np.array(ws)[:, None, None] + amat, p), p)
-        vec = None if elim is None else _lift(limbs, base, p, ws, elim)
-        if vec is not None:
-            return vec
-        strikes += 1
-        if strikes >= 2:
-            raise DegenerateKernelError(f"kernel not one line (mod {p})")
-    raise DegenerateKernelError(f"no usable prime for base {base}")
-
-
 def psi_point(
     n: int,
     zs: Sequence,
@@ -280,7 +122,7 @@ def psi_point(
     z must be positive rationals (that keeps the normalizing component away
     from zero and the point off every recursion locus).  z and t are scaled
     to integers by s, the lcm of their denominators, which leaves the
-    kernel of T - Lambda unchanged; _kernel_modular solves there,
+    kernel of T - Lambda unchanged; kernel_vector solves there,
     normalized to the nested component at s z, and the vector it returns
     has passed the exact residual check.  By homogeneity, dividing every
     coordinate by s^(n(n-1)) gives the values at z.  When t is omitted a
@@ -300,8 +142,8 @@ def psi_point(
         t_int, *zs_int = (a for a, _ in rationals)
         base = base_component_value(n, zs_int)
         try:
-            pairs = _kernel_modular(kernel_matrix_limbs(n, zs_int, t_int),
-                                    (int(base.a), int(base.b)))
+            pairs = kernel_vector(kernel_matrix_limbs(n, zs_int, t_int),
+                                  (int(base.a), int(base.b)))
             values = [from_pair(pair, scale ** (n * (n - 1))) for pair in pairs]
             if spin_certificate and not verify_spin_eigenvector(
                 n, list(z), tt, values
@@ -446,10 +288,6 @@ def _validate_symbolic(g: Groundstate) -> None:
                 f"component {k}: not homogeneous of total degree {n * (n - 1)} "
                 f"with degree at most {n - 1} in each variable"
             )
-    if g.component(fully_nested(n)) != base_component(n):
-        raise HomogenizationMismatchError(
-            "nested component does not match its closed form"
-        )
     # spot residual at an off-grid point, exact
     zs = [Fraction(n + 2 + 3 * k, 2) for k in range(2 * n)]
     vals = g.values_at(zs)

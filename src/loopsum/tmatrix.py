@@ -30,10 +30,8 @@ imports numpy), which multiplies the two half rows as T = B A, and
 kernel_matrix_limbs, which composes the full row from the halves and sums
 its 2^{2n} tiles in numpy into the exact matrix T - Lambda as balanced
 int64 limbs; tests require both to agree entrywise with a row walked
-configuration by configuration.  The modular kernel reduces those
-limbs mod its prime (limbs_mod), computes each p-adic residual
-(r - (T - Lambda) x) / p exactly against them (limbs_lift), and certifies
-its candidate with limbs_vanish, an exact zero test of (T - Lambda) v.
+configuration by configuration.  The limb format, and the point solve
+that eliminates, lifts and certifies with those limbs, live in modular.
 
 Operators are always built at specific parameter values; nothing here is
 symbolic in z or t.
@@ -42,7 +40,7 @@ symbolic in z or t.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import itemgetter, lshift
+from operator import itemgetter
 
 from .cyclo import (
     CycloNum,
@@ -64,7 +62,7 @@ from .linkpat import (
     phi_embed,
     spin_embed,
 )
-from .modular import DIGIT_BITS, LIMB_BITS, _room, reduce_mod
+from .modular import LIMB_BITS, balanced_carry, balanced_split
 from .mpoly import MPoly
 from .solver import ExactMatrix
 
@@ -421,56 +419,15 @@ def _tile_scatter(n: int) -> tuple:
     return tuple(chunks)
 
 
-def _balanced_split(values: list[int], width: int = LIMB_BITS):
-    """Integers as limbs in [-2^(width-1), 2^(width-1)), shape (limbs,
-    len): value k is sum_j limbs[j, k] * 2^(width j).
-
-    With h = 2^(width-1) added at every limb but the top one, the lower
-    limbs are the unsigned width-bit digits of the sum less h, and the top
-    limb is what is left above them.  Values below 2^59 are split in
-    int64, larger ones as Python integers."""
-    import numpy as np
-
-    half = 1 << (width - 1)
-    mask = (1 << width) - 1
-    bits = max(map(abs, values), default=0).bit_length()
-    # k balanced limbs hold every |x| < 2^(width k - 2)
-    nlimbs = (bits + 1) // width + 1
-    small = bits <= 59
-    offset = sum(half << (width * k) for k in range(nlimbs - 1))
-    shifts = np.array([width * k for k in range(nlimbs)], dtype=np.int64 if small else object)
-    limbs = (np.array(values, dtype=np.int64 if small else object) + offset) >> shifts[:, None]
-    limbs[:-1] = (limbs[:-1] & mask) - half
-    return limbs.astype(np.int64)
-
-
-def _balanced_carry(raw) -> list:
-    """The int64 limbs ``raw`` (value sum_k raw[k] 2^(30 k), |raw| < 2^62)
-    as balanced limbs in [-2^29, 2^29): a list of len(raw) arrays, or more
-    where the top carry needs them.  A value's balanced form with a given
-    limb count is unique, however the value was split."""
-    import numpy as np
-
-    half = 1 << (LIMB_BITS - 1)
-    limbs = []
-    carry = np.zeros_like(raw[0])
-    while len(limbs) < len(raw) or carry.any():
-        k = len(limbs)
-        x = raw[k] + carry if k < len(raw) else carry
-        carry = (x + half) >> LIMB_BITS
-        limbs.append(x - (carry << LIMB_BITS))
-    return limbs
-
-
 def _weight_limbs(n: int, zs, t):
     """row_weights(zs, t) as balanced int64 limbs in [-2^29, 2^29), shape
     (2L, 2^{2n}), rows (a limb 0, b limb 0, a limb 1, ...).
 
     A weight is the product of the weights of its two half rows, so only
     the 2 * 2^n half-row weights are Python ints.  Their balanced limbs
-    meet in outer products of at most 3 * 2^58 (_room(3 << 58, 63) = 10),
+    meet in outer products of at most 3 * 2^58 (modular._room(3 << 58, 63) = 10),
     whose low and high 30 bits accumulate in separate limbs;
-    _balanced_carry normalizes the sums.
+    balanced_carry normalizes the sums.
     """
     import numpy as np
     from math import isqrt
@@ -482,7 +439,7 @@ def _weight_limbs(n: int, zs, t):
     # the balanced limbs above those are zero
     norms = [max(a * a - a * b + b * b for a, b in h) for h in halves]
     nlimbs = (isqrt(4 * norms[0] * norms[1] // 3).bit_length() + 1) // LIMB_BITS + 1
-    hi, lo = (_balanced_split([a for a, _ in h] + [b for _, b in h]).reshape(-1, 2, len(h))
+    hi, lo = (balanced_split([a for a, _ in h] + [b for _, b in h]).reshape(-1, 2, len(h))
               for h in halves)
     acc = np.zeros((len(hi) + len(lo) + 1, 2, hi.shape[2] * lo.shape[2]), dtype=np.int64)
     for i in range(len(hi)):
@@ -494,7 +451,7 @@ def _weight_limbs(n: int, zs, t):
                 x = x.ravel()
                 acc[i + j, part] += x & mask
                 acc[i + j + 1, part] += x >> LIMB_BITS
-    return np.stack(_balanced_carry(acc)[:nlimbs]).reshape(2 * nlimbs, -1)
+    return np.stack(balanced_carry(acc)[:nlimbs]).reshape(2 * nlimbs, -1)
 
 
 def kernel_matrix_limbs(n: int, zs, t):
@@ -506,7 +463,7 @@ def kernel_matrix_limbs(n: int, zs, t):
     transfer_link_pairs, less eigenvalue(t, zs) when r == c, are
     sum_k limbs[0 or 1, k, r, c] * 2^(30 k), with every limb in
     [-2^29, 2^29).  A limb of the tile sum can reach 2^{29 + 2n};
-    _balanced_carry, after the eigenvalue is subtracted, brings it back,
+    balanced_carry, after the eigenvalue is subtracted, brings it back,
     with one more limb where needed.
     """
     import numpy as np
@@ -525,112 +482,10 @@ def kernel_matrix_limbs(n: int, zs, t):
     lam = eigenvalue(t, zs)
     # |Lambda| is the modulus of the all-pass row weight, so Lambda needs
     # no more limbs than the weights
-    lam_limbs = _balanced_split([int(lam.a), int(lam.b)])
+    lam_limbs = balanced_split([int(lam.a), int(lam.b)])
     diag = np.arange(cn)
     raw[:len(lam_limbs), :, diag, diag] -= lam_limbs[:, :, None]
-    return np.stack(_balanced_carry(raw), axis=1)
-
-
-def _limbs_image(limbs, vmat):
-    """M (x + y w) for M in kernel_matrix_limbs form (int64, or the same
-    limbs as float64) and a vector given by balanced DIGIT_BITS-bit
-    digits: ``vmat`` is float64 of shape (C, 2D), row k holding the D
-    digits of x[k] and then those of y[k], each at most 2^14 in absolute
-    value.
-
-    The digits meet M's limbs in one float64 matmul: a product of a limb
-    and a digit is at most 2^29 * 2^14 in absolute value, so for C up to
-    modular._room(2^43, 53) = 1024 columns every partial sum is an
-    integer that float64 holds exactly; a wider M raises ValueError.
-    Limb k of M lands on digit 2k of the image, whose positions are summed
-    as Python integers: returns the 2C rows of the image, the a parts and
-    then the b parts.
-    """
-    import numpy as np
-
-    _, nl, cn, _ = limbs.shape
-    nd = vmat.shape[1] // 2
-    if cn > _room(1 << (LIMB_BITS - 1 + DIGIT_BITS - 1), 53):
-        raise ValueError(f"{cn} columns are too many for an exact float64 matmul")
-    prod = limbs.reshape(-1, cn).astype(np.float64, copy=False) @ vmat
-    # [part of M, limb of M, row, part of v, digit of v]
-    p = prod.astype(np.int64).reshape(2, nl, cn, 2, nd)
-    # (a + b w)(x + y w) = (a x - b y) + (a y + b x - b y) w, below 2^55
-    by = p[1, :, :, 1]
-    terms = np.empty((2, nl, cn, nd), dtype=np.int64)
-    np.subtract(p[0, :, :, 0], by, out=terms[0])
-    np.add(p[0, :, :, 1], p[1, :, :, 0], out=terms[1])
-    terms[1] -= by
-    image = np.zeros((2 * cn, 2 * nl + nd - 2), dtype=np.int64)
-    for k in range(nl):
-        image[:, 2 * k:2 * k + nd] += terms[:, k].reshape(2 * cn, nd)
-    shifts = range(0, DIGIT_BITS * image.shape[1], DIGIT_BITS)
-    return [sum(map(lshift, row, shifts)) for row in image.tolist()]
-
-
-def limbs_vanish(limbs, xs: list[int], ys: list[int]) -> bool:
-    """True iff M (x + y w) = 0, exactly, for M in kernel_matrix_limbs
-    form (int64, or the same limbs as float64) and integer vectors x, y.
-
-    x and y are split into balanced DIGIT_BITS-bit digits for
-    _limbs_image, and every row of the image must be zero.  Limbs that
-    are not balanced raise ValueError.
-    """
-    import numpy as np
-
-    cn = limbs.shape[2]
-    if limbs.size and max(-limbs.min(), limbs.max()) > 1 << (LIMB_BITS - 1):
-        raise ValueError("matrix limbs are not balanced")
-    digits = _balanced_split(list(xs) + list(ys), DIGIT_BITS)
-    nd = len(digits)
-    vmat = np.empty((cn, 2, nd))
-    vmat[...] = digits.reshape(nd, 2, cn).T
-    return not any(_limbs_image(limbs, vmat.reshape(cn, 2 * nd)))
-
-
-def limbs_lift(limbs, residual, digit, p: int):
-    """One step of p-adic lifting against M in kernel_matrix_limbs form
-    (int64, or the same limbs as float64): (residual - M x) / p, exactly,
-    or None when p does not divide it.
-
-    ``digit`` is the Z[w] vector x as int64 parts of shape (2, C), each
-    below 2^29 in absolute value, so two balanced DIGIT_BITS-bit digits
-    hold it (_limbs_image).  Residuals are lists of 2C Python integers,
-    the a parts of the C rows and then their b parts; None stands for
-    zero.
-    """
-    import numpy as np
-
-    mask = (1 << DIGIT_BITS) - 1
-    half = 1 << (DIGIT_BITS - 1)
-    cn = digit.shape[1]
-    low = ((digit + half) & mask) - half
-    vmat = np.empty((cn, 2, 2))
-    vmat[..., 0] = low.T
-    vmat[..., 1] = ((digit - low) >> DIGIT_BITS).T
-    rows = _limbs_image(limbs, vmat.reshape(cn, 4))
-    out = []
-    for old, row in zip(residual or [0] * len(rows), rows):
-        quo, rem = divmod(old - row, p)
-        if rem:
-            return None
-        out.append(quo)
-    return out
-
-
-def limbs_mod(limbs, p: int):
-    """The (a, b) coefficient matrices of kernel_matrix_limbs reduced mod
-    p, shape (2, C, C), for p < 2^31.  Limb k, at most 2^29 in absolute
-    value, is scaled by 2^(30 k) mod p, and the terms are summed unreduced
-    for as many limbs as int64 holds on top of a residue (modular._room);
-    reduce_mod takes negative sums to their residues as numpy's % does."""
-    room = _room((p - 1) << (LIMB_BITS - 1), 63) - 1
-    acc = limbs[:, 0].copy()
-    for k in range(1, limbs.shape[1]):
-        if k % room == 0:
-            reduce_mod(acc, p)
-        acc += limbs[:, k] * pow(2, LIMB_BITS * k, p)
-    return reduce_mod(acc, p)
+    return np.stack(balanced_carry(raw), axis=1)
 
 
 def transfer_link(t, zs, n: int) -> ExactMatrix:

@@ -116,6 +116,14 @@ def test_refined_generating_at_ones_gives_total():
         assert refined_generating_check(n, 1, 1).passed
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_refined_generating_has_no_pole_at_rational_points(n):
+    # q + t = t + 1 w has w-part 1 for rational t, so no rational t or u,
+    # 0, -1 and -1/2 included, is a pole of the specialization
+    for t, u in ((0, 0), (-1, Fraction(-1, 2)), (Fraction(-1, 2), -1), (Fraction(5, 3), 0)):
+        assert refined_generating_check(n, t, u).passed, (t, u)
+
+
 def test_refined_generating_takes_exact_rationals_only():
     assert refined_generating_check(2, Fraction(7, 3), Fraction(1, 2)).passed
     for t, u in (("7/3", 2), (1.5, 2), (2, 0.5)):

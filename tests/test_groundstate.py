@@ -8,7 +8,7 @@ import pytest
 
 from grid_oracle import psi_grid_values, reconstruct_homogeneous
 from mpoly_oracle import evaluate
-from loopsum import groundstate
+from loopsum import groundstate, modular
 from loopsum.cyclo import CycloNum, Q, Q_INV
 from loopsum.golden import golden_groundstate
 from loopsum.groundstate import (
@@ -196,7 +196,7 @@ def _kernel_entry_off(k, elim, stack, p):
     return elim._replace(lines=lines)
 
 
-#: name -> (helper of _kernel_modular, point, corruption(call, true result, *args)).
+#: name -> (helper of modular.kernel_vector, point, corruption(call, true result, *args)).
 #: nullspace_mod_np is the elimination: its kernel lines are digit 0, its
 #: pivot-row inverse solves every later digit, and None says that some
 #: embedding has no line.  _solve_digit is the digit
@@ -251,8 +251,8 @@ def test_corrupted_modular_candidates_never_returned(monkeypatch, name):
     # exact vector or a typed error, within a bounded number of attempts
     target, zs, corrupt = CORRUPTIONS[name]
     exact = exact_psi(4, zs, 1)
-    patched = _budgeted(getattr(groundstate, target), corrupt)
-    monkeypatch.setattr(groundstate, target, patched)
+    patched = _budgeted(getattr(modular, target), corrupt)
+    monkeypatch.setattr(modular, target, patched)
     try:
         got = psi_point(4, zs, t=1)
     except DegenerateKernelError:
@@ -274,14 +274,14 @@ def test_psi_point_one_elimination_per_point(monkeypatch):
     points = json.loads(fixture.read_text())["psi_point"]
     assert len(points) == 6
     assert sum(any("/" in z for z in p["z"]) for p in points) == 2
-    real = groundstate.nullspace_mod_np
+    real = modular.nullspace_mod_np
     calls = []
 
     def counted(stack, p):
         calls.append(len(stack))
         return real(stack, p)
 
-    monkeypatch.setattr(groundstate, "nullspace_mod_np", counted)
+    monkeypatch.setattr(modular, "nullspace_mod_np", counted)
     for point in points:
         calls.clear()
         pv = psi_point(point["n"], [Fraction(z) for z in point["z"]])
@@ -362,6 +362,14 @@ def test_validate_symbolic_degree_guards():
         comps[k] = bent
         with pytest.raises(HomogenizationMismatchError, match="degree"):
             groundstate._validate_symbolic(Groundstate(2, g.patterns, tuple(comps)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_nested_component_is_its_closed_form(n):
+    # validation does not compare the nested component with its closed
+    # form: the exchange build starts from the memoized closed form and
+    # never overwrites it, so the stored component is that very object
+    assert psi_symbolic(n).component(fully_nested(n)) is base_component(n)
 
 
 def _spread(total: int, cap: int, width: int) -> tuple:

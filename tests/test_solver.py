@@ -10,24 +10,25 @@ from hypothesis import strategies as st
 
 import pytest
 
-from loopsum import groundstate
+from loopsum import groundstate, modular
 from loopsum.cyclo import CycloNum, ONE, ZERO, pair_mul
-from loopsum.groundstate import DegenerateKernelError, _kernel_modular
 from loopsum.modular import (
     _PANEL,
+    DegenerateKernelError,
     _eta_apply,
     _room,
+    balanced_split,
     cached_primes,
     crt_pair,
     cube_root_mod,
     inverse_apply,
     is_prime,
+    kernel_vector,
     nullspace_mod_np,
     rational_reconstruct,
     reduce_mod,
 )
 from loopsum.solver import ExactMatrix, det, nullspace, rank
-from loopsum.tmatrix import _balanced_split
 
 small = st.builds(
     CycloNum,
@@ -729,7 +730,7 @@ def _limbs_of(rows):
     import numpy as np
 
     c = len(rows)
-    split = _balanced_split([x for row in rows for pair in row for x in pair])
+    split = balanced_split([x for row in rows for pair in row for x in pair])
     return np.ascontiguousarray(split.reshape(len(split), c, c, 2).transpose(3, 0, 1, 2))
 
 
@@ -758,7 +759,7 @@ def _exact_line(rows, base):
 
 def _padic(rows, base):
     try:
-        return [CycloNum(a, b) for a, b in _kernel_modular(_limbs_of(rows), base)]
+        return [CycloNum(a, b) for a, b in kernel_vector(_limbs_of(rows), base)]
     except DegenerateKernelError:
         return None
 
@@ -787,14 +788,14 @@ def test_padic_kernel_matches_exact_nullspace(data):
 
 
 def _counted(monkeypatch, name):
-    real = getattr(groundstate, name)
+    real = getattr(modular, name)
     calls = []
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(groundstate, name, counted)
+    monkeypatch.setattr(modular, name, counted)
     return calls
 
 
@@ -840,4 +841,4 @@ def test_padic_kernel_rank_deficient_raises():
     rows = _system(a, rest, base)
     assert _exact_line(rows, base) is None
     with pytest.raises(DegenerateKernelError):
-        _kernel_modular(_limbs_of(rows), base)
+        kernel_vector(_limbs_of(rows), base)

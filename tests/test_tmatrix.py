@@ -12,14 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loopsum
-from loopsum import tmatrix
+from loopsum import modular, tmatrix
 from loopsum.cyclo import CycloNum, ONE, Q, Q_INV, ZERO, integer_pairs, pair_mul
 from loopsum.linkpat import catalan, enumerate_patterns, pattern_index, spin_embed
 from loopsum.solver import ExactMatrix
 from loopsum.tmatrix import (
-    DIGIT_BITS,
-    LIMB_BITS,
-    _balanced_carry,
     _face_steps,
     _tile_table,
     _weight_limbs,
@@ -32,9 +29,6 @@ from loopsum.tmatrix import (
     eigenvalue,
     embed,
     kernel_matrix_limbs,
-    limbs_lift,
-    limbs_mod,
-    limbs_vanish,
     monodromy_apply,
     r_matrix_spin,
     rcheck_link,
@@ -46,8 +40,20 @@ from loopsum.tmatrix import (
     transfer_link_pairs,
     verify_spin_eigenvector,
 )
-from loopsum.groundstate import _PRIME_START, psi_point
-from loopsum.modular import _panel_width, _room, cached_primes, is_prime
+from loopsum.groundstate import psi_point
+from loopsum.modular import (
+    DIGIT_BITS,
+    LIMB_BITS,
+    _PRIME_START,
+    _panel_width,
+    _room,
+    balanced_carry,
+    cached_primes,
+    is_prime,
+    limbs_lift,
+    limbs_mod,
+    limbs_vanish,
+)
 
 rng = random.Random(123)
 
@@ -485,7 +491,7 @@ def test_balanced_carry_keeps_the_value(raw):
     # 1-6 raw limbs of |x| < 2^62 each: the same values in balanced limbs
     import numpy as np
 
-    limbs = _balanced_carry(np.array(raw, dtype=np.int64))
+    limbs = balanced_carry(np.array(raw, dtype=np.int64))
     assert len(limbs) >= len(raw)
     out = np.stack(limbs)
     assert -(1 << 29) <= out.min() and out.max() < 1 << 29
@@ -746,8 +752,8 @@ def test_product_widths_are_pinned(monkeypatch):
     assert (_panel_width(first), _panel_width(last)) == (30, 7)
     # limbs_mod reduces after every room limbs and once at the end: one
     # reduction for room limbs, two for room + 1
-    calls, reduce_mod = [], tmatrix.reduce_mod
-    monkeypatch.setattr(tmatrix, "reduce_mod", lambda x, p: calls.append(p) or reduce_mod(x, p))
+    calls, reduce_mod = [], modular.reduce_mod
+    monkeypatch.setattr(modular, "reduce_mod", lambda x, p: calls.append(p) or reduce_mod(x, p))
     for p, room in ((first, 30), (2147483629, 7)):
         for nlimbs, want in ((room, 1), (room + 1, 2)):
             calls.clear()
