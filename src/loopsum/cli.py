@@ -1,7 +1,8 @@
 """Command-line front end: verification runs with machine-readable reports.
 
 Exit codes: 0 all checks passed, 1 a verification failed (the report
-carries the counterexample), 2 usage or size-cap errors.  All randomness
+carries the counterexample), 2 usage or size-cap errors, 3 the output
+could not be written (a closed pipe, a full device).  All randomness
 is seeded point sampling: for a given seed the verdicts and cases of a
 report are deterministic, and so is plain output byte for byte; only the
 ``timings`` of --json output are not.
@@ -394,10 +395,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: output failed: {exc.strerror or exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:  # so the interpreter's final flush cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 3
 
 
 if __name__ == "__main__":

@@ -153,10 +153,6 @@ class CycloNum:
 
     # -- conversions ---------------------------------------------------
 
-    def to_strings(self) -> list[str]:
-        """JSON form: the pair [str(a), str(b)] with '/' separated fractions."""
-        return [str(self.a), str(self.b)]
-
     @classmethod
     def from_strings(cls, pair) -> "CycloNum":
         a, b = pair

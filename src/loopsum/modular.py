@@ -23,7 +23,10 @@ reduce_mod, the floor division form of numpy's %.  Every product width
 is read from one rule, _room.  The one float64 product is _limbs_image,
 M applied to a vector's balanced DIGIT_BITS-bit digits, which is exact
 on integers; the lift's exact residuals (limbs_lift) and the certificate
-both go through it.
+both go through it.  Its image and the lift's residuals are int64
+positions, row r worth sum_j pos[r, j] 2^(DIGIT_BITS j): limbs_lift long
+divides them by p, _positions_mod reduces them and _positions_vanish,
+one zero test, serves the stopping rule and the certificate.
 
 ``crt_pair`` and ``rational_reconstruct`` have no production caller since
 the point solve lifts p-adically; they stay for the benchmark's tracer,
@@ -34,7 +37,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
-from operator import lshift
 from typing import NamedTuple
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -217,9 +219,11 @@ def nullspace_mod_np(stack, p: int) -> Elimination | None:
     for lo in range(0, m, width):
         hi = min(lo + width, m)
         end = hi if hi < m else ncols
+        # a copy, never a view (the whole stack can be one panel): row swaps go to both
+        panel = stack[:, :, lo:end].copy()
         for c in range(lo, hi):
             # lockstep: the pivot of column c sits in row c of every member
-            col = stack[:, :, c] % p
+            col = panel[:, :, c - lo] % p
             heads = col[:, c].tolist()
             if 0 in heads:
                 hit = col[:, c:] != 0
@@ -229,21 +233,21 @@ def nullspace_mod_np(stack, p: int) -> Elimination | None:
                 for k in first.nonzero()[0]:
                     # a row swap for each member whose pivot is further down
                     f = c + int(first[k])
-                    stack[k, [c, f]] = stack[k, [f, c]]
-                    rows[k, [c, f]] = rows[k, [f, c]]
-                    col[k, [c, f]] = col[k, [f, c]]
+                    for x in (stack, panel, rows, col):
+                        x[k, [c, f]] = x[k, [f, c]]
                 heads = col[:, c].tolist()
             inv = np.array([pow(x, -1, p) for x in heads], dtype=np.int64)
-            pivot = stack[:, c, lo:end] % p * inv[:, None] % p
+            pivot = panel[:, c] % p * inv[:, None] % p
             pivot[:, c - lo] = inv
             # column c of every other row becomes -a_ic inv; row c is the pivot
             col[:, c] = 0
-            stack[:, :, c] = 0
-            stack[:, :, lo:end] -= col[:, :, None] * pivot[:, None]
-            stack[:, c, lo:end] = pivot
-        reduce_mod(stack[:, :, lo:hi], p)
+            panel[:, :, c - lo] = 0
+            panel -= col[:, :, None] * pivot[:, None]
+            panel[:, c] = pivot
+        reduce_mod(panel[:, :, :hi - lo], p)
+        stack[:, :, lo:end] = panel
         if end < ncols:
-            _eta_apply(stack[:, :, lo:hi], stack[:, :, end:], lo, p)
+            _eta_apply(panel, stack[:, :, end:], lo, p)
     # the last column: a pivot there means full rank, none means the last
     # coordinate is the only free one
     if (stack[:, m:, -1] % p).any():
@@ -332,11 +336,10 @@ def _limbs_image(limbs, digits):
 
     The digits meet M's limbs in one float64 matmul: a product of a limb
     and a digit is at most 2^29 * 2^14 in absolute value, so for C up to
-    _room(2^43, 53) = 1024 columns every partial sum is an
-    integer that float64 holds exactly; a wider M raises ValueError.
-    Limb k of M lands on digit 2k of the image, whose positions are summed
-    as Python integers: returns the 2C rows of the image, the a parts and
-    then the b parts.
+    _room(2^43, 53) = 1024 columns every partial sum is an integer that
+    float64 holds exactly; a wider M raises ValueError.  Limb k of M lands
+    on digit 2k of the image: returns its 2C rows, the a parts and then the
+    b parts, as int64 positions (2C, P), below 2^55 per limb landing on each.
     """
     import numpy as np
 
@@ -359,8 +362,30 @@ def _limbs_image(limbs, digits):
     image = np.zeros((2 * cn, 2 * nl + nd - 2), dtype=np.int64)
     for k in range(nl):
         image[:, 2 * k:2 * k + nd] += terms[:, k].reshape(2 * cn, nd)
-    shifts = range(0, DIGIT_BITS * image.shape[1], DIGIT_BITS)
-    return [sum(map(lshift, row, shifts)) for row in image.tolist()]
+    return image
+
+
+def _positions_vanish(pos) -> bool:
+    """True iff every row of the int64 positions ``pos``, below 2^62, is
+    zero: from the lowest up, each position plus its carry in is a multiple
+    of 2^DIGIT_BITS, the carry out, and nothing leaves the top: [-2^15, 1] is 0."""
+    mask = (1 << DIGIT_BITS) - 1
+    carry = 0
+    for col in pos.T:
+        col = col + carry
+        if (col & mask).any():
+            return False
+        carry = col >> DIGIT_BITS
+    return not carry.any()
+
+
+def _positions_mod(pos, p: int):
+    """The rows of the positions ``pos`` mod p by Horner's rule from the
+    top, exact for positions below 2^62, as limbs_lift's quotients are."""
+    acc = 0
+    for col in pos.T[::-1]:
+        acc = ((acc << DIGIT_BITS) + col) % p
+    return acc
 
 
 def limbs_vanish(limbs, xs: list[int], ys: list[int]) -> bool:
@@ -368,14 +393,14 @@ def limbs_vanish(limbs, xs: list[int], ys: list[int]) -> bool:
     form (int64, or the same limbs as float64) and integer vectors x, y.
 
     x and y are split into balanced DIGIT_BITS-bit digits for
-    _limbs_image, and every row of the image must be zero.  Limbs that
-    are not balanced raise ValueError.
+    _limbs_image, and every row of the image must be zero
+    (_positions_vanish).  Limbs that are not balanced raise ValueError.
     """
     cn = limbs.shape[2]
     if limbs.size and max(-limbs.min(), limbs.max()) > 1 << (LIMB_BITS - 1):
         raise ValueError("matrix limbs are not balanced")
     digits = balanced_split(list(xs) + list(ys), DIGIT_BITS).reshape(-1, 2, cn)
-    return not any(_limbs_image(limbs, digits))
+    return _positions_vanish(_limbs_image(limbs, digits))
 
 
 def limbs_lift(limbs, residual, digit, p: int):
@@ -385,23 +410,32 @@ def limbs_lift(limbs, residual, digit, p: int):
 
     ``digit`` is the Z[w] vector x as int64 parts of shape (2, C), each
     below 2^29 in absolute value, so two balanced DIGIT_BITS-bit digits
-    hold it (_limbs_image).  Residuals are lists of 2C Python integers,
-    the a parts of the C rows and then their b parts; None stands for
-    zero.
+    hold it (_limbs_image).  Residuals are int64 positions of 2C rows, a
+    parts then b parts, as _limbs_image returns them; None stands for zero.
+    The difference is long divided by p from the top position, exact for
+    unnormalised positions.  int64 holds _room(2^55, 63) - 1 terms of at
+    most 2^55 on top of one below it: an image position and the remainder
+    carried down, below p 2^DIGIT_BITS, leave _room(2^55, 63) - 2 to a
+    residual position; one outside that raises ValueError.  The lift's own
+    residuals, quotients by p > 2^29, are below 2^28.
     """
     import numpy as np
 
     mask = (1 << DIGIT_BITS) - 1
     half = 1 << (DIGIT_BITS - 1)
     low = ((digit + half) & mask) - half
-    rows = _limbs_image(limbs, np.stack([low, (digit - low) >> DIGIT_BITS]))
-    out = []
-    for old, row in zip(residual or [0] * len(rows), rows):
-        quo, rem = divmod(old - row, p)
-        if rem:
-            return None
-        out.append(quo)
-    return out
+    image = _limbs_image(limbs, np.stack([low, (digit - low) >> DIGIT_BITS]))
+    residual = image[:, :0] if residual is None else residual
+    room = (_room(1 << 55, 63) - 2) << 55
+    if residual.size and (residual.min() < -room or residual.max() > room):
+        raise ValueError("residual positions outside the room of the long division")
+    pos = np.zeros((len(image), max(image.shape[1], residual.shape[1])), dtype=np.int64)
+    pos[:, :residual.shape[1]] = residual
+    pos[:, :image.shape[1]] -= image
+    rem = np.zeros(len(pos), dtype=np.int64)
+    for j in reversed(range(pos.shape[1])):
+        pos[:, j], rem = np.divmod((rem << DIGIT_BITS) + pos[:, j], p)
+    return None if rem.any() else pos
 
 
 def limbs_mod(limbs, p: int):
@@ -494,14 +528,14 @@ def _lift(limbs, base, p: int, ws, elim):
         ea, eb = (_balanced(x, p) for x in rest)
         rest = [(rest[0] - ea) // p, (rest[1] - eb) // p]
         if digits:
-            res = np.array([x % p for x in residual], dtype=np.int64).reshape(2, cn)
+            res = _positions_mod(residual, p).reshape(2, cn)
             rhs = np.take((res[0] + res[1] * at_w) % p, pivots)
         nested = np.array([(ea + eb * w) % p for w in ws], dtype=np.int64)
         digits.append(_solve_digit(elim.lines, elim.inverse, rhs, nested, crt, p))
         residual = limbs_lift(limbs, residual, digits[-1], p)
         if residual is None:
             return None
-        if rest == [0, 0] and not any(residual):
+        if rest == [0, 0] and _positions_vanish(residual):
             break
     high, *lower = [d.tolist() for d in reversed(digits)]
     va, vb = high

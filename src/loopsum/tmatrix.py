@@ -11,11 +11,11 @@ applied site by site over the auxiliary space, and the twisted trace
 T = -q A - q^{-1} D.  Link patterns embed into the spin space (each arch
 j<k contributing zeta*up_j down_k - zeta^{-1} down_j up_k); T stabilizes
 the embedded subspace and its restriction is the loop-model transfer
-matrix.  The two routes are compared where T acts: spin_route_agrees
-applies T to every embedded pattern and matches the image against the
-embedded column of a link-basis matrix.  The embedding is injective, so
-agreement pins every entry; it is tested at every n <= 4, and
-verify_spin_eigenvector certifies point vectors the same way.
+matrix.  The two routes are compared where T acts: applying T to every
+embedded pattern and matching the image against the embedded column of
+a link-basis matrix pins every entry, as the embedding is injective; the
+tests do that at every n <= 4, and verify_spin_eigenvector certifies
+point vectors the same way.
 
 Both tile assemblies read _tile_table, the row split at face n into two
 half-row tables: the state after faces 1..n that each of their 2^n
@@ -202,21 +202,6 @@ def _expect_parameters(n: int, zs) -> None:
         raise ValueError(f"expected {2 * n} spectral parameters, got {len(zs)}")
 
 
-def spin_route_agrees(t, zs, n: int, matrix: ExactMatrix) -> bool:
-    """True iff ``matrix`` is the spin transfer matrix restricted to the
-    embedded link patterns: T applied to each embedded pattern j equals the
-    embedding of column j.  Production uses transfer_link; this is the
-    oracle it is checked against."""
-    cols = embedding_columns(n)
-    _expect_parameters(n, zs)
-    if matrix.rows != len(cols) or matrix.cols != len(cols):
-        return False
-    return all(
-        transfer_apply_spin(zs, t, col) == embed(n, [row[j] for row in matrix.data])
-        for j, col in enumerate(cols)
-    )
-
-
 # ---------------------------------------------------------------------------
 # link-basis transfer matrix, loop (tile) route
 # ---------------------------------------------------------------------------
@@ -385,9 +370,9 @@ def _tile_scatter(n: int) -> tuple:
     pattern they send the source to; ``starts`` are the segment starts in
     that list, and ``flat`` = dst * C + src the entry of the C x C matrix
     each segment sums into.  So the chunk's part of sum_s W[s] * (tile s)
-    is ``np.add.reduceat(np.take(W, order, axis=1), starts, axis=1)`` at
-    ``flat``: np.take gathers in one pass and converts the uint16 order
-    itself, where the fancy index W[:, order] takes about twice as long.
+    is ``np.add.reduceat(np.take(W, order, axis=0), starts, axis=0)`` at
+    ``flat``, row s of W the limbs of configuration s: np.take converts
+    the uint16 order itself, where the fancy index W[order] is far slower.
 
     Built on first use from the halves of _tile_table, one chunk at a
     time, so the full table is never held: one gather composes the
@@ -472,12 +457,12 @@ def kernel_matrix_limbs(n: int, zs, t):
     # plain ints, as psi_point passes them, skip the coercion
     if any(type(x) is not int for x in (t, *zs)) and integer_pairs([t, *zs])[1] != 1:
         raise TypeError("kernel_matrix_limbs takes z and t integral in Z[w]")
-    # rows of w: (a limb 0, b limb 0, a limb 1, b limb 1, ...)
-    w = _weight_limbs(n, zs, t)
+    # row s of w: configuration s's limbs, moved as one row
+    w = _weight_limbs(n, zs, t).T.copy()
     cn = len(_tile_table(n)[0])
-    out = np.zeros((len(w), cn * cn), dtype=np.int64)
+    out = np.zeros((w.shape[1], cn * cn), dtype=np.int64)
     for order, starts, flat in _tile_scatter(n):
-        out[:, flat] = np.add.reduceat(np.take(w, order, axis=1), starts, axis=1)
+        out[:, flat] = np.add.reduceat(np.take(w, order, axis=0), starts, axis=0).T
     raw = out.reshape(-1, 2, cn, cn)
     lam = eigenvalue(t, zs)
     # |Lambda| is the modulus of the all-pass row weight, so Lambda needs
@@ -490,8 +475,8 @@ def kernel_matrix_limbs(n: int, zs, t):
 
 def transfer_link(t, zs, n: int) -> ExactMatrix:
     """The transfer matrix restricted to link patterns, canonical order,
-    summed over the row tiles in the link basis (spin_route_agrees checks
-    it against the spin representation)."""
+    summed over the row tiles in the link basis (the tests check it against
+    the spin representation on every embedded pattern)."""
     pairs = transfer_link_pairs(n, zs, t)
     return ExactMatrix([[CycloNum(a, b) for a, b in row] for row in pairs])
 

@@ -88,6 +88,12 @@ def specialize_ratio(p: dict, var: int, target: int, scale) -> dict:
     return terms
 
 
+def to_strings(x) -> list[str]:
+    """A CycloNum's JSON form: the pair [str(a), str(b)] with '/' separated
+    fractions, the inverse of CycloNum.from_strings."""
+    return [str(x.a), str(x.b)]
+
+
 def sorted_terms(p: dict) -> list:
     """The (exponent, CycloNum) terms in graded-lexicographic order."""
     return sorted(p.items(), key=lambda t: (sum(t[0]), t[0]))
@@ -96,7 +102,7 @@ def sorted_terms(p: dict) -> list:
 def to_json(nvars: int, p: dict) -> dict:
     return {
         "nvars": nvars,
-        "terms": [{"exp": list(e), "coeff": c.to_strings()} for e, c in sorted_terms(p)],
+        "terms": [{"exp": list(e), "coeff": to_strings(c)} for e, c in sorted_terms(p)],
     }
 
 

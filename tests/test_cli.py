@@ -2,6 +2,8 @@ import itertools
 import json
 import os
 import stat
+import subprocess
+import sys
 import threading
 from types import SimpleNamespace
 
@@ -249,3 +251,51 @@ def test_caseless_report_does_not_pass():
 def test_check_all_n1(capsys):
     assert main(["check-all", "1", "--threads", "1"]) == 0
     assert "result: PASS" in capsys.readouterr().out
+
+
+def _loopsum(args, stdout, buffered):
+    """The CLI in a new interpreter, as a script runs it, its stdout
+    block-buffered as by default or written through (PYTHONUNBUFFERED)."""
+    import loopsum
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(loopsum.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "loopsum.cli", *args], stdout=stdout,
+                            stderr=subprocess.PIPE, text=True, env=env)
+
+
+def _assert_output_failure(proc, reason):
+    # one stderr line, no traceback, and an exit code that is no verdict
+    err = proc.stderr.read()
+    assert proc.wait(120) == 3
+    assert err.splitlines() == [f"error: output failed: {reason}"], err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("buffered", (True, False))
+def test_closed_stdout_pipe_is_not_a_verdict(buffered):
+    # about 130 kB of report, twice a pipe's usual buffer, so the write
+    # cannot finish before the reader closes after a few bytes
+    proc = _loopsum(["verify-sumrule", "1", "--mode", "random-points", "--points", "1000",
+                     "--json"], subprocess.PIPE, buffered)
+    assert proc.stdout.read(16).startswith("{")
+    proc.stdout.close()
+    _assert_output_failure(proc, "Broken pipe")
+    # a short report into a pipe whose reader is gone from the start
+    read, write = os.pipe()
+    os.close(read)
+    proc = _loopsum(["check-all", "1"], write, buffered)
+    os.close(write)
+    _assert_output_failure(proc, "Broken pipe")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("buffered", (True, False))
+def test_full_device_is_not_a_verdict(buffered):
+    with open("/dev/full", "w") as full:
+        _assert_output_failure(_loopsum(["check-all", "2"], full, buffered),
+                               "No space left on device")
+    proc = _loopsum(["components", "2", "--out", "/dev/full"], subprocess.DEVNULL, buffered)
+    _assert_output_failure(proc, "No space left on device")

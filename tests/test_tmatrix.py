@@ -11,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_lift_positions import position_values, positions
 import loopsum
 from loopsum import modular, tmatrix
 from loopsum.cyclo import CycloNum, ONE, Q, Q_INV, ZERO, integer_pairs, pair_mul
 from loopsum.linkpat import catalan, enumerate_patterns, pattern_index, spin_embed
 from loopsum.solver import ExactMatrix
 from loopsum.tmatrix import (
+    _expect_parameters,
     _face_steps,
     _tile_table,
     _weight_limbs,
@@ -28,13 +30,13 @@ from loopsum.tmatrix import (
     e_link_matrix,
     eigenvalue,
     embed,
+    embedding_columns,
     kernel_matrix_limbs,
     monodromy_apply,
     r_matrix_spin,
     rcheck_link,
     rcheck_spin,
     row_weights,
-    spin_route_agrees,
     transfer_apply_spin,
     transfer_link,
     transfer_link_pairs,
@@ -165,6 +167,21 @@ def test_embed_is_linear_in_pattern_basis():
     a, b = (spin_embed(p) for p in enumerate_patterns(2))
     combo = {k: 2 * a.get(k, ZERO) - b.get(k, ZERO) for k in set(a) | set(b)}
     assert embed(2, [2, -1]) == {k: v for k, v in combo.items() if v}
+
+
+def spin_route_agrees(t, zs, n: int, matrix: ExactMatrix) -> bool:
+    """True iff ``matrix`` is the spin transfer matrix restricted to the
+    embedded link patterns: T applied to each embedded pattern j equals the
+    embedding of column j.  Production uses transfer_link; this is the
+    oracle it is checked against."""
+    cols = embedding_columns(n)
+    _expect_parameters(n, zs)
+    if matrix.rows != len(cols) or matrix.cols != len(cols):
+        return False
+    return all(
+        transfer_apply_spin(zs, t, col) == embed(n, [row[j] for row in matrix.data])
+        for j, col in enumerate(cols)
+    )
 
 
 def test_transfer_link_n1_value():
@@ -691,12 +708,13 @@ def test_limbs_lift_matches_pair_arithmetic(n):
     residual = [mx + p * q for mx, q in zip([a for a, _ in image] + [b for _, b in image], quo)]
     digit = np.array(x, dtype=np.int64).T.copy()
     for form in (limbs, limbs.astype(np.float64)):
-        assert limbs_lift(form, residual, digit, p) == quo
-        assert limbs_lift(form, None, np.zeros_like(digit), p) == [0] * (2 * cn)
+        assert position_values(limbs_lift(form, positions(residual), digit, p)) == quo
+        assert position_values(limbs_lift(form, None, np.zeros_like(digit), p)) == [0] * (2 * cn)
         for k in (0, 2 * cn - 1):
             bent = list(residual)
             bent[k] += 1
-            assert limbs_lift(form, bent, digit, p) is None, k
+            assert limbs_lift(form, positions(bent), digit, p) is None, k
+
 
 
 def test_limb_width_rule_at_n7():
