@@ -3,8 +3,8 @@
 Computes the groundstate vector of the multi-parameter loop-model transfer
 matrix on a periodic strip in exact arithmetic over Q(w), reconstructs its
 components as polynomials, and verifies the sum rule and related identities
-against independent oracles (Schur functions, six-vertex enumeration, ASM
-counting).
+against independent oracles (Schur functions, the six-vertex model with
+domain-wall boundaries, ASM counting).
 """
 
 from .cyclo import CycloNum, OMEGA, ONE, Q, Q_INV, ZERO, ZETA, ZETA_INV, sixth_root

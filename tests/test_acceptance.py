@@ -7,9 +7,11 @@ the quarantined floating-point Bethe-ansatz residual (criterion 7).
 import random
 
 from mpoly_oracle import unpacked
+from sixvertex_oracle import dwbc_bruteforce
 from loopsum.asm import (
     asm_product_formula,
     check_dwbc_oracle,
+    dwbc_partition,
     enumerate_asm,
     refined_generating_check,
 )
@@ -127,16 +129,17 @@ def test_criterion_5_degrees():
 def test_criterion_6_oracle_triangle():
     rng = random.Random(SEED + 6)
     ok = True
-    for n in (1, 2, 3):
-        for _ in range(20):
-            ok &= check_dwbc_oracle(n, rng.sample(range(1, 40), 2 * n)).passed
-    for _ in range(5):
-        ok &= check_dwbc_oracle(4, rng.sample(range(1, 15), 8)).passed
+    points = [rng.sample(range(1, 40), 2 * n) for n in (1, 2, 3) for _ in range(20)]
+    points += [rng.sample(range(1, 15), 8) for _ in range(5)]
+    for xs in points:
+        n = len(xs) // 2
+        ok &= check_dwbc_oracle(n, xs).passed
+        ok &= dwbc_partition(n, xs) == dwbc_bruteforce(n, xs)
     for n in (1, 2, 3, 4):
         for _ in range(10):
             t, u = rng.randint(1, 20), rng.randint(1, 20)
             ok &= refined_generating_check(n, t, u).passed
-    _criterion(6, "six-vertex enumeration = Schur = refined ASM counts", ok)
+    _criterion(6, "six-vertex enumeration = determinant = Schur = refined ASM counts", ok)
 
 
 def test_criterion_7_bethe_suite():

@@ -2,8 +2,9 @@
 
 A digest is the SHA-256 of the canonical JSON of ``to_json()`` (sorted
 keys, no whitespace), the form the benchmark's digest uses; the
-``check_all`` digests take the ``check-all N --json`` report at the default
-seed without its ``timings``.  The fixture holds exact ``psi_point`` values
+``check_all`` and ``asm_tables`` digests take the ``check-all N --json`` and
+``asm-tables N --json`` reports at the default seed without their
+``timings``.  The fixture holds exact ``psi_point`` values
 at three fixed points each for n = 5 and n = 6, as canonical strings, and
 F(t) and Q(t) at n = 3 are kept at one fixed point.  Any refactor of the
 construction must leave all of them unchanged.
@@ -29,6 +30,9 @@ DIGESTS = {
     "check_all_1": "8b73706cef6416f3a23ab52ec4bdf6f05899a2d6c99fd8400f7964d89c156e4d",
     "check_all_2": "3803d72994716d15394c7f6020d5af097808f94cbe7509c593cf6eadc5d78c65",
     "check_all_3": "54a0f342d0bb9a83c387b1cc97a2ff6ca79afb536f3aa19d9e3dd6a96b860a4e",
+    "asm_tables_1": "dfe67be3fea8ca3b90bdd37d0667fadfd87006ac536e31efcd7d1a0a9706ccc3",
+    "asm_tables_2": "353554130d034676de475cf6d19087080d976c8ef96ab6b7781bb82cc5a0de63",
+    "asm_tables_3": "cafccf7eab6c4ae5c6548f82d0702a5638733238ff6307789d00a95fdb45369d",
 }
 
 # F(t) and Q(t), ascending coefficients, at n = 3 and this point
@@ -76,6 +80,14 @@ def test_check_all_digest(n, capsys):
     report = json.loads(capsys.readouterr().out)
     del report["timings"]
     assert _digest(report) == DIGESTS[f"check_all_{n}"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_asm_tables_digest(n, capsys):
+    assert main(["asm-tables", str(n), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    del report["timings"]
+    assert _digest(report) == DIGESTS[f"asm_tables_{n}"]
 
 
 def test_f_and_q_anchor():

@@ -3,18 +3,18 @@ from fractions import Fraction
 
 import pytest
 
+from sixvertex_oracle import SixVertexConfig, dwbc_bruteforce
 from loopsum.asm import (
     ASMatrix,
-    SixVertexConfig,
     SizeCapError,
     asm_product_formula,
     check_dwbc_oracle,
-    dwbc_bruteforce,
+    dwbc_partition,
     enumerate_asm,
     refined_counts,
     refined_generating_check,
 )
-from loopsum.cyclo import CycloNum, ONE
+from loopsum.cyclo import CycloNum, ONE, ZETA
 
 rng = random.Random(99)
 
@@ -102,6 +102,51 @@ def test_dwbc_n4_spot():
 def test_dwbc_cap():
     with pytest.raises(SizeCapError):
         dwbc_bruteforce(5, list(range(1, 11)))
+
+
+def _distinct_squares(draw, n):
+    """2n values from draw() whose squares are distinct and nonzero."""
+    xs: list = []
+    while len(xs) < 2 * n:
+        x = draw()
+        if x and all(x * x != y * y for y in xs):
+            xs.append(x)
+    return xs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dwbc_partition_matches_enumeration(n):
+    rng = random.Random(n)
+    draws = (
+        lambda: rng.randint(1, 30),
+        lambda: Fraction(rng.randint(1, 30), rng.randint(1, 7)),
+        lambda: rng.randint(-30, 30),
+    )
+    points = [_distinct_squares(draw, n) for draw in draws for _ in range(2)]
+    # a row and a column may share a parameter
+    points.append(list(range(1, n + 1)) * 2)
+    for xs in points:
+        assert dwbc_partition(n, xs) == dwbc_bruteforce(n, xs), xs
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_dwbc_oracle_beyond_the_enumeration(n):
+    rng = random.Random(n)
+    for _ in range(2):
+        assert check_dwbc_oracle(n, rng.sample(range(1, 40), 2 * n)).passed
+
+
+@pytest.mark.parametrize(
+    "xs, match",
+    [([2, 2, 3, 5], "equal squares"), ([1, 3, 2, -2], "equal squares"),
+     ([0, 3, 0, 5], "zero parameter"), ([0, 3, 1, 5], "zero parameter"),
+     ([ZETA, 3, 1, 5], "weight a or b"), ([1, 2, 3], "expected 4")],
+    ids=["repeated-row", "opposite-columns", "zero-row-and-column", "zero-row",
+         "vanishing-a", "length"],
+)
+def test_dwbc_partition_rejects_a_vanishing_denominator(xs, match):
+    with pytest.raises(ValueError, match=match):
+        dwbc_partition(2, xs)
 
 
 def test_refined_generating_identity():

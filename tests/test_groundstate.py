@@ -9,6 +9,7 @@ import pytest
 from grid_oracle import psi_grid_values, reconstruct_homogeneous
 from mpoly_oracle import evaluate, to_strings
 from loopsum import groundstate, modular
+from loopsum.asm import asm_product_formula
 from loopsum.cyclo import CycloNum, Q, Q_INV
 from loopsum.golden import golden_groundstate
 from loopsum.groundstate import (
@@ -130,6 +131,19 @@ def test_psi_point_degenerate_t_is_skipped():
     # at the homogeneous point t = 1 degenerates; the schedule moves on
     pv = psi_point(3, [1] * 6)
     assert pv.t == Fraction(2)
+
+
+@pytest.mark.parametrize("n, a_n", [(6, 7436), (7, 218348)])
+def test_homogeneous_point_counts_asms(n, a_n):
+    # the paper's opening identity: at z = (1, ..., 1) the components sum to
+    # 3^{n(n-1)/2} A_n, and the nested one, the smallest, is 3^{n(n-1)/2}
+    scale = 3 ** (n * (n - 1) // 2)
+    values = psi_point(n, [1] * (2 * n)).values
+    assert all(v.b == 0 for v in values)
+    assert sum(values, CycloNum(0, 0)) == CycloNum(scale * a_n, 0)
+    assert a_n == asm_product_formula(n)
+    nested = values[pattern_index(n)[fully_nested(n).pairing]]
+    assert nested == CycloNum(scale, 0) == min(values, key=lambda v: v.a)
 
 
 def test_psi_point_fixed_degenerate_t_raises():

@@ -1,6 +1,8 @@
-"""The point solve's layering, read from the source: modular owns the
-p-adic lift, its limb arithmetic and its certificate, and imports no
-other loopsum module; no module reaches into modular's private names."""
+"""The layering, read from the source: modular owns the p-adic lift, its
+limb arithmetic and its certificate, and imports no other loopsum module;
+no module reaches into modular's private names.  The DWBC partition
+function has one route, the Izergin-Korepin determinant; the six-vertex
+enumeration lives in the tests as its oracle."""
 
 import ast
 from pathlib import Path
@@ -66,3 +68,20 @@ def test_psi_point_calls_one_modular_entry():
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and node.func.id in from_modular]
     assert called == ["kernel_vector"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_six_vertex_enumeration_in_src(name):
+    tree = _tree(name)
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    imported = {name for pair in _imports(tree) for name in pair}
+    assert not (defined | imported) & {"SixVertexConfig", "dwbc_bruteforce"}
+
+
+def test_dwbc_oracle_calls_the_determinant():
+    (check,) = [node for node in _tree("asm").body
+                if isinstance(node, ast.FunctionDef) and node.name == "check_dwbc_oracle"]
+    called = {node.func.id for node in ast.walk(check)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "dwbc_partition" in called
