@@ -307,9 +307,8 @@ def cmd_asm_tables(args) -> int:
         return report
 
     rep.run(counting)
-    if n <= 3:
-        rng = random.Random(0)
-        rep.run(lambda: check_dwbc_oracle(n, rng.sample(range(1, 20), 2 * n)))
+    rng = random.Random(0)
+    rep.run(lambda: check_dwbc_oracle(n, rng.sample(range(1, 20), 2 * n)))
 
     if args.csv:
         print("j\\k," + ",".join(str(k) for k in range(1, n + 1)))

@@ -24,7 +24,7 @@ scalars, pair_mul multiplies two pairs, pair_qdiff forms q x - q^{-1} y,
 and from_pair turns the result back into one CycloNum.  accumulate adds
 into a dict entry and drops a zero sum; it serves only the sparse vectors
 of tmatrix and schur (CycloNum entries, MPoly ones in the exact Bethe
-vector): MPoly stores integer pairs and sums them itself.
+vector): MPoly stores the integer pairs of Z[w] and sums them itself.
 """
 
 from __future__ import annotations

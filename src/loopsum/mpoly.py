@@ -1,11 +1,14 @@
-"""Sparse multivariate polynomials over Q(w), with exact tensor-grid interpolation.
+"""Sparse multivariate polynomials over Z[w], with exact tensor-grid interpolation.
 
 ``terms`` maps each packed exponent vector to an integer pair (a, b), never
-(0, 0), for the coefficient (a + b w) / den; ``den`` > 0 is in lowest terms
-(1 for Psi_n and s_{Y_n}), so equal polynomials store equal fields.  Every
-operation works on the pairs; only coeff_of, items() and values build
-CycloNum.  to_json and __str__ format each pair over den straight to
-strings, and list terms in graded-lexicographic order.
+(0, 0), for the coefficient a + b w, so equal polynomials store equal
+terms.  Every polynomial of the verifier is integral: the nested component
+of Psi_n is a product of integral linear forms, the exchange steps
+multiply by such forms, take exact divided differences and add, and the
+coefficients of s_{Y_n} are Kostka numbers.  Every operation works on the
+pairs; only coeff_of, items() and values build CycloNum.  to_json and
+__str__ format each pair straight to strings, and list terms in
+graded-lexicographic order.
 
 Storage (packed exponent vectors, Monagan & Pearce): vector e has the key
 int.from_bytes(bytes(e), "big"), the first variable in the top byte, key 0
@@ -18,24 +21,27 @@ never wrapping into the next variable; nothing else raises an exponent.
 
 Validation happens at the boundary: MPoly(...) checks and coerces the
 input of zero, constant and from_json (TypeError for a non-integral
-exponent, ValueError outside 0..127); variable checks its index, and
-results built here from valid terms skip the check through MPoly._raw,
-which only brings den to lowest terms, and their sums drop (0, 0) pairs.
+exponent or a coefficient outside Z[w], ValueError for an exponent outside
+0..127); a scalar factor and the scale of specialize_ratio pass the same
+coefficient check, variable checks its index, and results built here from
+valid terms skip the check through MPoly._raw, and their sums drop (0, 0)
+pairs.
 
 Exact evaluation has one path, eval_all: exponent vectors split into a
 low and a high half, each distinct half is evaluated once per point for
 all polynomials of the call, and terms are summed per low half before
 one multiplication by its value (a two-level Horner scheme).  The sums
-are integer pairs over one denominator, so the value is exact; add_all
-likewise sums integer pairs over one common denominator.
+are integer pairs over the coordinates' one denominator, so the value is
+exact; add_all sums integer pairs.
 
 Tensor-grid interpolation applies each axis's inverse Vandermonde matrix,
 scaled to integers, to integer values over one common denominator; with
 (bound+1) distinct nodes per variable the result is the unique polynomial
 within the per-variable degree bounds that matches all supplied values, and
-one exact division per coefficient ends it; the grid oracle of the tests
-uses it.  Psi's construction samples nothing: it builds every component
-from the nested one with divided_difference and permute_args.
+one exact division per coefficient ends it (ValueError if the interpolant
+leaves Z[w]); the grid oracle of the tests uses it.  Psi's construction
+samples nothing: it builds every component from the nested one with
+divided_difference and permute_args.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .cyclo import CycloNum, _rational, as_cyclo, from_pair, integer_pairs, pair_mul
+from .cyclo import CycloNum, _rational, from_pair, integer_pairs, pair_mul
 
 
 class ArityMismatchError(ValueError):
@@ -72,39 +78,42 @@ def _key(exps: Sequence[int], nvars: int) -> int:
     return int.from_bytes(bytes(e), "big")
 
 
+def _integral_pairs(values: Iterable) -> list[tuple[int, int]]:
+    """Scalars of Z[w] as integer pairs; any other scalar is a TypeError."""
+    pairs, den = integer_pairs(values)
+    if den != 1:
+        raise TypeError("a polynomial coefficient must lie in Z[w]")
+    return pairs
+
+
 def _guard_bits(nvars: int, keys: Iterable[int]) -> int:
     """The guard bits set in any key of keys: nonzero iff an exponent is 128+."""
     return functools.reduce(operator.or_, keys, 0) & int.from_bytes(b"\x80" * nvars, "big")
 
 
 class MPoly:
-    """A sparse polynomial in ``nvars`` variables over Q(w): terms maps
-    packed exponent keys to integer pairs (a, b) for (a + b w) / den."""
+    """A sparse polynomial in ``nvars`` variables over Z[w]: terms maps
+    packed exponent keys to integer pairs (a, b) for a + b w."""
 
-    __slots__ = ("nvars", "terms", "den")
+    __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Optional[Mapping[tuple, object]] = None):
         items = list((terms or {}).items())
         keys = [_key(e, nvars) for e, _ in items]
-        pairs, den = integer_pairs(c for _, c in items)
-        clean = {k: p for k, p in zip(keys, pairs) if p[0] or p[1]}
-        for name, value in zip(self.__slots__, (nvars, clean, den)):
-            object.__setattr__(self, name, value)
+        pairs = _integral_pairs(c for _, c in items)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "terms", {k: p for k, p in zip(keys, pairs) if p[0] or p[1]})
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
 
     @classmethod
-    def _raw(cls, nvars: int, terms: dict, den: int = 1) -> "MPoly":
+    def _raw(cls, nvars: int, terms: dict) -> "MPoly":
         """Wrap terms that are already valid: keys of nvars exponents below
-        128, nonzero integer pairs over den > 0.  The dict is not copied;
-        a factor that den shares with every part is divided out."""
-        g = math.gcd(den, *itertools.chain(*terms.values())) if den != 1 else 1
-        if g != 1:
-            terms = {e: (a // g, b // g) for e, (a, b) in terms.items()}
+        128, nonzero integer pairs.  The dict is not copied."""
         out = cls.__new__(cls)
-        for name, value in zip(cls.__slots__, (nvars, terms, den // g)):
-            object.__setattr__(out, name, value)
+        object.__setattr__(out, "nvars", nvars)
+        object.__setattr__(out, "terms", terms)
         return out
 
     # -- constructors --------------------------------------------------
@@ -115,7 +124,7 @@ class MPoly:
 
     @classmethod
     def constant(cls, nvars: int, c) -> "MPoly":
-        return cls(nvars, {(0,) * nvars: as_cyclo(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "MPoly":
@@ -139,8 +148,7 @@ class MPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        return MPoly._raw(self.nvars, {e: (-a, -b) for e, (a, b) in self.terms.items()},
-                          self.den)
+        return MPoly._raw(self.nvars, {e: (-a, -b) for e, (a, b) in self.terms.items()})
 
     def __sub__(self, other) -> "MPoly":
         return self + (-other)
@@ -150,13 +158,12 @@ class MPoly:
 
     def __mul__(self, other) -> "MPoly":
         if not isinstance(other, MPoly):
-            [(c, d)], den = integer_pairs([other])
+            [(c, d)] = _integral_pairs([other])
             if not (c or d):
                 return MPoly.zero(self.nvars)
-            # a product of nonzero field elements is nonzero
+            # Z[w] has no zero divisors: a product of nonzero elements is nonzero
             return MPoly._raw(self.nvars, {e: (a * c - b * d, a * d + b * c - b * d)
-                                           for e, (a, b) in self.terms.items()},
-                              self.den * den)
+                                           for e, (a, b) in self.terms.items()})
         self._check_arity(other)
         big, small = self.terms, other.terms
         if len(big) < len(small):
@@ -171,14 +178,9 @@ class MPoly:
                 acc[e] = (x, y) if s is None else (s[0] + x, s[1] + y)
         if _guard_bits(self.nvars, acc):
             raise OverflowError("an exponent of the product reached 128")
-        return MPoly._raw(self.nvars, {e: s for e, s in acc.items() if s[0] or s[1]},
-                          self.den * other.den)
+        return MPoly._raw(self.nvars, {e: s for e, s in acc.items() if s[0] or s[1]})
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar) -> "MPoly":
-        c = as_cyclo(scalar)
-        return self * c.inverse()
 
     def __pow__(self, k: int) -> "MPoly":
         if k < 0:
@@ -198,7 +200,7 @@ class MPoly:
                 other = MPoly.constant(self.nvars, other)
             except TypeError:
                 return NotImplemented
-        return (self.nvars, self.den, self.terms) == (other.nvars, other.den, other.terms)
+        return (self.nvars, self.terms) == (other.nvars, other.terms)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -212,12 +214,12 @@ class MPoly:
         return eval_all([self], point)[0]
 
     def coeff_of(self, exps: Sequence[int]) -> CycloNum:
-        return from_pair(self.terms.get(_key(exps, self.nvars), (0, 0)), self.den)
+        return from_pair(self.terms.get(_key(exps, self.nvars), (0, 0)))
 
     def items(self) -> Iterator[tuple[tuple[int, ...], CycloNum]]:
         """(exponent tuple, CycloNum coefficient) for every stored term."""
         for e, pair in zip(self._exponent_bytes(), self.terms.values()):
-            yield tuple(e), from_pair(pair, self.den)
+            yield tuple(e), from_pair(pair)
 
     def _exponent_bytes(self) -> Iterator[bytes]:
         """Each term's exponent vector as bytes, in the order of terms."""
@@ -270,13 +272,13 @@ class MPoly:
         get = operator.itemgetter(0, *(slot.get(v, 0) for v in range(nvars)))
         width = self.nvars + 1
         return MPoly._raw(nvars, {int.from_bytes(bytes(get(e.to_bytes(width, "big"))), "big"): c
-                                  for e, c in self.terms.items()}, self.den)
+                                  for e, c in self.terms.items()})
 
     def swap_args(self, i: int, j: int) -> "MPoly":
         si, sj = self._shift(i), self._shift(j)
         step = (1 << sj) - (1 << si)  # moves one unit from z_i to z_j
         return MPoly._raw(self.nvars, {e + ((e >> si & 127) - (e >> sj & 127)) * step: c
-                                       for e, c in self.terms.items()}, self.den)
+                                       for e, c in self.terms.items()})
 
     def divided_difference(self, i: int, j: int) -> "MPoly":
         """(P with z_i and z_j swapped - P) / (z_j - z_i), exact.
@@ -299,22 +301,18 @@ class MPoly:
             for key in range(start, start + (hi - lo) * step, step):
                 s = terms.get(key)
                 terms[key] = (x, y) if s is None else (s[0] + x, s[1] + y)
-        return MPoly._raw(self.nvars, {e: s for e, s in terms.items() if s[0] or s[1]},
-                          self.den)
+        return MPoly._raw(self.nvars, {e: s for e, s in terms.items() if s[0] or s[1]})
 
     def specialize_ratio(self, var: int, target: int, scale) -> "MPoly":
-        """Substitute z_var := scale * z_target (exact; var becomes unused).
-
-        With scale = s / d, a term with z_var^k takes s^k d^(top - k) over
-        the common denominator d^top, top the degree in z_var."""
+        """Substitute z_var := scale * z_target (exact; var becomes unused);
+        scale lies in Z[w], and a term with z_var^k takes scale^k."""
         if var == target:
             raise ValueError("substitution variable must differ from target")
-        [pair], d = integer_pairs([scale])
+        [pair] = _integral_pairs([scale])
         sv, st = self._shift(var), self._shift(target)
         step = (1 << st) - (1 << sv)  # moves one unit from z_var to z_target
-        top = self.degree_in(var)
-        powers = [(a * d ** (top - k), b * d ** (top - k)) for k, (a, b) in enumerate(
-            itertools.accumulate(itertools.repeat(pair, top), pair_mul, initial=(1, 0)))]
+        powers = list(itertools.accumulate(itertools.repeat(pair, self.degree_in(var)),
+                                           pair_mul, initial=(1, 0)))
         terms: dict[int, tuple[int, int]] = {}
         for e, c in self.terms.items():
             k = e >> sv & 127
@@ -324,8 +322,7 @@ class MPoly:
             terms[key] = (x, y) if s is None else (s[0] + x, s[1] + y)
         if _guard_bits(self.nvars, terms):
             raise OverflowError(f"an exponent of z_{target} reached 128")
-        return MPoly._raw(self.nvars, {e: s for e, s in terms.items() if s[0] or s[1]},
-                          self.den * d ** top)
+        return MPoly._raw(self.nvars, {e: s for e, s in terms.items() if s[0] or s[1]})
 
     def reversed_reciprocal(self, per_var_degree: int) -> "MPoly":
         """prod_k z_k^d * P(1/z_last, ..., 1/z_first) for d = per_var_degree.
@@ -341,20 +338,18 @@ class MPoly:
                  for e, c in self.terms.items()}
         if _guard_bits(n, terms):
             raise ValueError("exponent exceeds the stated per-variable degree")
-        return MPoly._raw(n, terms, self.den)
+        return MPoly._raw(n, terms)
 
     # -- serialization ----------------------------------------------------
 
     def _canonical_terms(self) -> Iterator[tuple[bytes, list[str]]]:
         """(exponent bytes, [a, b]) per term in graded-lexicographic order
-        (canonical), a and b the parts of (a + b w) / den as strings with
-        '/' separated fractions, formatted straight from the pairs."""
-        den, terms = self.den, self.terms
-        part = str if den == 1 else (lambda x: str(Fraction(x, den)))
+        (canonical), a and b the parts of a + b w as strings."""
+        terms = self.terms
         views = list(self._exponent_bytes())
         for _, e, view in sorted(zip(map(sum, views), terms, views)):
             a, b = terms[e]
-            yield view, [part(a), part(b)]
+            yield view, [str(a), str(b)]
 
     def to_json(self) -> dict:
         return {
@@ -405,13 +400,12 @@ def eval_all(polys: Sequence[MPoly], point: Sequence) -> list[CycloNum]:
     coefficient by its high half's value and adds into a group keyed by its
     low half, and each group is multiplied once by its low half's value.
 
-    Everything runs in integer pairs (a, b) for a + b*w: the coordinates
-    share one denominator d and a poly's coefficients its den e.  A half
-    of degree k in a half of width m is made up to degree top*m with
-    d^(top*m - k), top at least the largest exponent of any variable (the
-    largest byte of the OR of all keys, one pass at C speed), so every
-    term sits over e * d^(top*nvars) and one exact division (from_pair)
-    per poly ends it.
+    Everything runs in integer pairs (a, b) for a + b*w, the coordinates
+    over one denominator d.  A half of degree k in a half of width m is
+    made up to degree top*m with d^(top*m - k), top at least the largest
+    exponent of any variable (the largest byte of the OR of all keys, one
+    pass at C speed), so every term sits over d^(top*nvars) and one exact
+    division (from_pair) per poly ends it.
     """
     nvars = len(point)
     for p in polys:
@@ -458,32 +452,20 @@ def eval_all(polys: Sequence[MPoly], point: Sequence) -> list[CycloNum]:
             a, b = pair_mul(g, los.get(key) or half_value(key, 0, h, los))
             sa += a
             sb += b
-        out.append(from_pair((sa, sb), p.den * d ** (top * nvars)))
+        out.append(from_pair((sa, sb), d ** (top * nvars)))
     return out
 
 
 def add_all(nvars: int, polys: Iterable[MPoly]) -> MPoly:
-    """The sum of polys, all in nvars variables.
-
-    The sums run in integer pairs over one common denominator, which
-    grows (rescaling the sums so far) only when a poly's den needs a new
-    factor."""
+    """The sum of polys, all in nvars variables, in integer pairs."""
     sums: dict[int, tuple[int, int]] = {}
-    den = 1
     for p in polys:
         if p.nvars != nvars:
             raise ArityMismatchError(f"variable counts differ: {nvars} vs {p.nvars}")
-        if den % p.den:
-            up = p.den // math.gcd(den, p.den)
-            sums = {k: (a * up, b * up) for k, (a, b) in sums.items()}
-            den *= up
-        f = den // p.den
         for k, (a, b) in p.terms.items():
-            if f != 1:
-                a, b = a * f, b * f
             s = sums.get(k)
             sums[k] = (a, b) if s is None else (s[0] + a, s[1] + b)
-    return MPoly._raw(nvars, {k: s for k, s in sums.items() if s[0] or s[1]}, den)
+    return MPoly._raw(nvars, {k: s for k, s in sums.items() if s[0] or s[1]})
 
 
 def _vandermonde_inverse(xs: Sequence[Fraction]) -> tuple[list[list[int]], int]:
@@ -507,7 +489,8 @@ def interpolate_grid(values: Sequence, grid: Sequence[Sequence]) -> MPoly:
     each variable v that matches ``values`` on the full tensor grid.
 
     ``grid[v]`` lists the distinct rational nodes of variable v; ``values``
-    holds the samples in itertools.product(*grid) order.
+    holds the samples in itertools.product(*grid) order.  An interpolant
+    with a coefficient outside Z[w] is a ValueError.
     """
     import numpy as np
 
@@ -540,5 +523,11 @@ def interpolate_grid(values: Sequence, grid: Sequence[Sequence]) -> MPoly:
         den *= d
     keys = map(int.from_bytes, map(bytes, itertools.product(*map(range, dims))),
                itertools.repeat("big"))
-    return MPoly._raw(nvars, {e: (a, b) for e, a, b in
-                              zip(keys, *tensor.reshape(2, -1).tolist()) if a or b}, den)
+    terms = {}
+    for e, a, b in zip(keys, *tensor.reshape(2, -1).tolist()):
+        (a, ra), (b, rb) = divmod(a, den), divmod(b, den)
+        if ra or rb:
+            raise ValueError("the interpolant has a coefficient outside Z[w]")
+        if a or b:
+            terms[e] = (a, b)
+    return MPoly._raw(nvars, terms)

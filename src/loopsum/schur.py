@@ -362,7 +362,7 @@ def _reduce(p: MPoly, rests: list[MPoly]) -> MPoly:
         while high := {e: c for e, c in p.terms.items() if e & field >= d}:
             low = {e: c for e, c in p.terms.items() if e & field < d}
             shifted = {e - d: c for e, c in high.items()}
-            p = MPoly._raw(n, low, p.den) + MPoly._raw(n, shifted, p.den) * rests[k]
+            p = MPoly._raw(n, low) + MPoly._raw(n, shifted) * rests[k]
     return p
 
 

@@ -76,8 +76,10 @@ def r_matrix_spin(z, t) -> list[list[CycloNum]]:
     """The 4x4 vertex weight matrix acting on (site) x (auxiliary).
 
     Basis order: up-up, up-down, down-up, down-down, the site factor first.
-    t may be a scalar or a polynomial (an MPoly in Bethe-root variables);
-    any other t goes through as_cyclo, so a float or numpy int is a TypeError.
+    t may be a scalar or a polynomial (an MPoly in Bethe-root variables,
+    whose coefficients lie in Z[w], so z must then be integral, as
+    aba_residual arranges by scaling with its common denominator D); any
+    other t goes through as_cyclo, so a float or numpy int is a TypeError.
     """
     z = as_cyclo(z)
     t = t if isinstance(t, MPoly) else as_cyclo(t)

@@ -2,8 +2,7 @@
 operation per term on exponent tuples, and its canonical JSON and str
 through one CycloNum per term, kept as a test oracle.
 
-MPoly stores integer pairs over one denominator under packed exponent
-keys; these loops work on {exponent tuple: CycloNum} dicts, as
+MPoly stores the integer pairs of Z[w] under packed exponent keys; these loops work on {exponent tuple: CycloNum} dicts, as
 MPoly.items() yields them, and return such a dict without zero
 coefficients.  unpacked decodes the keys of MPoly.terms by the storage
 rule alone (one byte per variable, first variable most significant).

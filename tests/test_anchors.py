@@ -33,6 +33,8 @@ DIGESTS = {
     "asm_tables_1": "dfe67be3fea8ca3b90bdd37d0667fadfd87006ac536e31efcd7d1a0a9706ccc3",
     "asm_tables_2": "353554130d034676de475cf6d19087080d976c8ef96ab6b7781bb82cc5a0de63",
     "asm_tables_3": "cafccf7eab6c4ae5c6548f82d0702a5638733238ff6307789d00a95fdb45369d",
+    "asm_tables_4": "01d290240641f656049609f02859ecc20351751fbdce20e4a81fe5a432572c9d",
+    "asm_tables_5": "e5dbc114fb30d40047395e98deae5c6d94f17e8ccaba43feb0821691ee792c15",
 }
 
 # F(t) and Q(t), ascending coefficients, at n = 3 and this point
@@ -82,7 +84,7 @@ def test_check_all_digest(n, capsys):
     assert _digest(report) == DIGESTS[f"check_all_{n}"]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_asm_tables_digest(n, capsys):
     assert main(["asm-tables", str(n), "--json"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -1,15 +1,17 @@
 """Every check can fail: one perturbed building block per check family,
 and the check must report FAIL with a failing case that carries its
-counterexample payload.  Each row monkeypatches a building block and
-leaves the source untouched.
+counterexample payload.  Each row monkeypatches a building block, or
+bends the data a check reads, and leaves the source untouched.
 """
 
+import json
 import random
+from dataclasses import replace
 
 import pytest
 
-from loopsum import asm
-from loopsum.cyclo import ONE
+from loopsum import asm, cli, groundstate
+from loopsum.cyclo import OMEGA, ONE
 
 
 def _failing_cases(report):
@@ -45,3 +47,54 @@ def test_refined_generating_fails_on_a_changed_count(n, monkeypatch):
     (case,) = _failing_cases(asm.refined_generating_check(n, 2, 3))
     assert (case["t"], case["u"]) == ("2", "3")
     assert case["lhs"] != case["rhs"]
+
+
+def _times_w(comps):
+    comps[4] = comps[4] * OMEGA
+
+
+def _swapped(comps):
+    comps[1], comps[2] = comps[2], comps[1]
+
+
+# Psi_3 bent by data alone, each with the index of a pattern whose
+# component moved
+BENT_PSI3 = {"times-w": (4, _times_w), "swapped": (1, _swapped)}
+
+
+def _bent_psi3(kind):
+    k, bend = BENT_PSI3[kind]
+    g = groundstate.psi_symbolic(3)
+    comps = list(g.components)
+    bend(comps)
+    pat = g.patterns[k]
+    arch = min(i for i in range(1, 6) if pat.partner(i) == i + 1)
+    return replace(g, components=tuple(comps)), pat.to_chords_json(), arch
+
+
+@pytest.mark.parametrize("check", ["exchange", "cyclic-reflection", "monomial",
+                                   "recursion-adjacent"])
+@pytest.mark.parametrize("kind", sorted(BENT_PSI3))
+def test_psi_checks_fail_on_bent_data(kind, check):
+    bent, chords, i = _bent_psi3(kind)
+    report = {
+        "exchange": lambda: groundstate.check_exchange(bent, i),
+        "cyclic-reflection": lambda: groundstate.check_cyclic_reflection(bent),
+        "monomial": lambda: groundstate.check_monomial_property(bent),
+        "recursion-adjacent": lambda: groundstate.check_recursion_adjacent(
+            bent, groundstate.psi_symbolic(2), i),
+    }[check]()
+    assert chords in [case["pattern"] for case in _failing_cases(report)]
+
+
+@pytest.mark.parametrize("kind", sorted(BENT_PSI3))
+def test_check_all_fails_on_a_bent_psi3(kind, monkeypatch, capsys):
+    bent, chords, _ = _bent_psi3(kind)
+    monkeypatch.setitem(groundstate._SYMBOLIC_CACHE, 3, bent)
+    assert cli.main(["check-all", "3", "--json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    # not only golden-match: the checks of the identities see it too
+    assert {"cyclic-reflection(n=3)", "monomial(n=3)"} <= {c["check"] for c in checks
+                                                         if not c["pass"]}
+    failing = [case for c in checks for case in c["cases"] if not case["pass"]]
+    assert chords in [case.get("pattern") for case in failing]
